@@ -39,8 +39,8 @@ from .beamformer import (
 )
 from .channel import ChannelStatistics, Scenario
 from .metrics import ergodic_rate_closed, ergodic_rate_mc, slnr_vec
-from .numerics import bisect, largest_generalized_eigvec, pencil_diagonalize
-from .qcqp import MaxMinQuadraticProblem, SubproblemSolution, power_ridge_size, solve_maxmin
+from .numerics import largest_generalized_eigvec
+from .qcqp import MaxMinQuadraticProblem, SubproblemSolution, _Pencils, solve_maxmin
 from .surrogates import (
     HalfIterationOperators,
     SurrogateCoefficients,
@@ -81,15 +81,23 @@ class AlgoOptions:
             raise ValueError(f"rate_every must be >= 1, got {self.rate_every}")
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEntry:
-    """One half-iteration record; ``step`` advances by 0.5 per half."""
+    """One half-iteration record; ``step`` advances by 0.5 per half.
+
+    Max-min half-iterations also keep their subproblem's certified relative
+    gap and outer-iteration count (:class:`~slnrbeam.qcqp.SubproblemSolution`);
+    they stay None elsewhere and are not written to the trace CSV. Slotted:
+    a sweep holds thousands of these.
+    """
 
     step: float
     min_slnr: float
     objective: float
     min_rate_nats: float
     power: float
+    subproblem_gap: float | None = None
+    subproblem_iterations: int | None = None
 
 
 @dataclass
@@ -169,8 +177,9 @@ def closed_form_update(
 
         v_l(mu) = w_l (w_l C_l + mu A_l)^{-1} b_l^H,   power(mu) = budget,
 
-    by bisection (upper bracket doubled from 1 until the power drops below
-    the budget), to a residual of 1e-8 times the budget.
+    on the diagonalized pencils of :mod:`slnrbeam.qcqp`, whose power price
+    (the Lagrangian dual's, at weights w) is bisected to a residual of 1e-12
+    times the budget.
     """
     n_users = len(coeffs)
     if n_users == 0:
@@ -200,36 +209,16 @@ def closed_form_update(
     if true_power(v_free) <= budget:
         return v_free
 
-    # Diagonalize each (C_l, A_l) pencil so power(mu) is a cheap diagonal sum.
-    d_all = np.empty((n_users, dim))
-    t_all = np.empty((n_users, dim, dim), dtype=complex)
-    b_t = np.empty((n_users, dim), dtype=complex)
-    for ell in range(n_users):
-        eps = power_ridge_size(power_mats[ell])
-        d_all[ell], t_all[ell] = pencil_diagonalize(coeffs[ell].C, power_mats[ell] + eps * eye)
-        b_t[ell] = coeffs[ell].b @ t_all[ell]
-    abs_b_sq = np.abs(b_t) ** 2
-    w_col = weights[:, None]
-
-    def power_of_mu(mu: float) -> float:
-        den = w_col * d_all + mu
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac = (w_col**2) * abs_b_sq / den**2
-        frac[(w_col**2) * abs_b_sq == 0.0] = 0.0
-        return float(frac.sum())
-
-    hi = 1.0
-    for _ in range(300):
-        if power_of_mu(hi) < budget:
-            break
-        hi *= 2.0
-    mu = bisect(lambda m: power_of_mu(m) - budget, 0.0, hi, tol=1e-12 * budget, max_iter=400)
-
-    den = w_col * d_all + mu
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = w_col * np.conj(b_t) / den
-    u[w_col * np.abs(b_t) == 0.0] = 0.0
-    v = np.einsum("lij,lj->li", t_all, u)
+    pencils = _Pencils(
+        MaxMinQuadraticProblem(
+            a=np.zeros(n_users),
+            b=np.stack([c.b for c in coeffs]),
+            C=np.stack([c.C for c in coeffs]),
+            A=np.stack(power_mats),
+            P=budget,
+        )
+    )
+    v = pencils.dual_argmax(weights, pencils.power_price(weights))
     # The bisection targets the ridged power metric, which overstates the
     # true power by eps * ||v||^2; the mismatch grows when the solution has
     # large components along weakly coupled power directions. A final exact
@@ -314,7 +303,13 @@ class _Run:
         self.evaluator = _RateEvaluator(stats, self.sigma, options, seed)
         self.half_steps = 0
 
-    def record(self, step: float, min_slnr: float, objective: float) -> None:
+    def record(
+        self,
+        step: float,
+        min_slnr: float,
+        objective: float,
+        subproblem: SubproblemSolution | None = None,
+    ) -> None:
         """Append a trace row and refresh the incumbent on the rate cadence."""
         if self.half_steps % self.options.rate_every == 0:
             w_mat = beamformer_matrix(self.bf)
@@ -331,6 +326,8 @@ class _Run:
                 objective=objective,
                 min_rate_nats=min_rate,
                 power=total_power(self.bf),
+                subproblem_gap=None if subproblem is None else subproblem.gap,
+                subproblem_iterations=None if subproblem is None else subproblem.iterations,
             )
         )
 
@@ -432,11 +429,17 @@ def run_maxmin(
                 trial.v_e = sol.v
             new_val = _min_slnr(trial, stats, run.sigma)
             if new_val < current:
-                converged = True  # cannot improve further; keep the iterate
+                # cannot improve further; keep the iterate
+                logger.warning(
+                    "maxmin stopped in iteration %d: the %s subproblem's point "
+                    "lowers the min SLNR from %.9e to %.9e (gap %.2e)",
+                    it, side, current, new_val, sol.gap,
+                )
+                converged = True
                 break
             run.set_side(side, sol.v)
             current = new_val
-            run.record(it - 0.5 + 0.5 * half, current, current)
+            run.record(it - 0.5 + 0.5 * half, current, current, subproblem=sol)
         iterations = it
         if converged:
             break

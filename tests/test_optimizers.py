@@ -7,6 +7,7 @@ import scipy.optimize
 
 from slnrbeam.beamformer import init_feasible, total_power
 from slnrbeam.channel import Scenario, build_statistics
+from slnrbeam import optimizers
 from slnrbeam.numerics import hermitian_eig
 from slnrbeam.optimizers import (
     AlgoOptions,
@@ -19,6 +20,7 @@ from slnrbeam.optimizers import (
     run_soft,
     track_incumbent,
 )
+from slnrbeam.qcqp import SubproblemSolution
 from slnrbeam.surrogates import SurrogateCoefficients
 
 
@@ -154,6 +156,37 @@ class TestRunMaxmin:
         res = run_maxmin(sc, stats, AlgoOptions(max_iterations=3))
         for entry in res.trace:
             assert entry.objective == entry.min_slnr
+
+    def test_subproblem_diagnostics_kept(self, desk):
+        sc, stats = desk
+        res = run_maxmin(sc, stats, AlgoOptions(max_iterations=3))
+        assert res.trace[0].subproblem_gap is None
+        assert res.trace[0].subproblem_iterations is None
+        assert len(res.trace) > 1
+        for entry in res.trace[1:]:
+            assert 0.0 <= entry.subproblem_gap <= 1e-4
+            assert entry.subproblem_iterations >= 0
+        gm = run_gm(sc, stats, AlgoOptions(max_iterations=1))
+        assert all(e.subproblem_gap is None for e in gm.trace)
+
+    def test_regressed_subproblem_warns(self, desk, monkeypatch, caplog):
+        # A subproblem returning the zero point lowers the min SLNR; the run
+        # keeps its iterate, stops, and says so.
+        sc, stats = desk
+
+        def regress(problem, **kwargs):
+            return SubproblemSolution(
+                v=np.zeros((problem.n_users, problem.dim), dtype=complex),
+                objective=0.0,
+                gap=0.0,
+                iterations=1,
+            )
+
+        monkeypatch.setattr(optimizers, "solve_maxmin", regress)
+        with caplog.at_level("WARNING", logger="slnrbeam.optimizers"):
+            res = run_maxmin(sc, stats, AlgoOptions())
+        assert res.converged and res.iterations == 1 and len(res.trace) == 1
+        assert any("lowers the min SLNR" in r.getMessage() for r in caplog.records)
 
 
 class TestRunGm:

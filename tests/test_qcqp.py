@@ -11,8 +11,8 @@ import scipy.optimize
 
 from slnrbeam.qcqp import (
     MaxMinQuadraticProblem,
-    dual_inner_argmax,
-    ridge_size,
+    _Pencils,
+    power_ridge_size,
     solve_maxmin,
 )
 
@@ -96,7 +96,7 @@ class TestDualInnerArgmax:
             A=np.eye(dim)[None, :, :].astype(complex),
             P=1.0,
         )
-        v = dual_inner_argmax(problem, np.array([1.0]), 0.0)
+        v = _Pencils(problem).dual_argmax(np.array([1.0]), 0.0)
         np.testing.assert_allclose(v[0], np.eye(dim)[0], atol=1e-8)
 
     def test_linearity_in_b(self):
@@ -106,8 +106,8 @@ class TestDualInnerArgmax:
             a=problem.a, b=2.0 * problem.b, C=problem.C, A=problem.A, P=problem.P
         )
         lam = np.array([0.5, 0.3, 0.2])
-        v1 = dual_inner_argmax(problem, lam, 0.7)
-        v2 = dual_inner_argmax(doubled, lam, 0.7)
+        v1 = _Pencils(problem).dual_argmax(lam, 0.7)
+        v2 = _Pencils(doubled).dual_argmax(lam, 0.7)
         np.testing.assert_allclose(v2, 2.0 * v1, rtol=1e-10)
 
     def test_stationarity_residual(self):
@@ -115,13 +115,14 @@ class TestDualInnerArgmax:
         problem = random_problem(rng)
         lam = np.array([0.2, 0.5, 0.3])
         mu = 0.9
-        v = dual_inner_argmax(problem, lam, mu)
+        v = _Pencils(problem).dual_argmax(lam, mu)
         for ell in range(problem.n_users):
-            eps = ridge_size(problem.C[ell], problem.A[ell])
+            # the power matrix carries its ridge: A_l + eps_l I
+            eps = power_ridge_size(problem.A[ell])
             grad = (
                 lam[ell] * (problem.b[ell].conj() - problem.C[ell] @ v[ell])
                 - mu * problem.A[ell] @ v[ell]
-                - eps * v[ell]
+                - mu * eps * v[ell]
             )
             assert np.linalg.norm(grad) <= 1e-8 * np.linalg.norm(problem.b[ell])
 
@@ -199,6 +200,19 @@ class TestSolveMaxmin:
         s2 = solve_maxmin(shuffled, tol=1e-6)
         assert s2.objective == pytest.approx(s1.objective, rel=1e-4)
 
+    def test_badly_scaled_linear_terms(self):
+        # With a constant user capping the level far below the others'
+        # unconstrained maxima, the level tests must not lose the level to
+        # cancellation against those maxima.
+        rng = np.random.default_rng(11)
+        for scale in (1e-6, 1e6):
+            for _ in range(4):
+                problem = random_problem(rng, n_users=4, dim=6)
+                problem.b *= scale
+                problem.b[0] = 0.0
+                sol = solve_maxmin(problem)
+                assert sol.gap <= 1e-4
+
     def test_complementary_slackness(self):
         rng = np.random.default_rng(10)
         problem = random_problem(rng, n_users=3, dim=4)
@@ -208,3 +222,142 @@ class TestSolveMaxmin:
         )
         # either the budget binds or the unconstrained optimum was feasible
         assert (problem.P - power) <= 1e-6 * problem.P or sol.iterations == 0
+
+
+def pencil_path(pencils, ell, nu):
+    """(power, q) on user ell's minimum-power path at multiplier nu, summed
+    term by term on the diagonalized pencil: with r_j = nu / (1 + nu d_j),
+    power = sum_j |b_j|^2 r_j^2 and q = a + sum_j |b_j|^2 r_j (2 - d_j r_j)."""
+    d, w = pencils.d[ell], pencils.w_path[ell]
+    r = nu / (1.0 + nu * d)
+    return float(np.sum(w * r * r)), float(pencils.problem.a[ell] + np.sum(w * r * (2.0 - d * r)))
+
+
+def reference_multiplier(pencils, ell, level, rel=1e-13):
+    """Plain bisection on the multiplier reaching ``level``; None if the
+    level needs a multiplier beyond 2^300, the solver's cap too."""
+    if pencils.problem.a[ell] >= level:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while pencil_path(pencils, ell, hi)[1] < level:
+        lo, hi = hi, 2.0 * hi
+        if hi > 2.0**300:
+            return None
+    while hi - lo > rel * hi:
+        mid = 0.5 * (lo + hi)
+        if pencil_path(pencils, ell, mid)[1] >= level:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestLevelSolve:
+    """The safeguarded Newton level solve against a reference bisection."""
+
+    @staticmethod
+    def check_bracket(pencils, level, result):
+        nu_lo, nu_hi, p_lo, p_hi = result
+        assert np.all(p_lo <= p_hi)
+        at_level = nu_hi == 0.0
+        live = np.isfinite(nu_hi) & ~at_level
+        _, q_lo, *_ = pencils.level_curves(np.where(live, nu_lo, 0.0))
+        _, q_hi, *_ = pencils.level_curves(np.where(live, nu_hi, 0.0))
+        assert np.all(q_lo[live] < level)
+        assert np.all(q_hi[live] >= level)
+        # users already at the level need no power at all
+        assert np.all(q_lo[at_level] >= level)
+        assert np.all(p_hi[at_level] == 0.0)
+
+    def check_against_reference(self, problem, level, rel=1e-8):
+        pencils = _Pencils(problem)
+        result = pencils.min_power_bracket(level)
+        self.check_bracket(pencils, level, result)
+        _, nu_hi, _, p_hi = result
+        for ell in range(problem.n_users):
+            want = reference_multiplier(pencils, ell, level)
+            if want is None or level >= pencils.q_free[ell]:
+                assert nu_hi[ell] == np.inf and p_hi[ell] == np.inf
+                continue
+            assert nu_hi[ell] == pytest.approx(want, rel=rel, abs=1e-300)
+            assert p_hi[ell] == pytest.approx(pencil_path(pencils, ell, want)[0], rel=rel)
+        return pencils, result
+
+    @pytest.mark.parametrize("singular_a", [False, True])
+    def test_random_pencils(self, singular_a):
+        rng = np.random.default_rng(20 + singular_a)
+        for _ in range(6):
+            problem = random_problem(rng, n_users=3, dim=5, singular_a=singular_a)
+            q_free = _Pencils(problem).q_free
+            top = float(np.max(q_free[np.isfinite(q_free)]))
+            for frac in (0.02, 0.3, 0.7, 0.95, 0.999):
+                level = float(problem.a.min()) + frac * (top - float(problem.a.min()))
+                self.check_against_reference(problem, level)
+
+    def test_early_stop_stays_certified(self):
+        rng = np.random.default_rng(27)
+        problem = random_problem(rng, n_users=4, dim=6)
+        pencils = _Pencils(problem)
+        level = float(np.min(pencils.q_free)) - 1e-3
+        full = pencils.min_power_bracket(level)
+        budget = 0.5 * float(full[2].sum())
+        early = _Pencils(problem).min_power_bracket(level, budget)
+        self.check_bracket(pencils, level, early)
+        assert early[2].sum() > budget
+
+    def test_singular_power_matrix(self):
+        rng = np.random.default_rng(21)
+        problem = random_problem(rng, n_users=2, dim=5)
+        f = rng.standard_normal((5, 1)) + 1j * rng.standard_normal((5, 1))
+        problem.A[0] = f @ f.conj().T  # rank one
+        for level in (float(problem.a[0]) + 0.1, float(problem.a[0]) + 1.0):
+            self.check_against_reference(problem, level)
+
+    def test_flat_directions_with_linear_term(self):
+        rng = np.random.default_rng(22)
+        problem = random_problem(rng, n_users=2, dim=5)
+        g = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        problem.C[1] = g @ g.conj().T  # two null directions, which b reaches
+        pencils = _Pencils(problem)
+        assert pencils.q_free[1] == np.inf
+        for level in (float(problem.a[1]) + 0.5, float(problem.a[1]) + 50.0):
+            _, result = self.check_against_reference(problem, level)
+            assert np.isfinite(result[1][1])
+
+    def test_zero_rows_of_b(self):
+        rng = np.random.default_rng(23)
+        problem = random_problem(rng, n_users=3, dim=4)
+        problem.b[1] = 0.0
+        pencils = _Pencils(problem)
+        assert pencils.q_free[1] == problem.a[1]
+        above = float(problem.a[1]) + 0.1
+        nu_lo, nu_hi, p_lo, p_hi = pencils.min_power_bracket(above)
+        assert nu_hi[1] == np.inf and p_lo[1] == np.inf
+        self.check_bracket(pencils, above, (nu_lo, nu_hi, p_lo, p_hi))
+        below = float(problem.a[1]) - 0.1
+        result = pencils.min_power_bracket(below)
+        assert result[1][1] == 0.0 and result[3][1] == 0.0
+        self.check_bracket(pencils, below, result)
+
+    def test_level_at_or_below_a(self):
+        rng = np.random.default_rng(24)
+        problem = random_problem(rng, n_users=3, dim=4)
+        pencils = _Pencils(problem)
+        for level in (float(problem.a.min()), float(problem.a.min()) - 5.0):
+            result = pencils.min_power_bracket(level)
+            for arr in result:
+                np.testing.assert_array_equal(arr, 0.0)
+
+    def test_level_at_or_above_q_free(self):
+        rng = np.random.default_rng(25)
+        problem = random_problem(rng, n_users=3, dim=4)
+        pencils = _Pencils(problem)
+        top = int(np.argmax(pencils.q_free))
+        for level in (float(pencils.q_free.max()), float(pencils.q_free.max()) + 1.0):
+            result = pencils.min_power_bracket(level)
+            assert result[1][top] == np.inf and result[3][top] == np.inf
+            self.check_bracket(pencils, level, result)
+        # just below the asymptote the level is reached, at a large multiplier
+        level = float(pencils.q_free[top]) - 1e-9 * max(1.0, abs(float(pencils.q_free[top])))
+        self.check_against_reference(problem, level, rel=1e-4)
