@@ -2,6 +2,8 @@
 
 All routines are deterministic given the input bits (LAPACK drivers only,
 no randomized algorithms), so seeded experiment traces reproduce exactly.
+Only numpy is needed: the generalized Hermitian eigensolves use the Cholesky
+reduction of LAPACK's xHEGV, written out on numpy's stacked linear algebra.
 """
 
 from __future__ import annotations
@@ -9,7 +11,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 # Hermitian symmetry tolerance (absolute, relative to unit-scaled entries).
 HERMITIAN_ATOL = 1e-12
@@ -20,16 +21,22 @@ _EULER_GAMMA = 0.57721566490153286060651209008240243
 
 
 def check_hermitian(mat: np.ndarray, atol: float | None = None) -> None:
-    """Raise ValueError if ``mat`` is not square Hermitian within tolerance."""
+    """Raise ValueError unless ``mat`` is a square Hermitian matrix, or a stack
+    of them, within tolerance (scaled per matrix)."""
     mat = np.asarray(mat)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 1.0)
+    if not mat.size:
+        return
+    scale = np.maximum(1.0, np.abs(mat).max(axis=(-2, -1)))
     tol = (HERMITIAN_ATOL if atol is None else atol) * scale
-    dev = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
-    if dev > tol:
+    dev = np.abs(mat - np.swapaxes(mat.conj(), -1, -2)).max(axis=(-2, -1))
+    bad = np.flatnonzero(dev > tol)
+    if bad.size:
+        k = bad[0]
         raise ValueError(
-            f"matrix is not Hermitian: max |M - M^H| = {dev:.3e} exceeds {tol:.3e}"
+            f"matrix is not Hermitian: max |M - M^H| = {dev.flat[k]:.3e} "
+            f"exceeds {tol.flat[k]:.3e}"
         )
 
 
@@ -155,33 +162,50 @@ def bisect(
     return mid
 
 
+def _generalized_eigh(c: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of Hermitian-definite pencils ``(C, A)``, stacked over the
+    leading axes, eigenvalues ascending.
+
+    The Cholesky reduction of LAPACK's xHEGV (Golub & Van Loan, section 8.7):
+    with A = L L^H and W = L^-1 C L^-H = U diag(lam) U^H, the columns of
+    T = L^-H U satisfy T^H A T = I and T^H C T = diag(lam).
+    """
+    try:
+        chol = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as err:
+        raise ValueError(f"metric matrix is not positive definite: {err}") from None
+    inv = np.linalg.inv(chol)
+    inv_h = np.swapaxes(inv.conj(), -1, -2)
+    lam, u = np.linalg.eigh(inv @ c @ inv_h)
+    return lam, inv_h @ u
+
+
 def largest_generalized_eigvec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Unit-norm maximizer of the generalized Rayleigh quotient.
 
     Returns ``w`` with ``||w|| = 1`` maximizing ``(w^H B w) / (w^H A w)``
-    for Hermitian positive-definite ``a`` and Hermitian PSD ``b``. The
+    for Hermitian positive-definite ``a`` and Hermitian PSD ``b``, or one
+    such row per matrix pair when both are stacks of shape (..., n, n). The
     global phase is fixed so the largest-magnitude entry is real positive.
     """
     check_hermitian(a)
     check_hermitian(b)
-    try:
-        lam, vec = scipy.linalg.eigh(b, a)
-    except scipy.linalg.LinAlgError as err:
-        raise ValueError(f"generalized eigenproblem failed (A singular?): {err}")
-    w = vec[:, -1]
-    w = w / np.linalg.norm(w)
-    pivot = int(np.argmax(np.abs(w)))
-    phase = w[pivot] / abs(w[pivot])
-    return w * np.conj(phase)
+    w = _generalized_eigh(b, a)[1][..., -1]
+    w = w / np.linalg.norm(w, axis=-1, keepdims=True)
+    pivot = np.take_along_axis(w, np.argmax(np.abs(w), axis=-1)[..., None], axis=-1)
+    return w * np.conj(pivot / np.abs(pivot))
 
 
 def pencil_diagonalize(c: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Simultaneously diagonalize a Hermitian PSD pencil ``(C, A)``.
+    """Simultaneously diagonalize Hermitian PSD pencils ``(C, A)``.
 
-    For Hermitian PSD ``c`` and Hermitian positive-definite ``a``, returns
-    ``(w, T)`` with ``T^H A T = I`` and ``T^H C T = diag(w)``. Substituting
-    ``v = T u`` turns every shifted solve ``(alpha*C + mu*A) v = r`` into a
-    diagonal one, which the power-allocation bisections exploit.
+    For Hermitian PSD ``c`` and Hermitian positive-definite ``a`` (single
+    matrices or stacks of shape (..., n, n)), returns ``(w, T)`` with
+    ``T^H A T = I`` and ``T^H C T = diag(w)``, the eigenvalues clipped at 0.
+    Substituting ``v = T u`` turns every shifted solve
+    ``(alpha*C + mu*A) v = r`` into a diagonal one, which the power-allocation
+    searches exploit. A metric that is not positive definite raises
+    ValueError.
     """
-    lam, t = scipy.linalg.eigh(c, a)
+    lam, t = _generalized_eigh(c, a)
     return np.clip(lam, 0.0, None), t

@@ -240,14 +240,10 @@ def baseline_uniform(stats: ChannelStatistics, scenario: Scenario) -> np.ndarray
     is split equally, giving each column squared norm P/L.
     """
     n_users = stats.L
-    dim = stats.R.shape[1]
-    loading = n_users * scenario.sigma / scenario.P * np.eye(dim)
-    w_mat = np.empty((dim, n_users), dtype=complex)
-    for ell in range(n_users):
-        leak = stats.R_sum - stats.R[ell] + loading
-        w = largest_generalized_eigvec(leak, stats.R[ell])
-        w_mat[:, ell] = np.sqrt(scenario.P / n_users) * w
-    return w_mat
+    loading = n_users * scenario.sigma / scenario.P * np.eye(stats.R.shape[1])
+    leak = stats.R_sum - stats.R + loading
+    w = largest_generalized_eigvec(leak, stats.R)
+    return np.ascontiguousarray(np.sqrt(scenario.P / n_users) * w.T)
 
 
 def _min_slnr(bf: BeamformerSet, stats: ChannelStatistics, sigma: float) -> float:

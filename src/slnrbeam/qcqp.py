@@ -32,9 +32,9 @@ bisection on the transmit power) at the weights recovered from the active
 users' multipliers to tighten the certificate. The reported gap is the
 nonnegative difference between that dual bound and the best feasible value.
 
-A_l may be singular; a ridge of 1e-10 times A_l's own trace scale is added
-before diagonalizing, which shrinks the feasible set by a negligible margin
-and never loosens it.
+A_l may be singular; a ridge of 1e-10 times A_l's own trace scale (floored
+at a 1e-12 fraction of the largest user's) is added before diagonalizing,
+which shrinks the feasible set by a negligible margin and never loosens it.
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ import numpy as np
 from .numerics import bisect, pencil_diagonalize
 
 RIDGE_REL = 1e-10
+# Smallest per-user power scale, relative to the largest, that sizes a ridge.
+SCALE_FLOOR = 1e-12
 # Relative width at which a per-user multiplier bracket counts as solved.
 NU_REL_TOL = 1e-13
 # A level that needs a larger multiplier lies within about 2^-600 (relative)
@@ -102,16 +104,21 @@ class SubproblemSolution:
     iterations: int
 
 
-def power_ridge_size(a_mat: np.ndarray) -> float:
-    """Ridge for the power matrix alone, relative to its own trace scale.
+def power_ridge_size(a_stack: np.ndarray) -> np.ndarray:
+    """Per-user ridges for the power matrices, relative to their own trace scale.
 
-    The pencil diagonalization needs A positive definite; loading it with a
-    fraction of the objective curvature's trace would distort the power
+    The pencil diagonalization needs each A_l positive definite; loading it
+    with a fraction of the objective curvature's trace would distort the power
     metric whenever the two matrices live on very different scales, so only
-    A's own scale enters here.
+    the power matrices' scales enter here. A user whose own scale falls below
+    ``SCALE_FLOOR`` times the largest one (an all-zero A_l, say) takes that
+    floor instead, and an all-zero stack takes unit scale: a ridge sized from
+    a vanishing trace would be subnormal and leave the pencil with infinite
+    eigenvalues.
     """
-    n = a_mat.shape[0]
-    return RIDGE_REL * max(float(np.real(np.trace(a_mat))) / n, 1e-300)
+    scale = np.real(np.trace(a_stack, axis1=-2, axis2=-1)) / a_stack.shape[-1]
+    top = float(scale.max())
+    return RIDGE_REL * np.maximum(scale, SCALE_FLOOR * top if top > 0.0 else 1.0)
 
 
 class _Pencils:
@@ -123,18 +130,11 @@ class _Pencils:
     """
 
     def __init__(self, problem: MaxMinQuadraticProblem):
-        n_users, dim = problem.n_users, problem.dim
         self.problem = problem
-        self.d = np.empty((n_users, dim))
-        self.t = np.empty((n_users, dim, dim), dtype=complex)
-        self.b_t = np.empty((n_users, dim), dtype=complex)
-        self.a_ridged = np.empty((n_users, dim, dim), dtype=complex)
-        eye = np.eye(dim)
-        for ell in range(n_users):
-            eps = power_ridge_size(problem.A[ell])
-            self.a_ridged[ell] = problem.A[ell] + eps * eye
-            self.d[ell], self.t[ell] = pencil_diagonalize(problem.C[ell], self.a_ridged[ell])
-            self.b_t[ell] = problem.b[ell] @ self.t[ell]
+        eps = power_ridge_size(problem.A)
+        self.a_ridged = problem.A + eps[:, None, None] * np.eye(problem.dim)
+        self.d, self.t = pencil_diagonalize(problem.C, self.a_ridged)
+        self.b_t = (problem.b[:, None, :] @ self.t)[:, 0]
         self.abs_b_sq = np.abs(self.b_t) ** 2
         # The level paths floor the transformed linear terms per user:
         # entries this far below the row maximum are round-off zeros and
@@ -527,8 +527,11 @@ def solve_maxmin(
         upper = min(upper, pencils.dual_value(lam_hat))
     upper = min(upper, t_hi)
 
-    scale = max(1.0, abs(best_obj), abs(upper))
-    gap = max(upper - best_obj, 0.0) / scale
+    # An infinite or undefined bound certifies nothing: the gap reads inf,
+    # never nan, so every ``gap > limit`` check still trips.
+    gap = np.inf
+    if np.isfinite(upper):
+        gap = max(upper - best_obj, 0.0) / max(1.0, abs(best_obj), abs(upper))
     return SubproblemSolution(v=best_v, objective=best_obj, gap=gap, iterations=iterations)
 
 

@@ -3,12 +3,14 @@
 The exponential integral is checked against adaptive quadrature of its
 defining integral, the matrix square root against a squaring oracle, and
 the generalized eigenvector against random probing plus a finite-difference
-stationarity check.
+stationarity check. The pencil eigenvalues are checked against
+``scipy.linalg.eigh``, which the library itself does not use.
 """
 
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 
 from slnrbeam.numerics import (
     bisect,
@@ -30,6 +32,27 @@ def random_hermitian(rng, n):
 def random_psd(rng, n):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return g @ g.conj().T
+
+
+def ridged_kron_stack(rng, q=4, n_users=5):
+    """Pencils shaped like the max-min subproblems': random PSD C_l and
+    A_l = kron(G_l, I_Q) + ridge with rank-1 G_l, the ridge sized as
+    ``qcqp.power_ridge_size`` sizes it (1e-10 of A_l's trace scale)."""
+    n = 2 * q
+    c = np.stack([random_psd(rng, n) / n for _ in range(n_users)])
+    a = np.empty_like(c)
+    for ell in range(n_users):
+        x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        a[ell] = np.kron(np.outer(x, x.conj()), np.eye(q))
+        a[ell] += 1e-10 * np.real(np.trace(a[ell])) / n * np.eye(n)
+    return c, a
+
+
+def congruence_residual(t, m, d):
+    """max |T^H M T - D| relative to the largest entry of |T|^H |M| |T|, the
+    magnitude the product's own floating-point terms carry."""
+    scale = np.max(np.abs(t).T @ np.abs(m) @ np.abs(t))
+    return float(np.max(np.abs(t.conj().T @ m @ t - d)) / scale)
 
 
 def e1_quadrature(x):
@@ -193,6 +216,25 @@ class TestGeneralizedEigvec:
         with pytest.raises(ValueError):
             largest_generalized_eigvec(np.diag([1.0, 0.0]), np.eye(2))
 
+    def test_rejects_non_hermitian_in_stack(self):
+        b = np.stack([np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]])])
+        with pytest.raises(ValueError, match="Hermitian"):
+            largest_generalized_eigvec(np.stack([np.eye(2)] * 2), b)
+
+    def test_stack_matches_scipy_and_single_calls(self):
+        rng = np.random.default_rng(11)
+        b, a = ridged_kron_stack(rng, q=3, n_users=4)
+        w = largest_generalized_eigvec(a, b)
+        for ell in range(a.shape[0]):
+            assert np.array_equal(w[ell], largest_generalized_eigvec(a[ell], b[ell]))
+            assert np.linalg.norm(w[ell]) == pytest.approx(1.0, abs=1e-12)
+            pivot = w[ell][np.argmax(np.abs(w[ell]))]
+            assert abs(pivot.imag) <= 1e-15 * pivot.real
+            # the quotient itself cancels catastrophically along the ridge
+            # directions, so the direction is compared instead
+            ref = scipy.linalg.eigh(b[ell], a[ell])[1][:, -1]
+            assert abs(np.vdot(ref, w[ell])) / np.linalg.norm(ref) == pytest.approx(1.0, abs=1e-9)
+
 
 class TestPencil:
     def test_simultaneous_diagonalization(self):
@@ -203,3 +245,42 @@ class TestPencil:
         np.testing.assert_allclose(t.conj().T @ a @ t, np.eye(5), atol=1e-10)
         np.testing.assert_allclose(t.conj().T @ c @ t, np.diag(w), atol=1e-9)
         assert np.all(w >= 0)
+
+    def test_ridged_kron_stack(self):
+        # The ridge leaves each metric with condition number about 1e10, so
+        # T has columns of norm up to 1e5 and the check is scaled to them.
+        rng = np.random.default_rng(7)
+        c, a = ridged_kron_stack(rng)
+        w, t = pencil_diagonalize(c, a)
+        assert w.shape == c.shape[:2] and t.shape == c.shape
+        assert np.all(w >= 0)
+        for ell in range(c.shape[0]):
+            assert congruence_residual(t[ell], a[ell], np.eye(c.shape[1])) <= 1e-9
+            assert congruence_residual(t[ell], c[ell], np.diag(w[ell])) <= 1e-9
+            ref = scipy.linalg.eigh(c[ell], a[ell], eigvals_only=True)
+            np.testing.assert_allclose(w[ell], ref, rtol=0, atol=1e-9 * ref.max())
+
+    def test_stack_matches_single_calls_bitwise(self):
+        rng = np.random.default_rng(8)
+        c, a = ridged_kron_stack(rng, q=3, n_users=4)
+        w, t = pencil_diagonalize(c, a)
+        for ell in range(c.shape[0]):
+            w_one, t_one = pencil_diagonalize(c[ell], a[ell])
+            assert np.array_equal(w[ell], w_one)
+            assert np.array_equal(t[ell], t_one)
+
+    def test_clips_roundoff_negatives(self):
+        # C with a null space: eigenvalues that land below zero by round-off
+        # come back as exact zeros.
+        rng = np.random.default_rng(9)
+        g = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+        w, _ = pencil_diagonalize(g @ g.conj().T, random_psd(rng, 6) + np.eye(6))
+        assert np.all(w >= 0.0)
+        assert np.count_nonzero(w > 1e-9 * w.max()) == 2
+
+    def test_rejects_indefinite_metric_in_stack(self):
+        rng = np.random.default_rng(10)
+        c, a = ridged_kron_stack(rng, q=2, n_users=3)
+        a[1] = np.diag([1.0, -1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="positive definite"):
+            pencil_diagonalize(c, a)

@@ -1,10 +1,16 @@
 """Algorithm-level behavior: closed-form updates, monotone traces,
 incumbent tracking, and the uniform-power baseline."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.optimize
 
+import slnrbeam
 from slnrbeam.beamformer import init_feasible, total_power
 from slnrbeam.channel import Scenario, build_statistics
 from slnrbeam import optimizers
@@ -296,6 +302,30 @@ class TestBaseline:
             for _ in range(1000):
                 z = rng.standard_normal(16) + 1j * rng.standard_normal(16)
                 assert quotient(z) <= best * (1.0 + 1e-8)
+
+
+class TestRuntimeDependencies:
+    def test_designs_run_without_scipy(self):
+        # SciPy is a test-only oracle: a fresh interpreter that imports the
+        # package and runs two designs never loads it.
+        script = (
+            "import sys\n"
+            "from slnrbeam import Scenario, build_statistics\n"
+            "from slnrbeam.optimizers import AlgoOptions, run_baseline, run_gm\n"
+            "sc = Scenario(Q=3, L=2, seed=0)\n"
+            "stats = build_statistics(sc)\n"
+            "run_gm(sc, stats, AlgoOptions(max_iterations=1))\n"
+            "run_baseline(sc, stats, AlgoOptions(max_iterations=1))\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        src = str(Path(slnrbeam.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
 
 
 class TestIncumbent:

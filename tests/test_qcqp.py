@@ -10,6 +10,8 @@ import pytest
 import scipy.optimize
 
 from slnrbeam.qcqp import (
+    RIDGE_REL,
+    SCALE_FLOOR,
     MaxMinQuadraticProblem,
     _Pencils,
     power_ridge_size,
@@ -118,7 +120,7 @@ class TestDualInnerArgmax:
         v = _Pencils(problem).dual_argmax(lam, mu)
         for ell in range(problem.n_users):
             # the power matrix carries its ridge: A_l + eps_l I
-            eps = power_ridge_size(problem.A[ell])
+            eps = power_ridge_size(problem.A)[ell]
             grad = (
                 lam[ell] * (problem.b[ell].conj() - problem.C[ell] @ v[ell])
                 - mu * problem.A[ell] @ v[ell]
@@ -212,6 +214,26 @@ class TestSolveMaxmin:
                 problem.b[0] = 0.0
                 sol = solve_maxmin(problem)
                 assert sol.gap <= 1e-4
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_all_zero_power_matrix(self):
+        # A user whose power matrix vanishes takes its ridge from the other
+        # users' scale; one sized from its own zero trace was subnormal, and
+        # the search then ran to its iteration cap and returned a nan gap.
+        rng = np.random.default_rng(12)
+        problem = random_problem(rng, n_users=3, dim=2)
+        problem.A[0] = 0.0
+        sol = solve_maxmin(problem, tol=1e-5)
+        assert np.isfinite(sol.gap) and sol.gap <= 1e-5
+        assert 0 < sol.iterations <= 100
+
+    def test_ridge_sizes(self):
+        a_stack = np.stack([np.eye(3), 4.0 * np.eye(3), np.zeros((3, 3))])
+        np.testing.assert_allclose(
+            power_ridge_size(a_stack), [RIDGE_REL, 4.0 * RIDGE_REL, 4.0 * RIDGE_REL * SCALE_FLOOR]
+        )
+        # nothing to take a scale from: unit scale
+        np.testing.assert_allclose(power_ridge_size(np.zeros((2, 3, 3))), [RIDGE_REL] * 2)
 
     def test_complementary_slackness(self):
         rng = np.random.default_rng(10)
