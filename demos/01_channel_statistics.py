@@ -28,15 +28,19 @@ print("Correlation structure (user 0):")
 r_v = stats.R_v[0]
 print(f"  vertical |[R_v]_01| = {abs(r_v[0, 1]):.4f}  (unit diagonal: "
       f"{np.allclose(np.diag(r_v), 1.0)})")
-lam = np.linalg.eigvalsh(stats.R[0])
+# The statistics keep only the Q x Q factors; the dense Q^2 x Q^2
+# covariance R = g kron(R_h, R_v^T) is built on demand.
+big_r = stats.covariance()[0]
+lam = np.linalg.eigvalsh(big_r)
 print(f"  covariance eigenvalue spread: {lam[-1] / max(lam[lam > 0].min(), 1e-300):.1e}")
 
 # Monte Carlo: the sample second moment of the transposed-vectorized channel
-# must match the constructed R_tilde.
+# must match R_tilde = g kron(R_v^T, R_h), assembled here from the factors.
+r_tilde = stats.path_gain[0] * np.kron(stats.R_v[0].T, stats.R_h[0])
 n = 50_000
 draws = sample_channels(stats, 0, n, np.random.default_rng(7))
 v_t = vec_batch(draws.transpose(0, 2, 1))
 cov = (v_t.conj().T @ v_t) / n
-err = np.linalg.norm(cov - stats.R_tilde[0]) / np.linalg.norm(stats.R_tilde[0])
+err = np.linalg.norm(cov - r_tilde) / np.linalg.norm(r_tilde)
 print()
 print(f"Monte Carlo covariance check over {n} draws: relative error {err:.3%}")

@@ -14,11 +14,9 @@ from .channel import (
     Scenario,
     UserGeometry,
     build_statistics,
-    covariance_pair,
     horizontal_correlation,
     pathloss_db,
     place_users,
-    sample_channel,
     vertical_correlation,
 )
 from .beamformer import (
@@ -39,7 +37,6 @@ from .metrics import (
     min_max_ratio,
     nats_to_mbps,
     rate_report,
-    slnr,
     slnr_vec,
 )
 from .optimizers import (
@@ -65,7 +62,6 @@ __all__ = [
     "build_statistics",
     "closed_form_update",
     "coupling_matrix",
-    "covariance_pair",
     "ergodic_rate_closed",
     "ergodic_rate_mc",
     "full_beamformer",
@@ -82,8 +78,6 @@ __all__ = [
     "run_gm",
     "run_maxmin",
     "run_soft",
-    "sample_channel",
-    "slnr",
     "slnr_vec",
     "total_power",
     "vertical_correlation",

@@ -6,12 +6,14 @@ A user's transmit matrix is a sum of M rank-one outer products,
 
 composed from M elevation vectors and M azimuth vectors of length Q each.
 Per user the M vectors of one side are kept stacked in a single length Q*M
-vector (column-major over m). Two operators recur in every algorithm when
-one side is updated with the other held fixed:
+vector (column-major over m). Two operators describe one side's update with
+the other held fixed:
 
   * ``psi_matrix``: the Q^2 x QM mixing matrix turning the free side's
     stacked vector into vec(sum_m v_a[m] @ v_e[m].T), so channel bilinear
-    forms become plain matrix products against vectorized channels;
+    forms become plain matrix products against vectorized channels. The
+    designs never form it (they use its Kronecker structure); it is the
+    dense reference for those identities;
   * ``coupling_matrix``: the QM x QM Gram operator of the fixed side's
     vectors (Kronecker-expanded), through which the transmit-power
     constraint becomes a quadratic form in the free side's vector.
@@ -110,14 +112,6 @@ def psi_matrix(side: str, bf: BeamformerSet, ell: int) -> np.ndarray:
     _check_side(side)
     fixed = bf.columns("elevation" if side == "azimuth" else "azimuth", ell)
     return np.kron(fixed, np.eye(bf.Q))
-
-
-def mixed_vector(side: str, bf: BeamformerSet, ell: int) -> np.ndarray:
-    """``psi_matrix(side) @ v_side`` computed without forming Psi."""
-    _check_side(side)
-    free = bf.columns(side, ell)
-    fixed = bf.columns("elevation" if side == "azimuth" else "azimuth", ell)
-    return (free @ fixed.T).reshape(-1, order="F")
 
 
 def init_feasible(scenario: Scenario, rng: np.random.Generator) -> BeamformerSet:

@@ -9,13 +9,16 @@ user's downlink channel matrix is separably correlated,
 
 with a vertical correlation matrix R_v set by the elevation angle and spread,
 and a horizontal correlation matrix R_h set by both angles and spreads. The
-two second-moment matrices used throughout the library are
+second-moment matrices of the two vectorization orders are Kronecker
+products of these factors,
 
     R       = path_gain * kron(R_h, R_v.T)   for vec(H)-transpose statistics,
     R_tilde = path_gain * kron(R_v.T, R_h)   for vec(H^T)-transpose statistics,
 
 i.e. E[conj(vec(H)) vec(H)^T] = R and E[conj(vec(H^T)) vec(H^T)^T] = R_tilde,
-with column-major vectorization everywhere.
+with column-major vectorization everywhere. Only the Q x Q factors are
+stored; every expected power is computed from them through the
+mixed-product identity kron(A, B) vec(X) = vec(B X A^T).
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ class Scenario:
     P: float = dbm_to_watt(24.0)
     sigma: float | None = None
     bandwidth: float = 10e6
-    carrier: float = 2e9
     cell_radius: float = 200.0
     bs_height: float = 10.0
     ue_height: float = 1.5
@@ -181,54 +183,36 @@ def horizontal_correlation(
     return mag * np.exp(1j * g1 * np.cos(alpha) / g3)
 
 
-def covariance_pair(geom: UserGeometry, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """Second-moment matrices (R, R_tilde) of one user's channel.
-
-    R = path_gain * kron(R_h, R_v.T) and R_tilde = path_gain * kron(R_v.T, R_h).
-    The two share one eigenvalue multiset (swapped Kronecker factors).
-    """
-    r_v = vertical_correlation(geom.elevation_angle, scenario.sigma_beta, scenario.Q)
-    r_h = horizontal_correlation(
-        geom.azimuth_angle, geom.elevation_angle, scenario.sigma_alpha, scenario.sigma_beta, scenario.Q
-    )
-    big_r = geom.path_gain * np.kron(r_h, r_v.T)
-    big_r_tilde = geom.path_gain * np.kron(r_v.T, r_h)
-    return big_r, big_r_tilde
-
-
 @dataclass
 class ChannelStatistics:
-    """Per-user channel second-order statistics with square-root caches.
+    """Per-user Kronecker channel statistics with square-root caches.
 
-    Arrays are stacked over the user index: ``R_v``/``R_h`` are (L, Q, Q),
-    ``R``/``R_tilde`` and their square roots are (L, Q^2, Q^2). ``R_sum`` and
-    ``R_tilde_sum`` hold the over-users sums that every leakage expression
-    needs.
+    Arrays are stacked over the user index: ``path_gain`` is (L,), the
+    correlation factors ``R_v``/``R_h`` and their principal square roots
+    are (L, Q, Q). No Q^2 x Q^2 matrix is stored; :meth:`covariance` builds
+    the dense ones on demand.
     """
 
     Q: int
     path_gain: np.ndarray
     R_v: np.ndarray
     R_h: np.ndarray
-    R: np.ndarray
-    R_tilde: np.ndarray
     sqrt_R_v: np.ndarray
     sqrt_R_h: np.ndarray
-    sqrt_R: np.ndarray
-    sqrt_R_tilde: np.ndarray
     geometry: list[UserGeometry] = field(default_factory=list)
 
     @property
     def L(self) -> int:
         return self.path_gain.shape[0]
 
-    @property
-    def R_sum(self) -> np.ndarray:
-        return self.R.sum(axis=0)
+    def covariance(self) -> np.ndarray:
+        """Dense second-moment matrices R_l = path_gain_l * kron(R_h,l, R_v,l^T).
 
-    @property
-    def R_tilde_sum(self) -> np.ndarray:
-        return self.R_tilde.sum(axis=0)
+        Returns a new (L, Q^2, Q^2) stack on every call; nothing is cached.
+        """
+        return np.stack(
+            [g * np.kron(r_h, r_v.T) for g, r_h, r_v in zip(self.path_gain, self.R_h, self.R_v)]
+        )
 
 
 def build_statistics(
@@ -236,11 +220,11 @@ def build_statistics(
     geometry: list[UserGeometry] | None = None,
     rng: np.random.Generator | None = None,
 ) -> ChannelStatistics:
-    """Generate (or take) user geometry and assemble all covariance matrices.
+    """Generate (or take) user geometry and assemble the correlation factors.
 
     Without an explicit geometry, users are placed with a generator seeded
     from ``scenario.seed`` (stream 0), so repeated calls are identical.
-    The Kronecker square roots are assembled from the Q x Q factor roots,
+    The factor roots also give the roots of the Kronecker products,
     sqrt(kron(A, B)) = kron(sqrt(A), sqrt(B)) for PSD factors.
     """
     if geometry is None:
@@ -250,50 +234,26 @@ def build_statistics(
     if len(geometry) != scenario.L:
         raise ValueError(f"expected {scenario.L} users, got {len(geometry)}")
     Q = scenario.Q
-    L = scenario.L
-    gain = np.array([g.path_gain for g in geometry])
-    r_v = np.empty((L, Q, Q), dtype=complex)
-    r_h = np.empty((L, Q, Q), dtype=complex)
-    big_r = np.empty((L, Q * Q, Q * Q), dtype=complex)
-    big_rt = np.empty((L, Q * Q, Q * Q), dtype=complex)
-    s_v = np.empty_like(r_v)
-    s_h = np.empty_like(r_h)
-    s_r = np.empty_like(big_r)
-    s_rt = np.empty_like(big_rt)
-    for ell, geom in enumerate(geometry):
-        r_v[ell] = vertical_correlation(geom.elevation_angle, scenario.sigma_beta, Q)
-        r_h[ell] = horizontal_correlation(
-            geom.azimuth_angle, geom.elevation_angle, scenario.sigma_alpha, scenario.sigma_beta, Q
-        )
-        big_r[ell] = gain[ell] * np.kron(r_h[ell], r_v[ell].T)
-        big_rt[ell] = gain[ell] * np.kron(r_v[ell].T, r_h[ell])
-        s_v[ell] = hermitian_sqrt(r_v[ell])
-        s_h[ell] = hermitian_sqrt(r_h[ell])
-        root = np.sqrt(gain[ell])
-        s_r[ell] = root * np.kron(s_h[ell], s_v[ell].T)
-        s_rt[ell] = root * np.kron(s_v[ell].T, s_h[ell])
+    r_v = np.stack(
+        [vertical_correlation(g.elevation_angle, scenario.sigma_beta, Q) for g in geometry]
+    )
+    r_h = np.stack(
+        [
+            horizontal_correlation(
+                g.azimuth_angle, g.elevation_angle, scenario.sigma_alpha, scenario.sigma_beta, Q
+            )
+            for g in geometry
+        ]
+    )
     return ChannelStatistics(
         Q=Q,
-        path_gain=gain,
+        path_gain=np.array([g.path_gain for g in geometry]),
         R_v=r_v,
         R_h=r_h,
-        R=big_r,
-        R_tilde=big_rt,
-        sqrt_R_v=s_v,
-        sqrt_R_h=s_h,
-        sqrt_R=s_r,
-        sqrt_R_tilde=s_rt,
+        sqrt_R_v=np.stack([hermitian_sqrt(r) for r in r_v]),
+        sqrt_R_h=np.stack([hermitian_sqrt(r) for r in r_h]),
         geometry=list(geometry),
     )
-
-
-def sample_channel(stats: ChannelStatistics, ell: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw one Q x Q channel realization for user ``ell``.
-
-    H = sqrt(path_gain) sqrt(R_v) H_iid sqrt(R_h) with H_iid having iid
-    standard circular complex Gaussian entries.
-    """
-    return sample_channels(stats, ell, 1, rng)[0]
 
 
 def sample_channels(

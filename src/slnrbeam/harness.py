@@ -13,7 +13,6 @@ Scenario JSON schema (all keys optional except Q and users)::
       "M": 1,                  outer products per beamformer
       "power_dbm": 24.0,       transmit power budget
       "bandwidth_hz": 1e7,
-      "carrier_hz": 2e9,
       "cell_radius_m": 200.0,
       "bs_height_m": 10.0,
       "ue_height_m": 1.5,
@@ -23,6 +22,8 @@ Scenario JSON schema (all keys optional except Q and users)::
       "noise_dbm_per_hz": -174.0,   or "sigma_watts" to set noise directly
       "seed": 0
     }
+
+Keys outside this schema are ignored.
 
 Experiment JSON wraps that under ``"scenario"`` and adds ``"algorithms"``,
 ``"antennas"``, ``"power_dbm"``, ``"c"``, ``"n_seeds"``, ``"base_seed"``,
@@ -144,7 +145,6 @@ def scenario_from_dict(spec: dict) -> Scenario:
         P=dbm_to_watt(float(spec.get("power_dbm", 24.0))),
         sigma=sigma,
         bandwidth=float(spec.get("bandwidth_hz", 10e6)),
-        carrier=float(spec.get("carrier_hz", 2e9)),
         cell_radius=float(spec.get("cell_radius_m", 200.0)),
         bs_height=float(spec.get("bs_height_m", 10.0)),
         ue_height=float(spec.get("ue_height_m", 1.5)),
@@ -162,7 +162,6 @@ def default_scenario_dict(**overrides) -> dict:
         "M": 1,
         "power_dbm": 24.0,
         "bandwidth_hz": 10e6,
-        "carrier_hz": 2e9,
         "cell_radius_m": 200.0,
         "bs_height_m": 10.0,
         "ue_height_m": 1.5,

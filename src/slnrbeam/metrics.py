@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamformer import BeamformerSet, full_beamformer, mixed_vector
+from .beamformer import BeamformerSet
 from .channel import ChannelStatistics, vec_batch, sample_channels
 
 logger = logging.getLogger(__name__)
@@ -36,47 +36,42 @@ FALLBACK_MC_SAMPLES = 100_000
 FALLBACK_MC_SEED = 73_000_001
 
 
-def expected_bilinear_power(
-    stats: ChannelStatistics, channel_user: int, bf: BeamformerSet, user: int, form: str = "azimuth"
-) -> float:
-    """E |sum_m v_e[m].T H v_a[m]|^2 over the fading of ``channel_user``.
+def _covariance_images(
+    w_mat: np.ndarray, stats: ChannelStatistics, users=slice(None)
+) -> np.ndarray:
+    """The vectors R_k w_j for channel users ``users`` and every column w_j.
 
-    Both evaluation forms contract the same mixed vector against one of the
-    two Kronecker second-moment matrices and agree to round-off.
+    ``w_mat`` is (Q^2, n) with column-major vectorized beamformers. Works on
+    the Kronecker factors only: with V_j = unvec(w_j),
+    unvec(R_k w_j) = g_k R_v,k^T V_j R_h,k^T, whose transpose
+    R_h,k V_j^T R_v,k reshapes row-major into R_k w_j. Returns (K, n, Q^2);
+    every expected power w_i^H R_k w_j is a contraction of it with w_mat.
     """
-    if form == "azimuth":
-        w = mixed_vector("azimuth", bf, user)
-        cov = stats.R_tilde[channel_user]
-    elif form == "elevation":
-        w = mixed_vector("elevation", bf, user)
-        cov = stats.R[channel_user]
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    return float(np.real(w.conj() @ (cov @ w)))
+    q = stats.Q
+    n = w_mat.shape[1]
+    images = stats.R_h[users, None] @ w_mat.T.reshape(n, q, q) @ stats.R_v[users, None]
+    return stats.path_gain[users, None, None] * images.reshape(-1, n, q * q)
 
 
-def slnr(
-    bf: BeamformerSet, stats: ChannelStatistics, ell: int, sigma: float, form: str = "azimuth"
-) -> float:
-    """Covariance-form SLNR of user ``ell``: expected signal power over
-    expected leakage toward the other users plus noise."""
-    sig = expected_bilinear_power(stats, ell, bf, ell, form)
-    leak = sum(
-        expected_bilinear_power(stats, lp, bf, ell, form) for lp in range(bf.L) if lp != ell
-    )
-    return sig / (leak + sigma)
+def _signal_and_leakage(
+    w_mat: np.ndarray, stats: ChannelStatistics
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every user's expected signal power w_l^H R_l w_l and leakage
+    sum_{k != l} w_l^H R_k w_l."""
+    power = np.real(np.einsum("klx,xl->kl", _covariance_images(w_mat, stats), w_mat.conj()))
+    own = np.eye(power.shape[0], dtype=bool)
+    return power[own], np.maximum(np.where(own, 0.0, power).sum(axis=0), 0.0)
 
 
-def slnr_vec(w_mat: np.ndarray, stats: ChannelStatistics, ell: int, sigma: float) -> float:
-    """Covariance-form SLNR for arbitrary vectorized beamformers.
+def slnr_vec(w_mat: np.ndarray, stats: ChannelStatistics, sigma: float) -> np.ndarray:
+    """Covariance-form SLNRs of all users for vectorized beamformers.
 
     ``w_mat`` is (Q^2, L) with column ell the column-major vec of user ell's
-    transmit matrix. Coincides with :func:`slnr` on outer-product sets.
+    transmit matrix. Entry ell is the expected signal power over the
+    expected leakage toward the other users plus noise.
     """
-    w = w_mat[:, ell]
-    sig = float(np.real(w.conj() @ (stats.R[ell] @ w)))
-    total = float(np.real(w.conj() @ (stats.R_sum @ w)))
-    return sig / (total - sig + sigma)
+    signal, leakage = _signal_and_leakage(w_mat, stats)
+    return signal / (leakage + sigma)
 
 
 def transmit_bilinear(bf: BeamformerSet, h_mat: np.ndarray, user: int) -> complex:
@@ -147,7 +142,7 @@ def ergodic_rate_closed(
     it falls back to a fixed-seed Monte Carlo estimate (the expansion is
     numerically singular there).
     """
-    s_mat = w_mat.conj().T @ (stats.R[ell] @ w_mat)
+    s_mat = (_covariance_images(w_mat, stats, slice(ell, ell + 1))[0] @ w_mat.conj()).T
     keep = [i for i in range(w_mat.shape[1]) if i != ell]
     s_int = s_mat[np.ix_(keep, keep)]
     eig_full = _distinct_positive_eigs(s_mat)
@@ -247,7 +242,7 @@ def rate_report(
 ) -> RateReport:
     """Evaluate every user's SLNR and closed-form ergodic rate."""
     n_users = w_mat.shape[1]
-    slnrs = np.array([slnr_vec(w_mat, stats, ell, sigma) for ell in range(n_users)])
+    slnrs = slnr_vec(w_mat, stats, sigma)
     nats = np.array(
         [max(ergodic_rate_closed(w_mat, stats, ell, sigma), 0.0) for ell in range(n_users)]
     )
@@ -261,8 +256,3 @@ def rate_report(
         min_max_ratio=min_max_ratio(mbps),
         jain=jain_index(mbps),
     )
-
-
-def full_beamformer_gain(bf: BeamformerSet, h_mat: np.ndarray, user: int) -> complex:
-    """trace(H^T V_user): the bilinear gain through the assembled matrix."""
-    return complex(np.trace(h_mat.T @ full_beamformer(bf, user)))

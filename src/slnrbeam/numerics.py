@@ -115,11 +115,6 @@ def exp_scaled_e1(x: float) -> float:
     return 1.0 / f
 
 
-def exp_integral_e1(x: float) -> float:
-    """Exponential integral ``E1(x) = int_1^inf exp(-x*u)/u du`` for x > 0."""
-    return float(np.exp(-x) * exp_scaled_e1(x))
-
-
 def bisect(
     g: Callable[[float], float],
     lo: float,
@@ -204,8 +199,9 @@ def pencil_diagonalize(c: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.nda
     ``T^H A T = I`` and ``T^H C T = diag(w)``, the eigenvalues clipped at 0.
     Substituting ``v = T u`` turns every shifted solve
     ``(alpha*C + mu*A) v = r`` into a diagonal one, which the power-allocation
-    searches exploit. A metric that is not positive definite raises
-    ValueError.
+    searches exploit. A curvature that is not Hermitian, or a metric that is
+    not positive definite, raises ValueError.
     """
+    check_hermitian(c)
     lam, t = _generalized_eigh(c, a)
     return np.clip(lam, 0.0, None), t

@@ -240,15 +240,15 @@ def baseline_uniform(stats: ChannelStatistics, scenario: Scenario) -> np.ndarray
     is split equally, giving each column squared norm P/L.
     """
     n_users = stats.L
-    loading = n_users * scenario.sigma / scenario.P * np.eye(stats.R.shape[1])
-    leak = stats.R_sum - stats.R + loading
-    w = largest_generalized_eigvec(leak, stats.R)
+    cov = stats.covariance()
+    loading = n_users * scenario.sigma / scenario.P * np.eye(cov.shape[1])
+    leak = cov.sum(axis=0) - cov + loading
+    w = largest_generalized_eigvec(leak, cov)
     return np.ascontiguousarray(np.sqrt(scenario.P / n_users) * w.T)
 
 
 def _min_slnr(bf: BeamformerSet, stats: ChannelStatistics, sigma: float) -> float:
-    w_mat = beamformer_matrix(bf)
-    return min(slnr_vec(w_mat, stats, ell, sigma) for ell in range(bf.L))
+    return float(slnr_vec(beamformer_matrix(bf), stats, sigma).min())
 
 
 class _RateEvaluator:
@@ -447,10 +447,7 @@ def run_maxmin(
 
 def _geometric_mean_log(bf: BeamformerSet, stats: ChannelStatistics, sigma: float) -> float:
     """Geometric mean over users of ln(1 + SLNR)."""
-    w_mat = beamformer_matrix(bf)
-    logs = np.array(
-        [np.log1p(slnr_vec(w_mat, stats, ell, sigma)) for ell in range(bf.L)]
-    )
+    logs = np.log1p(slnr_vec(beamformer_matrix(bf), stats, sigma))
     if np.any(logs <= 0.0):
         return 0.0
     return float(np.exp(np.mean(np.log(logs))))
@@ -545,11 +542,8 @@ def run_gm(
 def _soft_objective_value(
     bf: BeamformerSet, stats: ChannelStatistics, sigma: float, c: float
 ) -> float:
-    w_mat = beamformer_matrix(bf)
-    inv = [
-        1.0 / (1.0 + slnr_vec(w_mat, stats, ell, sigma) / c) for ell in range(bf.L)
-    ]
-    return float(np.log(np.sum(inv)))
+    """The smoothed-minimum objective ln(sum_l (1 + SLNR_l / c)^-1)."""
+    return float(np.log(np.sum(1.0 / (1.0 + slnr_vec(beamformer_matrix(bf), stats, sigma) / c))))
 
 
 def run_soft(
@@ -608,7 +602,7 @@ def run_baseline(
     )
     rates = evaluator.rates(w_mat)
     track_incumbent(result, w_mat, stats, scenario.sigma, rates=rates)
-    min_slnr = min(slnr_vec(w_mat, stats, ell, scenario.sigma) for ell in range(stats.L))
+    min_slnr = float(slnr_vec(w_mat, stats, scenario.sigma).min())
     result.trace.append(
         TraceEntry(
             step=0.0,

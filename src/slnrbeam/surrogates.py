@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamformer import BeamformerSet, mixed_vector, psi_matrix
+from .beamformer import BeamformerSet, beamformer_matrix
 from .channel import ChannelStatistics
+from .metrics import _signal_and_leakage
 
 
 class DegenerateUserError(ValueError):
@@ -184,27 +185,43 @@ class HalfIterationOperators:
 def half_iteration_operators(
     side: str, bf: BeamformerSet, stats: ChannelStatistics, sigma: float
 ) -> HalfIterationOperators:
-    """Assemble the quadratic operators of one alternating half-iteration."""
-    cov = stats.R_tilde if side == "azimuth" else stats.R
-    cov_sum = cov.sum(axis=0)
-    v_bar = (bf.v_a if side == "azimuth" else bf.v_e).copy()
-    n_users = bf.L
-    dim = bf.Q * bf.M
-    own_quad = np.empty((n_users, dim, dim), dtype=complex)
-    sum_quad = np.empty_like(own_quad)
-    signal = np.empty(n_users)
-    leakage = np.empty(n_users)
-    for ell in range(n_users):
-        psi = psi_matrix(side, bf, ell)
-        own_quad[ell] = psi.conj().T @ (cov[ell] @ psi)
-        sum_quad[ell] = psi.conj().T @ (cov_sum @ psi)
-        w = mixed_vector(side, bf, ell)
-        signal[ell] = float(np.real(w.conj() @ (cov[ell] @ w)))
-        total = float(np.real(w.conj() @ (cov_sum @ w)))
-        leakage[ell] = max(total - signal[ell], 0.0)
+    """Assemble the quadratic operators of one alternating half-iteration.
+
+    With Psi_l = F_l kron I_Q for the fixed side's (Q, M) vectors F_l, the
+    mixed-product identity (F kron I)^H (A kron B) (F kron I) = (F^H A F) kron B
+    gives every operator from the Q x Q factors:
+
+        azimuth:   Psi_l^H R_tilde_k Psi_l = g_k (F_l^H R_v,k^T F_l) kron R_h,k,
+        elevation: Psi_l^H R_k Psi_l       = g_k (F_l^H R_h,k F_l) kron R_v,k^T.
+
+    The M x M factors are symmetrized, so every operator is Hermitian bit
+    for bit.
+    """
+    if side == "azimuth":
+        free, fixed, outer, inner = bf.v_a, bf.v_e, stats.R_v.swapaxes(-1, -2), stats.R_h
+    else:
+        free, fixed, outer, inner = bf.v_e, bf.v_a, stats.R_h, stats.R_v.swapaxes(-1, -2)
+    n_users, q, m = bf.L, bf.Q, bf.M
+    f = fixed.reshape(n_users, m, q).swapaxes(-1, -2)  # F_l as (L, Q, M)
+    # gram[l, k] = g_k F_l^H outer_k F_l, shape (L, L, M, M)
+    gram = f.conj().swapaxes(-1, -2)[:, None] @ outer[None] @ f[:, None]
+    gram = 0.5 * (gram + gram.conj().swapaxes(-1, -2))
+    gram *= stats.path_gain[None, :, None, None]
+    # Kronecker blocks are laid out (L, M, Q, M, Q), then flattened to QM x QM.
+    own = gram[np.arange(n_users), np.arange(n_users)]
+    own_quad = (own[:, :, None, :, None] * inner[:, None, :, None, :]).reshape(
+        n_users, q * m, q * m
+    )
+    summed = gram.transpose(0, 2, 3, 1).reshape(n_users, m * m, n_users) @ inner.reshape(
+        n_users, q * q
+    )
+    sum_quad = (
+        summed.reshape(n_users, m, m, q, q).transpose(0, 1, 3, 2, 4).reshape(n_users, q * m, q * m)
+    )
+    signal, leakage = _signal_and_leakage(beamformer_matrix(bf), stats)
     return HalfIterationOperators(
         side=side,
-        v_bar=v_bar,
+        v_bar=free.copy(),
         own_quad=own_quad,
         sum_quad=sum_quad,
         signal=signal,
@@ -316,11 +333,3 @@ def soft_majorant_coeffs(
         quad = c_l * ((1.0 - c) * ops.own_quad[ell] + c * ops.sum_quad[ell])
         coeffs.append(SurrogateCoefficients(a=0.0, b=b, C=quad, sense="majorant"))
     return constant, coeffs
-
-
-def soft_objective(
-    side: str, bf: BeamformerSet, stats: ChannelStatistics, c: float, sigma: float
-) -> float:
-    """The smoothed-minimum objective ln(sum_l (1 + SLNR_l / c)^-1)."""
-    ops = half_iteration_operators(side, bf, stats, sigma)
-    return float(np.log(np.sum(1.0 / (1.0 + ops.slnr() / c))))

@@ -22,7 +22,7 @@ from slnrbeam.beamformer import (
 )
 from slnrbeam.channel import Scenario, build_statistics, sample_channels, vec, vec_batch
 from slnrbeam.harness import ExperimentConfig, default_scenario_dict, run_experiment
-from slnrbeam.metrics import ergodic_rate_closed, ergodic_rate_mc, rate_report, slnr
+from slnrbeam.metrics import ergodic_rate_closed, ergodic_rate_mc, rate_report, slnr_vec
 from slnrbeam.optimizers import AlgoOptions, run_baseline, run_gm, run_maxmin, run_soft
 from slnrbeam.qcqp import MaxMinQuadraticProblem, solve_maxmin
 from slnrbeam.surrogates import (
@@ -191,7 +191,7 @@ class TestCriterion4RateOracle:
             bf = init_feasible(sc, np.random.default_rng(seed))
             w_mat = beamformer_matrix(bf)
             ell = done % 3
-            s_mat = w_mat.conj().T @ stats.R[ell] @ w_mat
+            s_mat = w_mat.conj().T @ stats.covariance()[ell] @ w_mat
             lam = np.sort(np.linalg.eigvalsh(s_mat))
             if np.any(np.diff(lam) < 1e-4 * lam[-1]):
                 continue  # needs well-separated eigenvalues
@@ -228,7 +228,7 @@ class TestCriterion5MeanRatioBound:
                 leak += np.abs(vec_batch(h) @ w) ** 2
             ratios = own / (leak + sc.sigma)
             se = ratios.std(ddof=1) / np.sqrt(n_draws)
-            bound = slnr(bf, stats, ell, sc.sigma)
+            bound = slnr_vec(beamformer_matrix(bf), stats, sc.sigma)[ell]
             assert ratios.mean() >= bound - 3.0 * se, (
                 f"seed {seed}: mean ratio {ratios.mean():.4f} vs bound {bound:.4f}"
             )

@@ -10,7 +10,6 @@ from slnrbeam.beamformer import (
     from_json_dict,
     full_beamformer,
     init_feasible,
-    mixed_vector,
     psi_matrix,
     to_json_dict,
     total_power,
@@ -138,16 +137,18 @@ class TestPsiMatrix:
                 assert abs(el - direct) <= 1e-12 * scale
 
     def test_mixed_vector_shortcut(self):
+        # Psi_el v_e = vec(V) and Psi_az v_a = vec(V^T) for the assembled
+        # transmit matrix V = sum_m v_e[m] v_a[m]^T.
         rng = np.random.default_rng(6)
         bf = random_set(rng)
-        for side in ("azimuth", "elevation"):
-            for ell in range(bf.L):
-                v = bf.v_a[ell] if side == "azimuth" else bf.v_e[ell]
-                np.testing.assert_allclose(
-                    mixed_vector(side, bf, ell),
-                    psi_matrix(side, bf, ell) @ v,
-                    atol=1e-12,
-                )
+        for ell in range(bf.L):
+            full = full_beamformer(bf, ell)
+            np.testing.assert_allclose(
+                psi_matrix("elevation", bf, ell) @ bf.v_e[ell], vec(full), atol=1e-12
+            )
+            np.testing.assert_allclose(
+                psi_matrix("azimuth", bf, ell) @ bf.v_a[ell], vec(full.T), atol=1e-12
+            )
 
     def test_gram_matches_coupling(self):
         rng = np.random.default_rng(7)

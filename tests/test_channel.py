@@ -13,13 +13,11 @@ from slnrbeam.channel import (
     INNER_RADIUS,
     Scenario,
     build_statistics,
-    covariance_pair,
     dbm_to_watt,
     horizontal_correlation,
     noise_power_watt,
     pathloss_db,
     place_users,
-    sample_channel,
     sample_channels,
     vec_batch,
     vertical_correlation,
@@ -30,6 +28,13 @@ from slnrbeam.numerics import PSD_CLIP_REL
 @pytest.fixture
 def scenario():
     return Scenario(Q=4, L=3, M=1, seed=11)
+
+
+def r_tilde(stats):
+    """Dense vec(H^T) second moments path_gain * kron(R_v^T, R_h), from the factors."""
+    return np.stack(
+        [g * np.kron(r_v.T, r_h) for g, r_v, r_h in zip(stats.path_gain, stats.R_v, stats.R_h)]
+    )
 
 
 class TestScenario:
@@ -136,14 +141,28 @@ class TestCovariancePair:
     def test_white_case(self, scenario):
         stats = build_statistics(scenario)
         geom = stats.geometry[0]
-        big_r, big_rt = covariance_pair(geom, scenario)
+        big_r = stats.covariance()[0]
         # Construction identities hold exactly.
         np.testing.assert_allclose(
             big_r, geom.path_gain * np.kron(stats.R_h[0], stats.R_v[0].T), atol=0
         )
         assert big_r.shape == (16, 16)
         assert np.trace(big_r).real == pytest.approx(geom.path_gain * 16, rel=1e-12)
-        np.testing.assert_allclose(big_rt, stats.R_tilde[0], atol=1e-15)
+        assert np.trace(r_tilde(stats)[0]).real == pytest.approx(geom.path_gain * 16, rel=1e-12)
+
+    def test_only_factors_stored(self, scenario):
+        # Statistics keep Q x Q factors and per-user scalars only; the dense
+        # Q^2 x Q^2 covariances are built on demand and never cached.
+        stats = build_statistics(scenario)
+        L, Q = scenario.L, scenario.Q
+        arrays = {k: v for k, v in vars(stats).items() if isinstance(v, np.ndarray)}
+        assert set(arrays) == {"path_gain", "R_v", "R_h", "sqrt_R_v", "sqrt_R_h"}
+        for name, arr in arrays.items():
+            assert arr.shape in ((L, Q, Q), (L,)), name
+        cov = stats.covariance()
+        assert cov.shape == (L, Q * Q, Q * Q)
+        assert stats.covariance() is not cov
+        assert set(k for k, v in vars(stats).items() if isinstance(v, np.ndarray)) == set(arrays)
 
     def test_kron_of_identities(self):
         sc = Scenario(Q=3, L=1, seed=0)
@@ -158,8 +177,8 @@ class TestCovariancePair:
     def test_shared_spectrum(self, scenario):
         stats = build_statistics(scenario)
         for ell in range(stats.L):
-            lam_r = np.sort(np.linalg.eigvalsh(stats.R[ell]))
-            lam_rt = np.sort(np.linalg.eigvalsh(stats.R_tilde[ell]))
+            lam_r = np.sort(np.linalg.eigvalsh(stats.covariance()[ell]))
+            lam_rt = np.sort(np.linalg.eigvalsh(r_tilde(stats)[ell]))
             np.testing.assert_allclose(lam_r, lam_rt, rtol=1e-8, atol=1e-20)
 
     def test_unit_diagonals_many_geometries(self):
@@ -170,25 +189,32 @@ class TestCovariancePair:
             np.testing.assert_allclose(np.diag(stats.R_h[ell]), np.ones(3), atol=1e-12)
 
     def test_sqrt_caches(self, scenario):
+        # The factor roots square to the factors, and their Kronecker
+        # products (scaled by sqrt(path_gain)) square to R and R_tilde.
         stats = build_statistics(scenario)
+        big_r, big_rt = stats.covariance(), r_tilde(stats)
         for ell in range(stats.L):
+            s_v, s_h = stats.sqrt_R_v[ell], stats.sqrt_R_h[ell]
+            for root_f, factor in ((s_v, stats.R_v[ell]), (s_h, stats.R_h[ell])):
+                np.testing.assert_allclose(
+                    root_f @ root_f, factor, atol=1e-10 * np.linalg.norm(factor)
+                )
+            root = np.sqrt(stats.path_gain[ell])
+            s_r = root * np.kron(s_h, s_v.T)
+            s_rt = root * np.kron(s_v.T, s_h)
             np.testing.assert_allclose(
-                stats.sqrt_R[ell] @ stats.sqrt_R[ell],
-                stats.R[ell],
-                atol=1e-10 * np.linalg.norm(stats.R[ell]),
+                s_r @ s_r, big_r[ell], atol=1e-10 * np.linalg.norm(big_r[ell])
             )
             np.testing.assert_allclose(
-                stats.sqrt_R_tilde[ell] @ stats.sqrt_R_tilde[ell],
-                stats.R_tilde[ell],
-                atol=1e-10 * np.linalg.norm(stats.R_tilde[ell]),
+                s_rt @ s_rt, big_rt[ell], atol=1e-10 * np.linalg.norm(big_rt[ell])
             )
 
 
 class TestSampling:
     def test_fixed_seed_reproducible(self, scenario):
         stats = build_statistics(scenario)
-        h1 = sample_channel(stats, 0, np.random.default_rng(42))
-        h2 = sample_channel(stats, 0, np.random.default_rng(42))
+        h1 = sample_channels(stats, 0, 1, np.random.default_rng(42))[0]
+        h2 = sample_channels(stats, 0, 1, np.random.default_rng(42))[0]
         np.testing.assert_array_equal(h1, h2)
 
     def test_mc_vec_covariance(self, scenario):
@@ -200,7 +226,8 @@ class TestSampling:
         h = sample_channels(stats, ell, n, np.random.default_rng(8))
         v = vec_batch(h)
         cov = (v.conj().T @ v) / n  # E[conj(h) h^T]
-        err = np.linalg.norm(cov - stats.R[ell]) / np.linalg.norm(stats.R[ell])
+        big_r = stats.covariance()[ell]
+        err = np.linalg.norm(cov - big_r) / np.linalg.norm(big_r)
         assert err < 0.02
         cov_h = (v.T @ v.conj()) / n  # E[h h^H]
         target = stats.path_gain[ell] * np.kron(stats.R_h[ell].T, stats.R_v[ell])
@@ -213,7 +240,8 @@ class TestSampling:
         h = sample_channels(stats, ell, n, np.random.default_rng(9))
         v_t = vec_batch(h.transpose(0, 2, 1))
         cov = (v_t.conj().T @ v_t) / n  # E[conj(vec(H^T)) vec(H^T)^T]
-        err = np.linalg.norm(cov - stats.R_tilde[ell]) / np.linalg.norm(stats.R_tilde[ell])
+        big_rt = r_tilde(stats)[ell]
+        err = np.linalg.norm(cov - big_rt) / np.linalg.norm(big_rt)
         assert err < 0.02
 
     def test_white_case_identity_covariance(self):

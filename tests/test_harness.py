@@ -55,6 +55,13 @@ class TestScenarioConversion:
         sc = scenario_from_dict(default_scenario_dict(azimuth_spread_deg=10.0))
         assert sc.sigma_alpha == pytest.approx(np.deg2rad(10.0))
 
+    def test_unknown_keys_ignored(self):
+        # Configs written with keys outside the schema (such as a carrier
+        # frequency, which no formula reads) still load unchanged.
+        spec = default_scenario_dict()
+        assert "carrier_hz" not in spec
+        assert scenario_from_dict(dict(spec, carrier_hz=2e9)) == scenario_from_dict(spec)
+
 
 class TestRunExperiment:
     def test_single_point_single_seed_three_files(self, tmp_path):

@@ -3,22 +3,42 @@
 import numpy as np
 import pytest
 
-from slnrbeam.beamformer import beamformer_matrix, init_feasible
+from slnrbeam.beamformer import beamformer_matrix, full_beamformer, init_feasible
 from slnrbeam.channel import Scenario, build_statistics, sample_channels, vec_batch
 from slnrbeam.metrics import (
     ergodic_rate_closed,
     ergodic_rate_mc,
-    full_beamformer_gain,
     instantaneous_sinr,
     jain_index,
     min_max_ratio,
     nats_to_mbps,
     rate_report,
-    slnr,
     slnr_vec,
     transmit_bilinear,
+    _covariance_images,
 )
 from slnrbeam.numerics import exp_scaled_e1
+from slnrbeam.surrogates import half_iteration_operators
+
+
+def slnr(bf, stats, ell, sigma):
+    """Covariance-form SLNR of one user of an outer-product set."""
+    return float(slnr_vec(beamformer_matrix(bf), stats, sigma)[ell])
+
+
+def dense_slnr(w_mat, stats, sigma):
+    """w_l^H R_l w_l / (sum_{k != l} w_l^H R_k w_l + sigma) on dense covariances."""
+    cov = stats.covariance()
+    power = np.real(np.einsum("xl,kxy,yl->kl", w_mat.conj(), cov, w_mat))
+    signal = np.diag(power)
+    return signal / (power.sum(axis=0) - signal + sigma)
+
+
+def full_rank_columns(stats, seed=0):
+    """Random (Q^2, L) beamformers whose transmit matrices have full rank."""
+    rng = np.random.default_rng(seed)
+    shape = (stats.Q**2, stats.L)
+    return 1e-2 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +72,7 @@ class TestSlnr:
         bf = init_feasible(sc, np.random.default_rng(3))
         val = slnr(bf, stats, 0, sc.sigma)
         w = beamformer_matrix(bf)[:, 0]
-        signal = np.real(w.conj() @ stats.R[0] @ w)
+        signal = np.real(w.conj() @ stats.covariance()[0] @ w)
         assert val == pytest.approx(signal / sc.sigma, rel=1e-9)
 
     def test_identical_users_equal_slnr(self, setup):
@@ -63,10 +83,8 @@ class TestSlnr:
         import copy
 
         twin = copy.deepcopy(stats)
-        twin.R[1] = twin.R[0]
-        twin.R_tilde[1] = twin.R_tilde[0]
-        twin.sqrt_R[1] = twin.sqrt_R[0]
-        twin.sqrt_R_tilde[1] = twin.sqrt_R_tilde[0]
+        for name in ("path_gain", "R_v", "R_h", "sqrt_R_v", "sqrt_R_h"):
+            getattr(twin, name)[1] = getattr(twin, name)[0]
         bf2 = bf.copy()
         bf2.v_a[1] = bf2.v_a[0]
         bf2.v_e[1] = bf2.v_e[0]
@@ -75,18 +93,24 @@ class TestSlnr:
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_azimuth_elevation_forms_agree(self, setup):
+        # The SLNR as a quadratic form in either side's free vector, through
+        # that side's half-iteration operators (R_tilde for azimuth, R for
+        # elevation), matches the vectorized form.
         sc, stats, bf = setup
-        for ell in range(bf.L):
-            az = slnr(bf, stats, ell, sc.sigma, form="azimuth")
-            el = slnr(bf, stats, ell, sc.sigma, form="elevation")
-            assert az == pytest.approx(el, rel=1e-9)
+        want = slnr_vec(beamformer_matrix(bf), stats, sc.sigma)
+        for side, free in (("azimuth", bf.v_a), ("elevation", bf.v_e)):
+            ops = half_iteration_operators(side, bf, stats, sc.sigma)
+            for ell in range(bf.L):
+                v = free[ell]
+                own = np.real(v.conj() @ ops.own_quad[ell] @ v)
+                total = np.real(v.conj() @ ops.sum_quad[ell] @ v)
+                assert own / (total - own + sc.sigma) == pytest.approx(want[ell], rel=1e-9)
 
     def test_vectorized_form_agrees(self, setup):
         sc, stats, bf = setup
-        w = beamformer_matrix(bf)
-        for ell in range(bf.L):
-            assert slnr_vec(w, stats, ell, sc.sigma) == pytest.approx(
-                slnr(bf, stats, ell, sc.sigma), rel=1e-9
+        for w in (beamformer_matrix(bf), full_rank_columns(stats)):
+            np.testing.assert_allclose(
+                slnr_vec(w, stats, sc.sigma), dense_slnr(w, stats, sc.sigma), rtol=1e-12
             )
 
     def test_mc_oracle(self, setup):
@@ -144,7 +168,7 @@ class TestInstantaneousSinr:
         channels = np.stack([sample_channels(stats, lp, 1, rng)[0] for lp in range(bf.L)])
         for ell in range(bf.L):
             h = channels[ell]
-            gains = np.array([full_beamformer_gain(bf, h, lp) for lp in range(bf.L)])
+            gains = np.array([np.trace(h.T @ full_beamformer(bf, lp)) for lp in range(bf.L)])
             powers = np.abs(gains) ** 2
             want = powers[ell] / (powers.sum() - powers[ell] + sc.sigma)
             got = instantaneous_sinr(bf, channels, ell, sc.sigma)
@@ -159,9 +183,23 @@ class TestErgodicRate:
         stats = build_statistics(sc)
         bf = init_feasible(sc, np.random.default_rng(5))
         w = beamformer_matrix(bf)
-        mu = float(np.real(w[:, 0].conj() @ stats.R[0] @ w[:, 0]))
+        mu = float(np.real(w[:, 0].conj() @ stats.covariance()[0] @ w[:, 0]))
         want = exp_scaled_e1(sc.sigma / mu)
         assert ergodic_rate_closed(w, stats, 0, sc.sigma) == pytest.approx(want, rel=1e-10)
+
+    def test_covariance_images_match_dense(self, setup):
+        # R_k w_j from the Kronecker factors equals the dense products, for
+        # outer-product and full-rank beamformers, and one user's images
+        # equal that user's slice of all of them bit for bit.
+        sc, stats, bf = setup
+        cov = stats.covariance()
+        for w in (beamformer_matrix(bf), full_rank_columns(stats, 1)):
+            dense = np.einsum("kxy,yj->kjx", cov, w)
+            got = _covariance_images(w, stats)
+            assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
+            for ell in range(stats.L):
+                one = _covariance_images(w, stats, slice(ell, ell + 1))
+                np.testing.assert_array_equal(one[0], got[ell])
 
     def test_all_zero_beamformers(self, setup):
         sc, stats, _ = setup
@@ -201,7 +239,7 @@ class TestErgodicRate:
         rng = np.random.default_rng(51)
         col = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         w = np.stack([col, col, 0.5 * col], axis=1)
-        s_mat = w.conj().T @ stats.R[0] @ w
+        s_mat = w.conj().T @ stats.covariance()[0] @ w
         lam = np.linalg.eigvalsh(s_mat)
         import logging
 

@@ -15,7 +15,6 @@ import scipy.linalg
 from slnrbeam.numerics import (
     bisect,
     check_hermitian,
-    exp_integral_e1,
     exp_scaled_e1,
     hermitian_eig,
     hermitian_sqrt,
@@ -113,6 +112,11 @@ class TestHermitianSqrt:
         mat = np.diag([1.0, -1e-12])
         root = hermitian_sqrt(mat)
         np.testing.assert_allclose(root, np.diag([1.0, 0.0]), atol=1e-12)
+
+
+def exp_integral_e1(x):
+    """E1(x) = exp(-x) * (exp(x) E1(x))."""
+    return float(np.exp(-x) * exp_scaled_e1(x))
 
 
 class TestExpIntegral:
@@ -277,6 +281,13 @@ class TestPencil:
         w, _ = pencil_diagonalize(g @ g.conj().T, random_psd(rng, 6) + np.eye(6))
         assert np.all(w >= 0.0)
         assert np.count_nonzero(w > 1e-9 * w.max()) == 2
+
+    def test_rejects_non_hermitian_curvature(self):
+        rng = np.random.default_rng(11)
+        c, a = ridged_kron_stack(rng, q=2, n_users=3)
+        c[2, 0, 1] += 1e-6 * np.abs(c[2]).max()
+        with pytest.raises(ValueError, match="not Hermitian"):
+            pencil_diagonalize(c, a)
 
     def test_rejects_indefinite_metric_in_stack(self):
         rng = np.random.default_rng(10)

@@ -245,6 +245,21 @@ class TestRunGm:
             assert np.linalg.norm(grad) <= 1e-6 * scale
 
 
+    def test_massive_array_smoke(self):
+        # 1024 antennas: the factor-only statistics stay small (dense Q^2 x Q^2
+        # stacks would take about 270 MB here) and two gm iterations give
+        # finite rates within the power budget.
+        sc = Scenario(Q=32, L=4, M=1, seed=3)
+        stats = build_statistics(sc)
+        stored = sum(v.nbytes for v in vars(stats).values() if isinstance(v, np.ndarray))
+        assert stored < 1e6
+        res = run_gm(sc, stats, AlgoOptions(max_iterations=2))
+        assert np.isfinite(res.rate_min_nats)
+        assert all(np.isfinite(e.min_rate_nats) for e in res.trace)
+        assert max(e.power for e in res.trace) <= sc.P * (1.0 + 1e-9)
+        assert np.linalg.norm(res.incumbent_matrix) ** 2 <= sc.P * (1.0 + 1e-9)
+
+
 class TestRunSoft:
     def test_desk_monotone_decreasing(self, desk):
         sc, stats = desk
@@ -274,7 +289,7 @@ class TestBaseline:
         sc = Scenario(Q=3, L=1, M=1, seed=8)
         stats = build_statistics(sc)
         w_mat = baseline_uniform(stats, sc)
-        _, vec = hermitian_eig(stats.R[0])
+        _, vec = hermitian_eig(stats.covariance()[0])
         direction = w_mat[:, 0] / np.linalg.norm(w_mat[:, 0])
         assert abs(abs(np.vdot(direction, vec[:, 0])) - 1.0) < 1e-8
 
@@ -290,11 +305,12 @@ class TestBaseline:
         w_mat = baseline_uniform(stats, sc)
         rng = np.random.default_rng(9)
         loading = 3 * sc.sigma / sc.P * np.eye(16)
+        cov = stats.covariance()
         for ell in range(3):
-            leak = stats.R_sum - stats.R[ell] + loading
+            leak = cov.sum(axis=0) - cov[ell] + loading
 
             def quotient(z):
-                return np.real(z.conj() @ stats.R[ell] @ z) / np.real(
+                return np.real(z.conj() @ cov[ell] @ z) / np.real(
                     z.conj() @ leak @ z
                 )
 

@@ -4,9 +4,10 @@ and first-order agreement with the target."""
 import numpy as np
 import pytest
 
-from slnrbeam.beamformer import init_feasible
+from slnrbeam.beamformer import beamformer_matrix, init_feasible, psi_matrix
 from slnrbeam.channel import Scenario, build_statistics
-from slnrbeam.metrics import slnr
+from slnrbeam.metrics import slnr_vec
+from slnrbeam.optimizers import _soft_objective_value
 from slnrbeam.surrogates import (
     DegenerateUserError,
     evaluate_log_minorant,
@@ -17,12 +18,28 @@ from slnrbeam.surrogates import (
     slnr_minorant_coeffs,
     soft_majorant_coeffs,
     softmin_majorant,
-    soft_objective,
 )
 
 
 def random_chi(rng, n=4):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def slnr(bf, stats, ell, sigma):
+    return float(slnr_vec(beamformer_matrix(bf), stats, sigma)[ell])
+
+
+def soft_objective(bf, stats, c, sigma):
+    return _soft_objective_value(bf, stats, sigma, c)
+
+
+def dense_second_moments(stats, side):
+    """R_tilde (azimuth) or R (elevation) as dense (L, Q^2, Q^2) stacks."""
+    if side == "elevation":
+        return stats.covariance()
+    return np.stack(
+        [g * np.kron(r_v.T, r_h) for g, r_v, r_h in zip(stats.path_gain, stats.R_v, stats.R_h)]
+    )
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +208,29 @@ class TestSlnrMinorant:
         g_surr = np.array([g[1] for g in grads])
         assert np.linalg.norm(g_true - g_surr) <= 1e-4 * max(np.linalg.norm(g_true), 1e-12)
 
+    @pytest.mark.parametrize("m_count", [1, 2])
+    @pytest.mark.parametrize("side", ["azimuth", "elevation"])
+    def test_operators_match_dense_reference(self, side, m_count):
+        # The Kronecker-factored operators equal Psi^H R Psi on the dense
+        # second moments (R_tilde for azimuth, R for elevation), and the
+        # signal and leakage equal w^H R w with w = Psi v.
+        sc = Scenario(Q=4, L=3, M=m_count, seed=33)
+        stats = build_statistics(sc)
+        bf = init_feasible(sc, np.random.default_rng(33))
+        cov = dense_second_moments(stats, side)
+        ops = half_iteration_operators(side, bf, stats, sc.sigma)
+        for ell in range(bf.L):
+            psi = psi_matrix(side, bf, ell)
+            own = psi.conj().T @ cov[ell] @ psi
+            total = psi.conj().T @ cov.sum(axis=0) @ psi
+            assert np.abs(ops.own_quad[ell] - own).max() <= 1e-12 * np.abs(own).max()
+            assert np.abs(ops.sum_quad[ell] - total).max() <= 1e-12 * np.abs(total).max()
+            w = psi @ ops.v_bar[ell]
+            powers = np.real(np.einsum("x,kxy,y->k", w.conj(), cov, w))
+            leak = powers.sum() - powers[ell]
+            assert ops.signal[ell] == pytest.approx(powers[ell], rel=1e-12)
+            assert ops.leakage[ell] == pytest.approx(leak, rel=1e-12)
+
     def test_degenerate_user_rejected(self, setup):
         sc, stats, bf = setup
         dead = bf.copy()
@@ -244,7 +284,7 @@ class TestSoftMajorant:
                 coeffs[ell].evaluate(bf.v_a[ell]) for ell in range(bf.L)
             )
             assert value == pytest.approx(
-                soft_objective("azimuth", bf, stats, c, sc.sigma), rel=1e-9
+                soft_objective(bf, stats, c, sc.sigma), rel=1e-9
             )
 
     def test_domination(self, setup):
@@ -261,7 +301,7 @@ class TestSoftMajorant:
             bound = constant + sum(
                 coeffs[ell].evaluate(other.v_a[ell]) for ell in range(bf.L)
             )
-            truth = soft_objective("azimuth", other, stats, c, sc.sigma)
+            truth = soft_objective(other, stats, c, sc.sigma)
             assert bound >= truth - 1e-9 * max(1.0, abs(truth))
 
     def test_normalizer_consistent_across_smoothing(self, setup):
@@ -285,6 +325,27 @@ class TestSoftMajorant:
 
 
 class TestCoefficientPositivity:
+    @pytest.mark.parametrize("m_count", [1, 2])
+    @pytest.mark.parametrize("side", ["azimuth", "elevation"])
+    def test_curvatures_hermitian_bit_for_bit(self, side, m_count):
+        # Every curvature is a real-weighted sum of Kronecker products of
+        # exactly Hermitian factors, so C == C^H holds without round-off.
+        sc = Scenario(Q=4, L=3, M=m_count, seed=34)
+        stats = build_statistics(sc)
+        bf = init_feasible(sc, np.random.default_rng(34))
+        ops = half_iteration_operators(side, bf, stats, sc.sigma)
+        mats = [ops.own_quad, ops.sum_quad]
+        for ell in range(bf.L):
+            mats.append(slnr_minorant_coeffs(side, bf, stats, ell, sc.sigma, ops=ops).C)
+            mats.append(
+                gm_minorant_coeffs(side, bf, stats, ell, sc.sigma, weight=1.7, ops=ops).C
+            )
+        for c in (0.1, 1.0):
+            _, coeffs = soft_majorant_coeffs(side, bf, stats, c, sc.sigma, ops=ops)
+            mats.extend(co.C for co in coeffs)
+        for mat in mats:
+            np.testing.assert_array_equal(mat, mat.conj().swapaxes(-1, -2))
+
     def test_curvature_scalars_positive_for_nonzero_signal(self, setup):
         # The quadratic-form multipliers of every bound must be strictly
         # positive whenever the expansion signal is nonzero.
