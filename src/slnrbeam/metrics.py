@@ -60,7 +60,7 @@ def _signal_and_leakage(
     sum_{k != l} w_l^H R_k w_l."""
     power = np.real(np.einsum("klx,xl->kl", _covariance_images(w_mat, stats), w_mat.conj()))
     own = np.eye(power.shape[0], dtype=bool)
-    return power[own], np.maximum(np.where(own, 0.0, power).sum(axis=0), 0.0)
+    return np.diag(power), np.maximum(np.where(own, 0.0, power).sum(axis=0), 0.0)
 
 
 def slnr_vec(w_mat: np.ndarray, stats: ChannelStatistics, sigma: float) -> np.ndarray:
