@@ -24,17 +24,12 @@ from slnrbeam.channel import (
 )
 from slnrbeam.numerics import PSD_CLIP_REL
 
+from conftest import dense_r_tilde
+
 
 @pytest.fixture
 def scenario():
     return Scenario(Q=4, L=3, M=1, seed=11)
-
-
-def r_tilde(stats):
-    """Dense vec(H^T) second moments path_gain * kron(R_v^T, R_h), from the factors."""
-    return np.stack(
-        [g * np.kron(r_v.T, r_h) for g, r_v, r_h in zip(stats.path_gain, stats.R_v, stats.R_h)]
-    )
 
 
 class TestScenario:
@@ -141,14 +136,30 @@ class TestCovariancePair:
     def test_white_case(self, scenario):
         stats = build_statistics(scenario)
         geom = stats.geometry[0]
-        big_r = stats.covariance()[0]
-        # Construction identities hold exactly.
-        np.testing.assert_allclose(
-            big_r, geom.path_gain * np.kron(stats.R_h[0], stats.R_v[0].T), atol=0
+        Q = scenario.Q
+        # The stored factors are the ones the user's geometry dictates.
+        r_v = vertical_correlation(geom.elevation_angle, scenario.sigma_beta, Q)
+        r_h = horizontal_correlation(
+            geom.azimuth_angle, geom.elevation_angle, scenario.sigma_alpha, scenario.sigma_beta, Q
         )
+        np.testing.assert_allclose(stats.R_v[0], r_v, atol=0)
+        np.testing.assert_allclose(stats.R_h[0], r_h, atol=0)
+        assert stats.path_gain[0] == geom.path_gain
+        # Construction identities hold exactly.
+        big_r = stats.covariance()[0]
+        np.testing.assert_allclose(big_r, geom.path_gain * np.kron(r_h, r_v.T), atol=0)
         assert big_r.shape == (16, 16)
         assert np.trace(big_r).real == pytest.approx(geom.path_gain * 16, rel=1e-12)
-        assert np.trace(r_tilde(stats)[0]).real == pytest.approx(geom.path_gain * 16, rel=1e-12)
+        # R_tilde is R with both vec indices transposed: vec(H^T) = K vec(H)
+        # for the commutation permutation K.
+        idx = np.arange(Q * Q).reshape(Q, Q)
+        perm = idx.T.ravel()
+        np.testing.assert_allclose(
+            dense_r_tilde(stats)[0], big_r[np.ix_(perm, perm)], atol=0
+        )
+        np.testing.assert_allclose(
+            dense_r_tilde(stats)[0], geom.path_gain * np.kron(r_v.T, r_h), atol=0
+        )
 
     def test_only_factors_stored(self, scenario):
         # Statistics keep Q x Q factors and per-user scalars only; the dense
@@ -178,7 +189,7 @@ class TestCovariancePair:
         stats = build_statistics(scenario)
         for ell in range(stats.L):
             lam_r = np.sort(np.linalg.eigvalsh(stats.covariance()[ell]))
-            lam_rt = np.sort(np.linalg.eigvalsh(r_tilde(stats)[ell]))
+            lam_rt = np.sort(np.linalg.eigvalsh(dense_r_tilde(stats)[ell]))
             np.testing.assert_allclose(lam_r, lam_rt, rtol=1e-8, atol=1e-20)
 
     def test_unit_diagonals_many_geometries(self):
@@ -192,7 +203,7 @@ class TestCovariancePair:
         # The factor roots square to the factors, and their Kronecker
         # products (scaled by sqrt(path_gain)) square to R and R_tilde.
         stats = build_statistics(scenario)
-        big_r, big_rt = stats.covariance(), r_tilde(stats)
+        big_r, big_rt = stats.covariance(), dense_r_tilde(stats)
         for ell in range(stats.L):
             s_v, s_h = stats.sqrt_R_v[ell], stats.sqrt_R_h[ell]
             for root_f, factor in ((s_v, stats.R_v[ell]), (s_h, stats.R_h[ell])):
@@ -240,7 +251,7 @@ class TestSampling:
         h = sample_channels(stats, ell, n, np.random.default_rng(9))
         v_t = vec_batch(h.transpose(0, 2, 1))
         cov = (v_t.conj().T @ v_t) / n  # E[conj(vec(H^T)) vec(H^T)^T]
-        big_rt = r_tilde(stats)[ell]
+        big_rt = dense_r_tilde(stats)[ell]
         err = np.linalg.norm(cov - big_rt) / np.linalg.norm(big_rt)
         assert err < 0.02
 

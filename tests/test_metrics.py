@@ -20,10 +20,7 @@ from slnrbeam.metrics import (
 from slnrbeam.numerics import exp_scaled_e1
 from slnrbeam.surrogates import half_iteration_operators
 
-
-def slnr(bf, stats, ell, sigma):
-    """Covariance-form SLNR of one user of an outer-product set."""
-    return float(slnr_vec(beamformer_matrix(bf), stats, sigma)[ell])
+from conftest import user_slnr
 
 
 def dense_slnr(w_mat, stats, sigma):
@@ -70,7 +67,7 @@ class TestSlnr:
         sc = Scenario(Q=3, L=1, M=1, seed=3)
         stats = build_statistics(sc)
         bf = init_feasible(sc, np.random.default_rng(3))
-        val = slnr(bf, stats, 0, sc.sigma)
+        val = user_slnr(bf, stats, 0, sc.sigma)
         w = beamformer_matrix(bf)[:, 0]
         signal = np.real(w.conj() @ stats.covariance()[0] @ w)
         assert val == pytest.approx(signal / sc.sigma, rel=1e-9)
@@ -88,8 +85,8 @@ class TestSlnr:
         bf2 = bf.copy()
         bf2.v_a[1] = bf2.v_a[0]
         bf2.v_e[1] = bf2.v_e[0]
-        a = slnr(bf2, twin, 0, sc.sigma)
-        b = slnr(bf2, twin, 1, sc.sigma)
+        a = user_slnr(bf2, twin, 0, sc.sigma)
+        b = user_slnr(bf2, twin, 1, sc.sigma)
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_azimuth_elevation_forms_agree(self, setup):
@@ -116,7 +113,7 @@ class TestSlnr:
     def test_mc_oracle(self, setup):
         sc, stats, bf = setup
         rng = np.random.default_rng(100)
-        got = slnr(bf, stats, 0, sc.sigma)
+        got = user_slnr(bf, stats, 0, sc.sigma)
         est = mc_slnr(bf, stats, 0, sc.sigma, 100_000, rng)
         assert est == pytest.approx(got, rel=0.02)
 
@@ -137,7 +134,7 @@ class TestSlnr:
                 leak += np.abs(vec_batch(h_lp) @ beamformer_matrix(bf)[:, ell]) ** 2
             ratios = own / (leak + sc.sigma)
             se = ratios.std(ddof=1) / np.sqrt(n)
-            bound = slnr(bf, stats, ell, sc.sigma)
+            bound = user_slnr(bf, stats, ell, sc.sigma)
             assert ratios.mean() >= bound - 3.0 * se
 
 

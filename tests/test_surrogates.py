@@ -4,9 +4,8 @@ and first-order agreement with the target."""
 import numpy as np
 import pytest
 
-from slnrbeam.beamformer import beamformer_matrix, init_feasible, psi_matrix
+from slnrbeam.beamformer import init_feasible, psi_matrix
 from slnrbeam.channel import Scenario, build_statistics
-from slnrbeam.metrics import slnr_vec
 from slnrbeam.optimizers import _soft_objective_value
 from slnrbeam.surrogates import (
     DegenerateUserError,
@@ -20,26 +19,11 @@ from slnrbeam.surrogates import (
     softmin_majorant,
 )
 
+from conftest import dense_r_tilde, user_slnr
+
 
 def random_chi(rng, n=4):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-
-def slnr(bf, stats, ell, sigma):
-    return float(slnr_vec(beamformer_matrix(bf), stats, sigma)[ell])
-
-
-def soft_objective(bf, stats, c, sigma):
-    return _soft_objective_value(bf, stats, sigma, c)
-
-
-def dense_second_moments(stats, side):
-    """R_tilde (azimuth) or R (elevation) as dense (L, Q^2, Q^2) stacks."""
-    if side == "elevation":
-        return stats.covariance()
-    return np.stack(
-        [g * np.kron(r_v.T, r_h) for g, r_v, r_h in zip(stats.path_gain, stats.R_v, stats.R_h)]
-    )
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +148,7 @@ class TestSlnrMinorant:
                 coeff = slnr_minorant_coeffs(side, bf, stats, ell, sc.sigma)
                 v = bf.v_a[ell] if side == "azimuth" else bf.v_e[ell]
                 assert coeff.evaluate(v) == pytest.approx(
-                    slnr(bf, stats, ell, sc.sigma), rel=1e-9
+                    user_slnr(bf, stats, ell, sc.sigma), rel=1e-9
                 )
 
     def test_domination_random_perturbations(self, setup):
@@ -177,7 +161,7 @@ class TestSlnrMinorant:
         for _ in range(1000):
             other = perturb(bf, side, ell, rng, base * rng.uniform(0, 2))
             bound = coeff.evaluate(other.v_a[ell])
-            truth = slnr(other, stats, ell, sc.sigma)
+            truth = user_slnr(other, stats, ell, sc.sigma)
             assert bound <= truth + 1e-9 * max(1.0, abs(truth))
 
     def test_gradient_matches_finite_differences(self, setup):
@@ -192,7 +176,7 @@ class TestSlnrMinorant:
             trial = bf.copy()
             trial.v_a = bf.v_a.copy()
             trial.v_a[ell] = v
-            return slnr(trial, stats, ell, sc.sigma)
+            return user_slnr(trial, stats, ell, sc.sigma)
 
         v0 = bf.v_a[ell]
         grads = []
@@ -217,7 +201,7 @@ class TestSlnrMinorant:
         sc = Scenario(Q=4, L=3, M=m_count, seed=33)
         stats = build_statistics(sc)
         bf = init_feasible(sc, np.random.default_rng(33))
-        cov = dense_second_moments(stats, side)
+        cov = dense_r_tilde(stats) if side == "azimuth" else stats.covariance()
         ops = half_iteration_operators(side, bf, stats, sc.sigma)
         for ell in range(bf.L):
             psi = psi_matrix(side, bf, ell)
@@ -249,7 +233,7 @@ class TestGmMinorant:
         for ell in range(bf.L):
             coeff = gm_minorant_coeffs("azimuth", bf, stats, ell, sc.sigma, weight=weights[ell])
             total_bound += coeff.evaluate(bf.v_a[ell])
-            total_true += weights[ell] * np.log1p(slnr(bf, stats, ell, sc.sigma))
+            total_true += weights[ell] * np.log1p(user_slnr(bf, stats, ell, sc.sigma))
         assert total_bound == pytest.approx(total_true, rel=1e-9)
 
     def test_domination(self, setup):
@@ -260,7 +244,7 @@ class TestGmMinorant:
         base = np.linalg.norm(bf.v_a[ell])
         for _ in range(1000):
             other = perturb(bf, "azimuth", ell, rng, base * rng.uniform(0, 2))
-            truth = np.log1p(slnr(other, stats, ell, sc.sigma))
+            truth = np.log1p(user_slnr(other, stats, ell, sc.sigma))
             assert coeff.evaluate(other.v_a[ell]) <= truth + 1e-9 * max(1.0, abs(truth))
 
     def test_single_user_unit_weight_reduces_to_log_bound(self):
@@ -284,7 +268,7 @@ class TestSoftMajorant:
                 coeffs[ell].evaluate(bf.v_a[ell]) for ell in range(bf.L)
             )
             assert value == pytest.approx(
-                soft_objective(bf, stats, c, sc.sigma), rel=1e-9
+                _soft_objective_value(bf, stats, sc.sigma, c), rel=1e-9
             )
 
     def test_domination(self, setup):
@@ -301,7 +285,7 @@ class TestSoftMajorant:
             bound = constant + sum(
                 coeffs[ell].evaluate(other.v_a[ell]) for ell in range(bf.L)
             )
-            truth = soft_objective(other, stats, c, sc.sigma)
+            truth = _soft_objective_value(other, stats, sc.sigma, c)
             assert bound >= truth - 1e-9 * max(1.0, abs(truth))
 
     def test_normalizer_consistent_across_smoothing(self, setup):
