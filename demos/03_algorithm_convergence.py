@@ -27,7 +27,7 @@ for name, runner in (
 ):
     result = runner(scenario, stats, AlgoOptions())
     best = nats_to_mbps(result.rate_min_nats, scenario.bandwidth)
-    print(f"{name:9s} {result.iterations:3d} iterations, converged={result.converged}, "
+    print(f"{name:9s} {result.iterations:3d} iterations, stopped on {result.stop_reason}, "
           f"min SLNR {result.trace[0].min_slnr:.4f} -> {result.trace[-1].min_slnr:.4f}, "
           f"best minimum rate {best:.3f} Mbps")
     path = out_dir / f"trace_{name}.csv"

@@ -69,19 +69,28 @@ def full_beamformer(bf: BeamformerSet, ell: int) -> np.ndarray:
 
 
 def beamformer_matrix(bf: BeamformerSet) -> np.ndarray:
-    """Column-major vectorized beamformers as a (Q^2, L) matrix."""
-    cols = [full_beamformer(bf, ell).reshape(-1, order="F") for ell in range(bf.L)]
-    return np.stack(cols, axis=1)
+    """Column-major vectorized beamformers as a (Q^2, L) matrix.
+
+    Row ell of v.reshape(L, M, Q) holds user ell's M vectors, so one batched
+    product gives every V_ell (as ``full_beamformer`` does, bit for bit);
+    axes ordered (column, row, user) then flatten to the vec columns.
+    """
+    shape = (bf.L, bf.M, bf.Q)
+    v = bf.v_e.reshape(shape).swapaxes(-1, -2) @ bf.v_a.reshape(shape)
+    return v.transpose(2, 1, 0).reshape(bf.Q * bf.Q, bf.L)
+
+
+def user_powers(bf: BeamformerSet) -> list[float]:
+    """Each user's transmit power ||sum_m v_a[m] v_e[m].T||_F^2."""
+    return [
+        float(np.linalg.norm(bf.columns("azimuth", ell) @ bf.columns("elevation", ell).T) ** 2)
+        for ell in range(bf.L)
+    ]
 
 
 def total_power(bf: BeamformerSet) -> float:
-    """Transmit power: sum over users of ||sum_m v_a[m] v_e[m].T||_F^2."""
-    power = 0.0
-    for ell in range(bf.L):
-        v_a = bf.columns("azimuth", ell)
-        v_e = bf.columns("elevation", ell)
-        power += float(np.linalg.norm(v_a @ v_e.T) ** 2)
-    return power
+    """Transmit power: the sum over users of ``user_powers``."""
+    return sum(user_powers(bf))
 
 
 def coupling_matrix(side: str, bf: BeamformerSet, ell: int) -> np.ndarray:
@@ -114,6 +123,11 @@ def psi_matrix(side: str, bf: BeamformerSet, ell: int) -> np.ndarray:
     return np.kron(fixed, np.eye(bf.Q))
 
 
+def circular_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+    """Standard circular complex Gaussian draws (unit variance per entry)."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
 def init_feasible(scenario: Scenario, rng: np.random.Generator) -> BeamformerSet:
     """Random full-power starting point.
 
@@ -122,8 +136,9 @@ def init_feasible(scenario: Scenario, rng: np.random.Generator) -> BeamformerSet
     exactly (power is quadratic in the azimuth block).
     """
     shape = (scenario.L, scenario.Q * scenario.M)
-    draw = lambda: (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    bf = BeamformerSet(scenario.Q, scenario.M, draw(), draw())
+    bf = BeamformerSet(
+        scenario.Q, scenario.M, circular_gaussian(rng, shape), circular_gaussian(rng, shape)
+    )
     bf.v_a *= np.sqrt(scenario.P / total_power(bf))
     return bf
 

@@ -40,12 +40,6 @@ def dbm_to_watt(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def watt_to_dbm(watt: float) -> float:
-    if watt <= 0:
-        raise ValueError(f"power must be positive, got {watt}")
-    return 10.0 * np.log10(watt) + 30.0
-
-
 def noise_power_watt(bandwidth_hz: float, density_dbm_per_hz: float = NOISE_DENSITY_DBM_PER_HZ) -> float:
     """Thermal noise power over a bandwidth, from a dBm/Hz density."""
     return dbm_to_watt(density_dbm_per_hz) * bandwidth_hz

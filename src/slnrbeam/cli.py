@@ -43,7 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", help="experiment JSON; flags override it")
     run.add_argument("--algorithm", choices=sorted(ALGORITHMS), help="algorithm to run")
     run.add_argument("--out", help="output directory (default: out)")
-    run.add_argument("--mc-samples", type=int, help="Monte Carlo sample count for rate evaluation")
     _add_scenario_flags(run)
 
     sweep = sub.add_parser("sweep", help="run a full experiment configuration")
@@ -73,11 +72,6 @@ def _validate(args: argparse.Namespace) -> str | None:
         (getattr(args, "c", None), lambda v: v > 0, "--c must be positive"),
         (getattr(args, "seed", None), lambda v: v >= 0, "--seed must be nonnegative"),
         (getattr(args, "seeds", None), lambda v: v >= 1, "--seeds must be >= 1"),
-        (
-            getattr(args, "mc_samples", None),
-            lambda v: v >= 1000,
-            "--mc-samples must be >= 1000",
-        ),
     ]
     for value, ok, message in checks:
         if value is not None and not ok(value):
@@ -86,19 +80,8 @@ def _validate(args: argparse.Namespace) -> str | None:
 
 
 def _scenario_overrides(args: argparse.Namespace) -> dict:
-    mapping = {
-        "Q": "Q",
-        "users": "users",
-        "M": "M",
-        "power_dbm": "power_dbm",
-        "seed": "seed",
-    }
-    out = {}
-    for attr, key in mapping.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            out[key] = value
-    return out
+    keys = ("Q", "users", "M", "power_dbm", "seed")
+    return {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -145,8 +128,6 @@ def main(argv: list[str] | None = None) -> int:
                 config.base_seed = args.seed
             if args.out:
                 config.output_dir = args.out
-            if args.mc_samples is not None:
-                config.options["mc_samples"] = args.mc_samples
             config.n_seeds = 1
             files = run_experiment(config)
             print(f"wrote {len(files)} files under {config.output_dir}")

@@ -28,7 +28,8 @@ Keys outside this schema are ignored.
 Experiment JSON wraps that under ``"scenario"`` and adds ``"algorithms"``,
 ``"antennas"``, ``"power_dbm"``, ``"c"``, ``"n_seeds"``, ``"base_seed"``,
 ``"output_dir"`` and an ``"options"`` object mirroring
-:class:`slnrbeam.optimizers.AlgoOptions`.
+:class:`slnrbeam.optimizers.AlgoOptions`; unknown option keys are rejected
+when the config is built, before any file is written.
 
 Outputs per (algorithm, sweep point, seed): a convergence-trace CSV with
 columns ``iteration,min_slnr,objective,min_rate_mbps``; plus one shared
@@ -42,10 +43,8 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -53,8 +52,6 @@ import numpy as np
 from .channel import Scenario, build_statistics, dbm_to_watt
 from .metrics import nats_to_mbps, rate_report
 from .optimizers import AlgoOptions, run_algorithm
-
-WORKERS_ENV = "SLNRBEAM_WORKERS"
 
 TRACE_COLUMNS = ("iteration", "min_slnr", "objective", "min_rate_mbps")
 SUMMARY_COLUMNS = (
@@ -100,6 +97,13 @@ class ExperimentConfig:
     save_beamformers: bool = False
 
     def __post_init__(self):
+        accepted = sorted(f.name for f in fields(AlgoOptions))
+        for key in self.options:
+            if key not in accepted:
+                raise ValueError(
+                    f"unknown option {key!r}; accepted options: {', '.join(accepted)}"
+                )
+        AlgoOptions(**self.options)  # checks the values, before any file is written
         if not self.algorithms:
             raise ValueError("at least one algorithm is required")
         if not self.antennas or not self.power_dbm or not self.c:
@@ -302,13 +306,7 @@ def run_experiment(config: ExperimentConfig) -> list[str]:
     except OSError as err:
         raise OSError(f"output directory {out_dir} is not writable: {err}")
 
-    runs = _enumerate_runs(config)
-    workers = max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda key: _execute_run(key, config, out_dir), runs))
-    else:
-        rows = [_execute_run(key, config, out_dir) for key in runs]
+    rows = [_execute_run(key, config, out_dir) for key in _enumerate_runs(config)]
 
     summary_path = out_dir / "summary.csv"
     with open(summary_path, "w", newline="") as fh:

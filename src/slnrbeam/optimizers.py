@@ -1,8 +1,10 @@
 """Iterative beamforming algorithms and the uniform-power baseline.
 
-All three designs alternate between the azimuth and the elevation side of
-the outer-product beamformers; each half-iteration optimizes one side with
-the other held fixed:
+All three designs run one alternating scheme (``_alternate``): each
+half-iteration fits per-user SLNR surrogates for the azimuth or the
+elevation side of the outer-product beamformers, the other side held fixed,
+and steps to the surrogate's optimum unless that worsens the design's
+driving objective. The designs differ in that objective and in the step:
 
   * ``run_maxmin`` maximizes the minimum SLNR by solving a convex max-min
     quadratic subproblem (module :mod:`slnrbeam.qcqp`) built from per-user
@@ -16,29 +18,32 @@ the other held fixed:
 
 Independently of its driving objective, every run tracks the incumbent
 beamformers achieving the best minimum ergodic rate seen so far, evaluated
-each half-iteration. A worsening step is never accepted: if a candidate
+each half-iteration. A worsening step is never accepted: if a closed-form
 update would degrade the driving objective (possible only through finite
 precision or, for the geometric mean, because a weighted-sum ascent step
 does not always increase the product), the step is backtracked toward the
-current iterate and the run stalls to convergence if no fraction helps.
+current iterate. Every result says why its run stopped.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .beamformer import (
     BeamformerSet,
     beamformer_matrix,
+    circular_gaussian,
     coupling_matrix,
     init_feasible,
     total_power,
+    user_powers,
 )
 from .channel import ChannelStatistics, Scenario
-from .metrics import ergodic_rate_closed, ergodic_rate_mc, slnr_vec
+from .metrics import ergodic_rate_closed, slnr_vec
 from .numerics import largest_generalized_eigvec
 from .qcqp import MaxMinQuadraticProblem, SubproblemSolution, _Pencils, solve_maxmin
 from .surrogates import (
@@ -55,6 +60,8 @@ logger = logging.getLogger(__name__)
 SIDE_ORDER = ("azimuth", "elevation")
 # Fraction of the remaining budget granted to a reinitialized degenerate user.
 DEGENERATE_POWER_FRACTION = 0.01
+# Relative duality gap to which each max-min subproblem is solved.
+SUBPROBLEM_TOL = 1e-5
 
 
 @dataclass
@@ -64,21 +71,12 @@ class AlgoOptions:
     tolerance: float = 1e-3
     max_iterations: int = 200
     soft_c: float = 0.1
-    rate_eval: str = "closed"  # "closed" or "mc"
-    mc_samples: int = 100_000
-    rate_every: int = 1
-    subproblem_tol: float = 1e-5
-    seed: int | None = None
 
     def __post_init__(self):
         if self.tolerance <= 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.soft_c <= 0:
             raise ValueError(f"soft_c must be positive, got {self.soft_c}")
-        if self.rate_eval not in ("closed", "mc"):
-            raise ValueError(f"rate_eval must be 'closed' or 'mc', got {self.rate_eval!r}")
-        if self.rate_every < 1:
-            raise ValueError(f"rate_every must be >= 1, got {self.rate_every}")
 
 
 @dataclass(slots=True)
@@ -102,14 +100,25 @@ class TraceEntry:
 
 @dataclass
 class OptimizationResult:
+    """A design run's incumbent, trace and ending.
+
+    ``stop_reason`` is "tolerance", "stalled", "subproblem_regressed" or
+    "max_iterations" (see ``_alternate``), or "direct" for the baseline's
+    single evaluation; ``converged`` holds for "tolerance" and "direct".
+    """
+
     algorithm: str
     incumbent: BeamformerSet | None
     incumbent_matrix: np.ndarray | None
     rate_min_nats: float
     trace: list[TraceEntry] = field(default_factory=list)
     iterations: int = 0
-    converged: bool = False
+    stop_reason: str | None = None
     final: BeamformerSet | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in ("tolerance", "direct")
 
 
 def gm_weights(slnr_values: np.ndarray) -> np.ndarray:
@@ -146,9 +155,7 @@ def track_incumbent(
         w_mat = np.asarray(candidate)
         keep = None
     if rates is None:
-        rates = np.array(
-            [ergodic_rate_closed(w_mat, stats, ell, sigma) for ell in range(w_mat.shape[1])]
-        )
+        rates = _rates(w_mat, stats, sigma)
     min_rate = float(np.min(rates))
     if min_rate > result.rate_min_nats:
         result.rate_min_nats = min_rate
@@ -247,83 +254,50 @@ def baseline_uniform(stats: ChannelStatistics, scenario: Scenario) -> np.ndarray
     return np.ascontiguousarray(np.sqrt(scenario.P / n_users) * w.T)
 
 
-def _min_slnr(bf: BeamformerSet, stats: ChannelStatistics, sigma: float) -> float:
-    return float(slnr_vec(beamformer_matrix(bf), stats, sigma).min())
+def _rates(w_mat: np.ndarray, stats: ChannelStatistics, sigma: float) -> np.ndarray:
+    """Every user's closed-form ergodic rate (nats) for (Q^2, L) beamformers."""
+    return np.array(
+        [ergodic_rate_closed(w_mat, stats, ell, sigma) for ell in range(w_mat.shape[1])]
+    )
 
 
-class _RateEvaluator:
-    """Per-run ergodic-rate evaluation with a deterministic sampling stream."""
-
-    def __init__(self, stats: ChannelStatistics, sigma: float, options: AlgoOptions, seed: int):
-        self.stats = stats
-        self.sigma = sigma
-        self.options = options
-        self.rng = np.random.default_rng([seed, 2])
-
-    def rates(self, w_mat: np.ndarray) -> np.ndarray:
-        n_users = w_mat.shape[1]
-        if self.options.rate_eval == "mc":
-            return np.array(
-                [
-                    ergodic_rate_mc(
-                        w_mat, self.stats, ell, self.sigma, self.options.mc_samples, self.rng
-                    )[0]
-                    for ell in range(n_users)
-                ]
-            )
-        return np.array(
-            [ergodic_rate_closed(w_mat, self.stats, ell, self.sigma) for ell in range(n_users)]
-        )
+def _coupling_matrices(side: str, bf: BeamformerSet) -> list[np.ndarray]:
+    return [coupling_matrix(side, bf, ell) for ell in range(bf.L)]
 
 
 class _Run:
-    """Shared state and bookkeeping for one alternating-optimization run."""
+    """Shared state and bookkeeping for one alternating-optimization run.
 
-    def __init__(
-        self,
-        algorithm: str,
-        scenario: Scenario,
-        stats: ChannelStatistics,
-        options: AlgoOptions,
-    ):
+    ``slnrs`` holds the SLNRs of the current iterate ``bf``; ``subproblem``
+    the last max-min subproblem's solution, for the trace row.
+    """
+
+    def __init__(self, algorithm: str, scenario: Scenario, stats: ChannelStatistics):
         self.scenario = scenario
         self.stats = stats
-        self.options = options
         self.sigma = scenario.sigma
-        seed = scenario.seed if options.seed is None else options.seed
-        self.rng = np.random.default_rng([seed, 1])
+        self.rng = np.random.default_rng([scenario.seed, 1])
         self.bf = init_feasible(scenario, self.rng)
+        self.slnrs = slnr_vec(beamformer_matrix(self.bf), stats, self.sigma)
+        self.subproblem: SubproblemSolution | None = None
         self.result = OptimizationResult(
             algorithm=algorithm, incumbent=None, incumbent_matrix=None, rate_min_nats=-np.inf
         )
-        self.evaluator = _RateEvaluator(stats, self.sigma, options, seed)
-        self.half_steps = 0
 
-    def record(
-        self,
-        step: float,
-        min_slnr: float,
-        objective: float,
-        subproblem: SubproblemSolution | None = None,
-    ) -> None:
-        """Append a trace row and refresh the incumbent on the rate cadence."""
-        if self.half_steps % self.options.rate_every == 0:
-            w_mat = beamformer_matrix(self.bf)
-            rates = self.evaluator.rates(w_mat)
-            track_incumbent(self.result, self.bf, self.stats, self.sigma, rates=rates)
-            min_rate = float(np.min(rates))
-        else:
-            min_rate = np.nan
-        self.half_steps += 1
+    def record(self, step: float, objective: float) -> None:
+        """Append a trace row and refresh the incumbent."""
+        rates = _rates(beamformer_matrix(self.bf), self.stats, self.sigma)
+        track_incumbent(self.result, self.bf, self.stats, self.sigma, rates=rates)
+        sub = self.subproblem
         self.result.trace.append(
             TraceEntry(
                 step=step,
-                min_slnr=min_slnr,
+                min_slnr=float(self.slnrs.min()),
                 objective=objective,
-                min_rate_nats=min_rate,
+                min_rate_nats=float(np.min(rates)),
                 power=total_power(self.bf),
-                subproblem_gap=None if subproblem is None else subproblem.gap,
-                subproblem_iterations=None if subproblem is None else subproblem.iterations,
+                subproblem_gap=None if sub is None else sub.gap,
+                subproblem_iterations=None if sub is None else sub.iterations,
             )
         )
 
@@ -332,125 +306,35 @@ class _Run:
 
         A vanished expected signal makes every bound uninformative, so the
         user restarts from a fresh vector carrying one percent of the power
-        left in the budget by the other users.
+        left in the budget by the other users; ``slnrs`` follows the change.
         """
         dead = np.nonzero(ops.signal <= 0.0)[0]
         if dead.size == 0:
             return ops
         free = self.bf.v_a if side == "azimuth" else self.bf.v_e
         for ell in dead:
-            per_user = [
-                float(
-                    np.linalg.norm(
-                        self.bf.columns("azimuth", lp) @ self.bf.columns("elevation", lp).T
-                    )
-                    ** 2
-                )
-                for lp in range(self.bf.L)
-            ]
+            per_user = user_powers(self.bf)
             remaining = max(self.scenario.P - (sum(per_user) - per_user[ell]), 1e-12 * self.scenario.P)
-            draw = (
-                self.rng.standard_normal(free.shape[1])
-                + 1j * self.rng.standard_normal(free.shape[1])
-            ) / np.sqrt(2.0)
+            draw = circular_gaussian(self.rng, free.shape[1])
             a_mat = coupling_matrix(side, self.bf, ell)
             quad = float(np.real(draw.conj() @ (a_mat @ draw)))
             if quad <= 0.0:
                 # Fixed side vanished as well; restart it at unit scale first.
                 fixed = self.bf.v_a if side == "elevation" else self.bf.v_e
-                redraw = (
-                    self.rng.standard_normal(free.shape[1])
-                    + 1j * self.rng.standard_normal(free.shape[1])
-                ) / np.sqrt(2.0)
+                redraw = circular_gaussian(self.rng, free.shape[1])
                 fixed[ell] = redraw / np.linalg.norm(redraw)
                 a_mat = coupling_matrix(side, self.bf, ell)
                 quad = float(np.real(draw.conj() @ (a_mat @ draw)))
             free[ell] = draw * np.sqrt(DEGENERATE_POWER_FRACTION * remaining / quad)
             logger.warning("reinitialized degenerate user %d on the %s side", ell, side)
+        self.slnrs = slnr_vec(beamformer_matrix(self.bf), self.stats, self.sigma)
         return half_iteration_operators(side, self.bf, self.stats, self.sigma)
 
-    def set_side(self, side: str, vectors: np.ndarray) -> None:
-        if side == "azimuth":
-            self.bf.v_a = vectors
-        else:
-            self.bf.v_e = vectors
-
-    def finish(self, iterations: int, converged: bool) -> OptimizationResult:
+    def finish(self, iterations: int, stop_reason: str) -> OptimizationResult:
         self.result.iterations = iterations
-        self.result.converged = converged
+        self.result.stop_reason = stop_reason
         self.result.final = self.bf.copy()
         return self.result
-
-
-def run_maxmin(
-    scenario: Scenario, stats: ChannelStatistics, options: AlgoOptions | None = None
-) -> OptimizationResult:
-    """Max-min SLNR design via convex max-min quadratic subproblems.
-
-    Each half-iteration builds tight SLNR minorants at the current iterate
-    and solves the resulting max-min problem on the power ball; the current
-    iterate is kept in the subproblem's candidate pool, so the minimum SLNR
-    never decreases. Terminates when its relative change over a full
-    iteration drops below the tolerance.
-    """
-    options = options or AlgoOptions()
-    run = _Run("maxmin", scenario, stats, options)
-    current = _min_slnr(run.bf, stats, run.sigma)
-    run.record(0.0, current, current)
-    converged = False
-    iterations = 0
-    for it in range(1, options.max_iterations + 1):
-        previous_full = current
-        for half, side in enumerate(SIDE_ORDER):
-            ops = half_iteration_operators(side, run.bf, stats, run.sigma)
-            ops = run.reinit_degenerate(side, ops)
-            coeffs = [
-                slnr_minorant_coeffs(side, run.bf, stats, ell, run.sigma, ops=ops)
-                for ell in range(run.bf.L)
-            ]
-            problem = MaxMinQuadraticProblem(
-                a=np.array([c.a for c in coeffs]),
-                b=np.stack([c.b for c in coeffs]),
-                C=np.stack([c.C for c in coeffs]),
-                A=np.stack([coupling_matrix(side, run.bf, ell) for ell in range(run.bf.L)]),
-                P=scenario.P,
-            )
-            sol: SubproblemSolution = solve_maxmin(
-                problem, tol=options.subproblem_tol, warm_start=ops.v_bar
-            )
-            trial = run.bf.copy()
-            if side == "azimuth":
-                trial.v_a = sol.v
-            else:
-                trial.v_e = sol.v
-            new_val = _min_slnr(trial, stats, run.sigma)
-            if new_val < current:
-                # cannot improve further; keep the iterate
-                logger.warning(
-                    "maxmin stopped in iteration %d: the %s subproblem's point "
-                    "lowers the min SLNR from %.9e to %.9e (gap %.2e)",
-                    it, side, current, new_val, sol.gap,
-                )
-                converged = True
-                break
-            run.set_side(side, sol.v)
-            current = new_val
-            run.record(it - 0.5 + 0.5 * half, current, current, subproblem=sol)
-        iterations = it
-        if converged:
-            break
-        if abs(current - previous_full) <= options.tolerance * max(abs(previous_full), 1e-30):
-            converged = True
-            break
-    return run.finish(iterations, converged)
-
-
-def _geometric_mean_log(bf: BeamformerSet, stats: ChannelStatistics, sigma: float) -> float:
-    """Geometric mean over users of ln(1 + SLNR)."""
-    logs = np.log1p(slnr_vec(beamformer_matrix(bf), stats, sigma))
-    if np.any(logs <= 0.0):
-        return 0.0
-    return float(np.exp(np.mean(np.log(logs))))
 
 
 def _backtrack(
@@ -464,25 +348,122 @@ def _backtrack(
 ) -> tuple[float, bool]:
     """Accept v_new, or a fraction of the step toward it, or stall.
 
-    ``objective`` maps the beamformer set to the driving objective and
-    ``better(new, old)`` says whether the step direction is acceptable.
-    Returns the accepted objective value and whether any step was taken.
+    Tries v_old + s (v_new - v_old) for s = 1, 1/2, ... (``max_halvings``
+    trials); ``max_halvings=0`` tries v_new itself, unblended, once.
+    ``objective`` maps a trial's SLNR vector to the driving objective and
+    ``better(new, old)`` says whether the step direction is acceptable; the
+    accepted trial's SLNRs become ``run.slnrs``. Returns the accepted
+    objective value and whether any step was taken.
     """
-    v_old = (run.bf.v_a if side == "azimuth" else run.bf.v_e).copy()
-    scale = 1.0
-    for _ in range(max_halvings):
-        trial = run.bf.copy()
-        blended = v_old + scale * (v_new - v_old)
-        if side == "azimuth":
-            trial.v_a = blended
-        else:
-            trial.v_e = blended
-        value = objective(trial)
+    attr = "v_a" if side == "azimuth" else "v_e"
+    v_old = getattr(run.bf, attr)
+    trials = [v_new] if max_halvings == 0 else (
+        v_old + 0.5**k * (v_new - v_old) for k in range(max_halvings)
+    )
+    for point in trials:
+        trial = replace(run.bf, **{attr: point})
+        slnrs = slnr_vec(beamformer_matrix(trial), run.stats, run.sigma)
+        value = objective(slnrs)
         if better(value, current):
-            run.set_side(side, blended)
+            setattr(run.bf, attr, point)
+            run.slnrs = slnrs
             return value, True
-        scale *= 0.5
     return current, False
+
+
+def _alternate(
+    algorithm: str,
+    scenario: Scenario,
+    stats: ChannelStatistics,
+    options: AlgoOptions | None,
+    objective,
+    better,
+    update,
+    certified: bool = False,
+) -> OptimizationResult:
+    """The alternating scheme the three designs share.
+
+    ``objective`` maps the SLNR vector to the driving objective, ``better``
+    (``operator.ge`` or ``operator.le``) orders its values, and
+    ``update(run, side, ops)`` returns the candidate free-side point of one
+    half-iteration from the operators at the current iterate. A candidate
+    is accepted through ``_backtrack``. A ``certified`` update (max-min,
+    whose subproblem point never worsens the objective in exact arithmetic)
+    is taken whole or not at all: a worsening point ends the run as
+    "subproblem_regressed". Otherwise an iteration in which no fraction of
+    either step helps ends the run as "stalled"; an iteration whose
+    relative objective change is within the tolerance as "tolerance".
+    """
+    options = options or AlgoOptions()
+    run = _Run(algorithm, scenario, stats)
+    current = objective(run.slnrs)
+    run.record(0.0, current)
+    for it in range(1, options.max_iterations + 1):
+        previous_full = current
+        moved = False
+        for half, side in enumerate(SIDE_ORDER):
+            ops = run.reinit_degenerate(
+                side, half_iteration_operators(side, run.bf, stats, run.sigma)
+            )
+            current, stepped = _backtrack(
+                run, side, update(run, side, ops), objective, current, better,
+                max_halvings=0 if certified else 40,
+            )
+            if certified and not stepped:
+                logger.warning(
+                    "%s stopped in iteration %d: the %s subproblem's point lowers "
+                    "the min SLNR below %.9e (gap %.2e)",
+                    algorithm, it, side, current, run.subproblem.gap,
+                )
+                return run.finish(it, "subproblem_regressed")
+            moved = moved or stepped
+            run.record(it - 0.5 + 0.5 * half, current)
+        if not moved:
+            return run.finish(it, "stalled")
+        if abs(current - previous_full) <= options.tolerance * max(abs(previous_full), 1e-30):
+            return run.finish(it, "tolerance")
+    return run.finish(max(options.max_iterations, 0), "max_iterations")
+
+
+def run_maxmin(
+    scenario: Scenario, stats: ChannelStatistics, options: AlgoOptions | None = None
+) -> OptimizationResult:
+    """Max-min SLNR design via convex max-min quadratic subproblems.
+
+    Each half-iteration builds tight SLNR minorants at the current iterate
+    and solves the resulting max-min problem on the power ball; the current
+    iterate is kept in the subproblem's candidate pool, so the minimum SLNR
+    never decreases. Terminates when its relative change over a full
+    iteration drops below the tolerance.
+    """
+
+    def update(run: _Run, side: str, ops: HalfIterationOperators) -> np.ndarray:
+        coeffs = [
+            slnr_minorant_coeffs(side, run.bf, stats, ell, run.sigma, ops=ops)
+            for ell in range(run.bf.L)
+        ]
+        problem = MaxMinQuadraticProblem(
+            a=np.array([c.a for c in coeffs]),
+            b=np.stack([c.b for c in coeffs]),
+            C=np.stack([c.C for c in coeffs]),
+            A=np.stack(_coupling_matrices(side, run.bf)),
+            P=scenario.P,
+        )
+        run.subproblem = solve_maxmin(problem, tol=SUBPROBLEM_TOL, warm_start=ops.v_bar)
+        return run.subproblem.v
+
+    objective = lambda slnrs: float(slnrs.min())
+    return _alternate(
+        "maxmin", scenario, stats, options, objective, operator.ge, update, certified=True
+    )
+
+
+def _geometric_mean_log(slnrs: np.ndarray) -> float:
+    """Geometric mean over users of ln(1 + SLNR)."""
+    logs = np.log1p(slnrs)
+    if np.any(logs <= 0.0):
+        return 0.0
+    return float(np.exp(np.mean(np.log(logs))))
 
 
 def run_gm(
@@ -494,56 +475,29 @@ def run_gm(
     weighted sum of log-SLNR minorants side by side in closed form. A step
     is kept only if the geometric mean does not decrease; otherwise it is
     backtracked along the update segment (weighted-sum ascent does not by
-    itself guarantee product ascent), stalling to convergence if no
-    fraction of the step helps.
+    itself guarantee product ascent), stalling if no fraction of the step
+    helps.
     """
-    options = options or AlgoOptions()
-    run = _Run("gm", scenario, stats, options)
-    objective = lambda bf: _geometric_mean_log(bf, stats, run.sigma)
-    current = objective(run.bf)
-    run.record(0.0, _min_slnr(run.bf, stats, run.sigma), current)
-    converged = False
-    iterations = 0
-    for it in range(1, options.max_iterations + 1):
-        previous_full = current
-        ops_start = half_iteration_operators("azimuth", run.bf, stats, run.sigma)
-        ops_start = run.reinit_degenerate("azimuth", ops_start)
-        weights = gm_weights(ops_start.slnr())
-        moved = False
-        for half, side in enumerate(SIDE_ORDER):
-            ops = (
-                ops_start
-                if side == "azimuth"
-                else run.reinit_degenerate(
-                    side, half_iteration_operators(side, run.bf, stats, run.sigma)
-                )
-            )
-            coeffs = [
-                gm_minorant_coeffs(side, run.bf, stats, ell, run.sigma, ops=ops)
-                for ell in range(run.bf.L)
-            ]
-            a_mats = [coupling_matrix(side, run.bf, ell) for ell in range(run.bf.L)]
-            v_new = closed_form_update(coeffs, a_mats, scenario.P, weights=weights)
-            current, stepped = _backtrack(
-                run, side, v_new, objective, current, better=lambda new, old: new >= old
-            )
-            moved = moved or stepped
-            run.record(it - 0.5 + 0.5 * half, _min_slnr(run.bf, stats, run.sigma), current)
-        iterations = it
-        if not moved:
-            converged = True
-            break
-        if abs(current - previous_full) <= options.tolerance * max(abs(previous_full), 1e-30):
-            converged = True
-            break
-    return run.finish(iterations, converged)
+    weights = None
+
+    def update(run: _Run, side: str, ops: HalfIterationOperators) -> np.ndarray:
+        nonlocal weights
+        if side == SIDE_ORDER[0]:
+            weights = gm_weights(ops.slnr())
+        coeffs = [
+            gm_minorant_coeffs(side, run.bf, stats, ell, run.sigma, ops=ops)
+            for ell in range(run.bf.L)
+        ]
+        return closed_form_update(
+            coeffs, _coupling_matrices(side, run.bf), scenario.P, weights=weights
+        )
+
+    return _alternate("gm", scenario, stats, options, _geometric_mean_log, operator.ge, update)
 
 
-def _soft_objective_value(
-    bf: BeamformerSet, stats: ChannelStatistics, sigma: float, c: float
-) -> float:
+def _soft_objective_value(slnrs: np.ndarray, c: float) -> float:
     """The smoothed-minimum objective ln(sum_l (1 + SLNR_l / c)^-1)."""
-    return float(np.log(np.sum(1.0 / (1.0 + slnr_vec(beamformer_matrix(bf), stats, sigma) / c))))
+    return float(np.log(np.sum(1.0 / (1.0 + slnrs / c))))
 
 
 def run_soft(
@@ -556,51 +510,29 @@ def run_soft(
     minimizes a tight quadratic majorant in closed form, so the objective
     trace never increases.
     """
-    options = options or AlgoOptions()
-    c = options.soft_c
-    run = _Run("soft", scenario, stats, options)
-    objective = lambda bf: _soft_objective_value(bf, stats, run.sigma, c)
-    current = objective(run.bf)
-    run.record(0.0, _min_slnr(run.bf, stats, run.sigma), current)
-    converged = False
-    iterations = 0
-    for it in range(1, options.max_iterations + 1):
-        previous_full = current
-        moved = False
-        for half, side in enumerate(SIDE_ORDER):
-            ops = half_iteration_operators(side, run.bf, stats, run.sigma)
-            ops = run.reinit_degenerate(side, ops)
-            _, coeffs = soft_majorant_coeffs(side, run.bf, stats, c, run.sigma, ops=ops)
-            a_mats = [coupling_matrix(side, run.bf, ell) for ell in range(run.bf.L)]
-            v_new = closed_form_update(coeffs, a_mats, scenario.P)
-            current, stepped = _backtrack(
-                run, side, v_new, objective, current, better=lambda new, old: new <= old
-            )
-            moved = moved or stepped
-            run.record(it - 0.5 + 0.5 * half, _min_slnr(run.bf, stats, run.sigma), current)
-        iterations = it
-        if not moved:
-            converged = True
-            break
-        if abs(current - previous_full) <= options.tolerance * max(abs(previous_full), 1e-30):
-            converged = True
-            break
-    return run.finish(iterations, converged)
+    c = (options or AlgoOptions()).soft_c
+
+    def update(run: _Run, side: str, ops: HalfIterationOperators) -> np.ndarray:
+        _, coeffs = soft_majorant_coeffs(side, run.bf, stats, c, run.sigma, ops=ops)
+        return closed_form_update(coeffs, _coupling_matrices(side, run.bf), scenario.P)
+
+    objective = lambda slnrs: _soft_objective_value(slnrs, c)
+    return _alternate("soft", scenario, stats, options, objective, operator.le, update)
 
 
 def run_baseline(
     scenario: Scenario, stats: ChannelStatistics, options: AlgoOptions | None = None
 ) -> OptimizationResult:
     """Evaluate the uniform-power baseline in the common result format."""
-    options = options or AlgoOptions()
     w_mat = baseline_uniform(stats, scenario)
     result = OptimizationResult(
-        algorithm="baseline", incumbent=None, incumbent_matrix=None, rate_min_nats=-np.inf
+        algorithm="baseline",
+        incumbent=None,
+        incumbent_matrix=None,
+        rate_min_nats=-np.inf,
+        stop_reason="direct",
     )
-    evaluator = _RateEvaluator(
-        stats, scenario.sigma, options, scenario.seed if options.seed is None else options.seed
-    )
-    rates = evaluator.rates(w_mat)
+    rates = _rates(w_mat, stats, scenario.sigma)
     track_incumbent(result, w_mat, stats, scenario.sigma, rates=rates)
     min_slnr = float(slnr_vec(w_mat, stats, scenario.sigma).min())
     result.trace.append(
@@ -612,8 +544,6 @@ def run_baseline(
             power=float(np.linalg.norm(w_mat) ** 2),
         )
     )
-    result.iterations = 0
-    result.converged = True
     return result
 
 

@@ -204,3 +204,13 @@ class TestBeamformerMatrix:
         w = beamformer_matrix(bf)
         for ell in range(bf.L):
             np.testing.assert_allclose(w[:, ell], vec(full_beamformer(bf, ell)), atol=0)
+
+    @pytest.mark.parametrize("Q, M, L", [(3, 1, 3), (8, 2, 5), (5, 3, 2), (6, 4, 4)])
+    def test_batched_product_matches_per_user_bit_for_bit(self, Q, M, L):
+        rng = np.random.default_rng(Q * 10 + M)
+        for _ in range(5):
+            bf = random_set(rng, Q=Q, M=M, L=L)
+            w = beamformer_matrix(bf)
+            want = np.stack([vec(full_beamformer(bf, ell)) for ell in range(L)], axis=1)
+            assert np.array_equal(w, want)
+            assert w.flags.c_contiguous

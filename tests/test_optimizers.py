@@ -1,6 +1,7 @@
 """Algorithm-level behavior: closed-form updates, monotone traces,
-incumbent tracking, and the uniform-power baseline."""
+incumbent tracking, stop reasons, and the uniform-power baseline."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -191,7 +192,8 @@ class TestRunMaxmin:
         monkeypatch.setattr(optimizers, "solve_maxmin", regress)
         with caplog.at_level("WARNING", logger="slnrbeam.optimizers"):
             res = run_maxmin(sc, stats, AlgoOptions())
-        assert res.converged and res.iterations == 1 and len(res.trace) == 1
+        assert res.stop_reason == "subproblem_regressed" and not res.converged
+        assert res.iterations == 1 and len(res.trace) == 1
         assert any("lowers the min SLNR" in r.getMessage() for r in caplog.records)
 
 
@@ -388,18 +390,72 @@ class TestOptions:
             AlgoOptions(tolerance=0.0)
         with pytest.raises(ValueError):
             AlgoOptions(soft_c=-0.1)
-        with pytest.raises(ValueError):
-            AlgoOptions(rate_eval="sometimes")
-        with pytest.raises(ValueError):
-            AlgoOptions(rate_every=0)
 
-    def test_rate_cadence_skips_evaluations(self, desk):
+    def test_three_knobs(self):
+        names = [f.name for f in dataclasses.fields(AlgoOptions)]
+        assert names == ["tolerance", "max_iterations", "soft_c"]
+        for removed in ("rate_eval", "mc_samples", "rate_every", "subproblem_tol", "seed"):
+            with pytest.raises(TypeError):
+                AlgoOptions(**{removed: 1})
+
+
+class TestStopReason:
+    def test_default_runs_stop_on_tolerance(self, desk):
         sc, stats = desk
-        res = run_gm(sc, stats, AlgoOptions(max_iterations=4, rate_every=3))
-        rates = [e.min_rate_nats for e in res.trace]
-        assert np.isfinite(rates[0])  # the initial point is always evaluated
-        assert any(np.isnan(r) for r in rates[1:])
-        assert res.rate_min_nats == pytest.approx(np.nanmax(rates), rel=1e-12)
+        for run in (run_maxmin, run_gm, run_soft):
+            res = run(sc, stats, AlgoOptions())
+            assert res.stop_reason == "tolerance" and res.converged
+        base = optimizers.run_baseline(sc, stats)
+        assert base.stop_reason == "direct" and base.converged
+
+    def test_iteration_cap(self, desk):
+        sc, stats = desk
+        for run in (run_maxmin, run_gm, run_soft):
+            res = run(sc, stats, AlgoOptions(max_iterations=1))
+            assert res.stop_reason == "max_iterations" and not res.converged
+            assert res.iterations == 1 and len(res.trace) == 3
+
+    @pytest.mark.parametrize("run", [run_gm, run_soft])
+    def test_stall(self, desk, monkeypatch, run):
+        # An update that always points at zero worsens the objective at every
+        # fraction of the step: the run keeps its iterate and stalls.
+        sc, stats = desk
+        monkeypatch.setattr(
+            optimizers, "closed_form_update", lambda coeffs, *args, **kwargs: np.zeros(
+                (len(coeffs), coeffs[0].b.shape[0]), dtype=complex
+            )
+        )
+        res = run(sc, stats, AlgoOptions())
+        assert res.stop_reason == "stalled" and not res.converged
+        assert res.iterations == 1 and len(res.trace) == 3
+        assert len({e.objective for e in res.trace}) == 1
+        np.testing.assert_array_equal(res.final.v_a, res.incumbent.v_a)
+
+    def test_slnrs_computed_once_per_objective_evaluation(self, desk, monkeypatch, caplog):
+        # Each iterate's SLNR vector feeds its objective and its trace row;
+        # only a degenerate-user reinit recomputes it.
+        sc, stats = desk
+        counts = {"slnr": 0, "objective": 0}
+
+        def counting(name, func):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return func(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(optimizers, "slnr_vec", counting("slnr", optimizers.slnr_vec))
+        monkeypatch.setattr(
+            optimizers,
+            "_geometric_mean_log",
+            counting("objective", optimizers._geometric_mean_log),
+        )
+        with caplog.at_level("WARNING", logger="slnrbeam.optimizers"):
+            res = run_gm(sc, stats, AlgoOptions(max_iterations=3))
+        reinits = sum("reinitialized" in r.getMessage() for r in caplog.records)
+        assert len(res.trace) == 7
+        assert counts["objective"] >= len(res.trace)
+        assert counts["slnr"] <= counts["objective"] + reinits
 
 
 class TestDegenerateHandling:
@@ -408,20 +464,22 @@ class TestDegenerateHandling:
         from slnrbeam.optimizers import _Run
         from slnrbeam.surrogates import half_iteration_operators
 
-        run = _Run("gm", sc, stats, AlgoOptions())
+        run = _Run("gm", sc, stats)
         run.bf.v_a[0] = 0.0  # kill one user's signal entirely
         ops = half_iteration_operators("azimuth", run.bf, stats, sc.sigma)
         assert ops.signal[0] == 0.0
         ops2 = run.reinit_degenerate("azimuth", ops)
         assert ops2.signal[0] > 0.0
         assert total_power(run.bf) <= sc.P * (1.0 + 1e-8)
+        # The run's SLNRs follow the reinitialized iterate.
+        np.testing.assert_array_equal(run.slnrs, ops2.signal / ops2.x_bar)
 
     def test_dead_fixed_side_also_recovers(self, desk):
         sc, stats = desk
         from slnrbeam.optimizers import _Run
         from slnrbeam.surrogates import half_iteration_operators
 
-        run = _Run("soft", sc, stats, AlgoOptions())
+        run = _Run("soft", sc, stats)
         run.bf.v_a[1] = 0.0
         run.bf.v_e[1] = 0.0  # both sides dead: the coupling matrix vanishes
         ops = half_iteration_operators("azimuth", run.bf, stats, sc.sigma)

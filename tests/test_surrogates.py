@@ -4,8 +4,9 @@ and first-order agreement with the target."""
 import numpy as np
 import pytest
 
-from slnrbeam.beamformer import init_feasible, psi_matrix
+from slnrbeam.beamformer import beamformer_matrix, init_feasible, psi_matrix
 from slnrbeam.channel import Scenario, build_statistics
+from slnrbeam.metrics import slnr_vec
 from slnrbeam.optimizers import _soft_objective_value
 from slnrbeam.surrogates import (
     DegenerateUserError,
@@ -267,9 +268,8 @@ class TestSoftMajorant:
             value = constant + sum(
                 coeffs[ell].evaluate(bf.v_a[ell]) for ell in range(bf.L)
             )
-            assert value == pytest.approx(
-                _soft_objective_value(bf, stats, sc.sigma, c), rel=1e-9
-            )
+            slnrs = slnr_vec(beamformer_matrix(bf), stats, sc.sigma)
+            assert value == pytest.approx(_soft_objective_value(slnrs, c), rel=1e-9)
 
     def test_domination(self, setup):
         sc, stats, bf = setup
@@ -285,7 +285,9 @@ class TestSoftMajorant:
             bound = constant + sum(
                 coeffs[ell].evaluate(other.v_a[ell]) for ell in range(bf.L)
             )
-            truth = _soft_objective_value(other, stats, sc.sigma, c)
+            truth = _soft_objective_value(
+                slnr_vec(beamformer_matrix(other), stats, sc.sigma), c
+            )
             assert bound >= truth - 1e-9 * max(1.0, abs(truth))
 
     def test_normalizer_consistent_across_smoothing(self, setup):
