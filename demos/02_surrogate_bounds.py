@@ -1,65 +1,90 @@
 """Show the three quadratic bounds doing their job.
 
 Each bound touches its target at the expansion point and stays on one side
-of it everywhere else; this script samples random probe points and reports
-the worst-case violation (which should be zero up to round-off) and the mean
-slack.
+of it everywhere else. The bounds are the formulas the designs run, stacked
+over users; this script first expands them at chi-space points and samples
+random probe points, reporting the worst-case violation (which should be
+zero up to round-off) and the mean slack, then builds the designs' stacked
+coefficients at a random beamformer iterate and checks that every user's
+bound touches its target there.
 """
 
 import numpy as np
 
+from slnrbeam.beamformer import beamformer_matrix, init_feasible
+from slnrbeam.channel import Scenario, build_statistics
+from slnrbeam.metrics import slnr_vec
 from slnrbeam.surrogates import (
-    evaluate_log_minorant,
-    ratio_quadratic_minorant,
-    softmin_majorant,
+    gm_minorant_coeffs,
+    log_bound,
+    ratio_bound,
+    slnr_minorant_coeffs,
+    smoothed_min_bound,
+    soft_majorant_coeffs,
 )
+
+
+def expansion(chi_bars, x_bars):
+    """The formulas' inputs: s = ||chi_bar||^2, x_bar and cross = chi_bar^H."""
+    return np.sum(np.abs(chi_bars) ** 2, axis=-1), np.asarray(x_bars), chi_bars.conj()
+
+
+def minorant(a, b, c, chi, x):
+    """a + 2 Re{b chi} - c (||chi||^2 + x), the ratio and log bounds' form."""
+    return a + 2.0 * np.real(np.sum(b * chi, axis=-1)) - c * (np.sum(np.abs(chi) ** 2, axis=-1) + x)
+
+
+def report(name, slack):
+    print(f"{name:20s} worst violation {min(slack.min(), 0):.2e}, mean slack {slack.mean():.3f}")
+
 
 rng = np.random.default_rng(3)
 dim = 4
-chi_bar = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-x_bar = 1.2
-
-print("Expansion point: ||chi_bar||^2 =", round(float(np.vdot(chi_bar, chi_bar).real), 4),
-      " x_bar =", x_bar)
+probes = 20_000
+chi_bar = rng.standard_normal((1, dim)) + 1j * rng.standard_normal((1, dim))
+x_bar = np.array([1.2])
+print("Expansion point: ||chi_bar||^2 =", round(float(np.sum(np.abs(chi_bar) ** 2)), 4),
+      " x_bar =", x_bar[0])
 print()
 
-probes = 20_000
+chi = (rng.standard_normal((probes, dim)) + 1j * rng.standard_normal((probes, dim))) \
+    * rng.uniform(0, 2, (probes, 1))
+x = rng.uniform(1e-2, 6.0, probes)
+ratio = np.sum(np.abs(chi) ** 2, axis=1) / x
 
 # 1) minorant of ln(1 + ||chi||^2 / x)
-slack = []
-for _ in range(probes):
-    chi = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) * rng.uniform(0, 2)
-    x = rng.uniform(1e-2, 6.0)
-    target = np.log1p(np.vdot(chi, chi).real / x)
-    slack.append(target - evaluate_log_minorant(chi_bar, x_bar, chi, x))
-slack = np.array(slack)
-print(f"log-ratio minorant: worst violation {min(slack.min(), 0):.2e}, "
-      f"mean slack {slack.mean():.3f}")
-
+report("log-ratio minorant:", np.log1p(ratio) - minorant(*log_bound(*expansion(chi_bar, x_bar)), chi, x))
 # 2) minorant of the plain ratio ||chi||^2 / x
-bound = ratio_quadratic_minorant(chi_bar, x_bar)
-slack = []
-for _ in range(probes):
-    chi = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) * rng.uniform(0, 2)
-    x = rng.uniform(1e-2, 6.0)
-    slack.append(np.vdot(chi, chi).real / x - bound.evaluate(chi, x))
-slack = np.array(slack)
-print(f"ratio minorant:     worst violation {min(slack.min(), 0):.2e}, "
-      f"mean slack {slack.mean():.3f}")
+report("ratio minorant:", ratio - minorant(*ratio_bound(*expansion(chi_bar, x_bar)), chi, x))
 
-# 3) majorant of the smoothed minimum over a user group
-chis_bar = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(3)]
-xs_bar = [1.0, 0.5, 2.0]
+# 3) majorant of the smoothed minimum over a user group of three
+chis_bar = rng.standard_normal((3, dim)) + 1j * rng.standard_normal((3, dim))
+xs_bar = np.array([1.0, 0.5, 2.0])
 c = 0.1
-soft = softmin_majorant(chis_bar, xs_bar, c)
-slack = []
-for _ in range(probes):
-    chis = [(rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) * rng.uniform(0, 2)
-            for _ in range(3)]
-    xs = [rng.uniform(1e-2, 6.0) for _ in range(3)]
-    target = np.log(sum(1.0 / (1.0 + np.vdot(ch, ch).real / (c * x))
-                        for ch, x in zip(chis, xs)))
-    slack.append(soft.evaluate(chis, xs) - target)
-slack = np.array(slack)
-print(f"soft-min majorant:  worst violation {min(slack.min(), 0):.2e}, "
-      f"mean slack {slack.mean():.3f}")
+constant, b, scale = smoothed_min_bound(*expansion(chis_bar, xs_bar), c)
+chis = (rng.standard_normal((probes, 3, dim)) + 1j * rng.standard_normal((probes, 3, dim))) \
+    * rng.uniform(0, 2, (probes, 3, 1))
+xs = rng.uniform(1e-2, 6.0, (probes, 3))
+target = np.log(np.sum(1.0 / (1.0 + np.sum(np.abs(chis) ** 2, axis=-1) / (c * xs)), axis=-1))
+bound = constant - np.sum(minorant(0.0, b, scale, chis, c * xs), axis=-1)
+report("soft-min majorant:", bound - target)
+
+# The designs' coefficients: one (a, b, C) stack per half-iteration, touching
+# every user's target at the current iterate.
+sc = Scenario(Q=4, L=3, M=2, seed=31)
+stats = build_statistics(sc)
+bf = init_feasible(sc, np.random.default_rng(31))
+slnrs = slnr_vec(beamformer_matrix(bf), stats, sc.sigma)
+ratio_coeffs = slnr_minorant_coeffs("azimuth", bf, stats, sc.sigma)
+log_coeffs = gm_minorant_coeffs("azimuth", bf, stats, sc.sigma)
+soft_constant, soft_coeffs = soft_majorant_coeffs("azimuth", bf, stats, c, sc.sigma)
+print()
+print(f"Stacked coefficients at a Q={sc.Q}, L={sc.L}, M={sc.M} iterate: "
+      f"b {ratio_coeffs.b.shape}, C {ratio_coeffs.C.shape}")
+gap = np.abs(ratio_coeffs.evaluate(bf.v_a) - slnrs).max() / slnrs.max()
+print(f"  SLNR minorants:         largest relative gap at the iterate {gap:.1e}")
+gap = np.abs(log_coeffs.evaluate(bf.v_a) - np.log1p(slnrs)).max()
+print(f"  ln(1 + SLNR) minorants: largest gap at the iterate {gap:.1e}")
+soft = soft_constant + soft_coeffs.evaluate(bf.v_a).sum()
+gap = abs(soft - np.log(np.sum(1.0 / (1.0 + slnrs / c))))
+print(f"  soft-min majorant:      gap at the iterate {gap:.1e}")

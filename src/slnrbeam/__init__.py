@@ -32,7 +32,6 @@ from .metrics import (
     RateReport,
     ergodic_rate_closed,
     ergodic_rate_mc,
-    instantaneous_sinr,
     jain_index,
     min_max_ratio,
     nats_to_mbps,
@@ -67,7 +66,6 @@ __all__ = [
     "full_beamformer",
     "horizontal_correlation",
     "init_feasible",
-    "instantaneous_sinr",
     "jain_index",
     "min_max_ratio",
     "nats_to_mbps",

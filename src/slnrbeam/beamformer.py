@@ -14,8 +14,8 @@ the other held fixed:
     forms become plain matrix products against vectorized channels. The
     designs never form it (they use its Kronecker structure); it is the
     dense reference for those identities;
-  * ``coupling_matrix``: the QM x QM Gram operator of the fixed side's
-    vectors (Kronecker-expanded), through which the transmit-power
+  * ``coupling_matrix``: every user's QM x QM Gram operator of the fixed
+    side's vectors (Kronecker-expanded), through which the transmit-power
     constraint becomes a quadratic form in the free side's vector.
 """
 
@@ -93,18 +93,21 @@ def total_power(bf: BeamformerSet) -> float:
     return sum(user_powers(bf))
 
 
-def coupling_matrix(side: str, bf: BeamformerSet, ell: int) -> np.ndarray:
-    """Power operator for updating ``side`` with the other side fixed.
+def coupling_matrix(side: str, bf: BeamformerSet) -> np.ndarray:
+    """Power operators for updating ``side`` with the other side fixed.
 
-    Returns the QM x QM Hermitian PSD matrix A with
-    ``v^H A v = ||sum_m v[m] v_fixed[m].T||_F^2`` for any stacked free-side
-    vector v: the M x M Gram matrix of the fixed side's vectors Kronecker-
-    expanded by I_Q. Orthonormal fixed vectors give the identity.
+    Returns the (L, QM, QM) stack of Hermitian PSD matrices A_l with
+    ``v^H A_l v = ||sum_m v[m] v_fixed,l[m].T||_F^2`` for any stacked
+    free-side vector v: user l's M x M Gram matrix of the fixed side's
+    vectors Kronecker-expanded by I_Q. Orthonormal fixed vectors give the
+    identity.
     """
     _check_side(side)
-    fixed = bf.columns("elevation" if side == "azimuth" else "azimuth", ell)
-    gram = fixed.conj().T @ fixed
-    return np.kron(gram, np.eye(bf.Q))
+    fixed = bf.v_e if side == "azimuth" else bf.v_a
+    f = fixed.reshape(bf.L, bf.M, bf.Q).swapaxes(-1, -2)  # every user's (Q, M) columns
+    gram = f.conj().swapaxes(-1, -2) @ f
+    n = bf.Q * bf.M
+    return (gram[:, :, None, :, None] * np.eye(bf.Q)[:, None, :]).reshape(bf.L, n, n)
 
 
 def psi_matrix(side: str, bf: BeamformerSet, ell: int) -> np.ndarray:

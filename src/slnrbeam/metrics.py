@@ -1,4 +1,4 @@
-"""SLNR, instantaneous SINR, ergodic rates, and fairness statistics.
+"""SLNR, ergodic rates, and fairness statistics.
 
 Ergodic rates are natural-log rates (nats per channel use); the Mbit/s
 conversion divides by ln 2 and scales by the bandwidth. The closed-form
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamformer import BeamformerSet
 from .channel import ChannelStatistics, vec_batch, sample_channels
 
 logger = logging.getLogger(__name__)
@@ -72,27 +71,6 @@ def slnr_vec(w_mat: np.ndarray, stats: ChannelStatistics, sigma: float) -> np.nd
     """
     signal, leakage = _signal_and_leakage(w_mat, stats)
     return signal / (leakage + sigma)
-
-
-def transmit_bilinear(bf: BeamformerSet, h_mat: np.ndarray, user: int) -> complex:
-    """sum_m v_e[m].T H v_a[m] for one channel realization H."""
-    v_e = bf.columns("elevation", user)
-    v_a = bf.columns("azimuth", user)
-    return complex(np.sum((v_e.T @ h_mat) * v_a.T))
-
-
-def instantaneous_sinr(
-    bf: BeamformerSet, channels: np.ndarray, ell: int, sigma: float
-) -> float:
-    """SINR of user ``ell`` at specific channel realizations.
-
-    ``channels`` holds one Q x Q realization per user; only user ``ell``'s
-    entry matters (all transmissions reach them through their own channel).
-    """
-    h_mat = np.asarray(channels)[ell]
-    gains = np.array([transmit_bilinear(bf, h_mat, lp) for lp in range(bf.L)])
-    powers = np.abs(gains) ** 2
-    return float(powers[ell] / (powers.sum() - powers[ell] + sigma))
 
 
 def _distinct_positive_eigs(mat: np.ndarray) -> np.ndarray:

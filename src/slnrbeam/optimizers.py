@@ -28,6 +28,7 @@ current iterate. Every result says why its run stopped.
 from __future__ import annotations
 
 import logging
+import numbers
 import operator
 from dataclasses import dataclass, field, replace
 
@@ -45,7 +46,13 @@ from .beamformer import (
 from .channel import ChannelStatistics, Scenario
 from .metrics import ergodic_rate_closed, slnr_vec
 from .numerics import largest_generalized_eigvec
-from .qcqp import MaxMinQuadraticProblem, SubproblemSolution, _Pencils, solve_maxmin
+from .qcqp import (
+    MaxMinQuadraticProblem,
+    SubproblemSolution,
+    _Pencils,
+    quadratic_form,
+    solve_maxmin,
+)
 from .surrogates import (
     HalfIterationOperators,
     SurrogateCoefficients,
@@ -73,10 +80,18 @@ class AlgoOptions:
     soft_c: float = 0.1
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if self.soft_c <= 0:
-            raise ValueError(f"soft_c must be positive, got {self.soft_c}")
+        for name in ("tolerance", "soft_c"):
+            value = getattr(self, name)
+            if not _is_number(value, numbers.Real) or not value > 0:
+                raise ValueError(f"{name} must be a positive number, got {value!r}")
+        if not _is_number(self.max_iterations, numbers.Integral) or self.max_iterations < 0:
+            raise ValueError(
+                f"max_iterations must be an integer >= 0, got {self.max_iterations!r}"
+            )
+
+
+def _is_number(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(slots=True)
@@ -137,36 +152,32 @@ def gm_weights(slnr_values: np.ndarray) -> np.ndarray:
 
 def track_incumbent(
     result: OptimizationResult,
-    candidate,
+    w_mat: np.ndarray,
     stats: ChannelStatistics,
     sigma: float,
     rates: np.ndarray | None = None,
+    bf: BeamformerSet | None = None,
 ) -> OptimizationResult:
-    """Adopt ``candidate`` iff its minimum ergodic rate strictly improves.
+    """Adopt the (Q^2, L) beamformers ``w_mat`` iff their minimum ergodic
+    rate strictly improves.
 
-    ``candidate`` is a BeamformerSet or an already-vectorized (Q^2, L)
-    matrix. Precomputed per-user ``rates`` (nats) may be passed to avoid
-    re-evaluation.
+    ``bf``, the set that ``w_mat`` vectorizes if there is one, is copied into
+    the incumbent on adoption. Precomputed per-user ``rates`` (nats) may be
+    passed to avoid re-evaluation.
     """
-    if isinstance(candidate, BeamformerSet):
-        w_mat = beamformer_matrix(candidate)
-        keep = candidate.copy()
-    else:
-        w_mat = np.asarray(candidate)
-        keep = None
     if rates is None:
         rates = _rates(w_mat, stats, sigma)
     min_rate = float(np.min(rates))
     if min_rate > result.rate_min_nats:
         result.rate_min_nats = min_rate
-        result.incumbent = keep
+        result.incumbent = None if bf is None else bf.copy()
         result.incumbent_matrix = w_mat
     return result
 
 
 def closed_form_update(
-    coeffs: list[SurrogateCoefficients],
-    power_mats: list[np.ndarray],
+    coeffs: SurrogateCoefficients,
+    power_mats: np.ndarray,
     budget: float,
     weights: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -177,7 +188,8 @@ def closed_form_update(
         opt  sum_l w_l (+-2 Re{b_l v_l} -+ v_l^H C_l v_l)
         s.t. sum_l v_l^H A_l v_l <= budget,
 
-    which is a maximization for minorant coefficients and a minimization for
+    over the users' stacked coefficients and (L, n, n) power matrices A_l.
+    It is a maximization for minorant coefficients and a minimization for
     majorant coefficients; both share the same stationarity system. Branch
     one returns the unconstrained solution C_l^{-1} b_l^H when it meets the
     power budget; otherwise the multiplier mu > 0 solves
@@ -188,41 +200,32 @@ def closed_form_update(
     (the Lagrangian dual's, at weights w) is bisected to a residual of 1e-12
     times the budget.
     """
-    n_users = len(coeffs)
+    n_users, dim = coeffs.b.shape
     if n_users == 0:
         raise ValueError("no users")
-    dim = coeffs[0].b.shape[0]
-    if weights is None:
-        weights = np.ones(n_users)
-    weights = np.asarray(weights, dtype=float)
+    weights = np.ones(n_users) if weights is None else np.asarray(weights, dtype=float)
     if np.any(weights <= 0):
         raise ValueError("weights must be positive")
 
-    eye = np.eye(dim)
-    v_free = np.empty((n_users, dim), dtype=complex)
-    for ell in range(n_users):
-        eps = 1e-10 * max(float(np.real(np.trace(coeffs[ell].C))) / dim, 1e-300)
-        mat = coeffs[ell].C + eps * eye
-        v_free[ell] = np.linalg.solve(mat, coeffs[ell].b.conj())
-        if not np.all(np.isfinite(v_free[ell])):
-            raise np.linalg.LinAlgError(f"system for user {ell} not invertible after ridge")
+    trace = np.real(np.trace(coeffs.C, axis1=-2, axis2=-1))
+    eps = 1e-10 * np.maximum(trace / dim, 1e-300)
+    ridged = coeffs.C + eps[:, None, None] * np.eye(dim)
+    v_free = np.linalg.solve(ridged, coeffs.b.conj()[:, :, None])[:, :, 0]
+    singular = np.flatnonzero(~np.isfinite(v_free).all(axis=1))
+    if singular.size:
+        raise np.linalg.LinAlgError(
+            f"system for user {singular[0]} not invertible after ridge"
+        )
 
     def true_power(v: np.ndarray) -> float:
-        return sum(
-            float(np.real(v[ell].conj() @ (power_mats[ell] @ v[ell])))
-            for ell in range(n_users)
-        )
+        return sum(quadratic_form(power_mats, v).tolist())  # summed in user order
 
     if true_power(v_free) <= budget:
         return v_free
 
     pencils = _Pencils(
         MaxMinQuadraticProblem(
-            a=np.zeros(n_users),
-            b=np.stack([c.b for c in coeffs]),
-            C=np.stack([c.C for c in coeffs]),
-            A=np.stack(power_mats),
-            P=budget,
+            a=np.zeros(n_users), b=coeffs.b, C=coeffs.C, A=power_mats, P=budget
         )
     )
     v = pencils.dual_argmax(weights, pencils.power_price(weights))
@@ -261,10 +264,6 @@ def _rates(w_mat: np.ndarray, stats: ChannelStatistics, sigma: float) -> np.ndar
     )
 
 
-def _coupling_matrices(side: str, bf: BeamformerSet) -> list[np.ndarray]:
-    return [coupling_matrix(side, bf, ell) for ell in range(bf.L)]
-
-
 class _Run:
     """Shared state and bookkeeping for one alternating-optimization run.
 
@@ -286,8 +285,9 @@ class _Run:
 
     def record(self, step: float, objective: float) -> None:
         """Append a trace row and refresh the incumbent."""
-        rates = _rates(beamformer_matrix(self.bf), self.stats, self.sigma)
-        track_incumbent(self.result, self.bf, self.stats, self.sigma, rates=rates)
+        w_mat = beamformer_matrix(self.bf)
+        rates = _rates(w_mat, self.stats, self.sigma)
+        track_incumbent(self.result, w_mat, self.stats, self.sigma, rates=rates, bf=self.bf)
         sub = self.subproblem
         self.result.trace.append(
             TraceEntry(
@@ -316,14 +316,14 @@ class _Run:
             per_user = user_powers(self.bf)
             remaining = max(self.scenario.P - (sum(per_user) - per_user[ell]), 1e-12 * self.scenario.P)
             draw = circular_gaussian(self.rng, free.shape[1])
-            a_mat = coupling_matrix(side, self.bf, ell)
+            a_mat = coupling_matrix(side, self.bf)[ell]
             quad = float(np.real(draw.conj() @ (a_mat @ draw)))
             if quad <= 0.0:
                 # Fixed side vanished as well; restart it at unit scale first.
                 fixed = self.bf.v_a if side == "elevation" else self.bf.v_e
                 redraw = circular_gaussian(self.rng, free.shape[1])
                 fixed[ell] = redraw / np.linalg.norm(redraw)
-                a_mat = coupling_matrix(side, self.bf, ell)
+                a_mat = coupling_matrix(side, self.bf)[ell]
                 quad = float(np.real(draw.conj() @ (a_mat @ draw)))
             free[ell] = draw * np.sqrt(DEGENERATE_POWER_FRACTION * remaining / quad)
             logger.warning("reinitialized degenerate user %d on the %s side", ell, side)
@@ -422,7 +422,7 @@ def _alternate(
             return run.finish(it, "stalled")
         if abs(current - previous_full) <= options.tolerance * max(abs(previous_full), 1e-30):
             return run.finish(it, "tolerance")
-    return run.finish(max(options.max_iterations, 0), "max_iterations")
+    return run.finish(options.max_iterations, "max_iterations")
 
 
 def run_maxmin(
@@ -438,16 +438,9 @@ def run_maxmin(
     """
 
     def update(run: _Run, side: str, ops: HalfIterationOperators) -> np.ndarray:
-        coeffs = [
-            slnr_minorant_coeffs(side, run.bf, stats, ell, run.sigma, ops=ops)
-            for ell in range(run.bf.L)
-        ]
+        coeffs = slnr_minorant_coeffs(side, run.bf, stats, run.sigma, ops=ops)
         problem = MaxMinQuadraticProblem(
-            a=np.array([c.a for c in coeffs]),
-            b=np.stack([c.b for c in coeffs]),
-            C=np.stack([c.C for c in coeffs]),
-            A=np.stack(_coupling_matrices(side, run.bf)),
-            P=scenario.P,
+            a=coeffs.a, b=coeffs.b, C=coeffs.C, A=coupling_matrix(side, run.bf), P=scenario.P
         )
         run.subproblem = solve_maxmin(problem, tol=SUBPROBLEM_TOL, warm_start=ops.v_bar)
         return run.subproblem.v
@@ -484,12 +477,9 @@ def run_gm(
         nonlocal weights
         if side == SIDE_ORDER[0]:
             weights = gm_weights(ops.slnr())
-        coeffs = [
-            gm_minorant_coeffs(side, run.bf, stats, ell, run.sigma, ops=ops)
-            for ell in range(run.bf.L)
-        ]
+        coeffs = gm_minorant_coeffs(side, run.bf, stats, run.sigma, ops=ops)
         return closed_form_update(
-            coeffs, _coupling_matrices(side, run.bf), scenario.P, weights=weights
+            coeffs, coupling_matrix(side, run.bf), scenario.P, weights=weights
         )
 
     return _alternate("gm", scenario, stats, options, _geometric_mean_log, operator.ge, update)
@@ -514,7 +504,7 @@ def run_soft(
 
     def update(run: _Run, side: str, ops: HalfIterationOperators) -> np.ndarray:
         _, coeffs = soft_majorant_coeffs(side, run.bf, stats, c, run.sigma, ops=ops)
-        return closed_form_update(coeffs, _coupling_matrices(side, run.bf), scenario.P)
+        return closed_form_update(coeffs, coupling_matrix(side, run.bf), scenario.P)
 
     objective = lambda slnrs: _soft_objective_value(slnrs, c)
     return _alternate("soft", scenario, stats, options, objective, operator.le, update)

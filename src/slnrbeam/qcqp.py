@@ -83,12 +83,17 @@ class MaxMinQuadraticProblem:
 
     def objective_values(self, v: np.ndarray) -> np.ndarray:
         """Per-user quadratic values at stacked vectors v of shape (L, n)."""
-        vals = np.empty(self.n_users)
-        for ell in range(self.n_users):
-            vals[ell] = self.a[ell] + 2.0 * float(np.real(self.b[ell] @ v[ell])) - float(
-                np.real(v[ell].conj() @ (self.C[ell] @ v[ell]))
-            )
-        return vals
+        return quadratic_values(self.a, self.b, self.C, v)
+
+
+def quadratic_form(mats: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Every user's v_l^H M_l v_l for an (L, n, n) Hermitian stack and (L, n) vectors."""
+    return np.real(v.conj()[:, None, :] @ (mats @ v[:, :, None]))[:, 0, 0]
+
+
+def quadratic_values(a: np.ndarray, b: np.ndarray, C: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Every user's a_l + 2 Re{b_l v_l} - v_l^H C_l v_l for (L, n) vectors v."""
+    return a + 2.0 * np.real(b[:, None, :] @ v[:, :, None])[:, 0, 0] - quadratic_form(C, v)
 
 
 @dataclass

@@ -1,20 +1,25 @@
 """Quadratic bounds driving the iterative beamforming algorithms.
 
-Three elementary inequalities are implemented in an abstract form, each a
-function of a complex vector ``chi`` and a positive scalar ``x`` expanded
-around a point (chi_bar, x_bar):
+Three elementary inequalities, each written once and stacked over users.
+User l's complex vector chi_l and positive scalar x_l are expanded around
+(chi_bar_l, x_bar_l); the formulas take s_l = ||chi_bar_l||^2, x_bar_l and
+the row cross_l = chi_bar_l^H:
 
-  * a concave-quadratic minorant of ln(1 + ||chi||^2 / x),
-  * a concave-quadratic minorant of the plain ratio ||chi||^2 / x,
-  * a convex-quadratic majorant of ln(sum_l (1 + ||chi_l||^2/(c x_l))^-1).
+  * ``ratio_bound``: ||chi||^2 / x >= a + 2 Re{b chi} - c (||chi||^2 + x),
+  * ``log_bound``: ln(1 + ||chi||^2 / x) >= a + 2 Re{b chi} - c (||chi||^2 + x),
+  * ``smoothed_min_bound``: ln(sum_l (1 + ||chi_l||^2 / (c x_l))^-1)
+    <= constant - sum_l (2 Re{b_l chi_l} - c_l (||chi_l||^2 + c x_l)).
 
-All three touch their target at the expansion point and dominate (or are
-dominated) everywhere else on the domain. Substituting chi = B v, where B
-maps a user's free-side beamformer vector through the fixed-side mixing
-operator and a covariance square root, turns each bound into coefficients
-(a, b, C) of a quadratic in v, which the per-iteration subproblems consume:
-the SLNR max-min step uses the ratio minorant, the geometric-mean step the
-log minorant, and the soft max-min step the smoothed-minimum majorant.
+Each touches its target at the expansion point and stays on one side of it
+everywhere on x > 0. The designs substitute chi_l = B_l v_l, where B_l maps
+user l's free-side beamformer vector through the fixed-side mixing operator
+and a covariance square root, and x_l = leakage_l + sigma. With the
+operators of ``half_iteration_operators``, ||chi_l||^2 = v_l^H own_l v_l,
+chi_bar_l^H chi_l = v_bar_l^H own_l v_l and ||chi_l||^2 + x_l =
+v_l^H sum_l v_l + sigma, so cross_l = v_bar_l^H own_l turns each bound into
+stacked coefficients (a, b, C) of a quadratic in v: the SLNR max-min step
+uses the ratio bound, the geometric-mean step the log bound, and the soft
+max-min step the smoothed-minimum bound.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import numpy as np
 from .beamformer import BeamformerSet, beamformer_matrix
 from .channel import ChannelStatistics
 from .metrics import _signal_and_leakage
+from .qcqp import quadratic_values
 
 
 class DegenerateUserError(ValueError):
@@ -34,124 +40,72 @@ class DegenerateUserError(ValueError):
 
 @dataclass
 class SurrogateCoefficients:
-    """Quadratic bound a +/- 2 Re{b v} -/+ v^H C v in a user's vector v.
+    """Every user's quadratic bound a_l +/- 2 Re{b_l v_l} -/+ v_l^H C_l v_l.
 
-    ``sense='minorant'`` evaluates a + 2 Re{b v} - v^H C v (a lower bound of
-    the target), ``sense='majorant'`` evaluates a - 2 Re{b v} + v^H C v.
+    Stacked over users: ``a`` is (L,), ``b`` (L, n) of row vectors and ``C``
+    (L, n, n). ``sense='minorant'`` evaluates a + 2 Re{b v} - v^H C v (a lower
+    bound of the target), ``sense='majorant'`` evaluates a - 2 Re{b v} + v^H C v.
     """
 
-    a: float
+    a: np.ndarray
     b: np.ndarray
     C: np.ndarray
     sense: str = "minorant"
 
-    def evaluate(self, v: np.ndarray) -> float:
-        lin = 2.0 * float(np.real(self.b @ v))
-        quad = float(np.real(v.conj() @ (self.C @ v)))
+    def evaluate(self, v: np.ndarray) -> np.ndarray:
+        """Every user's bound at stacked vectors v of shape (L, n)."""
         if self.sense == "minorant":
-            return self.a + lin - quad
-        return self.a - lin + quad
+            return quadratic_values(self.a, self.b, self.C, v)
+        return -quadratic_values(-self.a, self.b, self.C, v)  # a - 2 Re{b v} + v^H C v
 
 
-def log_quadratic_minorant(chi_bar: np.ndarray, x_bar: float) -> tuple[float, float]:
-    """Constants (alpha, psi) of the minorant of ln(1 + ||chi||^2 / x).
+def _check_expansion(x: np.ndarray) -> None:
+    if not np.all(x > 0):
+        raise ValueError(f"x_bar must be positive, got {x}")
 
-    The bound is alpha + 2 Re{chi_bar^H chi} / x_bar - psi (||chi||^2 + x)
-    with alpha = ln(1 + g) - g and psi = g / (x_bar (1 + g)) for
-    g = ||chi_bar||^2 / x_bar; psi > 0 whenever chi_bar != 0.
+
+def ratio_bound(
+    s: np.ndarray, x: np.ndarray, cross: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minorant (a, b, c) of the ratio ||chi||^2 / x, stacked over users.
+
+    Linearizing 1/(1 - t) at t = ||chi||^2 / (x + ||chi||^2) gives
+    a = -s^2/x_bar^2, b = (x_bar + s)/x_bar^2 cross and c = s/x_bar^2.
     """
-    if not x_bar > 0:
-        raise ValueError(f"x_bar must be positive, got {x_bar}")
-    s = float(np.real(np.vdot(chi_bar, chi_bar)))
-    alpha = float(np.log1p(s / x_bar) - s / x_bar)
-    psi = s / (x_bar * (s + x_bar))
-    return alpha, float(psi)
+    _check_expansion(x)
+    return -(s**2) / x**2, ((x + s) / x**2)[:, None] * cross, s / x**2
 
 
-def evaluate_log_minorant(
-    chi_bar: np.ndarray, x_bar: float, chi: np.ndarray, x: float
-) -> float:
-    """The log minorant evaluated at an arbitrary point (chi, x)."""
-    alpha, psi = log_quadratic_minorant(chi_bar, x_bar)
-    cross = 2.0 * float(np.real(np.vdot(chi_bar, chi))) / x_bar
-    return alpha + cross - psi * (float(np.real(np.vdot(chi, chi))) + x)
+def log_bound(
+    s: np.ndarray, x: np.ndarray, cross: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minorant (a, b, c) of ln(1 + ||chi||^2 / x), stacked over users.
 
-
-@dataclass
-class RatioBound:
-    """Minorant coefficients of ||chi||^2 / x around an expansion point.
-
-    Evaluates a + 2 Re{b chi} - c (||chi||^2 + x); tight at the expansion
-    point and below the ratio everywhere on x > 0.
+    With g = s / x_bar: a = ln(1 + g) - g, b = cross / x_bar and
+    c = g / (x_bar (1 + g)), positive whenever chi_bar != 0.
     """
-
-    a: float
-    b: np.ndarray
-    c: float
-
-    def evaluate(self, chi: np.ndarray, x: float) -> float:
-        cross = 2.0 * float(np.real(self.b @ chi))
-        return self.a + cross - self.c * (float(np.real(np.vdot(chi, chi))) + x)
+    _check_expansion(x)
+    g = s / x
+    return np.log1p(g) - g, cross / x[:, None], s / (x * (s + x))
 
 
-def ratio_quadratic_minorant(chi_bar: np.ndarray, x_bar: float) -> RatioBound:
-    """Concave-quadratic minorant of the ratio ||chi||^2 / x.
+def smoothed_min_bound(
+    s: np.ndarray, x: np.ndarray, cross: np.ndarray, c: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Majorant (constant, b, c_l) of ln(sum_l (1 + ||chi_l||^2 / (c x_l))^-1).
 
-    Obtained by linearizing 1/(1 - t) at t = ||chi||^2/(x + ||chi||^2); the
-    coefficients are (-s^2/x_bar^2, (x_bar + s)/x_bar^2 * chi_bar^H, s/x_bar^2)
-    with s = ||chi_bar||^2.
-    """
-    if not x_bar > 0:
-        raise ValueError(f"x_bar must be positive, got {x_bar}")
-    s = float(np.real(np.vdot(chi_bar, chi_bar)))
-    return RatioBound(
-        a=-(s**2) / x_bar**2,
-        b=(x_bar + s) / x_bar**2 * np.conj(chi_bar),
-        c=s / x_bar**2,
-    )
-
-
-@dataclass
-class SoftMinBound:
-    """Majorant of ln(sum_l (1 + ||chi_l||^2/(c x_l))^-1) around a point.
-
-    Evaluates constant - sum_l 2 Re{b_l chi_l} + sum_l c_l (||chi_l||^2 + c x_l).
-    """
-
-    constant: float
-    b: list[np.ndarray]
-    c: list[float]
-    smoothing: float
-
-    def evaluate(self, chis, xs) -> float:
-        val = self.constant
-        for chi, x, b_l, c_l in zip(chis, xs, self.b, self.c):
-            val -= 2.0 * float(np.real(b_l @ chi))
-            val += c_l * (float(np.real(np.vdot(chi, chi))) + self.smoothing * x)
-        return val
-
-
-def softmin_majorant(chi_bars, x_bars, c: float) -> SoftMinBound:
-    """Convex-quadratic majorant of the smoothed minimum.
-
-    The target ln(sum_l (1 + ||chi_l||^2/(c x_l))^-1) is majorized by
-    linearizing the outer log at the expansion point and minorizing each
-    inner ratio ||chi_l||^2 / (||chi_l||^2 + c x_l).
+    Linearizes the outer log at the expansion point and minorizes each
+    inner ratio ||chi_l||^2 / (||chi_l||^2 + c x_l). With d_l = c x_bar_l + s_l
+    and s_bar = sum_l c x_bar_l / d_l: b_l = cross_l / (s_bar d_l),
+    c_l = s_l / (s_bar d_l^2), constant = ln s_bar + sum_l s_l / (s_bar d_l).
     """
     if not c > 0:
         raise ValueError(f"smoothing coefficient must be positive, got {c}")
-    x_bars = [float(x) for x in x_bars]
-    if any(x <= 0 for x in x_bars):
-        raise ValueError("all x_bar values must be positive")
-    sig = [float(np.real(np.vdot(ch, ch))) for ch in chi_bars]
-    denom = [c * x + s for x, s in zip(x_bars, sig)]
-    s_bar = sum(c * x / d for x, d in zip(x_bars, denom))  # sum (1 + g/c)^-1
-    b = [np.conj(ch) / (s_bar * d) for ch, d in zip(chi_bars, denom)]
-    coef = [s / (s_bar * d**2) for s, d in zip(sig, denom)]
-    constant = float(np.log(s_bar)) + sum(
-        s / (s_bar * d) for s, d in zip(sig, denom)
-    )
-    return SoftMinBound(constant=constant, b=b, c=coef, smoothing=c)
+    _check_expansion(x)
+    denom = c * x + s
+    s_bar = float(np.sum(c * x / denom))
+    constant = float(np.log(s_bar)) + float(np.sum(s / (s_bar * denom)))
+    return constant, cross / (s_bar * denom)[:, None], s / (s_bar * denom**2)
 
 
 @dataclass
@@ -230,70 +184,60 @@ def half_iteration_operators(
     )
 
 
-def _require_signal(ops: HalfIterationOperators, ell: int) -> None:
-    if ops.signal[ell] <= 0.0:
+def _expansion(
+    side: str,
+    bf: BeamformerSet,
+    stats: ChannelStatistics,
+    sigma: float,
+    ops: HalfIterationOperators | None,
+) -> tuple[HalfIterationOperators, np.ndarray]:
+    """The operators at the current iterate and every user's row v_bar^H own.
+
+    Raises :class:`DegenerateUserError` naming the first user whose expected
+    signal power vanished: every bound is uninformative there.
+    """
+    if ops is None:
+        ops = half_iteration_operators(side, bf, stats, sigma)
+    dead = np.flatnonzero(ops.signal <= 0.0)
+    if dead.size:
         raise DegenerateUserError(
-            f"user {ell} has zero expected signal power at the expansion point"
+            f"user {dead[0]} has zero expected signal power at the expansion point"
         )
+    return ops, (ops.v_bar.conj()[:, None, :] @ ops.own_quad)[:, 0]
 
 
 def slnr_minorant_coeffs(
     side: str,
     bf: BeamformerSet,
     stats: ChannelStatistics,
-    ell: int,
     sigma: float,
     ops: HalfIterationOperators | None = None,
 ) -> SurrogateCoefficients:
-    """Concave-quadratic minorant of user ``ell``'s SLNR in its free vector.
+    """Concave-quadratic minorants of every user's SLNR in its free vector.
 
-    Built from the ratio minorant at the current iterate: tight there, below
-    the SLNR everywhere on the feasible set.
+    The ratio bound at the current iterate: tight there, below the SLNR
+    everywhere on the feasible set.
     """
-    if ops is None:
-        ops = half_iteration_operators(side, bf, stats, sigma)
-    _require_signal(ops, ell)
-    s = ops.signal[ell]
-    x = ops.x_bar[ell]
-    v = ops.v_bar[ell]
-    c_coef = s / x**2
-    b = (x + s) / x**2 * (v.conj() @ ops.own_quad[ell])
-    a = -(s**2) / x**2 - sigma * c_coef
-    return SurrogateCoefficients(a=a, b=b, C=c_coef * ops.sum_quad[ell], sense="minorant")
+    ops, cross = _expansion(side, bf, stats, sigma, ops)
+    a, b, c = ratio_bound(ops.signal, ops.x_bar, cross)
+    return SurrogateCoefficients(a - sigma * c, b, c[:, None, None] * ops.sum_quad)
 
 
 def gm_minorant_coeffs(
     side: str,
     bf: BeamformerSet,
     stats: ChannelStatistics,
-    ell: int,
     sigma: float,
-    weight: float = 1.0,
     ops: HalfIterationOperators | None = None,
 ) -> SurrogateCoefficients:
-    """Concave-quadratic minorant of weight * ln(1 + SLNR_ell).
+    """Concave-quadratic minorants of every user's ln(1 + SLNR).
 
-    Built from the log minorant at the current iterate; the positive weight
-    scales all three coefficients.
+    The log bound at the current iterate; the design's user weights enter
+    in :func:`~slnrbeam.optimizers.closed_form_update`.
     """
-    if weight <= 0:
-        raise ValueError(f"weight must be positive, got {weight}")
-    if ops is None:
-        ops = half_iteration_operators(side, bf, stats, sigma)
-    _require_signal(ops, ell)
-    s = ops.signal[ell]
-    x = ops.x_bar[ell]
-    v = ops.v_bar[ell]
-    alpha = float(np.log1p(s / x) - s / x)
-    psi_coef = s / (x * (s + x))
-    b = (v.conj() @ ops.own_quad[ell]) / x
-    a = alpha - sigma * psi_coef
-    return SurrogateCoefficients(
-        a=weight * a,
-        b=weight * b,
-        C=(weight * psi_coef) * ops.sum_quad[ell],
-        sense="minorant",
-    )
+    ops, cross = _expansion(side, bf, stats, sigma, ops)
+    a, b, c = log_bound(ops.signal, ops.x_bar, cross)
+    return SurrogateCoefficients(a - sigma * c, b, c[:, None, None] * ops.sum_quad)
 
 
 def soft_majorant_coeffs(
@@ -303,33 +247,17 @@ def soft_majorant_coeffs(
     c: float,
     sigma: float,
     ops: HalfIterationOperators | None = None,
-) -> tuple[float, list[SurrogateCoefficients]]:
-    """Majorant of the smoothed-minimum objective, per-user coefficients.
+) -> tuple[float, SurrogateCoefficients]:
+    """Majorant of the smoothed-minimum objective, stacked over users.
 
-    Returns ``(constant, coeffs)`` where the majorant value at free vectors
-    v_1..v_L is constant + sum_l coeffs[l].evaluate(v_l) with per-user sense
-    'majorant' and zero per-user constants. ``coeffs[l].C`` combines the
-    user's own quadratic with the smoothing-scaled leakage quadratic.
+    Returns ``(constant, coeffs)``: the majorant at free vectors v is
+    constant + sum_l coeffs.evaluate(v)[l], with sense 'majorant' and zero
+    per-user constants. ``coeffs.C[l]`` combines the user's own quadratic
+    with the smoothing-scaled leakage quadratic,
+    ||chi_l||^2 + c x_l = v_l^H ((1 - c) own_l + c sum_l) v_l + c sigma.
     """
-    if not c > 0:
-        raise ValueError(f"smoothing coefficient must be positive, got {c}")
-    if ops is None:
-        ops = half_iteration_operators(side, bf, stats, sigma)
-    n_users = ops.signal.shape[0]
-    for ell in range(n_users):
-        _require_signal(ops, ell)
-    sig = ops.signal
-    x = ops.x_bar
-    denom = c * x + sig
-    s_bar = float(np.sum(c * x / denom))
-    constant = float(np.log(s_bar)) + float(
-        np.sum(sig / denom + sig * c * sigma / denom**2) / s_bar
-    )
-    coeffs = []
-    for ell in range(n_users):
-        v = ops.v_bar[ell]
-        b = (v.conj() @ ops.own_quad[ell]) / (s_bar * denom[ell])
-        c_l = sig[ell] / (s_bar * denom[ell] ** 2)
-        quad = c_l * ((1.0 - c) * ops.own_quad[ell] + c * ops.sum_quad[ell])
-        coeffs.append(SurrogateCoefficients(a=0.0, b=b, C=quad, sense="majorant"))
-    return constant, coeffs
+    ops, cross = _expansion(side, bf, stats, sigma, ops)
+    constant, b, scale = smoothed_min_bound(ops.signal, ops.x_bar, cross, c)
+    quad = scale[:, None, None] * ((1.0 - c) * ops.own_quad + c * ops.sum_quad)
+    coeffs = SurrogateCoefficients(np.zeros_like(scale), b, quad, sense="majorant")
+    return constant + c * sigma * float(np.sum(scale)), coeffs

@@ -1,7 +1,9 @@
-"""Dense references shared by the test modules.
+"""References shared by the test modules, independent of the library's paths.
 
 The library keeps only the Q x Q Kronecker factors; these helpers rebuild the
-Q^2 x Q^2 second moments and the per-user SLNR the tests compare against.
+Q^2 x Q^2 second moments and the per-user SLNR the tests compare against, the
+per-realization SINR of one channel draw, and a chi-space evaluator of the
+three quadratic bounds of :mod:`slnrbeam.surrogates`.
 """
 
 import numpy as np
@@ -20,3 +22,56 @@ def dense_r_tilde(stats):
 def user_slnr(bf, stats, ell, sigma):
     """Covariance-form SLNR of user ``ell`` under an outer-product beamformer set."""
     return float(slnr_vec(beamformer_matrix(bf), stats, sigma)[ell])
+
+
+def transmit_bilinear(bf, h_mat, user):
+    """sum_m v_e[m].T H v_a[m] for one channel realization H."""
+    v_e = bf.columns("elevation", user)
+    v_a = bf.columns("azimuth", user)
+    return complex(np.sum((v_e.T @ h_mat) * v_a.T))
+
+
+def instantaneous_sinr(bf, channels, ell, sigma):
+    """SINR of user ``ell`` at one realization per user, ``channels`` (L, Q, Q).
+
+    Only user ``ell``'s entry matters: every transmission reaches them
+    through their own channel.
+    """
+    h_mat = np.asarray(channels)[ell]
+    gains = np.array([transmit_bilinear(bf, h_mat, lp) for lp in range(bf.L)])
+    powers = np.abs(gains) ** 2
+    return float(powers[ell] / (powers.sum() - powers[ell] + sigma))
+
+
+def chi_expansion(chi_bars, x_bars):
+    """The bound formulas' inputs (s, x_bar, cross) at chi-space expansion points.
+
+    ``chi_bars`` is (L, n) and ``x_bars`` (L,): s_l = ||chi_bar_l||^2 and
+    cross_l = chi_bar_l^H.
+    """
+    chi_bars = np.atleast_2d(chi_bars)
+    s = np.sum(np.abs(chi_bars) ** 2, axis=-1)
+    return s, np.atleast_1d(np.asarray(x_bars, dtype=float)), chi_bars.conj()
+
+
+def chi_minorant(a, b, c, chi, x):
+    """a + 2 Re{b chi} - c (||chi||^2 + x) per user, broadcast over leading axes.
+
+    The value of a ratio or log bound (``a``, ``b``, ``c`` from the formula)
+    at chi-space points ``chi`` (..., n) and ``x`` (...).
+    """
+    chi = np.asarray(chi)
+    cross = 2.0 * np.real(np.sum(b * chi, axis=-1))
+    return a + cross - c * (np.sum(np.abs(chi) ** 2, axis=-1) + x)
+
+
+def chi_softmin_majorant(constant, b, scale, smoothing, chis, xs):
+    """The smoothed-minimum bound at points ``chis`` (..., L, n), ``xs`` (..., L):
+    constant - sum_l (2 Re{b_l chi_l} - c_l (||chi_l||^2 + c x_l))."""
+    return constant - np.sum(chi_minorant(0.0, b, scale, chis, smoothing * np.asarray(xs)), axis=-1)
+
+
+def softmin_target(chis, xs, c):
+    """ln(sum_l (1 + ||chi_l||^2 / (c x_l))^-1) at points (..., L, n), (..., L)."""
+    ratio = np.sum(np.abs(chis) ** 2, axis=-1) / (c * np.asarray(xs))
+    return np.log(np.sum(1.0 / (1.0 + ratio), axis=-1))

@@ -25,11 +25,9 @@ from slnrbeam.harness import ExperimentConfig, default_scenario_dict, run_experi
 from slnrbeam.metrics import ergodic_rate_closed, ergodic_rate_mc, rate_report, slnr_vec
 from slnrbeam.optimizers import AlgoOptions, run_baseline, run_gm, run_maxmin, run_soft
 from slnrbeam.qcqp import MaxMinQuadraticProblem, solve_maxmin
-from slnrbeam.surrogates import (
-    evaluate_log_minorant,
-    ratio_quadratic_minorant,
-    softmin_majorant,
-)
+from slnrbeam.surrogates import log_bound, ratio_bound, smoothed_min_bound
+
+from conftest import chi_expansion, chi_minorant, chi_softmin_majorant, softmin_target
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -43,6 +41,8 @@ def random_vec(rng, n):
 
 class TestCriterion1Surrogates:
     def test_surrogate_suite(self):
+        # The designs' own bound formulas (stacked over users), evaluated in
+        # chi-space by the independent evaluator of conftest.
         start = time.perf_counter()
         rng = np.random.default_rng(1001)
         n_probes = 1000
@@ -50,50 +50,39 @@ class TestCriterion1Surrogates:
             dim = int(rng.integers(2, 6))
             chi_bar = random_vec(rng, dim)
             x_bar = float(rng.uniform(0.05, 5.0))
-            # log-ratio minorant
-            target0 = np.log1p(np.vdot(chi_bar, chi_bar).real / x_bar)
-            assert evaluate_log_minorant(chi_bar, x_bar, chi_bar, x_bar) == pytest.approx(
-                target0, rel=1e-9
+            expansion = chi_expansion(chi_bar, x_bar)
+            log_coeffs = log_bound(*expansion)
+            ratio_coeffs = ratio_bound(*expansion)
+            # log-ratio and plain-ratio minorants are tight at the expansion point
+            ratio0 = np.vdot(chi_bar, chi_bar).real / x_bar
+            assert chi_minorant(*log_coeffs, chi_bar, x_bar)[0] == pytest.approx(
+                np.log1p(ratio0), rel=1e-9
             )
-            # plain-ratio minorant
-            ratio_bound = ratio_quadratic_minorant(chi_bar, x_bar)
-            assert ratio_bound.evaluate(chi_bar, x_bar) == pytest.approx(
-                np.vdot(chi_bar, chi_bar).real / x_bar, rel=1e-9
+            assert chi_minorant(*ratio_coeffs, chi_bar, x_bar)[0] == pytest.approx(
+                ratio0, rel=1e-9
             )
             # smoothed-minimum majorant over a small user group
             n_users = int(rng.integers(1, 4))
-            chis_bar = [random_vec(rng, dim) for _ in range(n_users)]
-            xs_bar = [float(rng.uniform(0.05, 5.0)) for _ in range(n_users)]
+            chis_bar = np.stack([random_vec(rng, dim) for _ in range(n_users)])
+            xs_bar = rng.uniform(0.05, 5.0, n_users)
             c = float(rng.uniform(0.05, 1.5))
-            soft_bound = softmin_majorant(chis_bar, xs_bar, c)
-            soft_target0 = float(
-                np.log(
-                    sum(
-                        1.0 / (1.0 + np.vdot(ch, ch).real / (c * x))
-                        for ch, x in zip(chis_bar, xs_bar)
-                    )
-                )
+            soft = smoothed_min_bound(*chi_expansion(chis_bar, xs_bar), c)
+            assert chi_softmin_majorant(*soft, c, chis_bar, xs_bar) == pytest.approx(
+                softmin_target(chis_bar, xs_bar, c), rel=1e-9, abs=1e-12
             )
-            assert soft_bound.evaluate(chis_bar, xs_bar) == pytest.approx(
-                soft_target0, rel=1e-9, abs=1e-12
+            # domination at n_probes random points of each bound's domain
+            chi = random_vec(rng, (n_probes, dim)) * rng.uniform(0.0, 2.5, (n_probes, 1))
+            x = rng.uniform(1e-3, 8.0, n_probes)
+            ratio = np.sum(np.abs(chi) ** 2, axis=1) / x
+            assert np.all(chi_minorant(*log_coeffs, chi, x) <= np.log1p(ratio) + 1e-10)
+            assert np.all(chi_minorant(*ratio_coeffs, chi, x) <= ratio + 1e-10)
+            chis = random_vec(rng, (n_probes, n_users, dim)) * rng.uniform(
+                0.0, 2.5, (n_probes, n_users, 1)
             )
-            for _ in range(n_probes):
-                chi = random_vec(rng, dim) * rng.uniform(0.0, 2.5)
-                x = float(rng.uniform(1e-3, 8.0))
-                ratio = np.vdot(chi, chi).real / x
-                assert evaluate_log_minorant(chi_bar, x_bar, chi, x) <= np.log1p(ratio) + 1e-10
-                assert ratio_bound.evaluate(chi, x) <= ratio + 1e-10
-                chis = [random_vec(rng, dim) * rng.uniform(0.0, 2.5) for _ in range(n_users)]
-                xs = [float(rng.uniform(1e-3, 8.0)) for _ in range(n_users)]
-                soft_target = float(
-                    np.log(
-                        sum(
-                            1.0 / (1.0 + np.vdot(ch, ch).real / (c * x))
-                            for ch, x in zip(chis, xs)
-                        )
-                    )
-                )
-                assert soft_bound.evaluate(chis, xs) >= soft_target - 1e-10
+            xs = rng.uniform(1e-3, 8.0, (n_probes, n_users))
+            assert np.all(
+                chi_softmin_majorant(*soft, c, chis, xs) >= softmin_target(chis, xs, c) - 1e-10
+            )
         elapsed = time.perf_counter() - start
         report(
             "criterion 1 (surrogate suite)",
@@ -118,14 +107,10 @@ class TestCriterion2Identities:
                 rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
             )
             direct = total_power(bf)
-            via_az = sum(
-                np.real(bf.v_a[i].conj() @ coupling_matrix("azimuth", bf, i) @ bf.v_a[i])
-                for i in range(n_users)
-            )
-            via_el = sum(
-                np.real(bf.v_e[i].conj() @ coupling_matrix("elevation", bf, i) @ bf.v_e[i])
-                for i in range(n_users)
-            )
+            a_az = coupling_matrix("azimuth", bf)
+            a_el = coupling_matrix("elevation", bf)
+            via_az = sum(np.real(bf.v_a[i].conj() @ a_az[i] @ bf.v_a[i]) for i in range(n_users))
+            via_el = sum(np.real(bf.v_e[i].conj() @ a_el[i] @ bf.v_e[i]) for i in range(n_users))
             assert via_az == pytest.approx(direct, rel=1e-10)
             assert via_el == pytest.approx(direct, rel=1e-10)
 

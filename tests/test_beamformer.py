@@ -72,13 +72,13 @@ class TestTotalPower:
             direct = total_power(bf)
             via_azimuth = sum(
                 np.real(
-                    bf.v_a[ell].conj() @ (coupling_matrix("azimuth", bf, ell) @ bf.v_a[ell])
+                    bf.v_a[ell].conj() @ (coupling_matrix("azimuth", bf)[ell] @ bf.v_a[ell])
                 )
                 for ell in range(bf.L)
             )
             via_elevation = sum(
                 np.real(
-                    bf.v_e[ell].conj() @ (coupling_matrix("elevation", bf, ell) @ bf.v_e[ell])
+                    bf.v_e[ell].conj() @ (coupling_matrix("elevation", bf)[ell] @ bf.v_e[ell])
                 )
                 for ell in range(bf.L)
             )
@@ -94,12 +94,12 @@ class TestCouplingMatrix:
             np.zeros((1, 6), dtype=complex),
             np.concatenate([unit(3, 0), unit(3, 1)])[None, :],
         )
-        np.testing.assert_allclose(coupling_matrix("azimuth", bf, 0), np.eye(6), atol=0)
+        np.testing.assert_allclose(coupling_matrix("azimuth", bf), np.eye(6)[None], atol=0)
 
     def test_single_product_scaling(self):
         rng = np.random.default_rng(3)
         bf = random_set(rng, Q=4, M=1, L=1)
-        a_mat = coupling_matrix("azimuth", bf, 0)
+        (a_mat,) = coupling_matrix("azimuth", bf)
         np.testing.assert_allclose(
             a_mat, np.linalg.norm(bf.v_e[0]) ** 2 * np.eye(4), atol=1e-12
         )
@@ -108,8 +108,22 @@ class TestCouplingMatrix:
         rng = np.random.default_rng(4)
         bf = random_set(rng)
         for side in ("azimuth", "elevation"):
-            lam = np.linalg.eigvalsh(coupling_matrix(side, bf, 0))
-            assert lam.min() >= -1e-12 * max(lam.max(), 1.0)
+            for a_mat in coupling_matrix(side, bf):
+                lam = np.linalg.eigvalsh(a_mat)
+                assert lam.min() >= -1e-12 * max(lam.max(), 1.0)
+
+    @pytest.mark.parametrize("Q,M,L", [(3, 1, 3), (4, 2, 5), (5, 3, 2)])
+    def test_stack_matches_per_user_kron_bit_for_bit(self, Q, M, L):
+        # Each entry is the user's fixed-side Gram matrix kron I_Q, exactly as
+        # np.kron forms it from the (Q, M) column matrix.
+        rng = np.random.default_rng(Q * 10 + M)
+        bf = random_set(rng, Q=Q, M=M, L=L)
+        for side, fixed in (("azimuth", "elevation"), ("elevation", "azimuth")):
+            stack = coupling_matrix(side, bf)
+            assert stack.shape == (L, Q * M, Q * M)
+            for ell in range(L):
+                cols = bf.columns(fixed, ell)
+                np.testing.assert_array_equal(stack[ell], np.kron(cols.conj().T @ cols, np.eye(Q)))
 
 
 class TestPsiMatrix:
@@ -154,10 +168,10 @@ class TestPsiMatrix:
         rng = np.random.default_rng(7)
         bf = random_set(rng)
         for side in ("azimuth", "elevation"):
-            psi = psi_matrix(side, bf, 0)
-            np.testing.assert_allclose(
-                psi.conj().T @ psi, coupling_matrix(side, bf, 0), atol=1e-12
-            )
+            stack = coupling_matrix(side, bf)
+            for ell in range(bf.L):
+                psi = psi_matrix(side, bf, ell)
+                np.testing.assert_allclose(psi.conj().T @ psi, stack[ell], atol=1e-12)
 
 
 class TestInitFeasible:

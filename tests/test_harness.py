@@ -271,6 +271,30 @@ class TestCli:
         assert "Traceback" not in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "options", [{"tolerance": "1e-4"}, {"soft_c": True}, {"max_iterations": 2.5}]
+    )
+    def test_mistyped_option_is_an_error_line(self, tmp_path, capsys, options):
+        out_dir = tmp_path / "sweepout"
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(
+            json.dumps(
+                {
+                    "scenario": default_scenario_dict(Q=3, users=2),
+                    "algorithms": ["gm"],
+                    "antennas": [9],
+                    "output_dir": str(out_dir),
+                    "options": options,
+                }
+            )
+        )
+        assert cli_main(["sweep", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        (name,) = options
+        assert err.startswith(f"error: {name} must be")
+        assert len(err.strip().splitlines()) == 1
+        assert not out_dir.exists()
+
     def test_mc_samples_flag_removed(self, tmp_path):
         out_dir = tmp_path / "res"
         argv = ["run", "--algorithm", "gm", "--mc-samples", "5000", "--out", str(out_dir)]

@@ -8,19 +8,17 @@ from slnrbeam.channel import Scenario, build_statistics, sample_channels, vec_ba
 from slnrbeam.metrics import (
     ergodic_rate_closed,
     ergodic_rate_mc,
-    instantaneous_sinr,
     jain_index,
     min_max_ratio,
     nats_to_mbps,
     rate_report,
     slnr_vec,
-    transmit_bilinear,
     _covariance_images,
 )
 from slnrbeam.numerics import exp_scaled_e1
 from slnrbeam.surrogates import half_iteration_operators
 
-from conftest import user_slnr
+from conftest import instantaneous_sinr, transmit_bilinear, user_slnr
 
 
 def dense_slnr(w_mat, stats, sigma):

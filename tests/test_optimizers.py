@@ -12,7 +12,7 @@ import pytest
 import scipy.optimize
 
 import slnrbeam
-from slnrbeam.beamformer import init_feasible, total_power
+from slnrbeam.beamformer import beamformer_matrix, init_feasible, total_power
 from slnrbeam.channel import Scenario, build_statistics
 from slnrbeam import optimizers
 from slnrbeam.numerics import hermitian_eig
@@ -32,29 +32,30 @@ from slnrbeam.surrogates import SurrogateCoefficients
 
 
 def random_quadratics(rng, n_users=3, dim=6, b_scale=1.0):
-    coeffs = []
-    a_mats = []
+    """Stacked minorant coefficients (zero constants) and power matrices."""
+    bs, c_mats, a_mats = [], [], []
     for _ in range(n_users):
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        c_mat = g @ g.conj().T / dim + 0.2 * np.eye(dim)
-        b = b_scale * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-        coeffs.append(SurrogateCoefficients(a=0.0, b=b, C=c_mat, sense="minorant"))
+        c_mats.append(g @ g.conj().T / dim + 0.2 * np.eye(dim))
+        bs.append(b_scale * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)))
         f = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         a_mats.append(f @ f.conj().T / dim + 0.1 * np.eye(dim))
-    return coeffs, a_mats
+    coeffs = SurrogateCoefficients(
+        a=np.zeros(n_users), b=np.stack(bs), C=np.stack(c_mats), sense="minorant"
+    )
+    return coeffs, np.stack(a_mats)
 
 
 def weighted_objective(coeffs, weights, v):
     return sum(
-        w * (2.0 * np.real(c.b @ v[i]) - np.real(v[i].conj() @ c.C @ v[i]))
-        for i, (c, w) in enumerate(zip(coeffs, weights))
+        w * (2.0 * np.real(b @ v[i]) - np.real(v[i].conj() @ c_mat @ v[i]))
+        for i, (b, c_mat, w) in enumerate(zip(coeffs.b, coeffs.C, weights))
     )
 
 
 def slsqp_oracle(coeffs, weights, a_mats, budget):
     """Independent ball-constrained maximizer via scipy's SQP on real parts."""
-    n_users = len(coeffs)
-    dim = coeffs[0].b.shape[0]
+    n_users, dim = coeffs.b.shape
 
     def unpack(x):
         z = x[: n_users * dim] + 1j * x[n_users * dim :]
@@ -95,7 +96,7 @@ class TestClosedFormUpdate:
     def test_inactive_constraint_pass_through(self):
         rng = np.random.default_rng(1)
         coeffs, a_mats = random_quadratics(rng, b_scale=0.05)
-        free = np.stack([np.linalg.solve(c.C, c.b.conj()) for c in coeffs])
+        free = np.stack([np.linalg.solve(c, b.conj()) for b, c in zip(coeffs.b, coeffs.C)])
         used = sum(np.real(free[i].conj() @ a_mats[i] @ free[i]) for i in range(3))
         v = closed_form_update(coeffs, a_mats, budget=2.0 * used)
         np.testing.assert_allclose(v, free, rtol=1e-8, atol=1e-12)
@@ -103,7 +104,7 @@ class TestClosedFormUpdate:
     def test_active_constraint_power_equality(self):
         rng = np.random.default_rng(2)
         coeffs, a_mats = random_quadratics(rng, b_scale=2.0)
-        free = np.stack([np.linalg.solve(c.C, c.b.conj()) for c in coeffs])
+        free = np.stack([np.linalg.solve(c, b.conj()) for b, c in zip(coeffs.b, coeffs.C)])
         used = sum(np.real(free[i].conj() @ a_mats[i] @ free[i]) for i in range(3))
         budget = used / 4.0  # unconstrained point uses four times the budget
         v = closed_form_update(coeffs, a_mats, budget=budget)
@@ -126,11 +127,10 @@ class TestClosedFormUpdate:
         # on the negated objective.
         rng = np.random.default_rng(4)
         coeffs, a_mats = random_quadratics(rng, n_users=2, dim=4, b_scale=2.0)
-        for c in coeffs:
-            c.sense = "majorant"
+        coeffs.sense = "majorant"
         budget = 0.4
         v = closed_form_update(coeffs, a_mats, budget)
-        value = sum(c.evaluate(v[i]) for i, c in enumerate(coeffs))
+        value = coeffs.evaluate(v).sum()
         # minimizing a - 2Re{bv} + v^H C v equals maximizing its negation
         oracle = slsqp_oracle(coeffs, np.ones(2), a_mats, budget)
         assert value <= -oracle + 1e-6 * max(1.0, abs(oracle))
@@ -225,25 +225,22 @@ class TestRunGm:
         bf = init_feasible(sc, np.random.default_rng([7, 1]))
         ops = half_iteration_operators("azimuth", bf, stats, sc.sigma)
         weights = gm_weights(ops.slnr())
-        coeffs = [
-            gm_minorant_coeffs("azimuth", bf, stats, ell, sc.sigma, ops=ops)
-            for ell in range(3)
-        ]
-        a_mats = [coupling_matrix("azimuth", bf, ell) for ell in range(3)]
+        coeffs = gm_minorant_coeffs("azimuth", bf, stats, sc.sigma, ops=ops)
+        a_mats = coupling_matrix("azimuth", bf)
         v = closed_form_update(coeffs, a_mats, sc.P, weights=weights)
         power = sum(np.real(v[i].conj() @ a_mats[i] @ v[i]) for i in range(3))
         if power < sc.P * (1 - 1e-6):
             mu = 0.0
         else:
             # recover the common multiplier from user 0's stationarity
-            resid = weights[0] * (coeffs[0].b.conj() - coeffs[0].C @ v[0])
+            resid = weights[0] * (coeffs.b[0].conj() - coeffs.C[0] @ v[0])
             av = a_mats[0] @ v[0]
             mu = float(np.real(np.vdot(av, resid)) / np.real(np.vdot(av, av)))
         for i in range(3):
-            grad = weights[i] * (coeffs[i].b.conj() - coeffs[i].C @ v[i]) - mu * (
+            grad = weights[i] * (coeffs.b[i].conj() - coeffs.C[i] @ v[i]) - mu * (
                 a_mats[i] @ v[i]
             )
-            scale = np.linalg.norm(weights[i] * coeffs[i].b)
+            scale = np.linalg.norm(weights[i] * coeffs.b[i])
             assert np.linalg.norm(grad) <= 1e-6 * scale
 
 
@@ -353,8 +350,11 @@ class TestIncumbent:
             algorithm="x", incumbent=None, incumbent_matrix=None, rate_min_nats=-np.inf
         )
         bf = init_feasible(sc, np.random.default_rng(1))
-        track_incumbent(result, bf, stats, sc.sigma)
-        assert result.incumbent is not None
+        w_mat = beamformer_matrix(bf)
+        track_incumbent(result, w_mat, stats, sc.sigma, bf=bf)
+        assert result.incumbent is not bf
+        np.testing.assert_array_equal(result.incumbent.v_a, bf.v_a)
+        assert result.incumbent_matrix is w_mat
         assert np.isfinite(result.rate_min_nats)
 
     def test_equal_candidate_rejected(self, desk):
@@ -363,10 +363,27 @@ class TestIncumbent:
             algorithm="x", incumbent=None, incumbent_matrix=None, rate_min_nats=-np.inf
         )
         bf = init_feasible(sc, np.random.default_rng(1))
-        track_incumbent(result, bf, stats, sc.sigma)
+        track_incumbent(result, beamformer_matrix(bf), stats, sc.sigma, bf=bf)
         first = result.incumbent
-        track_incumbent(result, bf.copy(), stats, sc.sigma)  # identical min rate
+        # identical min rate
+        track_incumbent(result, beamformer_matrix(bf), stats, sc.sigma, bf=bf.copy())
         assert result.incumbent is first
+
+    def test_trace_row_vectorizes_once(self, desk, monkeypatch):
+        # A trace row's rates and its incumbent share one beamformer matrix.
+        sc, stats = desk
+        run = optimizers._Run("gm", sc, stats)
+        built = []
+
+        def counting(bf):
+            built.append(beamformer_matrix(bf))
+            return built[-1]
+
+        monkeypatch.setattr(optimizers, "beamformer_matrix", counting)
+        run.record(0.0, 0.0)
+        assert len(built) == 1
+        assert run.result.incumbent_matrix is built[0]
+        np.testing.assert_array_equal(run.result.incumbent.v_e, run.bf.v_e)
 
     def test_rate_min_equals_trace_max(self, desk):
         sc, stats = desk
@@ -390,6 +407,16 @@ class TestOptions:
             AlgoOptions(tolerance=0.0)
         with pytest.raises(ValueError):
             AlgoOptions(soft_c=-0.1)
+        # Wrongly typed values are ValueErrors too, never TypeErrors.
+        for bad in ("1e-4", True, None, float("nan")):
+            for name in ("tolerance", "soft_c"):
+                with pytest.raises(ValueError, match=name):
+                    AlgoOptions(**{name: bad})
+        for bad in (-1, 2.5, 10.0, "200", False, None):
+            with pytest.raises(ValueError, match="max_iterations"):
+                AlgoOptions(max_iterations=bad)
+        # Integral and real numbers of any kind still pass.
+        AlgoOptions(tolerance=np.float64(1e-4), max_iterations=np.int64(0), soft_c=1)
 
     def test_three_knobs(self):
         names = [f.name for f in dataclasses.fields(AlgoOptions)]
@@ -421,8 +448,8 @@ class TestStopReason:
         # fraction of the step: the run keeps its iterate and stalls.
         sc, stats = desk
         monkeypatch.setattr(
-            optimizers, "closed_form_update", lambda coeffs, *args, **kwargs: np.zeros(
-                (len(coeffs), coeffs[0].b.shape[0]), dtype=complex
+            optimizers, "closed_form_update", lambda coeffs, *args, **kwargs: np.zeros_like(
+                coeffs.b
             )
         )
         res = run(sc, stats, AlgoOptions())

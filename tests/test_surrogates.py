@@ -10,21 +10,49 @@ from slnrbeam.metrics import slnr_vec
 from slnrbeam.optimizers import _soft_objective_value
 from slnrbeam.surrogates import (
     DegenerateUserError,
-    evaluate_log_minorant,
     gm_minorant_coeffs,
     half_iteration_operators,
-    log_quadratic_minorant,
-    ratio_quadratic_minorant,
+    log_bound,
+    ratio_bound,
     slnr_minorant_coeffs,
+    smoothed_min_bound,
     soft_majorant_coeffs,
-    softmin_majorant,
 )
 
-from conftest import dense_r_tilde, user_slnr
+from conftest import (
+    chi_expansion,
+    chi_minorant,
+    chi_softmin_majorant,
+    dense_r_tilde,
+    softmin_target,
+    user_slnr,
+)
 
 
 def random_chi(rng, n=4):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def random_probes(rng, count, shape, scale_hi):
+    """``count`` chi-space probes of ``shape``, each scaled by U(0, scale_hi)."""
+    chi = rng.standard_normal((count, *shape)) + 1j * rng.standard_normal((count, *shape))
+    return chi * rng.uniform(0, scale_hi, (count, *shape[:-1], 1))
+
+
+def log_value(chi_bar, x_bar, chi, x):
+    """The log bound expanded at one point, evaluated at probes."""
+    return chi_minorant(*log_bound(*chi_expansion(chi_bar, x_bar)), chi, x)
+
+
+def ratio_value(chi_bar, x_bar, chi, x):
+    """The ratio bound expanded at one point, evaluated at probes."""
+    return chi_minorant(*ratio_bound(*chi_expansion(chi_bar, x_bar)), chi, x)
+
+
+def softmin_value(chi_bars, x_bars, c, chis, xs):
+    """The smoothed-minimum bound expanded at a user group, evaluated at probes."""
+    constant, b, scale = smoothed_min_bound(*chi_expansion(chi_bars, x_bars), c)
+    return chi_softmin_majorant(constant, b, scale, c, chis, xs)
 
 
 @pytest.fixture(scope="module")
@@ -37,99 +65,91 @@ def setup():
 
 class TestLogMinorant:
     def test_zero_expansion_collapses(self):
-        alpha, psi = log_quadratic_minorant(np.zeros(3, dtype=complex), 2.0)
-        assert alpha == 0.0
-        assert psi == 0.0
+        alpha, b, psi = log_bound(*chi_expansion(np.zeros(3, dtype=complex), 2.0))
+        assert alpha[0] == 0.0
+        assert psi[0] == 0.0
+        assert not b.any()
 
     def test_unit_point(self):
-        alpha, psi = log_quadratic_minorant(np.array([1.0 + 0j]), 1.0)
-        assert alpha == pytest.approx(np.log(2.0) - 1.0)
-        assert psi == pytest.approx(0.5)
+        alpha, b, psi = log_bound(*chi_expansion(np.array([1.0 + 0j]), 1.0))
+        assert alpha[0] == pytest.approx(np.log(2.0) - 1.0)
+        assert psi[0] == pytest.approx(0.5)
+        assert b[0, 0] == pytest.approx(1.0)
 
     def test_tight_at_expansion(self):
         rng = np.random.default_rng(1)
-        for _ in range(50):
-            chi = random_chi(rng)
-            x = float(rng.uniform(0.1, 5.0))
-            target = np.log1p(np.vdot(chi, chi).real / x)
-            assert evaluate_log_minorant(chi, x, chi, x) == pytest.approx(target, rel=1e-12)
+        chis = np.stack([random_chi(rng) for _ in range(50)])
+        xs = rng.uniform(0.1, 5.0, 50)
+        target = np.log1p(np.sum(np.abs(chis) ** 2, axis=1) / xs)
+        values = chi_minorant(*log_bound(*chi_expansion(chis, xs)), chis, xs)
+        np.testing.assert_allclose(values, target, rtol=1e-12)
 
     def test_domination(self):
         rng = np.random.default_rng(2)
         chi_bar = random_chi(rng)
-        x_bar = 1.3
-        for _ in range(10_000):
-            chi = random_chi(rng) * rng.uniform(0, 3)
-            x = float(rng.uniform(1e-3, 10.0))
-            target = np.log1p(np.vdot(chi, chi).real / x)
-            assert evaluate_log_minorant(chi_bar, x_bar, chi, x) <= target + 1e-12
+        chi = random_probes(rng, 10_000, (4,), 3.0)
+        x = rng.uniform(1e-3, 10.0, 10_000)
+        target = np.log1p(np.sum(np.abs(chi) ** 2, axis=1) / x)
+        assert np.all(log_value(chi_bar, 1.3, chi, x) <= target + 1e-12)
 
     def test_domain(self):
+        for bound in (log_bound, ratio_bound):
+            with pytest.raises(ValueError):
+                bound(*chi_expansion(np.ones(2, dtype=complex), 0.0))
         with pytest.raises(ValueError):
-            log_quadratic_minorant(np.ones(2, dtype=complex), 0.0)
+            smoothed_min_bound(*chi_expansion(np.ones(2, dtype=complex), -1.0), 0.5)
+        with pytest.raises(ValueError):
+            smoothed_min_bound(*chi_expansion(np.ones(2, dtype=complex), 1.0), 0.0)
 
 
 class TestRatioMinorant:
     def test_tight_at_expansion(self):
         rng = np.random.default_rng(3)
-        for _ in range(50):
-            chi = random_chi(rng)
-            x = float(rng.uniform(0.1, 5.0))
-            bound = ratio_quadratic_minorant(chi, x)
-            assert bound.evaluate(chi, x) == pytest.approx(
-                np.vdot(chi, chi).real / x, rel=1e-12
-            )
+        chis = np.stack([random_chi(rng) for _ in range(50)])
+        xs = rng.uniform(0.1, 5.0, 50)
+        values = chi_minorant(*ratio_bound(*chi_expansion(chis, xs)), chis, xs)
+        np.testing.assert_allclose(values, np.sum(np.abs(chis) ** 2, axis=1) / xs, rtol=1e-12)
 
     def test_zero_expansion_gives_zero_bound(self):
-        bound = ratio_quadratic_minorant(np.zeros(3, dtype=complex), 1.0)
         rng = np.random.default_rng(4)
-        for _ in range(100):
-            chi = random_chi(rng, n=3)
-            assert bound.evaluate(chi, float(rng.uniform(0.1, 3.0))) == 0.0
+        chi = random_probes(rng, 100, (3,), 1.0)
+        values = ratio_value(np.zeros(3, dtype=complex), 1.0, chi, rng.uniform(0.1, 3.0, 100))
+        assert np.all(values == 0.0)
 
     def test_domination(self):
         rng = np.random.default_rng(5)
         chi_bar = random_chi(rng)
-        x_bar = 0.8
-        bound = ratio_quadratic_minorant(chi_bar, x_bar)
-        for _ in range(10_000):
-            chi = random_chi(rng) * rng.uniform(0, 3)
-            x = float(rng.uniform(1e-3, 10.0))
-            assert bound.evaluate(chi, x) <= np.vdot(chi, chi).real / x + 1e-12
+        chi = random_probes(rng, 10_000, (4,), 3.0)
+        x = rng.uniform(1e-3, 10.0, 10_000)
+        ratio = np.sum(np.abs(chi) ** 2, axis=1) / x
+        assert np.all(ratio_value(chi_bar, 0.8, chi, x) <= ratio + 1e-12)
 
 
 class TestSoftMinMajorant:
-    def target(self, chis, xs, c):
-        return float(
-            np.log(sum(1.0 / (1.0 + np.vdot(ch, ch).real / (c * x)) for ch, x in zip(chis, xs)))
-        )
-
     def test_single_user_zero_signal(self):
-        bound = softmin_majorant([np.zeros(2, dtype=complex)], [1.0], 0.5)
         # ln(1) plus zero correction sums at the expansion point
-        assert bound.evaluate([np.zeros(2, dtype=complex)], [1.0]) == pytest.approx(0.0, abs=1e-12)
+        zero = np.zeros((1, 2), dtype=complex)
+        value = softmin_value(zero, [1.0], 0.5, zero, np.array([1.0]))
+        assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_tight_at_expansion(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
-            chis = [random_chi(rng) for _ in range(3)]
-            xs = [float(rng.uniform(0.1, 4.0)) for _ in range(3)]
+            chis = np.stack([random_chi(rng) for _ in range(3)])
+            xs = rng.uniform(0.1, 4.0, 3)
             c = float(rng.uniform(0.05, 2.0))
-            bound = softmin_majorant(chis, xs, c)
-            assert bound.evaluate(chis, xs) == pytest.approx(
-                self.target(chis, xs, c), rel=1e-12
+            assert softmin_value(chis, xs, c, chis, xs) == pytest.approx(
+                softmin_target(chis, xs, c), rel=1e-12
             )
 
     def test_domination(self):
         rng = np.random.default_rng(7)
-        chis_bar = [random_chi(rng) for _ in range(2)]
-        xs_bar = [1.0, 2.0]
+        chis_bar = np.stack([random_chi(rng) for _ in range(2)])
         c = 0.3
-        bound = softmin_majorant(chis_bar, xs_bar, c)
-        for _ in range(10_000):
-            chis = [random_chi(rng) * rng.uniform(0, 2) for _ in range(2)]
-            xs = [float(rng.uniform(1e-3, 8.0)) for _ in range(2)]
-            assert bound.evaluate(chis, xs) >= self.target(chis, xs, c) - 1e-12
+        chis = random_probes(rng, 10_000, (2, 4), 2.0)
+        xs = rng.uniform(1e-3, 8.0, (10_000, 2))
+        values = softmin_value(chis_bar, [1.0, 2.0], c, chis, xs)
+        assert np.all(values >= softmin_target(chis, xs, c) - 1e-12)
 
 
 def perturb(bf, side, ell, rng, scale):
@@ -144,24 +164,22 @@ def perturb(bf, side, ell, rng, scale):
 class TestSlnrMinorant:
     def test_tight_at_iterate(self, setup):
         sc, stats, bf = setup
+        slnrs = slnr_vec(beamformer_matrix(bf), stats, sc.sigma)
         for side in ("azimuth", "elevation"):
-            for ell in range(bf.L):
-                coeff = slnr_minorant_coeffs(side, bf, stats, ell, sc.sigma)
-                v = bf.v_a[ell] if side == "azimuth" else bf.v_e[ell]
-                assert coeff.evaluate(v) == pytest.approx(
-                    user_slnr(bf, stats, ell, sc.sigma), rel=1e-9
-                )
+            coeffs = slnr_minorant_coeffs(side, bf, stats, sc.sigma)
+            v = bf.v_a if side == "azimuth" else bf.v_e
+            np.testing.assert_allclose(coeffs.evaluate(v), slnrs, rtol=1e-9)
 
     def test_domination_random_perturbations(self, setup):
         sc, stats, bf = setup
         rng = np.random.default_rng(8)
         side = "azimuth"
         ell = 1
-        coeff = slnr_minorant_coeffs(side, bf, stats, ell, sc.sigma)
+        coeffs = slnr_minorant_coeffs(side, bf, stats, sc.sigma)
         base = np.linalg.norm(bf.v_a[ell])
         for _ in range(1000):
             other = perturb(bf, side, ell, rng, base * rng.uniform(0, 2))
-            bound = coeff.evaluate(other.v_a[ell])
+            bound = coeffs.evaluate(other.v_a)[ell]
             truth = user_slnr(other, stats, ell, sc.sigma)
             assert bound <= truth + 1e-9 * max(1.0, abs(truth))
 
@@ -169,7 +187,7 @@ class TestSlnrMinorant:
         sc, stats, bf = setup
         side = "azimuth"
         ell = 0
-        coeff = slnr_minorant_coeffs(side, bf, stats, ell, sc.sigma)
+        coeffs = slnr_minorant_coeffs(side, bf, stats, sc.sigma)
         scale = np.linalg.norm(bf.v_a[ell])
         h = 1e-6 * scale
 
@@ -179,6 +197,11 @@ class TestSlnrMinorant:
             trial.v_a[ell] = v
             return user_slnr(trial, stats, ell, sc.sigma)
 
+        def surrogate(v):
+            trial = bf.v_a.copy()
+            trial[ell] = v
+            return coeffs.evaluate(trial)[ell]
+
         v0 = bf.v_a[ell]
         grads = []
         for i in range(v0.shape[0]):
@@ -187,7 +210,7 @@ class TestSlnrMinorant:
                 up[i] += delta
                 dn[i] -= delta
                 g_true = (truth(up) - truth(dn)) / (2 * h)
-                g_surr = (coeff.evaluate(up) - coeff.evaluate(dn)) / (2 * h)
+                g_surr = (surrogate(up) - surrogate(dn)) / (2 * h)
                 grads.append((g_true, g_surr))
         g_true = np.array([g[0] for g in grads])
         g_surr = np.array([g[1] for g in grads])
@@ -219,9 +242,12 @@ class TestSlnrMinorant:
     def test_degenerate_user_rejected(self, setup):
         sc, stats, bf = setup
         dead = bf.copy()
-        dead.v_a[0] = 0.0
-        with pytest.raises(DegenerateUserError):
-            slnr_minorant_coeffs("azimuth", dead, stats, 0, sc.sigma)
+        dead.v_a[1] = 0.0
+        for builder in (slnr_minorant_coeffs, gm_minorant_coeffs):
+            with pytest.raises(DegenerateUserError, match="user 1 "):
+                builder("azimuth", dead, stats, sc.sigma)
+        with pytest.raises(DegenerateUserError, match="user 1 "):
+            soft_majorant_coeffs("azimuth", dead, stats, 0.1, sc.sigma)
 
 
 class TestGmMinorant:
@@ -229,35 +255,33 @@ class TestGmMinorant:
         sc, stats, bf = setup
         rng = np.random.default_rng(9)
         weights = rng.uniform(1.0, 3.0, bf.L)
-        total_bound = 0.0
-        total_true = 0.0
-        for ell in range(bf.L):
-            coeff = gm_minorant_coeffs("azimuth", bf, stats, ell, sc.sigma, weight=weights[ell])
-            total_bound += coeff.evaluate(bf.v_a[ell])
-            total_true += weights[ell] * np.log1p(user_slnr(bf, stats, ell, sc.sigma))
+        coeffs = gm_minorant_coeffs("azimuth", bf, stats, sc.sigma)
+        total_bound = float(weights @ coeffs.evaluate(bf.v_a))
+        total_true = float(weights @ np.log1p(slnr_vec(beamformer_matrix(bf), stats, sc.sigma)))
         assert total_bound == pytest.approx(total_true, rel=1e-9)
 
     def test_domination(self, setup):
         sc, stats, bf = setup
         rng = np.random.default_rng(10)
         ell = 2
-        coeff = gm_minorant_coeffs("azimuth", bf, stats, ell, sc.sigma)
+        coeffs = gm_minorant_coeffs("azimuth", bf, stats, sc.sigma)
         base = np.linalg.norm(bf.v_a[ell])
         for _ in range(1000):
             other = perturb(bf, "azimuth", ell, rng, base * rng.uniform(0, 2))
             truth = np.log1p(user_slnr(other, stats, ell, sc.sigma))
-            assert coeff.evaluate(other.v_a[ell]) <= truth + 1e-9 * max(1.0, abs(truth))
+            assert coeffs.evaluate(other.v_a)[ell] <= truth + 1e-9 * max(1.0, abs(truth))
 
     def test_single_user_unit_weight_reduces_to_log_bound(self):
         sc = Scenario(Q=3, L=1, M=1, seed=13)
         stats = build_statistics(sc)
         bf = init_feasible(sc, np.random.default_rng(13))
-        coeff = gm_minorant_coeffs("azimuth", bf, stats, 0, sc.sigma)
+        coeffs = gm_minorant_coeffs("azimuth", bf, stats, sc.sigma)
         ops = half_iteration_operators("azimuth", bf, stats, sc.sigma)
-        alpha, psi = log_quadratic_minorant(
-            np.sqrt(ops.signal[0]) * np.array([1.0 + 0j]), ops.x_bar[0]
-        )
-        assert coeff.a == pytest.approx(alpha - sc.sigma * psi, rel=1e-12)
+        g = ops.slnr()[0]
+        alpha = np.log1p(g) - g
+        psi = g / (ops.x_bar[0] * (1.0 + g))
+        assert coeffs.a[0] == pytest.approx(alpha - sc.sigma * psi, rel=1e-12)
+        np.testing.assert_allclose(coeffs.C[0], psi * ops.sum_quad[0], rtol=1e-12)
 
 
 class TestSoftMajorant:
@@ -265,9 +289,7 @@ class TestSoftMajorant:
         sc, stats, bf = setup
         for c in (1.0, 0.1):
             constant, coeffs = soft_majorant_coeffs("azimuth", bf, stats, c, sc.sigma)
-            value = constant + sum(
-                coeffs[ell].evaluate(bf.v_a[ell]) for ell in range(bf.L)
-            )
+            value = constant + coeffs.evaluate(bf.v_a).sum()
             slnrs = slnr_vec(beamformer_matrix(bf), stats, sc.sigma)
             assert value == pytest.approx(_soft_objective_value(slnrs, c), rel=1e-9)
 
@@ -282,9 +304,7 @@ class TestSoftMajorant:
             other.v_a = bf.v_a + 0.5 * base * rng.uniform(0, 1) * (
                 rng.standard_normal(bf.v_a.shape) + 1j * rng.standard_normal(bf.v_a.shape)
             )
-            bound = constant + sum(
-                coeffs[ell].evaluate(other.v_a[ell]) for ell in range(bf.L)
-            )
+            bound = constant + coeffs.evaluate(other.v_a).sum()
             truth = _soft_objective_value(
                 slnr_vec(beamformer_matrix(other), stats, sc.sigma), c
             )
@@ -305,8 +325,8 @@ class TestSoftMajorant:
     def test_positive_curvature_coefficients(self, setup):
         sc, stats, bf = setup
         _, coeffs = soft_majorant_coeffs("azimuth", bf, stats, 0.1, sc.sigma)
-        for coeff in coeffs:
-            lam = np.linalg.eigvalsh(coeff.C)
+        for mat in coeffs.C:
+            lam = np.linalg.eigvalsh(mat)
             assert lam.min() >= -1e-12 * max(lam.max(), 1.0)
 
 
@@ -320,15 +340,14 @@ class TestCoefficientPositivity:
         stats = build_statistics(sc)
         bf = init_feasible(sc, np.random.default_rng(34))
         ops = half_iteration_operators(side, bf, stats, sc.sigma)
-        mats = [ops.own_quad, ops.sum_quad]
-        for ell in range(bf.L):
-            mats.append(slnr_minorant_coeffs(side, bf, stats, ell, sc.sigma, ops=ops).C)
-            mats.append(
-                gm_minorant_coeffs(side, bf, stats, ell, sc.sigma, weight=1.7, ops=ops).C
-            )
+        mats = [
+            ops.own_quad,
+            ops.sum_quad,
+            slnr_minorant_coeffs(side, bf, stats, sc.sigma, ops=ops).C,
+            gm_minorant_coeffs(side, bf, stats, sc.sigma, ops=ops).C,
+        ]
         for c in (0.1, 1.0):
-            _, coeffs = soft_majorant_coeffs(side, bf, stats, c, sc.sigma, ops=ops)
-            mats.extend(co.C for co in coeffs)
+            mats.append(soft_majorant_coeffs(side, bf, stats, c, sc.sigma, ops=ops)[1].C)
         for mat in mats:
             np.testing.assert_array_equal(mat, mat.conj().swapaxes(-1, -2))
 
@@ -337,11 +356,16 @@ class TestCoefficientPositivity:
         # positive whenever the expansion signal is nonzero.
         sc, stats, bf = setup
         rng = np.random.default_rng(12)
-        for _ in range(50):
-            chi = random_chi(rng)
-            x = float(rng.uniform(0.05, 5.0))
-            _, psi = log_quadratic_minorant(chi, x)
-            assert psi > 0.0
-            assert ratio_quadratic_minorant(chi, x).c > 0.0
-            soft = softmin_majorant([chi], [x], c=0.2)
-            assert soft.c[0] > 0.0
+        chis = np.stack([random_chi(rng) for _ in range(50)])
+        expansion = chi_expansion(chis, rng.uniform(0.05, 5.0, 50))
+        assert np.all(log_bound(*expansion)[2] > 0.0)
+        assert np.all(ratio_bound(*expansion)[2] > 0.0)
+        assert np.all(smoothed_min_bound(*expansion, c=0.2)[2] > 0.0)
+        # The designs' curvature scalars, through their stacked builders.
+        ops = half_iteration_operators("azimuth", bf, stats, sc.sigma)
+        for coeffs in (
+            slnr_minorant_coeffs("azimuth", bf, stats, sc.sigma, ops=ops),
+            gm_minorant_coeffs("azimuth", bf, stats, sc.sigma, ops=ops),
+            soft_majorant_coeffs("azimuth", bf, stats, 0.2, sc.sigma, ops=ops)[1],
+        ):
+            assert np.all(np.real(np.trace(coeffs.C, axis1=1, axis2=2)) > 0.0)
