@@ -23,12 +23,15 @@ Scenario JSON schema (all keys optional except Q and users)::
       "seed": 0
     }
 
-Keys outside this schema are ignored.
+Keys outside this schema are ignored. Values must be finite JSON numbers
+(not booleans or strings), and Q, users, M and seed integral ones; anything
+else is rejected when the config is built, before any file is written.
 
 Experiment JSON wraps that under ``"scenario"`` and adds ``"algorithms"``,
 ``"antennas"``, ``"power_dbm"``, ``"c"``, ``"n_seeds"``, ``"base_seed"``,
 ``"output_dir"`` and an ``"options"`` object mirroring
-:class:`slnrbeam.optimizers.AlgoOptions`; unknown option keys are rejected
+:class:`slnrbeam.optimizers.AlgoOptions`; unknown option keys, and an
+``n_seeds`` or ``base_seed`` that is not an integral number, are rejected
 when the config is built, before any file is written.
 
 Outputs per (algorithm, sweep point, seed): a convergence-trace CSV with
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -114,10 +118,17 @@ class ExperimentConfig:
                 raise ValueError(f"antenna counts must be perfect squares, got {n_ant}")
         if any(p <= 0 for p in map(dbm_to_watt, self.power_dbm)):
             raise ValueError("power values must be finite")
+        for n_ant in self.antennas:
+            for power in self.power_dbm:
+                scenario_from_dict(self.run_spec(n_ant, power, self.base_seed))
         if any(cc <= 0 for cc in self.c):
             raise ValueError("smoothing coefficients must be positive")
         if self.n_seeds < 1:
             raise ValueError(f"n_seeds must be >= 1, got {self.n_seeds}")
+
+    def run_spec(self, antennas: int, power_dbm: float, seed: int) -> dict:
+        """The scenario template at one sweep point and seed."""
+        return {**self.scenario, "Q": int(round(np.sqrt(antennas))), "power_dbm": power_dbm, "seed": seed}
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
@@ -129,33 +140,50 @@ class ExperimentConfig:
             antennas=list(data.get("antennas", [16])),
             power_dbm=list(data.get("power_dbm", [24.0])),
             c=list(data.get("c", [0.1])),
-            n_seeds=int(data.get("n_seeds", 1)),
-            base_seed=int(data.get("base_seed", 0)),
+            n_seeds=_number(data, "n_seeds", 1, integral=True),
+            base_seed=_number(data, "base_seed", 0, integral=True),
             output_dir=str(data.get("output_dir", "out")),
             options=dict(data.get("options", {})),
             save_beamformers=bool(data.get("save_beamformers", False)),
         )
 
 
+def _number(spec: dict, key: str, default=None, integral: bool = False):
+    """``spec[key]`` (required without a ``default``) as a float, or an int if
+    ``integral``; ValueError unless it is a finite real number, integral if
+    so asked."""
+    value = spec[key] if default is None else spec.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not np.isfinite(value):
+        raise ValueError(f"key {key!r} must be a finite number, got {value!r}")
+    if not integral:
+        return float(value)
+    if value != int(value):
+        raise ValueError(f"key {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def scenario_from_dict(spec: dict) -> Scenario:
-    """Build a Scenario from the JSON schema, converting units."""
-    sigma = spec.get("sigma_watts")
-    if sigma is None and "noise_dbm_per_hz" in spec:
-        sigma = dbm_to_watt(spec["noise_dbm_per_hz"]) * spec.get("bandwidth_hz", 10e6)
+    """Build a Scenario from the JSON schema, checking types and converting units."""
+    bandwidth = _number(spec, "bandwidth_hz", 10e6)
+    sigma = None
+    if spec.get("sigma_watts") is not None:
+        sigma = _number(spec, "sigma_watts")
+    elif "noise_dbm_per_hz" in spec:
+        sigma = dbm_to_watt(_number(spec, "noise_dbm_per_hz")) * bandwidth
     return Scenario(
-        Q=int(spec["Q"]),
-        L=int(spec["users"]),
-        M=int(spec.get("M", 1)),
-        P=dbm_to_watt(float(spec.get("power_dbm", 24.0))),
+        Q=_number(spec, "Q", integral=True),
+        L=_number(spec, "users", integral=True),
+        M=_number(spec, "M", 1, integral=True),
+        P=dbm_to_watt(_number(spec, "power_dbm", 24.0)),
         sigma=sigma,
-        bandwidth=float(spec.get("bandwidth_hz", 10e6)),
-        cell_radius=float(spec.get("cell_radius_m", 200.0)),
-        bs_height=float(spec.get("bs_height_m", 10.0)),
-        ue_height=float(spec.get("ue_height_m", 1.5)),
-        sigma_sf=float(spec.get("shadow_std_db", 7.8)),
-        sigma_alpha=float(np.deg2rad(spec.get("azimuth_spread_deg", 5.0))),
-        sigma_beta=float(np.deg2rad(spec.get("elevation_spread_deg", 5.0))),
-        seed=int(spec.get("seed", 0)),
+        bandwidth=bandwidth,
+        cell_radius=_number(spec, "cell_radius_m", 200.0),
+        bs_height=_number(spec, "bs_height_m", 10.0),
+        ue_height=_number(spec, "ue_height_m", 1.5),
+        sigma_sf=_number(spec, "shadow_std_db", 7.8),
+        sigma_alpha=float(np.deg2rad(_number(spec, "azimuth_spread_deg", 5.0))),
+        sigma_beta=float(np.deg2rad(_number(spec, "elevation_spread_deg", 5.0))),
+        seed=_number(spec, "seed", 0, integral=True),
     )
 
 
@@ -221,11 +249,7 @@ def _enumerate_runs(config: ExperimentConfig) -> list[_RunKey]:
 
 
 def _execute_run(key: _RunKey, config: ExperimentConfig, out_dir: Path) -> dict:
-    spec = dict(config.scenario)
-    spec["Q"] = int(round(np.sqrt(key.antennas)))
-    spec["power_dbm"] = key.power_dbm
-    spec["seed"] = key.seed
-    scenario = scenario_from_dict(spec)
+    scenario = scenario_from_dict(config.run_spec(key.antennas, key.power_dbm, key.seed))
     stats = build_statistics(scenario)
     opt_kwargs = dict(config.options)
     if not np.isnan(key.c):

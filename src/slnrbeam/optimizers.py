@@ -166,7 +166,7 @@ def track_incumbent(
     passed to avoid re-evaluation.
     """
     if rates is None:
-        rates = _rates(w_mat, stats, sigma)
+        rates = ergodic_rate_closed(w_mat, stats, sigma)
     min_rate = float(np.min(rates))
     if min_rate > result.rate_min_nats:
         result.rate_min_nats = min_rate
@@ -257,13 +257,6 @@ def baseline_uniform(stats: ChannelStatistics, scenario: Scenario) -> np.ndarray
     return np.ascontiguousarray(np.sqrt(scenario.P / n_users) * w.T)
 
 
-def _rates(w_mat: np.ndarray, stats: ChannelStatistics, sigma: float) -> np.ndarray:
-    """Every user's closed-form ergodic rate (nats) for (Q^2, L) beamformers."""
-    return np.array(
-        [ergodic_rate_closed(w_mat, stats, ell, sigma) for ell in range(w_mat.shape[1])]
-    )
-
-
 class _Run:
     """Shared state and bookkeeping for one alternating-optimization run.
 
@@ -286,7 +279,7 @@ class _Run:
     def record(self, step: float, objective: float) -> None:
         """Append a trace row and refresh the incumbent."""
         w_mat = beamformer_matrix(self.bf)
-        rates = _rates(w_mat, self.stats, self.sigma)
+        rates = ergodic_rate_closed(w_mat, self.stats, self.sigma)
         track_incumbent(self.result, w_mat, self.stats, self.sigma, rates=rates, bf=self.bf)
         sub = self.subproblem
         self.result.trace.append(
@@ -522,7 +515,7 @@ def run_baseline(
         rate_min_nats=-np.inf,
         stop_reason="direct",
     )
-    rates = _rates(w_mat, stats, scenario.sigma)
+    rates = ergodic_rate_closed(w_mat, stats, scenario.sigma)
     track_incumbent(result, w_mat, stats, scenario.sigma, rates=rates)
     min_slnr = float(slnr_vec(w_mat, stats, scenario.sigma).min())
     result.trace.append(

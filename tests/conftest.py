@@ -2,14 +2,16 @@
 
 The library keeps only the Q x Q Kronecker factors; these helpers rebuild the
 Q^2 x Q^2 second moments and the per-user SLNR the tests compare against, the
-per-realization SINR of one channel draw, and a chi-space evaluator of the
-three quadratic bounds of :mod:`slnrbeam.surrogates`.
+per-realization SINR of one channel draw, the eigenvalue expansion of the
+ergodic rate, and a chi-space evaluator of the three quadratic bounds of
+:mod:`slnrbeam.surrogates`.
 """
 
 import numpy as np
 
 from slnrbeam.beamformer import beamformer_matrix
 from slnrbeam.metrics import slnr_vec
+from slnrbeam.numerics import exp_scaled_e1
 
 
 def dense_r_tilde(stats):
@@ -41,6 +43,39 @@ def instantaneous_sinr(bf, channels, ell, sigma):
     gains = np.array([transmit_bilinear(bf, h_mat, lp) for lp in range(bf.L)])
     powers = np.abs(gains) ** 2
     return float(powers[ell] / (powers.sum() - powers[ell] + sigma))
+
+
+def _expected_log_gain(eigs, sigma):
+    """E[ln(sigma + ||u||^2)] - ln(sigma) for u ~ CN(0, diag(eigs)), distinct
+    positive ``eigs``:
+
+        sum_m exp(sigma/mu_m) E1(sigma/mu_m) / prod_{l != m} (1 - mu_l/mu_m).
+    """
+    mu = np.asarray(eigs, dtype=float)
+    ratio = 1.0 - mu[None, :] / mu[:, None]  # row m: 1 - mu_l / mu_m
+    np.fill_diagonal(ratio, 1.0)
+    scaled = np.array([exp_scaled_e1(sigma / m) for m in mu])
+    return float(scaled @ (1.0 / np.prod(ratio, axis=1)))
+
+
+def expansion_rate(w_mat, stats, ell, sigma, min_gap=1e-4):
+    """User ``ell``'s ergodic rate E[ln(1 + SINR)] in nats by the eigenvalue
+    expansion, applied to the dense Gram W^H R_ell W and to its
+    interference-only minor.
+
+    The expansion's weights blow up as eigenvalues coalesce, so it asserts
+    that every pair of nonzero eigenvalues (above 1e-12 of the largest) is
+    at least ``min_gap`` apart relative to the larger of the two.
+    """
+    gram = w_mat.conj().T @ stats.covariance()[ell] @ w_mat
+    keep = [j for j in range(w_mat.shape[1]) if j != ell]
+    total = 0.0
+    for mat, sign in ((gram, 1.0), (gram[np.ix_(keep, keep)], -1.0)):
+        lam = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
+        lam = lam[lam > 1e-12 * lam.max()] if lam.size and lam.max() > 0 else lam[:0]
+        assert np.all(np.diff(lam) >= min_gap * lam[1:]), f"clustered spectrum {lam}"
+        total += sign * _expected_log_gain(lam, sigma)
+    return total
 
 
 def chi_expansion(chi_bars, x_bars):

@@ -62,6 +62,20 @@ class TestScenarioConversion:
         assert "carrier_hz" not in spec
         assert scenario_from_dict(dict(spec, carrier_hz=2e9)) == scenario_from_dict(spec)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("users", "3"), ("M", 1.5), ("Q", True), ("seed", 2.5), ("users", float("inf")),
+         ("power_dbm", float("nan")), ("bandwidth_hz", "1e7"), ("sigma_watts", False)],
+    )
+    def test_mistyped_keys_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"key '{key}' must be"):
+            scenario_from_dict(default_scenario_dict(**{key: value}))
+
+    def test_integral_floats_accepted(self):
+        sc = scenario_from_dict(default_scenario_dict(Q=4.0, users=3.0, M=2.0, seed=7.0))
+        assert (sc.Q, sc.L, sc.M, sc.seed) == (4, 3, 2, 7)
+        assert all(isinstance(v, int) for v in (sc.Q, sc.L, sc.M, sc.seed))
+
 
 class TestRunExperiment:
     def test_single_point_single_seed_three_files(self, tmp_path):
@@ -292,6 +306,31 @@ class TestCli:
         err = capsys.readouterr().err
         (name,) = options
         assert err.startswith(f"error: {name} must be")
+        assert len(err.strip().splitlines()) == 1
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "scenario_key, experiment_key",
+        [({"users": "3"}, {}), ({"M": 1.5}, {}), ({}, {"n_seeds": 2.7}), ({}, {"base_seed": "1"})],
+    )
+    def test_mistyped_key_is_an_error_line(self, tmp_path, capsys, scenario_key, experiment_key):
+        out_dir = tmp_path / "sweepout"
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(
+            json.dumps(
+                {
+                    "scenario": default_scenario_dict(**{"Q": 3, "users": 2, **scenario_key}),
+                    "algorithms": ["gm"],
+                    "antennas": [9],
+                    "output_dir": str(out_dir),
+                    **experiment_key,
+                }
+            )
+        )
+        assert cli_main(["sweep", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        (name,) = {**scenario_key, **experiment_key}
+        assert err.startswith(f"error: key '{name}' must be")
         assert len(err.strip().splitlines()) == 1
         assert not out_dir.exists()
 

@@ -1,10 +1,15 @@
 """Rate and fairness metrics against Monte Carlo and dual-path oracles."""
 
+import copy
+import logging
+
 import numpy as np
 import pytest
+from scipy.special import expn
 
+from slnrbeam import metrics
 from slnrbeam.beamformer import beamformer_matrix, full_beamformer, init_feasible
-from slnrbeam.channel import Scenario, build_statistics, sample_channels, vec_batch
+from slnrbeam.channel import ChannelStatistics, Scenario, build_statistics, sample_channels, vec_batch
 from slnrbeam.metrics import (
     ergodic_rate_closed,
     ergodic_rate_mc,
@@ -16,9 +21,10 @@ from slnrbeam.metrics import (
     _covariance_images,
 )
 from slnrbeam.numerics import exp_scaled_e1
+from slnrbeam.optimizers import AlgoOptions, run_gm, run_soft
 from slnrbeam.surrogates import half_iteration_operators
 
-from conftest import instantaneous_sinr, transmit_bilinear, user_slnr
+from conftest import expansion_rate, instantaneous_sinr, transmit_bilinear, user_slnr
 
 
 def dense_slnr(w_mat, stats, sigma):
@@ -75,8 +81,6 @@ class TestSlnr:
         twin = stats
         # duplicate user 0's statistics into user 1 and give both the same
         # beamformer; their SLNRs must coincide by symmetry
-        import copy
-
         twin = copy.deepcopy(stats)
         for name in ("path_gain", "R_v", "R_h", "sqrt_R_v", "sqrt_R_h"):
             getattr(twin, name)[1] = getattr(twin, name)[0]
@@ -170,6 +174,46 @@ class TestInstantaneousSinr:
             assert got == pytest.approx(want, rel=1e-12)
 
 
+def coalesced_rate(n, a, terms=12):
+    """e^a E_n(a), the rate of a user whose Gram is mu I_n, at a = sigma/mu.
+
+    SciPy's expn where exp(a) stays finite; beyond, the asymptotic series
+    sum_k (-1)^k n (n+1) ... (n+k-1) / a^(k+1) (DLMF 8.20.2), whose
+    truncation error is below its first omitted term, under 1e-30 here.
+    """
+    if a < 700.0:
+        return float(np.exp(a) * expn(n, a))
+    term, total = 1.0 / a, 0.0
+    for k in range(terms):
+        total += term
+        term *= -(n + k) / a
+    return total
+
+
+def identity_statistics(n_users, q, gain=1.0):
+    """Statistics with white correlation factors: R_k = gain * I for every user."""
+    eye = np.broadcast_to(np.eye(q, dtype=complex), (n_users, q, q)).copy()
+    return ChannelStatistics(
+        Q=q, path_gain=np.full(n_users, gain), R_v=eye, R_h=eye.copy(),
+        sqrt_R_v=eye.copy(), sqrt_R_h=eye.copy(),
+    )
+
+
+def design_iterates():
+    """Beamformers from the benchmark's three scales: initial points and gm
+    and soft incumbents at Q=8, L=5, M=2 (desk), Q=12, L=10, M=2 (lit) and
+    Q in {3, 4}, L=3, M=1 (cli)."""
+    cases = []
+    for q, n_users, m_count, seed in ((8, 5, 2, 1), (12, 10, 2, 0), (3, 3, 1, 1), (4, 3, 1, 2)):
+        sc = Scenario(Q=q, L=n_users, M=m_count, seed=seed)
+        stats = build_statistics(sc)
+        options = AlgoOptions(max_iterations=2)
+        cases.append((sc, stats, beamformer_matrix(init_feasible(sc, np.random.default_rng(seed)))))
+        for run in (run_gm, run_soft):
+            cases.append((sc, stats, run(sc, stats, options).incumbent_matrix))
+    return cases
+
+
 class TestErgodicRate:
     def test_single_user_scalar_form(self):
         # One user, one beamformer column: the rate is the single-eigenvalue
@@ -180,41 +224,85 @@ class TestErgodicRate:
         w = beamformer_matrix(bf)
         mu = float(np.real(w[:, 0].conj() @ stats.covariance()[0] @ w[:, 0]))
         want = exp_scaled_e1(sc.sigma / mu)
-        assert ergodic_rate_closed(w, stats, 0, sc.sigma) == pytest.approx(want, rel=1e-10)
+        assert ergodic_rate_closed(w, stats, sc.sigma)[0] == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("n_users", [1, 2, 5, 10])
+    def test_coalesced_spectrum_exact(self, n_users):
+        # Orthogonal columns of equal power under white statistics give every
+        # user the Gram mu I_n, a fully coalesced spectrum, whose rate is
+        # e^a E_n(a) with a = sigma/mu.
+        sigma = 4e-14
+        rng = np.random.default_rng(n_users)
+        basis, _ = np.linalg.qr(rng.standard_normal((16, n_users)) + 1j * rng.standard_normal((16, n_users)))
+        stats = identity_statistics(n_users, 4, gain=1e-10)
+        for ratio in np.logspace(-6, 9, 16):
+            mu = ratio * sigma
+            w = np.sqrt(mu / 1e-10) * basis
+            want = coalesced_rate(n_users, 1.0 / ratio)
+            got = ergodic_rate_closed(w, stats, sigma)
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15, err_msg=f"mu/sigma={ratio:.0e}")
+
+    def test_matches_expansion_reference(self):
+        # The batched integral against the eigenvalue expansion, user by user,
+        # on well-separated spectra of design iterates at three scales.
+        for sc, stats, w in design_iterates():
+            got = ergodic_rate_closed(w, stats, sc.sigma)
+            want = [expansion_rate(w, stats, ell, sc.sigma) for ell in range(sc.L)]
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+    def test_grid_step_converged(self, monkeypatch):
+        cases = design_iterates()
+        coarse = [ergodic_rate_closed(w, stats, sc.sigma) for sc, stats, w in cases]
+        monkeypatch.setattr(metrics, "RATE_STEP", metrics.RATE_STEP / 2)
+        for (sc, stats, w), rates in zip(cases, coarse):
+            assert np.abs(ergodic_rate_closed(w, stats, sc.sigma) - rates).max() <= 1e-13
 
     def test_covariance_images_match_dense(self, setup):
         # R_k w_j from the Kronecker factors equals the dense products, for
-        # outer-product and full-rank beamformers, and one user's images
-        # equal that user's slice of all of them bit for bit.
+        # outer-product and full-rank beamformers.
         sc, stats, bf = setup
         cov = stats.covariance()
         for w in (beamformer_matrix(bf), full_rank_columns(stats, 1)):
             dense = np.einsum("kxy,yj->kjx", cov, w)
             got = _covariance_images(w, stats)
             assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
-            for ell in range(stats.L):
-                one = _covariance_images(w, stats, slice(ell, ell + 1))
-                np.testing.assert_array_equal(one[0], got[ell])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_all_zero_beamformers(self, setup):
         sc, stats, _ = setup
         w = np.zeros((16, 3), dtype=complex)
-        assert ergodic_rate_closed(w, stats, 0, sc.sigma) == 0.0
+        np.testing.assert_array_equal(ergodic_rate_closed(w, stats, sc.sigma), 0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_degenerate_inputs(self, setup):
+        # A user whose expected signal vanishes (its column is zero) rates
+        # exactly 0; a vanishing path gain and a single user stay finite.
+        sc, stats, bf = setup
+        w = beamformer_matrix(bf)
+        mute = w.copy()
+        mute[:, 1] = 0.0
+        rates = ergodic_rate_closed(mute, stats, sc.sigma)
+        assert abs(rates[1]) <= 1e-15 and np.all(rates[[0, 2]] > 0.0)
+        faint = copy.deepcopy(stats)
+        faint.path_gain[:] = 1e-300
+        assert np.all(np.isfinite(ergodic_rate_closed(w, faint, sc.sigma)))
+        solo = Scenario(Q=4, L=1, M=1, seed=3)
+        w_solo = beamformer_matrix(init_feasible(solo, np.random.default_rng(3)))
+        assert np.isfinite(ergodic_rate_closed(w_solo, build_statistics(solo), solo.sigma)).all()
 
     def test_nonnegative(self, setup):
         sc, stats, bf = setup
         w = beamformer_matrix(bf)
-        for ell in range(bf.L):
-            assert ergodic_rate_closed(w, stats, ell, sc.sigma) >= -1e-9
+        assert np.all(ergodic_rate_closed(w, stats, sc.sigma) >= -1e-9)
 
     def test_matches_monte_carlo(self, setup):
         sc, stats, bf = setup
         w = beamformer_matrix(bf)
         rng = np.random.default_rng(50)
+        rates = ergodic_rate_closed(w, stats, sc.sigma)
         for ell in range(bf.L):
-            closed = ergodic_rate_closed(w, stats, ell, sc.sigma)
             est, se = ergodic_rate_mc(w, stats, ell, sc.sigma, 200_000, rng)
-            assert abs(est - closed) <= max(0.01 * closed, 3.0 * se)
+            assert abs(est - rates[ell]) <= max(0.01 * rates[ell], 3.0 * se)
 
     def test_phase_rotation_invariance(self, setup):
         sc, stats, bf = setup
@@ -223,24 +311,24 @@ class TestErgodicRate:
         rot.v_a[1] = np.exp(1j * 0.7) * rot.v_a[1]
         rot.v_e[1] = np.exp(1j * 1.9) * rot.v_e[1]
         w_rot = beamformer_matrix(rot)
-        for ell in range(bf.L):
-            a = ergodic_rate_closed(w, stats, ell, sc.sigma)
-            b = ergodic_rate_closed(w_rot, stats, ell, sc.sigma)
-            assert b == pytest.approx(a, rel=1e-9)
+        np.testing.assert_allclose(
+            ergodic_rate_closed(w_rot, stats, sc.sigma), ergodic_rate_closed(w, stats, sc.sigma), rtol=1e-9
+        )
 
-    def test_degenerate_eigenvalues_fall_back(self, setup, caplog):
+    def test_degenerate_eigenvalues_exact(self, setup, caplog):
+        # Two identical columns force a repeated eigenvalue in the Gram; the
+        # rate needs no fallback and matches a 1e6-sample Monte Carlo.
         sc, stats, _ = setup
-        # Two identical columns force a repeated eigenvalue in the Gram.
         rng = np.random.default_rng(51)
-        col = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        col = 0.1 * (rng.standard_normal(16) + 1j * rng.standard_normal(16))
         w = np.stack([col, col, 0.5 * col], axis=1)
-        s_mat = w.conj().T @ stats.covariance()[0] @ w
-        lam = np.linalg.eigvalsh(s_mat)
-        import logging
-
-        with caplog.at_level(logging.WARNING, logger="slnrbeam.metrics"):
-            val = ergodic_rate_closed(w, stats, 0, sc.sigma)
-        assert np.isfinite(val)
+        with caplog.at_level(logging.WARNING, logger="slnrbeam"):
+            rates = ergodic_rate_closed(w, stats, sc.sigma)
+        assert not caplog.records
+        mc_rng = np.random.default_rng(52)
+        for ell in range(3):
+            est, se = ergodic_rate_mc(w, stats, ell, sc.sigma, 1_000_000, mc_rng)
+            assert abs(est - rates[ell]) <= 3.0 * se
 
     def test_mc_large_noise_limit(self, setup):
         sc, stats, bf = setup
