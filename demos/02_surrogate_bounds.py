@@ -6,16 +6,19 @@ over users; this script first expands them at chi-space points and samples
 random probe points, reporting the worst-case violation (which should be
 zero up to round-off) and the mean slack, then builds the designs' stacked
 coefficients at a random beamformer iterate and checks that every user's
-bound touches its target there.
+bound touches its target there. The coefficient builders read one
+half-iteration's operators, which carry the iterate's expected signal and
+leakage powers.
 """
 
 import numpy as np
 
 from slnrbeam.beamformer import beamformer_matrix, init_feasible
 from slnrbeam.channel import Scenario, build_statistics
-from slnrbeam.metrics import slnr_vec
+from slnrbeam.metrics import _signal_and_leakage
 from slnrbeam.surrogates import (
     gm_minorant_coeffs,
+    half_iteration_operators,
     log_bound,
     ratio_bound,
     slnr_minorant_coeffs,
@@ -74,10 +77,12 @@ report("soft-min majorant:", bound - target)
 sc = Scenario(Q=4, L=3, M=2, seed=31)
 stats = build_statistics(sc)
 bf = init_feasible(sc, np.random.default_rng(31))
-slnrs = slnr_vec(beamformer_matrix(bf), stats, sc.sigma)
-ratio_coeffs = slnr_minorant_coeffs("azimuth", bf, stats, sc.sigma)
-log_coeffs = gm_minorant_coeffs("azimuth", bf, stats, sc.sigma)
-soft_constant, soft_coeffs = soft_majorant_coeffs("azimuth", bf, stats, c, sc.sigma)
+signal, leakage = _signal_and_leakage(beamformer_matrix(bf), stats)
+slnrs = signal / (leakage + sc.sigma)
+ops = half_iteration_operators("azimuth", bf, stats, signal, leakage, sc.sigma)
+ratio_coeffs = slnr_minorant_coeffs(ops)
+log_coeffs = gm_minorant_coeffs(ops)
+soft_constant, soft_coeffs = soft_majorant_coeffs(ops, c)
 print()
 print(f"Stacked coefficients at a Q={sc.Q}, L={sc.L}, M={sc.M} iterate: "
       f"b {ratio_coeffs.b.shape}, C {ratio_coeffs.C.shape}")

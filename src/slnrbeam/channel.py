@@ -179,20 +179,18 @@ def horizontal_correlation(
 
 @dataclass
 class ChannelStatistics:
-    """Per-user Kronecker channel statistics with square-root caches.
+    """Per-user Kronecker channel statistics.
 
-    Arrays are stacked over the user index: ``path_gain`` is (L,), the
-    correlation factors ``R_v``/``R_h`` and their principal square roots
-    are (L, Q, Q). No Q^2 x Q^2 matrix is stored; :meth:`covariance` builds
-    the dense ones on demand.
+    Arrays are stacked over the user index: ``path_gain`` is (L,) and the
+    correlation factors ``R_v``/``R_h`` are (L, Q, Q). Nothing derived from
+    them is stored: :meth:`covariance` builds the dense Q^2 x Q^2 matrices
+    and :func:`sample_channels` the factor roots on demand.
     """
 
     Q: int
     path_gain: np.ndarray
     R_v: np.ndarray
     R_h: np.ndarray
-    sqrt_R_v: np.ndarray
-    sqrt_R_h: np.ndarray
     geometry: list[UserGeometry] = field(default_factory=list)
 
     @property
@@ -218,8 +216,6 @@ def build_statistics(
 
     Without an explicit geometry, users are placed with a generator seeded
     from ``scenario.seed`` (stream 0), so repeated calls are identical.
-    The factor roots also give the roots of the Kronecker products,
-    sqrt(kron(A, B)) = kron(sqrt(A), sqrt(B)) for PSD factors.
     """
     if geometry is None:
         if rng is None:
@@ -244,8 +240,6 @@ def build_statistics(
         path_gain=np.array([g.path_gain for g in geometry]),
         R_v=r_v,
         R_h=r_h,
-        sqrt_R_v=np.stack([hermitian_sqrt(r) for r in r_v]),
-        sqrt_R_h=np.stack([hermitian_sqrt(r) for r in r_h]),
         geometry=list(geometry),
     )
 
@@ -253,11 +247,16 @@ def build_statistics(
 def sample_channels(
     stats: ChannelStatistics, ell: int, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw ``n`` iid channel realizations for user ``ell`` as an (n, Q, Q) array."""
+    """Draw ``n`` iid channel realizations for user ``ell`` as an (n, Q, Q) array.
+
+    The factor roots are taken on demand; they also give the roots of the
+    Kronecker products, sqrt(kron(A, B)) = kron(sqrt(A), sqrt(B)) for PSD
+    factors.
+    """
     Q = stats.Q
     h_iid = (rng.standard_normal((n, Q, Q)) + 1j * rng.standard_normal((n, Q, Q))) / np.sqrt(2.0)
     root = np.sqrt(stats.path_gain[ell])
-    return root * (stats.sqrt_R_v[ell] @ h_iid @ stats.sqrt_R_h[ell])
+    return root * (hermitian_sqrt(stats.R_v[ell]) @ h_iid @ hermitian_sqrt(stats.R_h[ell]))
 
 
 def vec(mat: np.ndarray) -> np.ndarray:

@@ -23,6 +23,12 @@ update would degrade the driving objective (possible only through finite
 precision or, for the geometric mean, because a weighted-sum ascent step
 does not always increase the product), the step is backtracked toward the
 current iterate. Every result says why its run stopped.
+
+Each candidate iterate is evaluated once: a backtracking trial builds its
+beamformer matrix W and every user's expected signal and leakage power. The
+accepted trial's evaluation is kept with the iterate and serves its
+objective, its trace row (rates, power, incumbent) and the next
+half-iteration's operators.
 """
 
 from __future__ import annotations
@@ -40,11 +46,10 @@ from .beamformer import (
     circular_gaussian,
     coupling_matrix,
     init_feasible,
-    total_power,
     user_powers,
 )
 from .channel import ChannelStatistics, Scenario
-from .metrics import ergodic_rate_closed, slnr_vec
+from .metrics import _signal_and_leakage, ergodic_rate_closed, slnr_vec
 from .numerics import largest_generalized_eigvec
 from .qcqp import (
     MaxMinQuadraticProblem,
@@ -153,20 +158,15 @@ def gm_weights(slnr_values: np.ndarray) -> np.ndarray:
 def track_incumbent(
     result: OptimizationResult,
     w_mat: np.ndarray,
-    stats: ChannelStatistics,
-    sigma: float,
-    rates: np.ndarray | None = None,
+    rates: np.ndarray,
     bf: BeamformerSet | None = None,
 ) -> OptimizationResult:
-    """Adopt the (Q^2, L) beamformers ``w_mat`` iff their minimum ergodic
-    rate strictly improves.
+    """Adopt the (Q^2, L) beamformers ``w_mat`` iff the minimum of their
+    per-user ergodic ``rates`` (nats) strictly improves.
 
     ``bf``, the set that ``w_mat`` vectorizes if there is one, is copied into
-    the incumbent on adoption. Precomputed per-user ``rates`` (nats) may be
-    passed to avoid re-evaluation.
+    the incumbent on adoption.
     """
-    if rates is None:
-        rates = ergodic_rate_closed(w_mat, stats, sigma)
     min_rate = float(np.min(rates))
     if min_rate > result.rate_min_nats:
         result.rate_min_nats = min_rate
@@ -260,8 +260,12 @@ def baseline_uniform(stats: ChannelStatistics, scenario: Scenario) -> np.ndarray
 class _Run:
     """Shared state and bookkeeping for one alternating-optimization run.
 
-    ``slnrs`` holds the SLNRs of the current iterate ``bf``; ``subproblem``
-    the last max-min subproblem's solution, for the trace row.
+    The current iterate ``bf`` is kept with its one evaluation (``evaluate``):
+    its (Q^2, L) matrix ``w_mat``, every user's expected ``signal`` and
+    ``leakage`` power, and the ``slnrs`` derived from them. The trace row,
+    the incumbent and the next half-iteration's operators all read these.
+    ``subproblem`` is the last max-min subproblem's solution, for the trace
+    row.
     """
 
     def __init__(self, algorithm: str, scenario: Scenario, stats: ChannelStatistics):
@@ -270,17 +274,26 @@ class _Run:
         self.sigma = scenario.sigma
         self.rng = np.random.default_rng([scenario.seed, 1])
         self.bf = init_feasible(scenario, self.rng)
-        self.slnrs = slnr_vec(beamformer_matrix(self.bf), stats, self.sigma)
+        self.keep(self.evaluate(self.bf))
         self.subproblem: SubproblemSolution | None = None
         self.result = OptimizationResult(
             algorithm=algorithm, incumbent=None, incumbent_matrix=None, rate_min_nats=-np.inf
         )
 
+    def evaluate(self, bf: BeamformerSet) -> tuple[np.ndarray, ...]:
+        """``(w_mat, signal, leakage, slnrs)`` of a candidate iterate ``bf``."""
+        w_mat = beamformer_matrix(bf)
+        signal, leakage = _signal_and_leakage(w_mat, self.stats)
+        return w_mat, signal, leakage, signal / (leakage + self.sigma)
+
+    def keep(self, evaluation: tuple[np.ndarray, ...]) -> None:
+        """Adopt ``evaluate``'s result as the current iterate's."""
+        self.w_mat, self.signal, self.leakage, self.slnrs = evaluation
+
     def record(self, step: float, objective: float) -> None:
         """Append a trace row and refresh the incumbent."""
-        w_mat = beamformer_matrix(self.bf)
-        rates = ergodic_rate_closed(w_mat, self.stats, self.sigma)
-        track_incumbent(self.result, w_mat, self.stats, self.sigma, rates=rates, bf=self.bf)
+        rates = ergodic_rate_closed(self.w_mat, self.stats, self.sigma)
+        track_incumbent(self.result, self.w_mat, rates, bf=self.bf)
         sub = self.subproblem
         self.result.trace.append(
             TraceEntry(
@@ -288,22 +301,23 @@ class _Run:
                 min_slnr=float(self.slnrs.min()),
                 objective=objective,
                 min_rate_nats=float(np.min(rates)),
-                power=total_power(self.bf),
+                power=float(np.linalg.norm(self.w_mat) ** 2),
                 subproblem_gap=None if sub is None else sub.gap,
                 subproblem_iterations=None if sub is None else sub.iterations,
             )
         )
 
-    def reinit_degenerate(self, side: str, ops: HalfIterationOperators) -> HalfIterationOperators:
+    def reinit_degenerate(self, side: str) -> None:
         """Replace zero-signal users' free vectors by a small random draw.
 
         A vanished expected signal makes every bound uninformative, so the
         user restarts from a fresh vector carrying one percent of the power
-        left in the budget by the other users; ``slnrs`` follows the change.
+        left in the budget by the other users; the kept evaluation follows
+        the change.
         """
-        dead = np.nonzero(ops.signal <= 0.0)[0]
+        dead = np.nonzero(self.signal <= 0.0)[0]
         if dead.size == 0:
-            return ops
+            return
         free = self.bf.v_a if side == "azimuth" else self.bf.v_e
         for ell in dead:
             per_user = user_powers(self.bf)
@@ -320,8 +334,7 @@ class _Run:
                 quad = float(np.real(draw.conj() @ (a_mat @ draw)))
             free[ell] = draw * np.sqrt(DEGENERATE_POWER_FRACTION * remaining / quad)
             logger.warning("reinitialized degenerate user %d on the %s side", ell, side)
-        self.slnrs = slnr_vec(beamformer_matrix(self.bf), self.stats, self.sigma)
-        return half_iteration_operators(side, self.bf, self.stats, self.sigma)
+        self.keep(self.evaluate(self.bf))
 
     def finish(self, iterations: int, stop_reason: str) -> OptimizationResult:
         self.result.iterations = iterations
@@ -343,10 +356,11 @@ def _backtrack(
 
     Tries v_old + s (v_new - v_old) for s = 1, 1/2, ... (``max_halvings``
     trials); ``max_halvings=0`` tries v_new itself, unblended, once.
-    ``objective`` maps a trial's SLNR vector to the driving objective and
-    ``better(new, old)`` says whether the step direction is acceptable; the
-    accepted trial's SLNRs become ``run.slnrs``. Returns the accepted
-    objective value and whether any step was taken.
+    Each trial is evaluated once (``_Run.evaluate``); ``objective`` maps its
+    SLNR vector to the driving objective and ``better(new, old)`` says
+    whether the step direction is acceptable. The accepted trial's
+    evaluation becomes the run's. Returns the accepted objective value and
+    whether any step was taken.
     """
     attr = "v_a" if side == "azimuth" else "v_e"
     v_old = getattr(run.bf, attr)
@@ -354,12 +368,11 @@ def _backtrack(
         v_old + 0.5**k * (v_new - v_old) for k in range(max_halvings)
     )
     for point in trials:
-        trial = replace(run.bf, **{attr: point})
-        slnrs = slnr_vec(beamformer_matrix(trial), run.stats, run.sigma)
-        value = objective(slnrs)
+        evaluation = run.evaluate(replace(run.bf, **{attr: point}))
+        value = objective(evaluation[-1])  # the trial's SLNRs
         if better(value, current):
             setattr(run.bf, attr, point)
-            run.slnrs = slnrs
+            run.keep(evaluation)
             return value, True
     return current, False
 
@@ -395,9 +408,8 @@ def _alternate(
         previous_full = current
         moved = False
         for half, side in enumerate(SIDE_ORDER):
-            ops = run.reinit_degenerate(
-                side, half_iteration_operators(side, run.bf, stats, run.sigma)
-            )
+            run.reinit_degenerate(side)
+            ops = half_iteration_operators(side, run.bf, stats, run.signal, run.leakage, run.sigma)
             current, stepped = _backtrack(
                 run, side, update(run, side, ops), objective, current, better,
                 max_halvings=0 if certified else 40,
@@ -431,7 +443,7 @@ def run_maxmin(
     """
 
     def update(run: _Run, side: str, ops: HalfIterationOperators) -> np.ndarray:
-        coeffs = slnr_minorant_coeffs(side, run.bf, stats, run.sigma, ops=ops)
+        coeffs = slnr_minorant_coeffs(ops)
         problem = MaxMinQuadraticProblem(
             a=coeffs.a, b=coeffs.b, C=coeffs.C, A=coupling_matrix(side, run.bf), P=scenario.P
         )
@@ -469,10 +481,9 @@ def run_gm(
     def update(run: _Run, side: str, ops: HalfIterationOperators) -> np.ndarray:
         nonlocal weights
         if side == SIDE_ORDER[0]:
-            weights = gm_weights(ops.slnr())
-        coeffs = gm_minorant_coeffs(side, run.bf, stats, run.sigma, ops=ops)
+            weights = gm_weights(run.slnrs)
         return closed_form_update(
-            coeffs, coupling_matrix(side, run.bf), scenario.P, weights=weights
+            gm_minorant_coeffs(ops), coupling_matrix(side, run.bf), scenario.P, weights=weights
         )
 
     return _alternate("gm", scenario, stats, options, _geometric_mean_log, operator.ge, update)
@@ -496,7 +507,7 @@ def run_soft(
     c = (options or AlgoOptions()).soft_c
 
     def update(run: _Run, side: str, ops: HalfIterationOperators) -> np.ndarray:
-        _, coeffs = soft_majorant_coeffs(side, run.bf, stats, c, run.sigma, ops=ops)
+        _, coeffs = soft_majorant_coeffs(ops, c)
         return closed_form_update(coeffs, coupling_matrix(side, run.bf), scenario.P)
 
     objective = lambda slnrs: _soft_objective_value(slnrs, c)
@@ -516,7 +527,7 @@ def run_baseline(
         stop_reason="direct",
     )
     rates = ergodic_rate_closed(w_mat, stats, scenario.sigma)
-    track_incumbent(result, w_mat, stats, scenario.sigma, rates=rates)
+    track_incumbent(result, w_mat, rates)
     min_slnr = float(slnr_vec(w_mat, stats, scenario.sigma).min())
     result.trace.append(
         TraceEntry(

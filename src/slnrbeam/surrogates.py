@@ -20,6 +20,11 @@ v_l^H sum_l v_l + sigma, so cross_l = v_bar_l^H own_l turns each bound into
 stacked coefficients (a, b, C) of a quadratic in v: the SLNR max-min step
 uses the ratio bound, the geometric-mean step the log bound, and the soft
 max-min step the smoothed-minimum bound.
+
+The operators carry the expansion point's expected signal and leakage
+powers, which the caller hands in: the designs' driver has them from
+evaluating the iterate. The three coefficient builders read the operators
+only.
 """
 
 from __future__ import annotations
@@ -28,9 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamformer import BeamformerSet, beamformer_matrix
+from .beamformer import BeamformerSet
 from .channel import ChannelStatistics
-from .metrics import _signal_and_leakage
 from .qcqp import quadratic_values
 
 
@@ -132,14 +136,20 @@ class HalfIterationOperators:
     def x_bar(self) -> np.ndarray:
         return self.leakage + self.sigma
 
-    def slnr(self) -> np.ndarray:
-        return self.signal / self.x_bar
-
 
 def half_iteration_operators(
-    side: str, bf: BeamformerSet, stats: ChannelStatistics, sigma: float
+    side: str,
+    bf: BeamformerSet,
+    stats: ChannelStatistics,
+    signal: np.ndarray,
+    leakage: np.ndarray,
+    sigma: float,
 ) -> HalfIterationOperators:
     """Assemble the quadratic operators of one alternating half-iteration.
+
+    ``signal`` and ``leakage`` are every user's expected powers at ``bf``
+    (:func:`~slnrbeam.metrics._signal_and_leakage`), evaluated by the caller
+    with the iterate and kept as the expansion point.
 
     With Psi_l = F_l kron I_Q for the fixed side's (Q, M) vectors F_l, the
     mixed-product identity (F kron I)^H (A kron B) (F kron I) = (F^H A F) kron B
@@ -172,7 +182,6 @@ def half_iteration_operators(
     sum_quad = (
         summed.reshape(n_users, m, m, q, q).transpose(0, 1, 3, 2, 4).reshape(n_users, q * m, q * m)
     )
-    signal, leakage = _signal_and_leakage(beamformer_matrix(bf), stats)
     return HalfIterationOperators(
         side=side,
         v_bar=free.copy(),
@@ -184,69 +193,42 @@ def half_iteration_operators(
     )
 
 
-def _expansion(
-    side: str,
-    bf: BeamformerSet,
-    stats: ChannelStatistics,
-    sigma: float,
-    ops: HalfIterationOperators | None,
-) -> tuple[HalfIterationOperators, np.ndarray]:
-    """The operators at the current iterate and every user's row v_bar^H own.
+def _expansion(ops: HalfIterationOperators) -> np.ndarray:
+    """Every user's row v_bar^H own at the operators' expansion point.
 
     Raises :class:`DegenerateUserError` naming the first user whose expected
     signal power vanished: every bound is uninformative there.
     """
-    if ops is None:
-        ops = half_iteration_operators(side, bf, stats, sigma)
     dead = np.flatnonzero(ops.signal <= 0.0)
     if dead.size:
         raise DegenerateUserError(
             f"user {dead[0]} has zero expected signal power at the expansion point"
         )
-    return ops, (ops.v_bar.conj()[:, None, :] @ ops.own_quad)[:, 0]
+    return (ops.v_bar.conj()[:, None, :] @ ops.own_quad)[:, 0]
 
 
-def slnr_minorant_coeffs(
-    side: str,
-    bf: BeamformerSet,
-    stats: ChannelStatistics,
-    sigma: float,
-    ops: HalfIterationOperators | None = None,
-) -> SurrogateCoefficients:
+def slnr_minorant_coeffs(ops: HalfIterationOperators) -> SurrogateCoefficients:
     """Concave-quadratic minorants of every user's SLNR in its free vector.
 
-    The ratio bound at the current iterate: tight there, below the SLNR
+    The ratio bound at the operators' iterate: tight there, below the SLNR
     everywhere on the feasible set.
     """
-    ops, cross = _expansion(side, bf, stats, sigma, ops)
-    a, b, c = ratio_bound(ops.signal, ops.x_bar, cross)
-    return SurrogateCoefficients(a - sigma * c, b, c[:, None, None] * ops.sum_quad)
+    a, b, c = ratio_bound(ops.signal, ops.x_bar, _expansion(ops))
+    return SurrogateCoefficients(a - ops.sigma * c, b, c[:, None, None] * ops.sum_quad)
 
 
-def gm_minorant_coeffs(
-    side: str,
-    bf: BeamformerSet,
-    stats: ChannelStatistics,
-    sigma: float,
-    ops: HalfIterationOperators | None = None,
-) -> SurrogateCoefficients:
+def gm_minorant_coeffs(ops: HalfIterationOperators) -> SurrogateCoefficients:
     """Concave-quadratic minorants of every user's ln(1 + SLNR).
 
-    The log bound at the current iterate; the design's user weights enter
+    The log bound at the operators' iterate; the design's user weights enter
     in :func:`~slnrbeam.optimizers.closed_form_update`.
     """
-    ops, cross = _expansion(side, bf, stats, sigma, ops)
-    a, b, c = log_bound(ops.signal, ops.x_bar, cross)
-    return SurrogateCoefficients(a - sigma * c, b, c[:, None, None] * ops.sum_quad)
+    a, b, c = log_bound(ops.signal, ops.x_bar, _expansion(ops))
+    return SurrogateCoefficients(a - ops.sigma * c, b, c[:, None, None] * ops.sum_quad)
 
 
 def soft_majorant_coeffs(
-    side: str,
-    bf: BeamformerSet,
-    stats: ChannelStatistics,
-    c: float,
-    sigma: float,
-    ops: HalfIterationOperators | None = None,
+    ops: HalfIterationOperators, c: float
 ) -> tuple[float, SurrogateCoefficients]:
     """Majorant of the smoothed-minimum objective, stacked over users.
 
@@ -256,8 +238,7 @@ def soft_majorant_coeffs(
     with the smoothing-scaled leakage quadratic,
     ||chi_l||^2 + c x_l = v_l^H ((1 - c) own_l + c sum_l) v_l + c sigma.
     """
-    ops, cross = _expansion(side, bf, stats, sigma, ops)
-    constant, b, scale = smoothed_min_bound(ops.signal, ops.x_bar, cross, c)
+    constant, b, scale = smoothed_min_bound(ops.signal, ops.x_bar, _expansion(ops), c)
     quad = scale[:, None, None] * ((1.0 - c) * ops.own_quad + c * ops.sum_quad)
     coeffs = SurrogateCoefficients(np.zeros_like(scale), b, quad, sense="majorant")
-    return constant + c * sigma * float(np.sum(scale)), coeffs
+    return constant + c * ops.sigma * float(np.sum(scale)), coeffs

@@ -4,14 +4,16 @@ The library keeps only the Q x Q Kronecker factors; these helpers rebuild the
 Q^2 x Q^2 second moments and the per-user SLNR the tests compare against, the
 per-realization SINR of one channel draw, the eigenvalue expansion of the
 ergodic rate, and a chi-space evaluator of the three quadratic bounds of
-:mod:`slnrbeam.surrogates`.
+:mod:`slnrbeam.surrogates`; ``operators_at`` builds one half-iteration's
+operators at a given beamformer set, as the designs' driver does.
 """
 
 import numpy as np
 
 from slnrbeam.beamformer import beamformer_matrix
-from slnrbeam.metrics import slnr_vec
+from slnrbeam.metrics import _signal_and_leakage, slnr_vec
 from slnrbeam.numerics import exp_scaled_e1
+from slnrbeam.surrogates import half_iteration_operators
 
 
 def dense_r_tilde(stats):
@@ -19,6 +21,12 @@ def dense_r_tilde(stats):
     return np.stack(
         [g * np.kron(r_v.T, r_h) for g, r_v, r_h in zip(stats.path_gain, stats.R_v, stats.R_h)]
     )
+
+
+def operators_at(side, bf, stats, sigma):
+    """``half_iteration_operators`` at ``bf``, its expected powers evaluated first."""
+    signal, leakage = _signal_and_leakage(beamformer_matrix(bf), stats)
+    return half_iteration_operators(side, bf, stats, signal, leakage, sigma)
 
 
 def user_slnr(bf, stats, ell, sigma):

@@ -22,7 +22,7 @@ from slnrbeam.channel import (
     vec_batch,
     vertical_correlation,
 )
-from slnrbeam.numerics import PSD_CLIP_REL
+from slnrbeam.numerics import PSD_CLIP_REL, hermitian_sqrt
 
 from conftest import dense_r_tilde
 
@@ -167,7 +167,7 @@ class TestCovariancePair:
         stats = build_statistics(scenario)
         L, Q = scenario.L, scenario.Q
         arrays = {k: v for k, v in vars(stats).items() if isinstance(v, np.ndarray)}
-        assert set(arrays) == {"path_gain", "R_v", "R_h", "sqrt_R_v", "sqrt_R_h"}
+        assert set(arrays) == {"path_gain", "R_v", "R_h"}
         for name, arr in arrays.items():
             assert arr.shape in ((L, Q, Q), (L,)), name
         cov = stats.covariance()
@@ -200,12 +200,13 @@ class TestCovariancePair:
             np.testing.assert_allclose(np.diag(stats.R_h[ell]), np.ones(3), atol=1e-12)
 
     def test_sqrt_caches(self, scenario):
-        # The factor roots square to the factors, and their Kronecker
-        # products (scaled by sqrt(path_gain)) square to R and R_tilde.
+        # The factor roots (as the channel sampler takes them) square to the
+        # factors, and their Kronecker products (scaled by sqrt(path_gain))
+        # square to R and R_tilde.
         stats = build_statistics(scenario)
         big_r, big_rt = stats.covariance(), dense_r_tilde(stats)
         for ell in range(stats.L):
-            s_v, s_h = stats.sqrt_R_v[ell], stats.sqrt_R_h[ell]
+            s_v, s_h = hermitian_sqrt(stats.R_v[ell]), hermitian_sqrt(stats.R_h[ell])
             for root_f, factor in ((s_v, stats.R_v[ell]), (s_h, stats.R_h[ell])):
                 np.testing.assert_allclose(
                     root_f @ root_f, factor, atol=1e-10 * np.linalg.norm(factor)
@@ -260,8 +261,8 @@ class TestSampling:
         # is the identity.
         sc = Scenario(Q=3, L=1, seed=0)
         stats = build_statistics(sc)
-        stats.sqrt_R_v[0] = np.eye(3)
-        stats.sqrt_R_h[0] = np.eye(3)
+        stats.R_v[0] = np.eye(3)
+        stats.R_h[0] = np.eye(3)
         stats.path_gain[0] = 1.0
         n = 60_000
         h = sample_channels(stats, 0, n, np.random.default_rng(10))

@@ -22,9 +22,14 @@ from slnrbeam.metrics import (
 )
 from slnrbeam.numerics import exp_scaled_e1
 from slnrbeam.optimizers import AlgoOptions, run_gm, run_soft
-from slnrbeam.surrogates import half_iteration_operators
 
-from conftest import expansion_rate, instantaneous_sinr, transmit_bilinear, user_slnr
+from conftest import (
+    expansion_rate,
+    instantaneous_sinr,
+    operators_at,
+    transmit_bilinear,
+    user_slnr,
+)
 
 
 def dense_slnr(w_mat, stats, sigma):
@@ -82,7 +87,7 @@ class TestSlnr:
         # duplicate user 0's statistics into user 1 and give both the same
         # beamformer; their SLNRs must coincide by symmetry
         twin = copy.deepcopy(stats)
-        for name in ("path_gain", "R_v", "R_h", "sqrt_R_v", "sqrt_R_h"):
+        for name in ("path_gain", "R_v", "R_h"):
             getattr(twin, name)[1] = getattr(twin, name)[0]
         bf2 = bf.copy()
         bf2.v_a[1] = bf2.v_a[0]
@@ -98,7 +103,7 @@ class TestSlnr:
         sc, stats, bf = setup
         want = slnr_vec(beamformer_matrix(bf), stats, sc.sigma)
         for side, free in (("azimuth", bf.v_a), ("elevation", bf.v_e)):
-            ops = half_iteration_operators(side, bf, stats, sc.sigma)
+            ops = operators_at(side, bf, stats, sc.sigma)
             for ell in range(bf.L):
                 v = free[ell]
                 own = np.real(v.conj() @ ops.own_quad[ell] @ v)
@@ -194,8 +199,7 @@ def identity_statistics(n_users, q, gain=1.0):
     """Statistics with white correlation factors: R_k = gain * I for every user."""
     eye = np.broadcast_to(np.eye(q, dtype=complex), (n_users, q, q)).copy()
     return ChannelStatistics(
-        Q=q, path_gain=np.full(n_users, gain), R_v=eye, R_h=eye.copy(),
-        sqrt_R_v=eye.copy(), sqrt_R_h=eye.copy(),
+        Q=q, path_gain=np.full(n_users, gain), R_v=eye, R_h=eye.copy()
     )
 
 

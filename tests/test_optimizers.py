@@ -14,7 +14,8 @@ import scipy.optimize
 import slnrbeam
 from slnrbeam.beamformer import beamformer_matrix, init_feasible, total_power
 from slnrbeam.channel import Scenario, build_statistics
-from slnrbeam import optimizers
+from slnrbeam import optimizers, surrogates
+from slnrbeam.metrics import _signal_and_leakage, ergodic_rate_closed
 from slnrbeam.numerics import hermitian_eig
 from slnrbeam.optimizers import (
     AlgoOptions,
@@ -29,6 +30,8 @@ from slnrbeam.optimizers import (
 )
 from slnrbeam.qcqp import SubproblemSolution
 from slnrbeam.surrogates import SurrogateCoefficients
+
+from conftest import operators_at
 
 
 def random_quadratics(rng, n_users=3, dim=6, b_scale=1.0):
@@ -220,12 +223,12 @@ class TestRunGm:
         # azimuth update directly.
         sc, stats = desk
         from slnrbeam.beamformer import coupling_matrix
-        from slnrbeam.surrogates import gm_minorant_coeffs, half_iteration_operators
+        from slnrbeam.surrogates import gm_minorant_coeffs
 
         bf = init_feasible(sc, np.random.default_rng([7, 1]))
-        ops = half_iteration_operators("azimuth", bf, stats, sc.sigma)
-        weights = gm_weights(ops.slnr())
-        coeffs = gm_minorant_coeffs("azimuth", bf, stats, sc.sigma, ops=ops)
+        ops = operators_at("azimuth", bf, stats, sc.sigma)
+        weights = gm_weights(ops.signal / ops.x_bar)
+        coeffs = gm_minorant_coeffs(ops)
         a_mats = coupling_matrix("azimuth", bf)
         v = closed_form_update(coeffs, a_mats, sc.P, weights=weights)
         power = sum(np.real(v[i].conj() @ a_mats[i] @ v[i]) for i in range(3))
@@ -351,7 +354,7 @@ class TestIncumbent:
         )
         bf = init_feasible(sc, np.random.default_rng(1))
         w_mat = beamformer_matrix(bf)
-        track_incumbent(result, w_mat, stats, sc.sigma, bf=bf)
+        track_incumbent(result, w_mat, ergodic_rate_closed(w_mat, stats, sc.sigma), bf=bf)
         assert result.incumbent is not bf
         np.testing.assert_array_equal(result.incumbent.v_a, bf.v_a)
         assert result.incumbent_matrix is w_mat
@@ -363,16 +366,17 @@ class TestIncumbent:
             algorithm="x", incumbent=None, incumbent_matrix=None, rate_min_nats=-np.inf
         )
         bf = init_feasible(sc, np.random.default_rng(1))
-        track_incumbent(result, beamformer_matrix(bf), stats, sc.sigma, bf=bf)
+        rates = ergodic_rate_closed(beamformer_matrix(bf), stats, sc.sigma)
+        track_incumbent(result, beamformer_matrix(bf), rates, bf=bf)
         first = result.incumbent
         # identical min rate
-        track_incumbent(result, beamformer_matrix(bf), stats, sc.sigma, bf=bf.copy())
+        track_incumbent(result, beamformer_matrix(bf), rates, bf=bf.copy())
         assert result.incumbent is first
 
     def test_trace_row_vectorizes_once(self, desk, monkeypatch):
-        # A trace row's rates and its incumbent share one beamformer matrix.
+        # An iterate is vectorized once, when it is evaluated; its trace row's
+        # rates, power and incumbent read that one beamformer matrix.
         sc, stats = desk
-        run = optimizers._Run("gm", sc, stats)
         built = []
 
         def counting(bf):
@@ -380,10 +384,14 @@ class TestIncumbent:
             return built[-1]
 
         monkeypatch.setattr(optimizers, "beamformer_matrix", counting)
+        run = optimizers._Run("gm", sc, stats)
         run.record(0.0, 0.0)
         assert len(built) == 1
+        assert run.w_mat is built[0]
         assert run.result.incumbent_matrix is built[0]
         np.testing.assert_array_equal(run.result.incumbent.v_e, run.bf.v_e)
+        assert run.result.trace[0].power == float(np.linalg.norm(built[0]) ** 2)
+        assert run.result.trace[0].power == pytest.approx(total_power(run.bf), rel=1e-14)
 
     def test_rate_min_equals_trace_max(self, desk):
         sc, stats = desk
@@ -459,10 +467,29 @@ class TestStopReason:
         np.testing.assert_array_equal(res.final.v_a, res.incumbent.v_a)
 
     def test_slnrs_computed_once_per_objective_evaluation(self, desk, monkeypatch, caplog):
-        # Each iterate's SLNR vector feeds its objective and its trace row;
-        # only a degenerate-user reinit recomputes it.
+        # Each candidate iterate is evaluated once: W and the expected powers
+        # are built per backtracking trial, plus once at init and once per
+        # degenerate-user reinit, and feed its objective, its trace row and
+        # the next half-iteration's operators. Wrapping the two functions in
+        # every slnrbeam namespace that binds them, and counting the calls,
+        # shows that no trace row or operator build evaluates them again.
         sc, stats = desk
-        counts = {"slnr": 0, "objective": 0}
+        callers = {beamformer_matrix: [], _signal_and_leakage: []}
+        counts = {"objective": 0, "backtrack": 0, "slnr_vec": 0}
+
+        def caller_names():
+            frame, names = sys._getframe(2), []
+            while frame is not None and len(names) < 4:
+                names.append(frame.f_code.co_name)
+                frame = frame.f_back
+            return names
+
+        def wrapping(func):
+            def wrapper(*args, **kwargs):
+                callers[func].append(caller_names())
+                return func(*args, **kwargs)
+
+            return wrapper
 
         def counting(name, func):
             def wrapper(*args, **kwargs):
@@ -471,45 +498,80 @@ class TestStopReason:
 
             return wrapper
 
-        monkeypatch.setattr(optimizers, "slnr_vec", counting("slnr", optimizers.slnr_vec))
+        for func in callers:
+            wrapper = wrapping(func)
+            for mod in [m for n, m in sys.modules.items() if n.startswith("slnrbeam")]:
+                for attr, value in list(vars(mod).items()):
+                    if value is func:
+                        monkeypatch.setattr(mod, attr, wrapper)
+        assert not hasattr(surrogates, "beamformer_matrix")
+        assert not hasattr(surrogates, "_signal_and_leakage")
+        monkeypatch.setattr(optimizers, "slnr_vec", counting("slnr_vec", optimizers.slnr_vec))
+        monkeypatch.setattr(optimizers, "_backtrack", counting("backtrack", optimizers._backtrack))
         monkeypatch.setattr(
             optimizers,
             "_geometric_mean_log",
             counting("objective", optimizers._geometric_mean_log),
         )
-        with caplog.at_level("WARNING", logger="slnrbeam.optimizers"):
-            res = run_gm(sc, stats, AlgoOptions(max_iterations=3))
-        reinits = sum("reinitialized" in r.getMessage() for r in caplog.records)
-        assert len(res.trace) == 7
-        assert counts["objective"] >= len(res.trace)
-        assert counts["slnr"] <= counts["objective"] + reinits
+        for run in (run_gm, run_maxmin):
+            for calls in callers.values():
+                calls.clear()
+            counts.update(dict.fromkeys(counts, 0))
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="slnrbeam.optimizers"):
+                res = run(sc, stats, AlgoOptions(max_iterations=3))
+            reinits = sum("reinitialized" in r.getMessage() for r in caplog.records)
+            assert len(res.trace) == 7
+            assert counts["slnr_vec"] == 0
+            if run is run_gm:
+                # The objective is taken once at init and once per trial.
+                assert counts["objective"] >= len(res.trace)
+                trials = counts["objective"] - 1
+            else:
+                # Max-min tries its subproblem's point whole: one trial per step.
+                assert counts["backtrack"] == len(res.trace) - 1
+                trials = counts["backtrack"]
+            for func, calls in callers.items():
+                assert len(calls) == 1 + trials + reinits, func.__name__
+                sites = [names[1] for names in calls]
+                assert all(names[0] == "evaluate" for names in calls), func.__name__
+                assert sites.count("__init__") == 1
+                assert sites.count("_backtrack") == trials
+                assert sites.count("reinit_degenerate") == reinits
+                assert not {"record", "half_iteration_operators"} & {n for c in calls for n in c}
 
 
 class TestDegenerateHandling:
     def test_zero_user_reinitialized_with_budget_fraction(self, desk):
         sc, stats = desk
         from slnrbeam.optimizers import _Run
-        from slnrbeam.surrogates import half_iteration_operators
 
         run = _Run("gm", sc, stats)
         run.bf.v_a[0] = 0.0  # kill one user's signal entirely
-        ops = half_iteration_operators("azimuth", run.bf, stats, sc.sigma)
-        assert ops.signal[0] == 0.0
-        ops2 = run.reinit_degenerate("azimuth", ops)
-        assert ops2.signal[0] > 0.0
+        run.keep(run.evaluate(run.bf))
+        assert run.signal[0] == 0.0
+        run.reinit_degenerate("azimuth")
+        assert run.signal[0] > 0.0
         assert total_power(run.bf) <= sc.P * (1.0 + 1e-8)
-        # The run's SLNRs follow the reinitialized iterate.
-        np.testing.assert_array_equal(run.slnrs, ops2.signal / ops2.x_bar)
+        # The kept evaluation, SLNRs included, follows the reinitialized
+        # iterate, and so do the operators built from it.
+        ops = operators_at("azimuth", run.bf, stats, sc.sigma)
+        np.testing.assert_array_equal(run.w_mat, beamformer_matrix(run.bf))
+        np.testing.assert_array_equal(run.signal, ops.signal)
+        np.testing.assert_array_equal(run.leakage, ops.leakage)
+        np.testing.assert_array_equal(run.slnrs, ops.signal / ops.x_bar)
 
     def test_dead_fixed_side_also_recovers(self, desk):
         sc, stats = desk
         from slnrbeam.optimizers import _Run
-        from slnrbeam.surrogates import half_iteration_operators
 
         run = _Run("soft", sc, stats)
         run.bf.v_a[1] = 0.0
         run.bf.v_e[1] = 0.0  # both sides dead: the coupling matrix vanishes
-        ops = half_iteration_operators("azimuth", run.bf, stats, sc.sigma)
-        ops2 = run.reinit_degenerate("azimuth", ops)
-        assert ops2.signal[1] > 0.0
+        run.keep(run.evaluate(run.bf))
+        run.reinit_degenerate("azimuth")
+        assert run.signal[1] > 0.0
         assert total_power(run.bf) <= sc.P * (1.0 + 1e-8)
+        np.testing.assert_array_equal(
+            run.signal, operators_at("azimuth", run.bf, stats, sc.sigma).signal
+        )

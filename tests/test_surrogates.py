@@ -11,7 +11,6 @@ from slnrbeam.optimizers import _soft_objective_value
 from slnrbeam.surrogates import (
     DegenerateUserError,
     gm_minorant_coeffs,
-    half_iteration_operators,
     log_bound,
     ratio_bound,
     slnr_minorant_coeffs,
@@ -24,6 +23,7 @@ from conftest import (
     chi_minorant,
     chi_softmin_majorant,
     dense_r_tilde,
+    operators_at,
     softmin_target,
     user_slnr,
 )
@@ -166,7 +166,7 @@ class TestSlnrMinorant:
         sc, stats, bf = setup
         slnrs = slnr_vec(beamformer_matrix(bf), stats, sc.sigma)
         for side in ("azimuth", "elevation"):
-            coeffs = slnr_minorant_coeffs(side, bf, stats, sc.sigma)
+            coeffs = slnr_minorant_coeffs(operators_at(side, bf, stats, sc.sigma))
             v = bf.v_a if side == "azimuth" else bf.v_e
             np.testing.assert_allclose(coeffs.evaluate(v), slnrs, rtol=1e-9)
 
@@ -175,7 +175,7 @@ class TestSlnrMinorant:
         rng = np.random.default_rng(8)
         side = "azimuth"
         ell = 1
-        coeffs = slnr_minorant_coeffs(side, bf, stats, sc.sigma)
+        coeffs = slnr_minorant_coeffs(operators_at(side, bf, stats, sc.sigma))
         base = np.linalg.norm(bf.v_a[ell])
         for _ in range(1000):
             other = perturb(bf, side, ell, rng, base * rng.uniform(0, 2))
@@ -187,7 +187,7 @@ class TestSlnrMinorant:
         sc, stats, bf = setup
         side = "azimuth"
         ell = 0
-        coeffs = slnr_minorant_coeffs(side, bf, stats, sc.sigma)
+        coeffs = slnr_minorant_coeffs(operators_at(side, bf, stats, sc.sigma))
         scale = np.linalg.norm(bf.v_a[ell])
         h = 1e-6 * scale
 
@@ -226,7 +226,7 @@ class TestSlnrMinorant:
         stats = build_statistics(sc)
         bf = init_feasible(sc, np.random.default_rng(33))
         cov = dense_r_tilde(stats) if side == "azimuth" else stats.covariance()
-        ops = half_iteration_operators(side, bf, stats, sc.sigma)
+        ops = operators_at(side, bf, stats, sc.sigma)
         for ell in range(bf.L):
             psi = psi_matrix(side, bf, ell)
             own = psi.conj().T @ cov[ell] @ psi
@@ -243,11 +243,12 @@ class TestSlnrMinorant:
         sc, stats, bf = setup
         dead = bf.copy()
         dead.v_a[1] = 0.0
+        ops = operators_at("azimuth", dead, stats, sc.sigma)
         for builder in (slnr_minorant_coeffs, gm_minorant_coeffs):
             with pytest.raises(DegenerateUserError, match="user 1 "):
-                builder("azimuth", dead, stats, sc.sigma)
+                builder(ops)
         with pytest.raises(DegenerateUserError, match="user 1 "):
-            soft_majorant_coeffs("azimuth", dead, stats, 0.1, sc.sigma)
+            soft_majorant_coeffs(ops, 0.1)
 
 
 class TestGmMinorant:
@@ -255,7 +256,7 @@ class TestGmMinorant:
         sc, stats, bf = setup
         rng = np.random.default_rng(9)
         weights = rng.uniform(1.0, 3.0, bf.L)
-        coeffs = gm_minorant_coeffs("azimuth", bf, stats, sc.sigma)
+        coeffs = gm_minorant_coeffs(operators_at("azimuth", bf, stats, sc.sigma))
         total_bound = float(weights @ coeffs.evaluate(bf.v_a))
         total_true = float(weights @ np.log1p(slnr_vec(beamformer_matrix(bf), stats, sc.sigma)))
         assert total_bound == pytest.approx(total_true, rel=1e-9)
@@ -264,7 +265,7 @@ class TestGmMinorant:
         sc, stats, bf = setup
         rng = np.random.default_rng(10)
         ell = 2
-        coeffs = gm_minorant_coeffs("azimuth", bf, stats, sc.sigma)
+        coeffs = gm_minorant_coeffs(operators_at("azimuth", bf, stats, sc.sigma))
         base = np.linalg.norm(bf.v_a[ell])
         for _ in range(1000):
             other = perturb(bf, "azimuth", ell, rng, base * rng.uniform(0, 2))
@@ -275,9 +276,9 @@ class TestGmMinorant:
         sc = Scenario(Q=3, L=1, M=1, seed=13)
         stats = build_statistics(sc)
         bf = init_feasible(sc, np.random.default_rng(13))
-        coeffs = gm_minorant_coeffs("azimuth", bf, stats, sc.sigma)
-        ops = half_iteration_operators("azimuth", bf, stats, sc.sigma)
-        g = ops.slnr()[0]
+        ops = operators_at("azimuth", bf, stats, sc.sigma)
+        coeffs = gm_minorant_coeffs(ops)
+        g = (ops.signal / ops.x_bar)[0]
         alpha = np.log1p(g) - g
         psi = g / (ops.x_bar[0] * (1.0 + g))
         assert coeffs.a[0] == pytest.approx(alpha - sc.sigma * psi, rel=1e-12)
@@ -287,8 +288,9 @@ class TestGmMinorant:
 class TestSoftMajorant:
     def test_tight_at_iterate(self, setup):
         sc, stats, bf = setup
+        ops = operators_at("azimuth", bf, stats, sc.sigma)
         for c in (1.0, 0.1):
-            constant, coeffs = soft_majorant_coeffs("azimuth", bf, stats, c, sc.sigma)
+            constant, coeffs = soft_majorant_coeffs(ops, c)
             value = constant + coeffs.evaluate(bf.v_a).sum()
             slnrs = slnr_vec(beamformer_matrix(bf), stats, sc.sigma)
             assert value == pytest.approx(_soft_objective_value(slnrs, c), rel=1e-9)
@@ -297,7 +299,7 @@ class TestSoftMajorant:
         sc, stats, bf = setup
         rng = np.random.default_rng(11)
         c = 0.1
-        constant, coeffs = soft_majorant_coeffs("azimuth", bf, stats, c, sc.sigma)
+        constant, coeffs = soft_majorant_coeffs(operators_at("azimuth", bf, stats, sc.sigma), c)
         base = np.linalg.norm(bf.v_a)
         for _ in range(1000):
             other = bf.copy()
@@ -314,9 +316,9 @@ class TestSoftMajorant:
         # The normalizer recomputed from the SLNRs must match the one inside
         # the coefficients when c is scaled.
         sc, stats, bf = setup
-        ops = half_iteration_operators("azimuth", bf, stats, sc.sigma)
+        ops = operators_at("azimuth", bf, stats, sc.sigma)
         for c in (0.05, 0.5):
-            gamma = ops.slnr()
+            gamma = ops.signal / ops.x_bar
             s_direct = float(np.sum(1.0 / (1.0 + gamma / c)))
             denom = c * ops.x_bar + ops.signal
             s_assembled = float(np.sum(c * ops.x_bar / denom))
@@ -324,7 +326,7 @@ class TestSoftMajorant:
 
     def test_positive_curvature_coefficients(self, setup):
         sc, stats, bf = setup
-        _, coeffs = soft_majorant_coeffs("azimuth", bf, stats, 0.1, sc.sigma)
+        _, coeffs = soft_majorant_coeffs(operators_at("azimuth", bf, stats, sc.sigma), 0.1)
         for mat in coeffs.C:
             lam = np.linalg.eigvalsh(mat)
             assert lam.min() >= -1e-12 * max(lam.max(), 1.0)
@@ -339,15 +341,15 @@ class TestCoefficientPositivity:
         sc = Scenario(Q=4, L=3, M=m_count, seed=34)
         stats = build_statistics(sc)
         bf = init_feasible(sc, np.random.default_rng(34))
-        ops = half_iteration_operators(side, bf, stats, sc.sigma)
+        ops = operators_at(side, bf, stats, sc.sigma)
         mats = [
             ops.own_quad,
             ops.sum_quad,
-            slnr_minorant_coeffs(side, bf, stats, sc.sigma, ops=ops).C,
-            gm_minorant_coeffs(side, bf, stats, sc.sigma, ops=ops).C,
+            slnr_minorant_coeffs(ops).C,
+            gm_minorant_coeffs(ops).C,
         ]
         for c in (0.1, 1.0):
-            mats.append(soft_majorant_coeffs(side, bf, stats, c, sc.sigma, ops=ops)[1].C)
+            mats.append(soft_majorant_coeffs(ops, c)[1].C)
         for mat in mats:
             np.testing.assert_array_equal(mat, mat.conj().swapaxes(-1, -2))
 
@@ -362,10 +364,10 @@ class TestCoefficientPositivity:
         assert np.all(ratio_bound(*expansion)[2] > 0.0)
         assert np.all(smoothed_min_bound(*expansion, c=0.2)[2] > 0.0)
         # The designs' curvature scalars, through their stacked builders.
-        ops = half_iteration_operators("azimuth", bf, stats, sc.sigma)
+        ops = operators_at("azimuth", bf, stats, sc.sigma)
         for coeffs in (
-            slnr_minorant_coeffs("azimuth", bf, stats, sc.sigma, ops=ops),
-            gm_minorant_coeffs("azimuth", bf, stats, sc.sigma, ops=ops),
-            soft_majorant_coeffs("azimuth", bf, stats, 0.2, sc.sigma, ops=ops)[1],
+            slnr_minorant_coeffs(ops),
+            gm_minorant_coeffs(ops),
+            soft_majorant_coeffs(ops, 0.2)[1],
         ):
             assert np.all(np.real(np.trace(coeffs.C, axis1=1, axis2=2)) > 0.0)
