@@ -379,7 +379,9 @@ def report_fairness(output_dir: str | Path) -> str:
 
     Reads ``aggregate.csv`` from ``output_dir`` and writes ``fairness.csv``
     with one row per (algorithm, metric) and one column per antenna count in
-    ascending order. Raises FileNotFoundError naming the missing input.
+    ascending order. Raises FileNotFoundError naming the missing input, and
+    ValueError naming any algorithm aggregated at more than one
+    (power_dbm, c, M) point, which the table has no column for.
     """
     out_dir = Path(output_dir)
     aggregate_path = out_dir / "aggregate.csv"
@@ -389,8 +391,16 @@ def report_fairness(output_dir: str | Path) -> str:
         rows = list(csv.DictReader(fh))
     if not rows:
         raise FileNotFoundError(f"no aggregate rows found in {aggregate_path}")
+    points: dict[str, set] = {}
+    for r in rows:
+        points.setdefault(r["algorithm"], set()).add((r["power_dbm"], r["c"], r["M"]))
+    for algorithm, seen in sorted(points.items()):
+        if len(seen) > 1:
+            listed = ", ".join(f"(power_dbm={float(p):g}, c={float(c):g}, M={m})" for p, c, m in sorted(seen))
+            raise ValueError(f"{aggregate_path} holds {len(seen)} sweep points for {algorithm}: {listed}; "
+                             "the fairness table takes one (power_dbm, c, M) point per algorithm")
     antenna_counts = sorted({int(r["antennas"]) for r in rows})
-    algorithms = sorted({r["algorithm"] for r in rows})
+    algorithms = sorted(points)
     fairness_path = out_dir / "fairness.csv"
     with open(fairness_path, "w", newline="") as fh:
         writer = csv.writer(fh)

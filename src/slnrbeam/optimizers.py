@@ -190,55 +190,32 @@ def closed_form_update(
 
     over the users' stacked coefficients and (L, n, n) power matrices A_l.
     It is a maximization for minorant coefficients and a minimization for
-    majorant coefficients; both share the same stationarity system. Branch
-    one returns the unconstrained solution C_l^{-1} b_l^H when it meets the
-    power budget; otherwise the multiplier mu > 0 solves
-
-        v_l(mu) = w_l (w_l C_l + mu A_l)^{-1} b_l^H,   power(mu) = budget,
-
-    on the diagonalized pencils of :mod:`slnrbeam.qcqp`, whose power price
-    (the Lagrangian dual's, at weights w) is bisected to a residual of 1e-12
-    times the budget.
+    majorant coefficients; both share the stationarity system
+    v_l(mu) = w_l (w_l C_l + mu A_l)^{-1} b_l^H on the diagonalized pencils
+    of :mod:`slnrbeam.qcqp`. Their power price (the Lagrangian dual's at
+    weights w, a safeguarded Newton search) is zero exactly when the
+    unconstrained solution C_l^{-1} b_l^H fits the budget, and is then
+    returned as is; otherwise mu > 0 puts v on the budget sphere.
     """
-    n_users, dim = coeffs.b.shape
+    n_users = coeffs.b.shape[0]
     if n_users == 0:
         raise ValueError("no users")
     weights = np.ones(n_users) if weights is None else np.asarray(weights, dtype=float)
     if np.any(weights <= 0):
         raise ValueError("weights must be positive")
 
-    trace = np.real(np.trace(coeffs.C, axis1=-2, axis2=-1))
-    eps = 1e-10 * np.maximum(trace / dim, 1e-300)
-    ridged = coeffs.C + eps[:, None, None] * np.eye(dim)
-    v_free = np.linalg.solve(ridged, coeffs.b.conj()[:, :, None])[:, :, 0]
-    singular = np.flatnonzero(~np.isfinite(v_free).all(axis=1))
-    if singular.size:
-        raise np.linalg.LinAlgError(
-            f"system for user {singular[0]} not invertible after ridge"
-        )
-
-    def true_power(v: np.ndarray) -> float:
-        return sum(quadratic_form(power_mats, v).tolist())  # summed in user order
-
-    if true_power(v_free) <= budget:
-        return v_free
-
-    pencils = _Pencils(
-        MaxMinQuadraticProblem(
-            a=np.zeros(n_users), b=coeffs.b, C=coeffs.C, A=power_mats, P=budget
-        )
-    )
-    v = pencils.dual_argmax(weights, pencils.power_price(weights))
-    # The bisection targets the ridged power metric, which overstates the
-    # true power by eps * ||v||^2; the mismatch grows when the solution has
-    # large components along weakly coupled power directions. A final exact
-    # rescale lands on the budget sphere; the radial move is of the same
-    # (tiny) relative size, so the point stays an optimum to that order.
-    power = true_power(v)
+    pencils = _Pencils(MaxMinQuadraticProblem(np.zeros(n_users), coeffs.b, coeffs.C, power_mats, budget))
+    mu = pencils.power_price(weights)
+    v = pencils.dual_argmax(weights, mu)
+    if mu == 0.0:  # fits in the ridged power metric, hence in the true one
+        return v
+    # The price targets the ridged power metric, which overstates the true
+    # power by eps * ||v||^2. A final exact rescale lands on the budget
+    # sphere; the radial move is of that (tiny) relative size, so the point
+    # stays an optimum to that order.
+    power = sum(quadratic_form(power_mats, v).tolist())  # summed in user order
     if abs(power - budget) > 1e-4 * budget:
-        raise RuntimeError(
-            f"power bisection residual {abs(power - budget):.3e} exceeds 1e-4 * budget"
-        )
+        raise RuntimeError(f"power price residual {abs(power - budget):.3e} exceeds 1e-4 * budget")
     return v * np.sqrt(budget / power)
 
 

@@ -27,10 +27,11 @@ The Lagrangian dual
     g(lam, mu) = mu P + sum_l max_{v_l} [lam_l q_l(v_l) - mu v_l^H A_l v_l],
 
 over simplex weights lam and power price mu >= 0, upper-bounds the optimum
-at every dual point; the solver evaluates it (with mu minimized exactly by
-bisection on the transmit power) at the weights recovered from the active
-users' multipliers to tighten the certificate. The reported gap is the
-nonnegative difference between that dual bound and the best feasible value.
+at every dual point; the solver evaluates it (with mu minimized exactly by a
+safeguarded Newton search on the transmit power, ``_Pencils.power_price``)
+at the weights recovered from the active users' multipliers to tighten the
+certificate. The reported gap is the nonnegative difference between that
+dual bound and the best feasible value.
 
 A_l may be singular; a ridge of 1e-10 times A_l's own trace scale (floored
 at a 1e-12 fraction of the largest user's) is added before diagonalizing,
@@ -39,11 +40,12 @@ which shrinks the feasible set by a negligible margin and never loosens it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import bisect, pencil_diagonalize
+from .numerics import pencil_diagonalize
 
 RIDGE_REL = 1e-10
 # Smallest per-user power scale, relative to the largest, that sizes a ridge.
@@ -57,6 +59,8 @@ NU_MAX = 2.0**300
 # Cap on the rounds of one level search; desk problems need at most about 20.
 MAX_LEVEL_STEPS = 200
 FAR_EXCESS = 4.0
+# Cap on the steps of one power-price search; Newton needs about ten.
+MAX_PRICE_STEPS = 200
 
 
 @dataclass
@@ -127,11 +131,11 @@ def power_ridge_size(a_stack: np.ndarray) -> np.ndarray:
 
 
 class _Pencils:
-    """Diagonalized (C_l, A_l + eps I) pencils shared by all inner solves.
+    """Diagonalized (C_l, A_l + eps I) pencils: the weighted Lagrangian surface.
 
-    Serves both the weighted Lagrangian surface (the power price and its
-    maximizers, also used by the closed-form designs) and the per-user
-    minimum-power paths of the max-min level test.
+    Serves the power price and its maximizers, shared by the closed-form
+    designs and the max-min dual bound. :class:`_LevelPaths` adds the
+    per-user minimum-power paths of the max-min level test.
     """
 
     def __init__(self, problem: MaxMinQuadraticProblem):
@@ -139,61 +143,52 @@ class _Pencils:
         eps = power_ridge_size(problem.A)
         self.a_ridged = problem.A + eps[:, None, None] * np.eye(problem.dim)
         self.d, self.t = pencil_diagonalize(problem.C, self.a_ridged)
-        self.b_t = (problem.b[:, None, :] @ self.t)[:, 0]
-        self.abs_b_sq = np.abs(self.b_t) ** 2
-        # The level paths floor the transformed linear terms per user:
-        # entries this far below the row maximum are round-off zeros and
-        # would otherwise drive the level multipliers to astronomical values
-        # near an asymptote. The dual surface keeps them.
-        row_max = self.abs_b_sq.max(axis=1, keepdims=True)
-        kept = self.abs_b_sq > 1e-28 * row_max
-        self.b_path = np.where(kept, self.b_t, 0.0)
-        w = np.where(kept, self.abs_b_sq, 0.0)
-        self.w_path = w
-        d_floor = 1e-13 * max(float(self.d.max()), 1e-300)
-        self.flat = self.d <= d_floor
-        # users with a flat direction carrying a linear term: q_l is unbounded
-        self.escapes = (self.flat & (w > 0.0)).any(axis=1)
-        # |b_j|^2 / d_j: what each non-flat direction adds to the maximum
-        self.gain = np.where(self.flat, 0.0, w / np.where(self.flat, 1.0, self.d))
-        self.w_curved = np.where(self.flat, 0.0, w)
-        self.w_flat = np.where(self.flat, w, 0.0)
-        self.q_curved = self.problem.a + self.gain.sum(axis=1)
-        # unconstrained per-user maxima of q_l (inf along flat directions
-        # carrying a linear term)
-        self.q_free = np.where(self.escapes, np.inf, self.q_curved)
-        # Every bracket end solved so far, stacked as (multiplier, then
-        # level_curves' outputs) x users and nan where a user was not solved:
-        # later level searches start from the tightest bracket among them.
-        self._seen: list[np.ndarray] = []
+        b_t = (problem.b[:, None, :] @ self.t)[:, 0]
+        abs_b_sq = np.abs(b_t) ** 2
+        # Transformed linear terms this far below their row's maximum are
+        # round-off zeros: kept, they drive level multipliers toward an
+        # asymptote, and along a flat direction they make a maximizer that
+        # fits the budget look unbounded, so the price spends the budget.
+        kept = abs_b_sq > 1e-28 * abs_b_sq.max(axis=1, keepdims=True)
+        self.b_t = np.where(kept, b_t, 0.0)
+        self.abs_b_sq = np.where(kept, abs_b_sq, 0.0)
 
-    # --- weighted Lagrangian surface -------------------------------------
     def power_price(self, lam: np.ndarray) -> float:
-        """Power price mu >= 0 minimizing g(lam, .).
+        """Power price mu >= 0 minimizing g(lam, .): zero when the weighted
+        maximizers fit the budget, else the root of the secular equation
+        power(mu) = sum_j num_j / (s_j + mu)^2 = P over the terms with
+        num_j = lam_l^2 |b_j|^2 > 0, s_j = lam_l d_j (Moré & Sorensen 1983).
 
-        Zero when the weighted maximizers fit the budget; otherwise the root
-        of power(mu) = P, bracketed by doubling from 1 and bisected to a
-        residual of 1e-12 P.
+        Newton on power^(-1/2), concave and increasing in mu, starts from
+        the lower end of the certified bracket max_j (sqrt(num_j / P) - s_j)^+
+        <= mu <= sqrt(sum_j num_j / P), so it never overshoots; bisection
+        inside the bracket takes over if round-off sends a step outside it.
+        Stops at a residual of 1e-12 P or when a step no longer moves mu.
         """
         budget = self.problem.P
         num = (lam[:, None] ** 2) * self.abs_b_sq
-        zero = num == 0.0
-        scaled_d = lam[:, None] * self.d
-
-        def power(mu: float) -> float:
-            frac = num / (scaled_d + mu) ** 2
-            frac[zero] = 0.0
-            return float(frac.sum())
-
+        live = num > 0.0
+        num, s = num[live], (lam[:, None] * self.d)[live]
         with np.errstate(divide="ignore", invalid="ignore"):
-            if power(0.0) <= budget:
+            if float((num / s**2).sum()) <= budget:
                 return 0.0
-            hi = 1.0
-            for _ in range(400):
-                if power(hi) < budget:
+            lo = max(float((np.sqrt(num / budget) - s).max()), 0.0)
+            hi = math.sqrt(float(num.sum()) / budget)
+            mu = lo
+            for _ in range(MAX_PRICE_STEPS):
+                inv = 1.0 / (s + mu)
+                terms = num * inv * inv
+                power = float(terms.sum())
+                if abs(power - budget) <= 1e-12 * budget:
                     break
-                hi *= 2.0
-            return bisect(lambda m: power(m) - budget, 0.0, hi, tol=1e-12 * budget, max_iter=400)
+                lo, hi = (mu, hi) if power > budget else (lo, mu)
+                # Newton on power^(-1/2); the slope is sum_j num_j / (s_j + mu)^3
+                step = mu + power * (math.sqrt(power / budget) - 1.0) / float((terms * inv).sum())
+                step = step if lo < step < hi else 0.5 * (lo + hi)
+                if step == mu:
+                    break
+                mu = step
+        return mu
 
     def dual_argmax(self, lam: np.ndarray, mu: float) -> np.ndarray:
         """Stacked maximizers v_l = lam_l (lam_l C_l + mu (A_l + eps I))^{-1} b_l^H."""
@@ -213,7 +208,31 @@ class _Pencils:
         frac[num == 0.0] = 0.0
         return mu * self.problem.P + float(lam @ self.problem.a) + float(frac.sum())
 
-    # --- per-user level subproblems ---------------------------------------
+
+class _LevelPaths(_Pencils):
+    """The pencils plus every user's minimum-power path, for the max-min
+    level test."""
+
+    def __init__(self, problem: MaxMinQuadraticProblem):
+        super().__init__(problem)
+        w = self.abs_b_sq
+        d_floor = 1e-13 * max(float(self.d.max()), 1e-300)
+        self.flat = self.d <= d_floor
+        # users with a flat direction carrying a linear term: q_l is unbounded
+        self.escapes = (self.flat & (w > 0.0)).any(axis=1)
+        # |b_j|^2 / d_j: what each non-flat direction adds to the maximum
+        self.gain = np.where(self.flat, 0.0, w / np.where(self.flat, 1.0, self.d))
+        self.w_curved = np.where(self.flat, 0.0, w)
+        self.w_flat = np.where(self.flat, w, 0.0)
+        self.q_curved = self.problem.a + self.gain.sum(axis=1)
+        # unconstrained per-user maxima of q_l (inf along flat directions
+        # carrying a linear term)
+        self.q_free = np.where(self.escapes, np.inf, self.q_curved)
+        # Every bracket end solved so far, stacked as (multiplier, then
+        # level_curves' outputs) x users and nan where a user was not solved:
+        # later level searches start from the tightest bracket among them.
+        self._seen: list[np.ndarray] = []
+
     def level_curves(self, nu: np.ndarray, users: np.ndarray | slice = slice(None)):
         """Power, q and their pieces along the users' minimum-power paths.
 
@@ -242,7 +261,7 @@ class _Pencils:
         inv_nu = np.divide(1.0, nu, out=np.full(nu.shape, np.inf), where=nu > 0.0)
         r = 1.0 / (inv_nu[:, None] + d)
         inv_cube = inv * inv * inv
-        w = self.w_path[users]
+        w = self.abs_b_sq[users]
         power = (w * r * r).sum(axis=1)
         gains = w * r * (2.0 - d * r)
         q = self.problem.a[users] + gains.sum(axis=1)
@@ -408,12 +427,6 @@ class _Pencils:
         )
         return transformed, state[2] - level
 
-    def point_at(self, nus: np.ndarray) -> np.ndarray:
-        """Stacked minimum-power vectors at the given per-user multipliers."""
-        den = 1.0 + nus[:, None] * self.d
-        u = nus[:, None] * np.conj(self.b_path) / den
-        return np.einsum("lij,lj->li", self.t, u)
-
 
 def solve_maxmin(
     problem: MaxMinQuadraticProblem,
@@ -433,7 +446,7 @@ def solve_maxmin(
         raise ValueError(f"power budget must be positive, got {problem.P}")
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    pencils = _Pencils(problem)
+    pencils = _LevelPaths(problem)
 
     best_obj = -np.inf
     best_v = np.zeros((n_users, problem.dim), dtype=complex)
@@ -441,10 +454,7 @@ def solve_maxmin(
     def consider(v: np.ndarray, power: float | None = None) -> None:
         nonlocal best_obj, best_v
         if power is None:
-            power = sum(
-                float(np.real(v[ell].conj() @ (pencils.a_ridged[ell] @ v[ell])))
-                for ell in range(n_users)
-            )
+            power = sum(quadratic_form(pencils.a_ridged, v).tolist())  # summed in user order
         # Rescale only genuine violations; a true-feasible warm start may
         # exceed the ridged budget by ridge order and must pass through
         # untouched so the warm-start guarantee holds exactly.
@@ -462,7 +472,7 @@ def solve_maxmin(
     # exist and are jointly feasible, they solve the problem outright.
     if not pencils.escapes.any():
         with np.errstate(divide="ignore", invalid="ignore"):
-            u_free = np.conj(pencils.b_path) / pencils.d
+            u_free = np.conj(pencils.b_t) / pencils.d
         u_free[pencils.flat] = 0.0
         power_free = float((np.abs(u_free) ** 2).sum())
         if power_free <= problem.P:
@@ -515,7 +525,9 @@ def solve_maxmin(
             t_lo, at_lo = level, known
             moved_hi = False
             last_nus = nus
-            consider(pencils.point_at(nus))
+            # the minimum-power point at multipliers nu_l: the weighted
+            # maximizer at weights nu and unit price
+            consider(pencils.dual_argmax(nus, 1.0))
         else:
             # A level whose bracket straddles the budget counts as
             # unattainable, as the bisection it replaces did; its ambiguity

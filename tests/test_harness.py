@@ -198,6 +198,42 @@ class TestReportFairness:
         with pytest.raises(FileNotFoundError, match="aggregate.csv"):
             report_fairness(tmp_path)
 
+    def test_single_point_table_bytes(self, tmp_path):
+        # one (power_dbm, c, M) point per algorithm: one row per
+        # (algorithm, metric), one 17-digit cell per antenna count
+        config = small_config(
+            tmp_path / "out", algorithms=["soft", "gm"], antennas=[16, 9],
+            options={"max_iterations": 2},
+        )
+        run_experiment(config)
+        out = Path(config.output_dir)
+        with open(out / "aggregate.csv", newline="") as fh:
+            agg = {(r["algorithm"], r["antennas"]): r for r in csv.DictReader(fh)}
+        lines = ["algorithm,metric,a9,a16"]
+        for algorithm in ("gm", "soft"):
+            for metric in ("min_max_ratio", "jain"):
+                cells = [f"{float(agg[algorithm, n]['mean_' + metric]):.17g}" for n in ("9", "16")]
+                lines.append(",".join([algorithm, metric] + cells))
+        expected = "".join(line + "\r\n" for line in lines).encode()
+        assert Path(report_fairness(out)).read_bytes() == expected
+
+    def test_several_sweep_points_rejected(self, tmp_path, capsys):
+        config = small_config(
+            tmp_path / "out", algorithms=["gm", "soft"], power_dbm=[20.0, 24.0],
+            c=[0.1, 1.0], options={"max_iterations": 2},
+        )
+        run_experiment(config)
+        with pytest.raises(ValueError) as err:
+            report_fairness(config.output_dir)
+        message = str(err.value)
+        assert "2 sweep points for gm" in message
+        assert "(power_dbm=20, c=nan, M=1), (power_dbm=24, c=nan, M=1)" in message
+        assert not (Path(config.output_dir) / "fairness.csv").exists()
+        # the CLI turns it into one error line and exit code 1
+        assert cli_main(["report", "--out", config.output_dir]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "for gm" in lines[0]
+
 
 class TestCli:
     def test_run_smoke(self, tmp_path, capsys):

@@ -125,6 +125,30 @@ class TestClosedFormUpdate:
         oracle = slsqp_oracle(coeffs, weights, a_mats, budget)
         assert mine >= oracle - 1e-6 * max(1.0, abs(oracle))
 
+    @pytest.mark.parametrize("budget", [0.05, 1000.0])
+    @pytest.mark.parametrize("linear_term", [False, True], ids=["no_linear_term", "linear_term"])
+    def test_singular_curvature(self, linear_term, budget):
+        # User 0's curvature has two null directions. Without a linear term
+        # along them the unconstrained maximum is finite (and, at the large
+        # budget, fits); with one, only the power cap bounds the objective.
+        rng = np.random.default_rng(5)
+        coeffs, a_mats = random_quadratics(rng, n_users=2, dim=4, b_scale=2.0)
+        g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+        coeffs.C[0] = g @ g.conj().T
+        if not linear_term:
+            coeffs.b[0] = (coeffs.C[0] @ coeffs.b[0].conj()).conj()  # b^H in the range of C
+        v = closed_form_update(coeffs, a_mats, budget)
+        assert np.all(np.isfinite(v))
+        power = sum(np.real(v[i].conj() @ a_mats[i] @ v[i]) for i in range(2))
+        assert power <= budget * (1.0 + 1e-9)
+        if not linear_term and budget > 1.0:
+            # the unconstrained maximizer fits (it needs about 155): no
+            # power goes along the null directions' round-off linear terms
+            assert power <= 0.2 * budget
+        mine = weighted_objective(coeffs, np.ones(2), v)
+        oracle = slsqp_oracle(coeffs, np.ones(2), a_mats, budget)
+        assert mine >= oracle - 1e-6 * max(1.0, abs(oracle))
+
     def test_majorant_minimization(self):
         # With majorant sense the same update minimizes; compare against SQP
         # on the negated objective.

@@ -5,6 +5,8 @@ the weighted problem with plain dense linear algebra and scipy's root
 bracketing, entirely separate from the solver's diagonalized path.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -13,6 +15,7 @@ from slnrbeam.qcqp import (
     RIDGE_REL,
     SCALE_FLOOR,
     MaxMinQuadraticProblem,
+    _LevelPaths,
     _Pencils,
     power_ridge_size,
     solve_maxmin,
@@ -33,23 +36,25 @@ def random_problem(rng, n_users=3, dim=6, singular_a=False):
     return MaxMinQuadraticProblem(a=a, b=b, C=c_stack, A=a_stack, P=float(rng.uniform(0.5, 4.0)))
 
 
-def dense_weighted_solution(problem, lam):
-    """Oracle inner solve: dense linear algebra plus brentq on the power."""
-    n_users, dim = problem.n_users, problem.dim
+def dense_point(problem, lam, mu):
+    """Oracle weighted maximizers at power price ``mu``: one dense solve per user."""
+    v = np.zeros((problem.n_users, problem.dim), dtype=complex)
+    for ell in range(problem.n_users):
+        if lam[ell] == 0.0:
+            continue
+        mat = lam[ell] * problem.C[ell] + mu * problem.A[ell]
+        v[ell] = lam[ell] * np.linalg.solve(mat, problem.b[ell].conj())
+    return v
 
-    def point(mu):
-        v = np.zeros((n_users, dim), dtype=complex)
-        for ell in range(n_users):
-            if lam[ell] == 0.0:
-                continue
-            mat = lam[ell] * problem.C[ell] + mu * problem.A[ell]
-            v[ell] = lam[ell] * np.linalg.solve(mat, problem.b[ell].conj())
-        return v
+
+def dense_price(problem, lam):
+    """Oracle power price: brentq on the dense power, 0 when the
+    (numerically) unconstrained maximizers fit the budget."""
 
     def power(mu):
-        v = point(mu)
+        v = dense_point(problem, lam, mu)
         return sum(
-            np.real(v[ell].conj() @ problem.A[ell] @ v[ell]) for ell in range(n_users)
+            np.real(v[ell].conj() @ problem.A[ell] @ v[ell]) for ell in range(problem.n_users)
         )
 
     try:
@@ -57,12 +62,16 @@ def dense_weighted_solution(problem, lam):
     except np.linalg.LinAlgError:
         p0 = np.inf
     if np.isfinite(p0) and p0 <= problem.P:
-        return point(1e-14)
+        return 0.0
     hi = 1.0
     while power(hi) > problem.P:
         hi *= 2.0
-    mu = scipy.optimize.brentq(lambda m: power(m) - problem.P, 1e-14, hi, xtol=1e-14)
-    return point(mu)
+    return scipy.optimize.brentq(lambda m: power(m) - problem.P, 1e-14, hi, xtol=1e-14)
+
+
+def dense_weighted_solution(problem, lam):
+    """Oracle inner solve: dense linear algebra plus brentq on the power."""
+    return dense_point(problem, lam, max(dense_price(problem, lam), 1e-14))
 
 
 def grid_oracle(problem, steps=24):
@@ -127,6 +136,85 @@ class TestDualInnerArgmax:
                 - mu * eps * v[ell]
             )
             assert np.linalg.norm(grad) <= 1e-8 * np.linalg.norm(problem.b[ell])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestPowerPrice:
+    """The Newton power price against brentq on the dense power.
+
+    The oracle runs on the ridged power matrices the pencils diagonalize,
+    so both solve the same equation.
+    """
+
+    @staticmethod
+    def check(problem, lam, rel=1e-9):
+        pencils = _Pencils(problem)
+        mu = pencils.power_price(lam)
+        want = dense_price(dataclasses.replace(problem, A=pencils.a_ridged), lam)
+        if want == 0.0:
+            assert mu == 0.0
+            return mu
+        assert mu == pytest.approx(want, rel=rel)
+        # the power at the price, from the diagonalized pencils
+        num = (lam[:, None] ** 2) * np.abs(pencils.b_t) ** 2
+        live = num > 0.0
+        power = float((num[live] / (lam[:, None] * pencils.d + mu)[live] ** 2).sum())
+        assert abs(power - problem.P) <= 1e-12 * problem.P
+        return mu
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_pencils(self, seed):
+        rng = np.random.default_rng(50 + seed)
+        problem = random_problem(rng, n_users=3, dim=6)
+        problem.P = 0.05  # the unconstrained maximizers need more
+        assert self.check(problem, rng.dirichlet(np.ones(3))) > 0.0
+
+    def test_singular_power_matrices(self):
+        # Ridged rank-deficient A_l have condition numbers near 1e10, which
+        # limits how well the pencils' whitened coordinates (not the price
+        # search) reproduce the dense power: agreement to about 1e-7.
+        rng = np.random.default_rng(41)
+        problem = random_problem(rng, n_users=3, dim=6, singular_a=True)
+        problem.P = 0.05
+        assert self.check(problem, rng.dirichlet(np.ones(3)), rel=1e-6) > 0.0
+
+    def test_flat_direction_with_linear_term(self):
+        rng = np.random.default_rng(46)
+        problem = random_problem(rng, n_users=2, dim=5)
+        g = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        problem.C[1] = g @ g.conj().T  # two null directions, which b reaches
+        assert self.check(problem, np.array([0.5, 0.5])) > 0.0
+
+    def test_zero_weight_user(self):
+        problem = random_problem(np.random.default_rng(47), n_users=3, dim=4)
+        problem.P = 0.05
+        assert self.check(problem, np.array([0.6, 0.0, 0.4])) > 0.0
+
+    def test_zero_rows_of_b(self):
+        problem = random_problem(np.random.default_rng(48), n_users=3, dim=4)
+        problem.P = 0.05
+        problem.b[1] = 0.0
+        assert self.check(problem, np.array([0.2, 0.5, 0.3])) > 0.0
+
+    def test_unconstrained_point_fits(self):
+        problem = random_problem(np.random.default_rng(49), n_users=3, dim=4)
+        problem.P = 1e6
+        assert self.check(problem, np.array([0.2, 0.5, 0.3])) == 0.0
+        problem.b[:] = 0.0
+        assert _Pencils(problem).power_price(np.array([0.2, 0.5, 0.3])) == 0.0
+
+    def test_one_term_exact_root(self):
+        # power(mu) = num / (s + mu)^2 = P has the root sqrt(num / P) - s;
+        # with num = s = 1 and P = 1/4 it is 1, the root of 1/(1+m)^2 = 1/4
+        problem = MaxMinQuadraticProblem(
+            a=np.zeros(1), b=np.ones((1, 1), dtype=complex), C=np.ones((1, 1, 1), dtype=complex),
+            A=np.ones((1, 1, 1), dtype=complex), P=0.25,
+        )
+        pencils = _Pencils(problem)
+        mu = pencils.power_price(np.array([1.0]))
+        exact = np.sqrt(pencils.abs_b_sq[0, 0] / problem.P) - pencils.d[0, 0]
+        assert mu == pytest.approx(exact, rel=1e-15)
+        assert mu == pytest.approx(1.0, abs=1e-9)
 
 
 class TestSolveMaxmin:
@@ -250,7 +338,7 @@ def pencil_path(pencils, ell, nu):
     """(power, q) on user ell's minimum-power path at multiplier nu, summed
     term by term on the diagonalized pencil: with r_j = nu / (1 + nu d_j),
     power = sum_j |b_j|^2 r_j^2 and q = a + sum_j |b_j|^2 r_j (2 - d_j r_j)."""
-    d, w = pencils.d[ell], pencils.w_path[ell]
+    d, w = pencils.d[ell], pencils.abs_b_sq[ell]
     r = nu / (1.0 + nu * d)
     return float(np.sum(w * r * r)), float(pencils.problem.a[ell] + np.sum(w * r * (2.0 - d * r)))
 
@@ -293,7 +381,7 @@ class TestLevelSolve:
         assert np.all(p_hi[at_level] == 0.0)
 
     def check_against_reference(self, problem, level, rel=1e-8):
-        pencils = _Pencils(problem)
+        pencils = _LevelPaths(problem)
         result = pencils.min_power_bracket(level)
         self.check_bracket(pencils, level, result)
         _, nu_hi, _, p_hi = result
@@ -311,7 +399,7 @@ class TestLevelSolve:
         rng = np.random.default_rng(20 + singular_a)
         for _ in range(6):
             problem = random_problem(rng, n_users=3, dim=5, singular_a=singular_a)
-            q_free = _Pencils(problem).q_free
+            q_free = _LevelPaths(problem).q_free
             top = float(np.max(q_free[np.isfinite(q_free)]))
             for frac in (0.02, 0.3, 0.7, 0.95, 0.999):
                 level = float(problem.a.min()) + frac * (top - float(problem.a.min()))
@@ -320,11 +408,11 @@ class TestLevelSolve:
     def test_early_stop_stays_certified(self):
         rng = np.random.default_rng(27)
         problem = random_problem(rng, n_users=4, dim=6)
-        pencils = _Pencils(problem)
+        pencils = _LevelPaths(problem)
         level = float(np.min(pencils.q_free)) - 1e-3
         full = pencils.min_power_bracket(level)
         budget = 0.5 * float(full[2].sum())
-        early = _Pencils(problem).min_power_bracket(level, budget)
+        early = _LevelPaths(problem).min_power_bracket(level, budget)
         self.check_bracket(pencils, level, early)
         assert early[2].sum() > budget
 
@@ -341,7 +429,7 @@ class TestLevelSolve:
         problem = random_problem(rng, n_users=2, dim=5)
         g = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
         problem.C[1] = g @ g.conj().T  # two null directions, which b reaches
-        pencils = _Pencils(problem)
+        pencils = _LevelPaths(problem)
         assert pencils.q_free[1] == np.inf
         for level in (float(problem.a[1]) + 0.5, float(problem.a[1]) + 50.0):
             _, result = self.check_against_reference(problem, level)
@@ -351,7 +439,7 @@ class TestLevelSolve:
         rng = np.random.default_rng(23)
         problem = random_problem(rng, n_users=3, dim=4)
         problem.b[1] = 0.0
-        pencils = _Pencils(problem)
+        pencils = _LevelPaths(problem)
         assert pencils.q_free[1] == problem.a[1]
         above = float(problem.a[1]) + 0.1
         nu_lo, nu_hi, p_lo, p_hi = pencils.min_power_bracket(above)
@@ -365,7 +453,7 @@ class TestLevelSolve:
     def test_level_at_or_below_a(self):
         rng = np.random.default_rng(24)
         problem = random_problem(rng, n_users=3, dim=4)
-        pencils = _Pencils(problem)
+        pencils = _LevelPaths(problem)
         for level in (float(problem.a.min()), float(problem.a.min()) - 5.0):
             result = pencils.min_power_bracket(level)
             for arr in result:
@@ -374,7 +462,7 @@ class TestLevelSolve:
     def test_level_at_or_above_q_free(self):
         rng = np.random.default_rng(25)
         problem = random_problem(rng, n_users=3, dim=4)
-        pencils = _Pencils(problem)
+        pencils = _LevelPaths(problem)
         top = int(np.argmax(pencils.q_free))
         for level in (float(pencils.q_free.max()), float(pencils.q_free.max()) + 1.0):
             result = pencils.min_power_bracket(level)
