@@ -28,9 +28,10 @@ print("Correlation structure (user 0):")
 r_v = stats.R_v[0]
 print(f"  vertical |[R_v]_01| = {abs(r_v[0, 1]):.4f}  (unit diagonal: "
       f"{np.allclose(np.diag(r_v), 1.0)})")
-# The statistics keep only the Q x Q factors; the dense Q^2 x Q^2
-# covariance R = g kron(R_h, R_v^T) is built on demand.
-big_r = stats.covariance()[0]
+# The statistics keep only the Q x Q factors, and every design works on
+# them; the dense Q^2 x Q^2 covariance R = g kron(R_h, R_v^T) is assembled
+# here from the factors for display only.
+big_r = stats.path_gain[0] * np.kron(stats.R_h[0], stats.R_v[0].T)
 lam = np.linalg.eigvalsh(big_r)
 print(f"  covariance eigenvalue spread: {lam[-1] / max(lam[lam > 0].min(), 1e-300):.1e}")
 

@@ -182,9 +182,9 @@ class ChannelStatistics:
     """Per-user Kronecker channel statistics.
 
     Arrays are stacked over the user index: ``path_gain`` is (L,) and the
-    correlation factors ``R_v``/``R_h`` are (L, Q, Q). Nothing derived from
-    them is stored: :meth:`covariance` builds the dense Q^2 x Q^2 matrices
-    and :func:`sample_channels` the factor roots on demand.
+    correlation factors ``R_v``/``R_h`` are (L, Q, Q), the statistics' only
+    representation: nothing derived from them is stored, and
+    :func:`sample_channels` takes the factor roots on demand.
     """
 
     Q: int
@@ -196,15 +196,6 @@ class ChannelStatistics:
     @property
     def L(self) -> int:
         return self.path_gain.shape[0]
-
-    def covariance(self) -> np.ndarray:
-        """Dense second-moment matrices R_l = path_gain_l * kron(R_h,l, R_v,l^T).
-
-        Returns a new (L, Q^2, Q^2) stack on every call; nothing is cached.
-        """
-        return np.stack(
-            [g * np.kron(r_h, r_v.T) for g, r_h, r_v in zip(self.path_gain, self.R_h, self.R_v)]
-        )
 
 
 def build_statistics(
@@ -257,11 +248,6 @@ def sample_channels(
     h_iid = (rng.standard_normal((n, Q, Q)) + 1j * rng.standard_normal((n, Q, Q))) / np.sqrt(2.0)
     root = np.sqrt(stats.path_gain[ell])
     return root * (hermitian_sqrt(stats.R_v[ell]) @ h_iid @ hermitian_sqrt(stats.R_h[ell]))
-
-
-def vec(mat: np.ndarray) -> np.ndarray:
-    """Column-major vectorization (stack columns)."""
-    return np.asarray(mat).reshape(-1, order="F")
 
 
 def vec_batch(mats: np.ndarray) -> np.ndarray:

@@ -30,9 +30,10 @@ else is rejected when the config is built, before any file is written.
 Experiment JSON wraps that under ``"scenario"`` and adds ``"algorithms"``,
 ``"antennas"``, ``"power_dbm"``, ``"c"``, ``"n_seeds"``, ``"base_seed"``,
 ``"output_dir"`` and an ``"options"`` object mirroring
-:class:`slnrbeam.optimizers.AlgoOptions`; unknown option keys, and an
-``n_seeds`` or ``base_seed`` that is not an integral number, are rejected
-when the config is built, before any file is written.
+:class:`slnrbeam.optimizers.AlgoOptions`. Unknown option keys, algorithms
+not given as a list of known names, and numbers of the wrong kind (sweep
+axes of finite numbers, antennas perfect squares, c positive, integral
+``n_seeds`` and ``base_seed``) are rejected before any file is written.
 
 Outputs per (algorithm, sweep point, seed): a convergence-trace CSV with
 columns ``iteration,min_slnr,objective,min_rate_mbps``; plus one shared
@@ -55,7 +56,7 @@ import numpy as np
 
 from .channel import Scenario, build_statistics, dbm_to_watt
 from .metrics import nats_to_mbps, rate_report
-from .optimizers import AlgoOptions, run_algorithm
+from .optimizers import ALGORITHMS, AlgoOptions, run_algorithm
 
 TRACE_COLUMNS = ("iteration", "min_slnr", "objective", "min_rate_mbps")
 SUMMARY_COLUMNS = (
@@ -104,25 +105,22 @@ class ExperimentConfig:
         accepted = sorted(f.name for f in fields(AlgoOptions))
         for key in self.options:
             if key not in accepted:
-                raise ValueError(
-                    f"unknown option {key!r}; accepted options: {', '.join(accepted)}"
-                )
+                raise ValueError(f"unknown option {key!r}; accepted options: {', '.join(accepted)}")
         AlgoOptions(**self.options)  # checks the values, before any file is written
-        if not self.algorithms:
-            raise ValueError("at least one algorithm is required")
-        if not self.antennas or not self.power_dbm or not self.c:
-            raise ValueError("sweep axes must be nonempty")
-        for n_ant in self.antennas:
-            root = int(round(np.sqrt(n_ant)))
-            if root * root != n_ant or root < 1:
-                raise ValueError(f"antenna counts must be perfect squares, got {n_ant}")
-        if any(p <= 0 for p in map(dbm_to_watt, self.power_dbm)):
-            raise ValueError("power values must be finite")
+        names = sorted(ALGORITHMS)
+        known = isinstance(self.algorithms, list) and all(a in names for a in self.algorithms)
+        if not known or not self.algorithms:
+            raise ValueError(f"key 'algorithms' must be a list of {names}, got {self.algorithms!r}")
+        self.antennas = _axis("antennas", self.antennas, integral=True)
+        self.power_dbm = _axis("power_dbm", self.power_dbm)
+        self.c = _axis("c", self.c)
+        if any(n < 1 or round(n**0.5) ** 2 != n for n in self.antennas):
+            raise ValueError(f"key 'antennas' must be perfect squares, got {self.antennas}")
+        if any(cc <= 0 for cc in self.c):
+            raise ValueError(f"key 'c' must be positive, got {self.c}")
         for n_ant in self.antennas:
             for power in self.power_dbm:
                 scenario_from_dict(self.run_spec(n_ant, power, self.base_seed))
-        if any(cc <= 0 for cc in self.c):
-            raise ValueError("smoothing coefficients must be positive")
         if self.n_seeds < 1:
             raise ValueError(f"n_seeds must be >= 1, got {self.n_seeds}")
 
@@ -136,10 +134,10 @@ class ExperimentConfig:
             data = json.load(fh)
         return cls(
             scenario=data.get("scenario", {}),
-            algorithms=list(data["algorithms"]),
-            antennas=list(data.get("antennas", [16])),
-            power_dbm=list(data.get("power_dbm", [24.0])),
-            c=list(data.get("c", [0.1])),
+            algorithms=data["algorithms"],
+            antennas=data.get("antennas", [16]),
+            power_dbm=data.get("power_dbm", [24.0]),
+            c=data.get("c", [0.1]),
             n_seeds=_number(data, "n_seeds", 1, integral=True),
             base_seed=_number(data, "base_seed", 0, integral=True),
             output_dir=str(data.get("output_dir", "out")),
@@ -160,6 +158,14 @@ def _number(spec: dict, key: str, default=None, integral: bool = False):
     if value != int(value):
         raise ValueError(f"key {key!r} must be an integer, got {value!r}")
     return int(value)
+
+
+def _axis(key: str, values, integral: bool = False) -> list:
+    """A sweep axis as a nonempty list of finite real numbers, integral ones if
+    so asked; ValueError naming ``key`` otherwise."""
+    if not isinstance(values, list) or not values:
+        raise ValueError(f"key {key!r} must be a nonempty list, got {values!r}")
+    return [_number({key: value}, key, integral=integral) for value in values]
 
 
 def scenario_from_dict(spec: dict) -> Scenario:

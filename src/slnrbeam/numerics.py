@@ -157,35 +157,27 @@ def bisect(
     return mid
 
 
-def _generalized_eigh(c: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of Hermitian-definite pencils ``(C, A)``, stacked over the
-    leading axes, eigenvalues ascending.
-
-    The Cholesky reduction of LAPACK's xHEGV (Golub & Van Loan, section 8.7):
-    with A = L L^H and W = L^-1 C L^-H = U diag(lam) U^H, the columns of
-    T = L^-H U satisfy T^H A T = I and T^H C T = diag(lam).
-    """
+def _cholesky_inverse(a: np.ndarray) -> np.ndarray:
+    """K^-1 for the Cholesky factor A = K K^H of each Hermitian PD ``a``, else ValueError."""
     try:
-        chol = np.linalg.cholesky(a)
+        return np.linalg.inv(np.linalg.cholesky(a))
     except np.linalg.LinAlgError as err:
         raise ValueError(f"metric matrix is not positive definite: {err}") from None
-    inv = np.linalg.inv(chol)
-    inv_h = np.swapaxes(inv.conj(), -1, -2)
-    lam, u = np.linalg.eigh(inv @ c @ inv_h)
-    return lam, inv_h @ u
 
 
-def largest_generalized_eigvec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Unit-norm maximizer of the generalized Rayleigh quotient.
+def largest_generalized_eigvec(a: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Unit-norm maximizers of generalized Rayleigh quotients with one metric.
 
-    Returns ``w`` with ``||w|| = 1`` maximizing ``(w^H B w) / (w^H A w)``
-    for Hermitian positive-definite ``a`` and Hermitian PSD ``b``, or one
-    such row per matrix pair when both are stacks of shape (..., n, n). The
-    global phase is fixed so the largest-magnitude entry is real positive.
+    For a Hermitian positive-definite metric ``a`` (n, n) and roots ``roots``
+    (L, n, r), row l of the (L, n) result maximizes
+    ``(w^H S_l S_l^H w) / (w^H A w)``: with A = K K^H it is K^-H u_l for the
+    top left singular vector u_l of K^-1 S_l, so zero columns change nothing.
+    The global phase is fixed so the largest-magnitude entry is real positive.
     """
     check_hermitian(a)
-    check_hermitian(b)
-    w = _generalized_eigh(b, a)[1][..., -1]
+    inv = _cholesky_inverse(a)
+    u = np.linalg.svd(inv @ roots, full_matrices=False)[0][..., :1]
+    w = (inv.conj().T @ u)[..., 0]
     w = w / np.linalg.norm(w, axis=-1, keepdims=True)
     pivot = np.take_along_axis(w, np.argmax(np.abs(w), axis=-1)[..., None], axis=-1)
     return w * np.conj(pivot / np.abs(pivot))
@@ -196,12 +188,16 @@ def pencil_diagonalize(c: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.nda
 
     For Hermitian PSD ``c`` and Hermitian positive-definite ``a`` (single
     matrices or stacks of shape (..., n, n)), returns ``(w, T)`` with
-    ``T^H A T = I`` and ``T^H C T = diag(w)``, the eigenvalues clipped at 0.
-    Substituting ``v = T u`` turns every shifted solve
+    ``T^H A T = I`` and ``T^H C T = diag(w)``, the eigenvalues ascending and
+    clipped at 0. This is the Cholesky reduction of LAPACK's xHEGV (Golub &
+    Van Loan, section 8.7): with A = K K^H and K^-1 C K^-H = U diag(w) U^H,
+    T = K^-H U. Substituting ``v = T u`` turns every shifted solve
     ``(alpha*C + mu*A) v = r`` into a diagonal one, which the power-allocation
     searches exploit. A curvature that is not Hermitian, or a metric that is
     not positive definite, raises ValueError.
     """
     check_hermitian(c)
-    lam, t = _generalized_eigh(c, a)
-    return np.clip(lam, 0.0, None), t
+    inv = _cholesky_inverse(a)
+    inv_h = np.swapaxes(inv.conj(), -1, -2)
+    lam, u = np.linalg.eigh(inv @ c @ inv_h)
+    return np.clip(lam, 0.0, None), inv_h @ u

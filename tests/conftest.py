@@ -1,7 +1,8 @@
 """References shared by the test modules, independent of the library's paths.
 
 The library keeps only the Q x Q Kronecker factors; these helpers rebuild the
-Q^2 x Q^2 second moments and the per-user SLNR the tests compare against, the
+Q^2 x Q^2 second moments (``dense_r``, ``dense_r_tilde``), the column-major
+``vec`` of one matrix and the per-user SLNR the tests compare against, the
 per-realization SINR of one channel draw, the eigenvalue expansion of the
 ergodic rate, and a chi-space evaluator of the three quadratic bounds of
 :mod:`slnrbeam.surrogates`; ``operators_at`` builds one half-iteration's
@@ -14,6 +15,18 @@ from slnrbeam.beamformer import beamformer_matrix
 from slnrbeam.metrics import _signal_and_leakage, slnr_vec
 from slnrbeam.numerics import exp_scaled_e1
 from slnrbeam.surrogates import half_iteration_operators
+
+
+def vec(mat):
+    """Column-major vectorization (stack columns)."""
+    return np.asarray(mat).reshape(-1, order="F")
+
+
+def dense_r(stats):
+    """vec(H) second moments path_gain_l * kron(R_h,l, R_v,l^T) as an (L, Q^2, Q^2) stack."""
+    return np.stack(
+        [g * np.kron(r_h, r_v.T) for g, r_h, r_v in zip(stats.path_gain, stats.R_h, stats.R_v)]
+    )
 
 
 def dense_r_tilde(stats):
@@ -75,7 +88,7 @@ def expansion_rate(w_mat, stats, ell, sigma, min_gap=1e-4):
     that every pair of nonzero eigenvalues (above 1e-12 of the largest) is
     at least ``min_gap`` apart relative to the larger of the two.
     """
-    gram = w_mat.conj().T @ stats.covariance()[ell] @ w_mat
+    gram = w_mat.conj().T @ dense_r(stats)[ell] @ w_mat
     keep = [j for j in range(w_mat.shape[1]) if j != ell]
     total = 0.0
     for mat, sign in ((gram, 1.0), (gram[np.ix_(keep, keep)], -1.0)):

@@ -20,14 +20,14 @@ from slnrbeam.beamformer import (
     psi_matrix,
     total_power,
 )
-from slnrbeam.channel import Scenario, build_statistics, sample_channels, vec, vec_batch
+from slnrbeam.channel import Scenario, build_statistics, sample_channels, vec_batch
 from slnrbeam.harness import ExperimentConfig, default_scenario_dict, run_experiment
 from slnrbeam.metrics import ergodic_rate_closed, ergodic_rate_mc, rate_report, slnr_vec
 from slnrbeam.optimizers import AlgoOptions, run_baseline, run_gm, run_maxmin, run_soft
 from slnrbeam.qcqp import MaxMinQuadraticProblem, solve_maxmin
 from slnrbeam.surrogates import log_bound, ratio_bound, smoothed_min_bound
 
-from conftest import chi_expansion, chi_minorant, chi_softmin_majorant, softmin_target
+from conftest import chi_expansion, chi_minorant, chi_softmin_majorant, softmin_target, vec
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:

@@ -14,7 +14,9 @@ from slnrbeam.beamformer import (
     to_json_dict,
     total_power,
 )
-from slnrbeam.channel import Scenario, vec
+from slnrbeam.channel import Scenario
+
+from conftest import vec
 
 
 def random_set(rng, Q=4, M=2, L=3):

@@ -23,8 +23,9 @@ from slnrbeam.channel import (
     vertical_correlation,
 )
 from slnrbeam.numerics import PSD_CLIP_REL, hermitian_sqrt
+from slnrbeam.optimizers import run_baseline
 
-from conftest import dense_r_tilde
+from conftest import dense_r, dense_r_tilde
 
 
 @pytest.fixture
@@ -146,7 +147,7 @@ class TestCovariancePair:
         np.testing.assert_allclose(stats.R_h[0], r_h, atol=0)
         assert stats.path_gain[0] == geom.path_gain
         # Construction identities hold exactly.
-        big_r = stats.covariance()[0]
+        big_r = dense_r(stats)[0]
         np.testing.assert_allclose(big_r, geom.path_gain * np.kron(r_h, r_v.T), atol=0)
         assert big_r.shape == (16, 16)
         assert np.trace(big_r).real == pytest.approx(geom.path_gain * 16, rel=1e-12)
@@ -162,17 +163,16 @@ class TestCovariancePair:
         )
 
     def test_only_factors_stored(self, scenario):
-        # Statistics keep Q x Q factors and per-user scalars only; the dense
-        # Q^2 x Q^2 covariances are built on demand and never cached.
+        # Statistics keep Q x Q factors and per-user scalars only, and offer
+        # no dense Q^2 x Q^2 covariance; the designs run on the factors.
         stats = build_statistics(scenario)
         L, Q = scenario.L, scenario.Q
         arrays = {k: v for k, v in vars(stats).items() if isinstance(v, np.ndarray)}
         assert set(arrays) == {"path_gain", "R_v", "R_h"}
         for name, arr in arrays.items():
             assert arr.shape in ((L, Q, Q), (L,)), name
-        cov = stats.covariance()
-        assert cov.shape == (L, Q * Q, Q * Q)
-        assert stats.covariance() is not cov
+        assert not hasattr(stats, "covariance")
+        run_baseline(scenario, stats)
         assert set(k for k, v in vars(stats).items() if isinstance(v, np.ndarray)) == set(arrays)
 
     def test_kron_of_identities(self):
@@ -188,7 +188,7 @@ class TestCovariancePair:
     def test_shared_spectrum(self, scenario):
         stats = build_statistics(scenario)
         for ell in range(stats.L):
-            lam_r = np.sort(np.linalg.eigvalsh(stats.covariance()[ell]))
+            lam_r = np.sort(np.linalg.eigvalsh(dense_r(stats)[ell]))
             lam_rt = np.sort(np.linalg.eigvalsh(dense_r_tilde(stats)[ell]))
             np.testing.assert_allclose(lam_r, lam_rt, rtol=1e-8, atol=1e-20)
 
@@ -204,7 +204,7 @@ class TestCovariancePair:
         # factors, and their Kronecker products (scaled by sqrt(path_gain))
         # square to R and R_tilde.
         stats = build_statistics(scenario)
-        big_r, big_rt = stats.covariance(), dense_r_tilde(stats)
+        big_r, big_rt = dense_r(stats), dense_r_tilde(stats)
         for ell in range(stats.L):
             s_v, s_h = hermitian_sqrt(stats.R_v[ell]), hermitian_sqrt(stats.R_h[ell])
             for root_f, factor in ((s_v, stats.R_v[ell]), (s_h, stats.R_h[ell])):
@@ -238,7 +238,7 @@ class TestSampling:
         h = sample_channels(stats, ell, n, np.random.default_rng(8))
         v = vec_batch(h)
         cov = (v.conj().T @ v) / n  # E[conj(h) h^T]
-        big_r = stats.covariance()[ell]
+        big_r = dense_r(stats)[ell]
         err = np.linalg.norm(cov - big_r) / np.linalg.norm(big_r)
         assert err < 0.02
         cov_h = (v.T @ v.conj()) / n  # E[h h^H]

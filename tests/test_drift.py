@@ -17,10 +17,11 @@ def drift():
     return module
 
 
-def run(design, rate, iterations=4, stop="tolerance", gap=None, trace="t"):
+def run(design, rate, iterations=4, stop="tolerance", gap=None, trace="t", others=(1.0,)):
     return {
         "design": design, "incumbent": "i", "final": "f", "trace": trace,
-        "iterations": iterations, "stop_reason": stop, "min_rate_nats": rate, "gap_max": gap,
+        "iterations": iterations, "stop_reason": stop, "min_rate_nats": rate,
+        "rates_nats": [rate, *others], "gap_max": gap,
     }
 
 
@@ -42,12 +43,22 @@ def test_compare_reports_counts_moves_and_changes(drift, tmp_path, capsys):
         "a": run("gm", 0.5),
         "b": run("gm", 0.25 * (1.0 + 4e-10), trace="u"),
         "c": run("maxmin", 0.1, gap=3e-6, trace="u"),
-        "d": run("soft c=0.1", 0.2, iterations=5, stop="stalled", trace="u"),
+        # a user above the minimum moves while the minimum stays put
+        "d": run("soft c=0.1", 0.2, iterations=5, stop="stalled", trace="u", others=(1.0 - 3e-9,)),
     }
     lines = drift.compare(before, after)
-    assert lines[0] == "gm: 1/2 identical, largest min-rate move 4e-10 relative"
-    assert lines[1] == "maxmin: 0/1 identical, largest min-rate move 0 relative, largest gap 3e-06"
-    assert lines[2] == "soft c=0.1: 0/1 identical, largest min-rate move 0 relative"
+    assert lines[0] == (
+        "gm: 1/2 identical, largest min-rate move 4e-10 relative, "
+        "largest per-user rate move 4e-10 relative"
+    )
+    assert lines[1] == (
+        "maxmin: 0/1 identical, largest min-rate move 0 relative, "
+        "largest per-user rate move 0 relative, largest gap 3e-06"
+    )
+    assert lines[2] == (
+        "soft c=0.1: 0/1 identical, largest min-rate move 0 relative, "
+        "largest per-user rate move 3e-09 relative"
+    )
     assert lines[3:] == ["d: iterations 4 -> 5", "d: stop_reason tolerance -> stalled"]
 
     # the command line reads the two files and prints the same lines
@@ -61,4 +72,22 @@ def test_compare_reports_counts_moves_and_changes(drift, tmp_path, capsys):
 
 def test_compare_names_unmatched_runs(drift):
     lines = drift.compare({"a": run("gm", 1.0), "x": run("gm", 1.0)}, {"a": run("gm", 1.0)})
-    assert lines == ["runs in one snapshot only: x", "gm: 1/1 identical, largest min-rate move 0 relative"]
+    assert lines == [
+        "runs in one snapshot only: x",
+        "gm: 1/1 identical, largest min-rate move 0 relative, largest per-user rate move 0 relative",
+    ]
+
+
+def test_summary_records_every_users_rate(drift):
+    from slnrbeam.channel import Scenario, build_statistics
+    from slnrbeam.metrics import ergodic_rate_closed
+    from slnrbeam.optimizers import run_baseline
+
+    sc = Scenario(Q=3, L=3, seed=1)
+    stats = build_statistics(sc)
+    result = run_baseline(sc, stats)
+    rates = ergodic_rate_closed(result.incumbent_matrix, stats, sc.sigma)
+    summary = drift.summarize(result, rates)
+    assert summary["rates_nats"] == [float(r) for r in rates]
+    assert min(summary["rates_nats"]) == summary["min_rate_nats"]
+    json.dumps(summary, allow_nan=False)

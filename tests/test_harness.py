@@ -145,6 +145,19 @@ class TestRunExperiment:
             small_config(tmp_path, c=[-0.1])
         with pytest.raises(ValueError):
             small_config(tmp_path, n_seeds=0)
+        for bad in ([float("nan")], ["0.1"], [True], [0.0], []):
+            with pytest.raises(ValueError, match="key 'c' must be"):
+                small_config(tmp_path, c=bad)
+        for bad in (["9"], [9.5], [0], [False], (9,)):
+            with pytest.raises(ValueError, match="key 'antennas' must be"):
+                small_config(tmp_path, antennas=bad)
+        for bad in ("soft", ["soft", "sfot"], ("soft",)):
+            with pytest.raises(ValueError, match="key 'algorithms' must be"):
+                small_config(tmp_path, algorithms=bad)
+        # integral floats are accepted and normalized
+        config = small_config(tmp_path, antennas=[9.0], c=[1])
+        assert config.antennas == [9] and type(config.antennas[0]) is int
+        assert config.c == [1.0] and type(config.c[0]) is float
 
     @pytest.mark.parametrize("key", ["tolerence", "mc_samples", "rate_every"])
     def test_unknown_option_rejected(self, tmp_path, key):
@@ -347,7 +360,24 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "scenario_key, experiment_key",
-        [({"users": "3"}, {}), ({"M": 1.5}, {}), ({}, {"n_seeds": 2.7}), ({}, {"base_seed": "1"})],
+        [
+            ({"users": "3"}, {}),
+            ({"M": 1.5}, {}),
+            ({}, {"n_seeds": 2.7}),
+            ({}, {"base_seed": "1"}),
+            # sweep axes: finite real numbers, not NaN, strings or booleans
+            ({}, {"c": [float("nan")]}),
+            ({}, {"c": ["0.1"]}),
+            ({}, {"c": [True]}),
+            ({}, {"c": [0.1, -1.0]}),
+            ({}, {"antennas": ["9"]}),
+            ({}, {"antennas": [9.5]}),
+            ({}, {"antennas": 9}),
+            ({}, {"power_dbm": [float("inf")]}),
+            # algorithms: a list of known names, never a string split into letters
+            ({}, {"algorithms": "gm"}),
+            ({}, {"algorithms": ["gm", "gmm"]}),
+        ],
     )
     def test_mistyped_key_is_an_error_line(self, tmp_path, capsys, scenario_key, experiment_key):
         out_dir = tmp_path / "sweepout"

@@ -24,6 +24,7 @@ from slnrbeam.numerics import exp_scaled_e1
 from slnrbeam.optimizers import AlgoOptions, run_gm, run_soft
 
 from conftest import (
+    dense_r,
     expansion_rate,
     instantaneous_sinr,
     operators_at,
@@ -34,7 +35,7 @@ from conftest import (
 
 def dense_slnr(w_mat, stats, sigma):
     """w_l^H R_l w_l / (sum_{k != l} w_l^H R_k w_l + sigma) on dense covariances."""
-    cov = stats.covariance()
+    cov = dense_r(stats)
     power = np.real(np.einsum("xl,kxy,yl->kl", w_mat.conj(), cov, w_mat))
     signal = np.diag(power)
     return signal / (power.sum(axis=0) - signal + sigma)
@@ -78,7 +79,7 @@ class TestSlnr:
         bf = init_feasible(sc, np.random.default_rng(3))
         val = user_slnr(bf, stats, 0, sc.sigma)
         w = beamformer_matrix(bf)[:, 0]
-        signal = np.real(w.conj() @ stats.covariance()[0] @ w)
+        signal = np.real(w.conj() @ dense_r(stats)[0] @ w)
         assert val == pytest.approx(signal / sc.sigma, rel=1e-9)
 
     def test_identical_users_equal_slnr(self, setup):
@@ -226,7 +227,7 @@ class TestErgodicRate:
         stats = build_statistics(sc)
         bf = init_feasible(sc, np.random.default_rng(5))
         w = beamformer_matrix(bf)
-        mu = float(np.real(w[:, 0].conj() @ stats.covariance()[0] @ w[:, 0]))
+        mu = float(np.real(w[:, 0].conj() @ dense_r(stats)[0] @ w[:, 0]))
         want = exp_scaled_e1(sc.sigma / mu)
         assert ergodic_rate_closed(w, stats, sc.sigma)[0] == pytest.approx(want, rel=1e-10)
 
@@ -265,7 +266,7 @@ class TestErgodicRate:
         # R_k w_j from the Kronecker factors equals the dense products, for
         # outer-product and full-rank beamformers.
         sc, stats, bf = setup
-        cov = stats.covariance()
+        cov = dense_r(stats)
         for w in (beamformer_matrix(bf), full_rank_columns(stats, 1)):
             dense = np.einsum("kxy,yj->kjx", cov, w)
             got = _covariance_images(w, stats)

@@ -3,8 +3,9 @@
 The exponential integral is checked against adaptive quadrature of its
 defining integral, the matrix square root against a squaring oracle, and
 the generalized eigenvector against random probing plus a finite-difference
-stationarity check. The pencil eigenvalues are checked against
-``scipy.linalg.eigh``, which the library itself does not use.
+stationarity check, both on one shared metric and stacked low-rank roots.
+The pencil eigenvalues and the stacked generalized eigenvectors are checked
+against ``scipy.linalg.eigh``, which the library itself does not use.
 """
 
 import numpy as np
@@ -31,6 +32,15 @@ def random_hermitian(rng, n):
 def random_psd(rng, n):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return g @ g.conj().T
+
+
+def random_roots(rng, n, ranks):
+    """Stacked (L, n, max rank) roots, user l's random and of rank ranks[l],
+    padded with zero columns."""
+    s = np.zeros((len(ranks), n, max(ranks)), dtype=complex)
+    for ell, rank in enumerate(ranks):
+        s[ell, :, :rank] = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    return s
 
 
 def ridged_kron_stack(rng, q=4, n_users=5):
@@ -175,37 +185,40 @@ class TestBisect:
 
 
 class TestGeneralizedEigvec:
+    # One shared metric A (n, n) and stacked roots S (L, n, r): the rows
+    # maximize w^H S_l S_l^H w / w^H A w.
+
+    def quotient(self, w, a, s):
+        return np.real(w.conj() @ s @ s.conj().T @ w) / np.real(w.conj() @ a @ w)
+
     def test_identity_metric(self):
-        w = largest_generalized_eigvec(np.eye(3), np.diag([1.0, 5.0, 2.0]))
-        np.testing.assert_allclose(np.abs(w), [0.0, 1.0, 0.0], atol=1e-10)
+        w = largest_generalized_eigvec(np.eye(3), np.diag(np.sqrt([1.0, 5.0, 2.0]))[None])
+        np.testing.assert_allclose(np.abs(w[0]), [0.0, 1.0, 0.0], atol=1e-10)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
-        b = random_psd(rng, 4)
-        w1 = largest_generalized_eigvec(np.eye(4), b)
-        w2 = largest_generalized_eigvec(2.0 * np.eye(4), b)
-        assert abs(abs(np.vdot(w1, w2)) - 1.0) < 1e-10
-
-    def quotient(self, w, a, b):
-        return np.real(w.conj() @ b @ w) / np.real(w.conj() @ a @ w)
+        s = random_roots(rng, 4, [2])
+        w1 = largest_generalized_eigvec(np.eye(4), s)
+        for a, root in ((2.0 * np.eye(4), s), (np.eye(4), 3.0 * s)):
+            assert abs(abs(np.vdot(w1, largest_generalized_eigvec(a, root))) - 1.0) < 1e-10
 
     def test_random_probe_oracle(self):
         rng = np.random.default_rng(4)
         a = random_psd(rng, 5) + 0.5 * np.eye(5)
-        b = random_psd(rng, 5)
-        w = largest_generalized_eigvec(a, b)
-        best = self.quotient(w, a, b)
+        s = random_roots(rng, 5, [3])
+        w = largest_generalized_eigvec(a, s)[0]
+        best = self.quotient(w, a, s[0])
         for _ in range(1000):
             z = rng.standard_normal(5) + 1j * rng.standard_normal(5)
             z /= np.linalg.norm(z)
-            assert self.quotient(z, a, b) <= best * (1.0 + 1e-8)
+            assert self.quotient(z, a, s[0]) <= best * (1.0 + 1e-8)
 
     def test_stationarity_finite_difference(self):
         rng = np.random.default_rng(5)
         a = random_psd(rng, 4) + 0.5 * np.eye(4)
-        b = random_psd(rng, 4)
-        w = largest_generalized_eigvec(a, b)
-        val = self.quotient(w, a, b)
+        s = random_roots(rng, 4, [4])[0]
+        w = largest_generalized_eigvec(a, s[None])[0]
+        val = self.quotient(w, a, s)
         h = 1e-6
         grad_norm_sq = 0.0
         for i in range(4):
@@ -213,31 +226,38 @@ class TestGeneralizedEigvec:
                 up, dn = w.copy(), w.copy()
                 up[i] += delta
                 dn[i] -= delta
-                grad_norm_sq += ((self.quotient(up, a, b) - self.quotient(dn, a, b)) / (2 * h)) ** 2
+                grad_norm_sq += ((self.quotient(up, a, s) - self.quotient(dn, a, s)) / (2 * h)) ** 2
         assert np.sqrt(grad_norm_sq) <= 1e-6 * max(1.0, abs(val))
 
     def test_rejects_singular_metric(self):
-        with pytest.raises(ValueError):
-            largest_generalized_eigvec(np.diag([1.0, 0.0]), np.eye(2))
+        with pytest.raises(ValueError, match="positive definite"):
+            largest_generalized_eigvec(np.diag([1.0, 0.0]), np.eye(2)[None])
 
-    def test_rejects_non_hermitian_in_stack(self):
-        b = np.stack([np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]])])
+    def test_rejects_non_hermitian_metric(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            largest_generalized_eigvec(np.stack([np.eye(2)] * 2), b)
+            largest_generalized_eigvec(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2)[None])
 
     def test_stack_matches_scipy_and_single_calls(self):
+        # Roots of ranks 1-3 padded to three columns, and a metric shaped like
+        # the baseline's: their sum plus a small loading.
         rng = np.random.default_rng(11)
-        b, a = ridged_kron_stack(rng, q=3, n_users=4)
-        w = largest_generalized_eigvec(a, b)
-        for ell in range(a.shape[0]):
-            assert np.array_equal(w[ell], largest_generalized_eigvec(a[ell], b[ell]))
+        n, ranks = 9, [1, 3, 2, 3]
+        s = random_roots(rng, n, ranks)
+        total = np.einsum("lnr,lmr->nm", s, s.conj())
+        a = total + 1e-10 * np.real(np.trace(total)) / n * np.eye(n)
+        w = largest_generalized_eigvec(a, s)
+        for ell, rank in enumerate(ranks):
+            alone = largest_generalized_eigvec(a, s[ell : ell + 1])[0]
+            assert np.array_equal(w[ell], alone)
+            unpadded = largest_generalized_eigvec(a, s[ell : ell + 1, :, :rank])[0]
+            assert abs(np.vdot(unpadded, w[ell])) == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.norm(w[ell]) == pytest.approx(1.0, abs=1e-12)
             pivot = w[ell][np.argmax(np.abs(w[ell]))]
             assert abs(pivot.imag) <= 1e-15 * pivot.real
-            # the quotient itself cancels catastrophically along the ridge
-            # directions, so the direction is compared instead
-            ref = scipy.linalg.eigh(b[ell], a[ell])[1][:, -1]
+            lam, vec = scipy.linalg.eigh(s[ell] @ s[ell].conj().T, a)
+            ref = vec[:, -1]
             assert abs(np.vdot(ref, w[ell])) / np.linalg.norm(ref) == pytest.approx(1.0, abs=1e-9)
+            assert self.quotient(w[ell], a, s[ell]) == pytest.approx(lam[-1], rel=1e-9)
 
 
 class TestPencil:

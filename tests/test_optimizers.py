@@ -5,15 +5,24 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 import slnrbeam
 from slnrbeam.beamformer import beamformer_matrix, init_feasible, total_power
-from slnrbeam.channel import Scenario, build_statistics
+from slnrbeam.channel import (
+    Scenario,
+    build_statistics,
+    dbm_to_watt,
+    horizontal_correlation,
+    vertical_correlation,
+)
 from slnrbeam import optimizers, surrogates
 from slnrbeam.metrics import _signal_and_leakage, ergodic_rate_closed
 from slnrbeam.numerics import hermitian_eig
@@ -31,7 +40,7 @@ from slnrbeam.optimizers import (
 from slnrbeam.qcqp import SubproblemSolution
 from slnrbeam.surrogates import SurrogateCoefficients
 
-from conftest import operators_at
+from conftest import dense_r, operators_at
 
 
 def random_quadratics(rng, n_users=3, dim=6, b_scale=1.0):
@@ -315,7 +324,7 @@ class TestBaseline:
         sc = Scenario(Q=3, L=1, M=1, seed=8)
         stats = build_statistics(sc)
         w_mat = baseline_uniform(stats, sc)
-        _, vec = hermitian_eig(stats.covariance()[0])
+        _, vec = hermitian_eig(dense_r(stats)[0])
         direction = w_mat[:, 0] / np.linalg.norm(w_mat[:, 0])
         assert abs(abs(np.vdot(direction, vec[:, 0])) - 1.0) < 1e-8
 
@@ -331,7 +340,7 @@ class TestBaseline:
         w_mat = baseline_uniform(stats, sc)
         rng = np.random.default_rng(9)
         loading = 3 * sc.sigma / sc.P * np.eye(16)
-        cov = stats.covariance()
+        cov = dense_r(stats)
         for ell in range(3):
             leak = cov.sum(axis=0) - cov[ell] + loading
 
@@ -344,6 +353,69 @@ class TestBaseline:
             for _ in range(1000):
                 z = rng.standard_normal(16) + 1j * rng.standard_normal(16)
                 assert quotient(z) <= best * (1.0 + 1e-8)
+
+
+def zero_spread_user(stats, scenario, ell):
+    """Give user ``ell`` the rank-1 factors of zero angular spread."""
+    geom = stats.geometry[ell]
+    stats.R_v[ell] = vertical_correlation(geom.elevation_angle, 0.0, scenario.Q)
+    stats.R_h[ell] = horizontal_correlation(
+        geom.azimuth_angle, geom.elevation_angle, 0.0, 0.0, scenario.Q
+    )
+    return stats
+
+
+class TestBaselineDegenerate:
+    # Inputs where the low-rank roots and the shared metric are at their
+    # edges: rank-1 users, users of unequal rank, no leakage, and budgets
+    # that make the noise loading dominate or vanish.
+    CASES = {
+        "zero_spread": lambda: Scenario(Q=4, L=3, sigma_alpha=0.0, sigma_beta=0.0, seed=7),
+        "unequal_rank": lambda: Scenario(Q=4, L=3, seed=7),
+        "single_user": lambda: Scenario(Q=4, L=1, seed=7),
+        "budget_-30dBm": lambda: Scenario(Q=4, L=3, P=dbm_to_watt(-30.0), seed=7),
+        "budget_60dBm": lambda: Scenario(Q=4, L=3, P=dbm_to_watt(60.0), seed=7),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_quotients_match_scipy(self, case):
+        sc = self.CASES[case]()
+        stats = build_statistics(sc)
+        if case == "unequal_rank":
+            zero_spread_user(stats, sc, 1)
+        cov = dense_r(stats)
+        ranks = [np.linalg.matrix_rank(r, tol=1e-9 * np.abs(r).max()) for r in cov]
+        if case == "zero_spread":
+            assert ranks == [1] * sc.L
+        if case == "unequal_rank":
+            assert ranks[1] == 1 < min(ranks[0], ranks[2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            w_mat = baseline_uniform(stats, sc)
+        np.testing.assert_allclose(
+            np.linalg.norm(w_mat, axis=0) ** 2, sc.P / sc.L, rtol=1e-10
+        )
+        loading = sc.L * sc.sigma / sc.P * np.eye(sc.Q**2)
+        for ell in range(sc.L):
+            leak = cov.sum(axis=0) - cov[ell] + loading
+            w = w_mat[:, ell]
+            quotient = np.real(w.conj() @ cov[ell] @ w) / np.real(w.conj() @ leak @ w)
+            top = scipy.linalg.eigh(cov[ell], leak, eigvals_only=True)[-1]
+            assert quotient == pytest.approx(top, rel=1e-8)
+
+    def test_peak_allocation_below_dense_stacks(self):
+        # The baseline works on the factors: its traced peak stays below
+        # three dense (L, Q^2, Q^2) complex stacks at Q = 16, L = 10.
+        sc = Scenario(Q=16, L=10, seed=0)
+        stats = build_statistics(sc)
+        stack_bytes = sc.L * sc.Q**4 * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            baseline_uniform(stats, sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * stack_bytes
 
 
 class TestRuntimeDependencies:

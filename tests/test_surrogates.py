@@ -22,6 +22,7 @@ from conftest import (
     chi_expansion,
     chi_minorant,
     chi_softmin_majorant,
+    dense_r,
     dense_r_tilde,
     operators_at,
     softmin_target,
@@ -225,7 +226,7 @@ class TestSlnrMinorant:
         sc = Scenario(Q=4, L=3, M=m_count, seed=33)
         stats = build_statistics(sc)
         bf = init_feasible(sc, np.random.default_rng(33))
-        cov = dense_r_tilde(stats) if side == "azimuth" else stats.covariance()
+        cov = dense_r_tilde(stats) if side == "azimuth" else dense_r(stats)
         ops = operators_at(side, bf, stats, sc.sigma)
         for ell in range(bf.L):
             psi = psi_matrix(side, bf, ell)

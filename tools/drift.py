@@ -9,8 +9,9 @@ Run from the root of a checkout::
 ``snapshot`` runs a fixed set of 76 design runs with the ``slnrbeam`` found
 under ``--src`` (default: this checkout's ``src``) and writes, per run,
 sha256 digests of the incumbent matrix, the final iterate and the trace,
-plus the iteration count, the stop reason, the minimum rate and the largest
-max-min subproblem gap. The set covers the three benchmark sizes:
+plus the iteration count, the stop reason, the minimum rate, every user's
+incumbent rate and the largest max-min subproblem gap. The set covers the
+three benchmark sizes:
 
 * desk: Q=8, L=5, M in {1, 2}, seeds 1, 2, 100, 101, every design;
 * lit: Q=12, L=10, M=2, seeds 0, 1, 100, 101, every design but max-min;
@@ -18,8 +19,9 @@ max-min subproblem gap. The set covers the three benchmark sizes:
 
 where every design is max-min, gm, soft at c = 0.1 and at c = 1, and the
 baseline. ``compare`` prints, per design, how many runs are identical (all
-digests equal), the largest relative move of the minimum rate and the
-largest max-min gap, then every change of iteration count or stop reason.
+digests equal), the largest relative move of the minimum rate, the largest
+relative move of any user's rate and the largest max-min gap, then every
+change of iteration count or stop reason.
 It needs numpy and the standard library only.
 """
 
@@ -65,8 +67,9 @@ def digest(*arrays) -> str:
     return h.hexdigest()
 
 
-def summarize(result) -> dict:
-    """Digests and headline figures of one ``OptimizationResult``."""
+def summarize(result, rates) -> dict:
+    """Digests and headline figures of one ``OptimizationResult``, with the
+    per-user ``rates`` (nats) of its incumbent."""
     rows = np.array(
         [
             (e.step, e.min_slnr, e.objective, e.min_rate_nats, e.power,
@@ -85,6 +88,7 @@ def summarize(result) -> dict:
         "iterations": result.iterations,
         "stop_reason": result.stop_reason,
         "min_rate_nats": result.rate_min_nats,
+        "rates_nats": [float(r) for r in rates],
         "gap_max": max(gaps) if gaps else None,
     }
 
@@ -92,17 +96,24 @@ def summarize(result) -> dict:
 def snapshot(src: Path) -> dict:
     sys.path.insert(0, str(src))
     channel = importlib.import_module("slnrbeam.channel")
+    metrics = importlib.import_module("slnrbeam.metrics")
     optimizers = importlib.import_module("slnrbeam.optimizers")
     runs = {}
     for size, keywords, design, c in run_set():
         scenario = channel.Scenario(**keywords)
+        stats = channel.build_statistics(scenario)
         options = optimizers.AlgoOptions(soft_c=0.1 if c is None else c)
-        result = optimizers.run_algorithm(
-            design, scenario, channel.build_statistics(scenario), options
-        )
+        result = optimizers.run_algorithm(design, scenario, stats, options)
+        rates = metrics.ergodic_rate_closed(result.incumbent_matrix, stats, scenario.sigma)
         key = "/".join([size, label(design, c)] + [f"{k}={v}" for k, v in keywords.items()])
-        runs[key] = {"design": label(design, c), **summarize(result)}
+        runs[key] = {"design": label(design, c), **summarize(result, rates)}
     return runs
+
+
+def relative_move(before, after) -> float:
+    """Largest |after - before| / |before| over paired values."""
+    before, after = np.atleast_1d(before), np.atleast_1d(after)
+    return float(np.max(np.abs(after - before) / np.maximum(np.abs(before), 1e-300)))
 
 
 def compare(before: dict, after: dict) -> list[str]:
@@ -117,12 +128,12 @@ def compare(before: dict, after: dict) -> list[str]:
         designs.setdefault(after[key]["design"], []).append(key)
     for design, keys in designs.items():
         same = sum(all(before[k][d] == after[k][d] for d in DIGESTS) for k in keys)
-        moves = [
-            abs(after[k]["min_rate_nats"] - before[k]["min_rate_nats"])
-            / max(abs(before[k]["min_rate_nats"]), 1e-300)
-            for k in keys
-        ]
-        line = f"{design}: {same}/{len(keys)} identical, largest min-rate move {max(moves):.3g} relative"
+        moves = [relative_move(before[k]["min_rate_nats"], after[k]["min_rate_nats"]) for k in keys]
+        user_moves = [relative_move(before[k]["rates_nats"], after[k]["rates_nats"]) for k in keys]
+        line = (
+            f"{design}: {same}/{len(keys)} identical, largest min-rate move {max(moves):.3g} "
+            f"relative, largest per-user rate move {max(user_moves):.3g} relative"
+        )
         gaps = [after[k]["gap_max"] for k in keys if after[k]["gap_max"] is not None]
         if gaps:
             line += f", largest gap {max(gaps):.3g}"
