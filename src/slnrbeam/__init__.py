@@ -19,15 +19,7 @@ from .channel import (
     place_users,
     vertical_correlation,
 )
-from .beamformer import (
-    BeamformerSet,
-    beamformer_matrix,
-    coupling_matrix,
-    full_beamformer,
-    init_feasible,
-    psi_matrix,
-    total_power,
-)
+from .beamformer import BeamformerSet, beamformer_matrix, init_feasible
 from .metrics import (
     RateReport,
     ergodic_rate_closed,
@@ -60,10 +52,8 @@ __all__ = [
     "beamformer_matrix",
     "build_statistics",
     "closed_form_update",
-    "coupling_matrix",
     "ergodic_rate_closed",
     "ergodic_rate_mc",
-    "full_beamformer",
     "horizontal_correlation",
     "init_feasible",
     "jain_index",
@@ -71,12 +61,10 @@ __all__ = [
     "nats_to_mbps",
     "pathloss_db",
     "place_users",
-    "psi_matrix",
     "rate_report",
     "run_gm",
     "run_maxmin",
     "run_soft",
     "slnr_vec",
-    "total_power",
     "vertical_correlation",
 ]

@@ -1,4 +1,4 @@
-"""Outer-product beamformer sets, their power algebra, and update operators.
+"""Outer-product beamformer sets and their transmit power.
 
 A user's transmit matrix is a sum of M rank-one outer products,
 
@@ -6,17 +6,11 @@ A user's transmit matrix is a sum of M rank-one outer products,
 
 composed from M elevation vectors and M azimuth vectors of length Q each.
 Per user the M vectors of one side are kept stacked in a single length Q*M
-vector (column-major over m). Two operators describe one side's update with
-the other held fixed:
-
-  * ``psi_matrix``: the Q^2 x QM mixing matrix turning the free side's
-    stacked vector into vec(sum_m v_a[m] @ v_e[m].T), so channel bilinear
-    forms become plain matrix products against vectorized channels. The
-    designs never form it (they use its Kronecker structure); it is the
-    dense reference for those identities;
-  * ``coupling_matrix``: every user's QM x QM Gram operator of the fixed
-    side's vectors (Kronecker-expanded), through which the transmit-power
-    constraint becomes a quadratic form in the free side's vector.
+vector (column-major over m). The transmit power is ||W||_F^2 for the
+vectorized beamformers W (``beamformer_matrix``). With one side held fixed
+it is a quadratic form in the other side's vector, through the fixed side's
+Gram matrix (``coupling_matrix``); the designs orthonormalize the fixed side
+first, which makes that Gram matrix the identity.
 """
 
 from __future__ import annotations
@@ -61,36 +55,16 @@ def _check_side(side: str) -> None:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
 
 
-def full_beamformer(bf: BeamformerSet, ell: int) -> np.ndarray:
-    """The rank-<=M transmit matrix V_ell = sum_m v_e[m] v_a[m].T."""
-    v_e = bf.columns("elevation", ell)
-    v_a = bf.columns("azimuth", ell)
-    return v_e @ v_a.T
-
-
 def beamformer_matrix(bf: BeamformerSet) -> np.ndarray:
     """Column-major vectorized beamformers as a (Q^2, L) matrix.
 
     Row ell of v.reshape(L, M, Q) holds user ell's M vectors, so one batched
-    product gives every V_ell (as ``full_beamformer`` does, bit for bit);
-    axes ordered (column, row, user) then flatten to the vec columns.
+    product gives every V_ell = sum_m v_e[m] v_a[m].T; axes ordered
+    (column, row, user) then flatten to the vec columns.
     """
     shape = (bf.L, bf.M, bf.Q)
     v = bf.v_e.reshape(shape).swapaxes(-1, -2) @ bf.v_a.reshape(shape)
     return v.transpose(2, 1, 0).reshape(bf.Q * bf.Q, bf.L)
-
-
-def user_powers(bf: BeamformerSet) -> list[float]:
-    """Each user's transmit power ||sum_m v_a[m] v_e[m].T||_F^2."""
-    return [
-        float(np.linalg.norm(bf.columns("azimuth", ell) @ bf.columns("elevation", ell).T) ** 2)
-        for ell in range(bf.L)
-    ]
-
-
-def total_power(bf: BeamformerSet) -> float:
-    """Transmit power: the sum over users of ``user_powers``."""
-    return sum(user_powers(bf))
 
 
 def coupling_matrix(side: str, bf: BeamformerSet) -> np.ndarray:
@@ -100,7 +74,9 @@ def coupling_matrix(side: str, bf: BeamformerSet) -> np.ndarray:
     ``v^H A_l v = ||sum_m v[m] v_fixed,l[m].T||_F^2`` for any stacked
     free-side vector v: user l's M x M Gram matrix of the fixed side's
     vectors Kronecker-expanded by I_Q. Orthonormal fixed vectors give the
-    identity.
+    identity: the designs orthonormalize the fixed side before each update
+    and never build this stack, which stays as the reference for that
+    power identity.
     """
     _check_side(side)
     fixed = bf.v_e if side == "azimuth" else bf.v_a
@@ -108,22 +84,6 @@ def coupling_matrix(side: str, bf: BeamformerSet) -> np.ndarray:
     gram = f.conj().swapaxes(-1, -2) @ f
     n = bf.Q * bf.M
     return (gram[:, :, None, :, None] * np.eye(bf.Q)[:, None, :]).reshape(bf.L, n, n)
-
-
-def psi_matrix(side: str, bf: BeamformerSet, ell: int) -> np.ndarray:
-    """Mixing operator for updating ``side`` with the other side fixed.
-
-    Returns the Q^2 x QM matrix ``Psi = [u_1 ... u_M] kron I_Q`` built from
-    the fixed side's vectors u_m, satisfying for any free-side stacked v
-
-        Psi @ v = vec(sum_m v[m] u_m.T)      (column-major vec),
-
-    so that vec(H^T).T @ Psi @ v_a and vec(H).T @ Psi @ v_e both equal the
-    transmit bilinear form sum_m v_e[m].T H v_a[m].
-    """
-    _check_side(side)
-    fixed = bf.columns("elevation" if side == "azimuth" else "azimuth", ell)
-    return np.kron(fixed, np.eye(bf.Q))
 
 
 def circular_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
@@ -142,7 +102,7 @@ def init_feasible(scenario: Scenario, rng: np.random.Generator) -> BeamformerSet
     bf = BeamformerSet(
         scenario.Q, scenario.M, circular_gaussian(rng, shape), circular_gaussian(rng, shape)
     )
-    bf.v_a *= np.sqrt(scenario.P / total_power(bf))
+    bf.v_a *= np.sqrt(scenario.P / np.linalg.norm(beamformer_matrix(bf)) ** 2)
     return bf
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .harness import (
     ExperimentConfig,
@@ -115,20 +116,21 @@ def main(argv: list[str] | None = None) -> int:
                 config = ExperimentConfig(
                     scenario=default_scenario_dict(), algorithms=[args.algorithm]
                 )
+            changes = {"scenario": {**config.scenario, **_scenario_overrides(args)}, "n_seeds": 1}
             if args.algorithm:
-                config.algorithms = [args.algorithm]
-            config.scenario.update(_scenario_overrides(args))
+                changes["algorithms"] = [args.algorithm]
             if args.Q is not None:
-                config.antennas = [args.Q * args.Q]
+                changes["antennas"] = [args.Q * args.Q]
             if args.power_dbm is not None:
-                config.power_dbm = [args.power_dbm]
+                changes["power_dbm"] = [args.power_dbm]
             if args.c is not None:
-                config.c = [args.c]
+                changes["c"] = [args.c]
             if args.seed is not None:
-                config.base_seed = args.seed
+                changes["base_seed"] = args.seed
             if args.out:
-                config.output_dir = args.out
-            config.n_seeds = 1
+                changes["output_dir"] = args.out
+            # rebuilt, so the flags pass the config checks before any file is written
+            config = replace(config, **changes)
             files = run_experiment(config)
             print(f"wrote {len(files)} files under {config.output_dir}")
             return 0
@@ -150,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,8 +2,9 @@
 
 All routines are deterministic given the input bits (LAPACK drivers only,
 no randomized algorithms), so seeded experiment traces reproduce exactly.
-Only numpy is needed: the generalized Hermitian eigensolves use the Cholesky
-reduction of LAPACK's xHEGV, written out on numpy's stacked linear algebra.
+Only numpy is needed: the baseline's generalized Hermitian eigenvectors use
+the Cholesky reduction of LAPACK's xHEGV, written out on numpy's stacked
+linear algebra.
 """
 
 from __future__ import annotations
@@ -157,14 +158,6 @@ def bisect(
     return mid
 
 
-def _cholesky_inverse(a: np.ndarray) -> np.ndarray:
-    """K^-1 for the Cholesky factor A = K K^H of each Hermitian PD ``a``, else ValueError."""
-    try:
-        return np.linalg.inv(np.linalg.cholesky(a))
-    except np.linalg.LinAlgError as err:
-        raise ValueError(f"metric matrix is not positive definite: {err}") from None
-
-
 def largest_generalized_eigvec(a: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """Unit-norm maximizers of generalized Rayleigh quotients with one metric.
 
@@ -173,9 +166,13 @@ def largest_generalized_eigvec(a: np.ndarray, roots: np.ndarray) -> np.ndarray:
     ``(w^H S_l S_l^H w) / (w^H A w)``: with A = K K^H it is K^-H u_l for the
     top left singular vector u_l of K^-1 S_l, so zero columns change nothing.
     The global phase is fixed so the largest-magnitude entry is real positive.
+    A metric that is not positive definite raises ValueError.
     """
     check_hermitian(a)
-    inv = _cholesky_inverse(a)
+    try:
+        inv = np.linalg.inv(np.linalg.cholesky(a))
+    except np.linalg.LinAlgError as err:
+        raise ValueError(f"metric matrix is not positive definite: {err}") from None
     u = np.linalg.svd(inv @ roots, full_matrices=False)[0][..., :1]
     w = (inv.conj().T @ u)[..., 0]
     w = w / np.linalg.norm(w, axis=-1, keepdims=True)
@@ -183,21 +180,16 @@ def largest_generalized_eigvec(a: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return w * np.conj(pivot / np.abs(pivot))
 
 
-def pencil_diagonalize(c: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Simultaneously diagonalize Hermitian PSD pencils ``(C, A)``.
+def pencil_diagonalize(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonalize Hermitian PSD curvatures ``C`` against the identity.
 
-    For Hermitian PSD ``c`` and Hermitian positive-definite ``a`` (single
-    matrices or stacks of shape (..., n, n)), returns ``(w, T)`` with
-    ``T^H A T = I`` and ``T^H C T = diag(w)``, the eigenvalues ascending and
-    clipped at 0. This is the Cholesky reduction of LAPACK's xHEGV (Golub &
-    Van Loan, section 8.7): with A = K K^H and K^-1 C K^-H = U diag(w) U^H,
-    T = K^-H U. Substituting ``v = T u`` turns every shifted solve
-    ``(alpha*C + mu*A) v = r`` into a diagonal one, which the power-allocation
-    searches exploit. A curvature that is not Hermitian, or a metric that is
-    not positive definite, raises ValueError.
+    For ``c`` a single matrix or a stack of shape (..., n, n), returns
+    ``(w, T)`` with T unitary and ``T^H C T = diag(w)``, the eigenvalues
+    ascending and clipped at 0. Substituting ``v = T u`` turns every shifted
+    solve ``(alpha*C + mu*I) v = r`` into a diagonal one, which the
+    power-allocation searches exploit. A curvature that is not Hermitian
+    raises ValueError.
     """
     check_hermitian(c)
-    inv = _cholesky_inverse(a)
-    inv_h = np.swapaxes(inv.conj(), -1, -2)
-    lam, u = np.linalg.eigh(inv @ c @ inv_h)
-    return np.clip(lam, 0.0, None), inv_h @ u
+    lam, t = np.linalg.eigh(c)
+    return np.clip(lam, 0.0, None), t

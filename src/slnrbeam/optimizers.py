@@ -40,24 +40,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .beamformer import (
-    BeamformerSet,
-    beamformer_matrix,
-    circular_gaussian,
-    coupling_matrix,
-    init_feasible,
-    user_powers,
-)
+from .beamformer import BeamformerSet, beamformer_matrix, circular_gaussian, init_feasible
 from .channel import ChannelStatistics, Scenario
 from .metrics import _signal_and_leakage, ergodic_rate_closed, slnr_vec
 from .numerics import largest_generalized_eigvec
-from .qcqp import (
-    MaxMinQuadraticProblem,
-    SubproblemSolution,
-    _Pencils,
-    quadratic_form,
-    solve_maxmin,
-)
+from .qcqp import MaxMinQuadraticProblem, SubproblemSolution, _Pencils, solve_maxmin
 from .surrogates import (
     HalfIterationOperators,
     SurrogateCoefficients,
@@ -177,7 +164,6 @@ def track_incumbent(
 
 def closed_form_update(
     coeffs: SurrogateCoefficients,
-    power_mats: np.ndarray,
     budget: float,
     weights: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -186,12 +172,13 @@ def closed_form_update(
     Solves, for positive user weights w_l (default 1),
 
         opt  sum_l w_l (+-2 Re{b_l v_l} -+ v_l^H C_l v_l)
-        s.t. sum_l v_l^H A_l v_l <= budget,
+        s.t. sum_l ||v_l||^2 <= budget,
 
-    over the users' stacked coefficients and (L, n, n) power matrices A_l.
+    over the users' stacked coefficients; the power is the free vectors'
+    squared norm because the designs orthonormalize the fixed side first.
     It is a maximization for minorant coefficients and a minimization for
     majorant coefficients; both share the stationarity system
-    v_l(mu) = w_l (w_l C_l + mu A_l)^{-1} b_l^H on the diagonalized pencils
+    v_l(mu) = w_l (w_l C_l + mu I)^{-1} b_l^H on the diagonalized pencils
     of :mod:`slnrbeam.qcqp`. Their power price (the Lagrangian dual's at
     weights w, a safeguarded Newton search) is zero exactly when the
     unconstrained solution C_l^{-1} b_l^H fits the budget, and is then
@@ -204,16 +191,15 @@ def closed_form_update(
     if np.any(weights <= 0):
         raise ValueError("weights must be positive")
 
-    pencils = _Pencils(MaxMinQuadraticProblem(np.zeros(n_users), coeffs.b, coeffs.C, power_mats, budget))
+    pencils = _Pencils(MaxMinQuadraticProblem(np.zeros(n_users), coeffs.b, coeffs.C, budget))
     mu = pencils.power_price(weights)
     v = pencils.dual_argmax(weights, mu)
-    if mu == 0.0:  # fits in the ridged power metric, hence in the true one
+    if mu == 0.0:
         return v
-    # The price targets the ridged power metric, which overstates the true
-    # power by eps * ||v||^2. A final exact rescale lands on the budget
-    # sphere; the radial move is of that (tiny) relative size, so the point
-    # stays an optimum to that order.
-    power = sum(quadratic_form(power_mats, v).tolist())  # summed in user order
+    # The price stops at a power residual of 1e-12 * budget; a final exact
+    # rescale lands on the budget sphere. A larger residual is a wrong
+    # power, never rescaled away.
+    power = float(np.vdot(v, v).real)
     if abs(power - budget) > 1e-4 * budget:
         raise RuntimeError(f"power price residual {abs(power - budget):.3e} exceeds 1e-4 * budget")
     return v * np.sqrt(budget / power)
@@ -255,6 +241,10 @@ class _Run:
     the incumbent and the next half-iteration's operators all read these.
     ``subproblem`` is the last max-min subproblem's solution, for the trace
     row.
+
+    Before each half-iteration ``fix_gauge`` orthonormalizes the side held
+    fixed, so a user's transmit power is the squared norm of its free-side
+    vector.
     """
 
     def __init__(self, algorithm: str, scenario: Scenario, stats: ChannelStatistics):
@@ -296,32 +286,42 @@ class _Run:
             )
         )
 
+    def fix_gauge(self, side: str) -> None:
+        """Orthonormalize the side held fixed while ``side`` is updated.
+
+        Every user's fixed (Q, M) columns F = Q_f R are replaced by Q_f and
+        the free columns G by G R^T, which leaves the transmit matrix
+        F G^T, hence W, unchanged up to round-off. A user's power is then
+        the squared norm of its free vector. The kept evaluation is redone
+        at the refactored iterate.
+        """
+        bf = self.bf
+        free, fixed = ("v_a", "v_e") if side == "azimuth" else ("v_e", "v_a")
+        shape = (bf.L, bf.M, bf.Q)  # row m of a user's block is its m-th vector
+        q_f, r = np.linalg.qr(getattr(bf, fixed).reshape(shape).swapaxes(-1, -2))
+        setattr(bf, fixed, q_f.swapaxes(-1, -2).reshape(bf.L, -1))
+        setattr(bf, free, (r @ getattr(bf, free).reshape(shape)).reshape(bf.L, -1))
+        self.keep(self.evaluate(bf))
+
     def reinit_degenerate(self, side: str) -> None:
         """Replace zero-signal users' free vectors by a small random draw.
 
         A vanished expected signal makes every bound uninformative, so the
         user restarts from a fresh vector carrying one percent of the power
         left in the budget by the other users; the kept evaluation follows
-        the change.
+        the change. The fixed side must be orthonormal (``fix_gauge``), so
+        that the draw's squared norm is its power.
         """
         dead = np.nonzero(self.signal <= 0.0)[0]
         if dead.size == 0:
             return
         free = self.bf.v_a if side == "azimuth" else self.bf.v_e
+        per_user = np.linalg.norm(self.w_mat, axis=0) ** 2
         for ell in dead:
-            per_user = user_powers(self.bf)
-            remaining = max(self.scenario.P - (sum(per_user) - per_user[ell]), 1e-12 * self.scenario.P)
+            remaining = max(self.scenario.P - (per_user.sum() - per_user[ell]), 1e-12 * self.scenario.P)
             draw = circular_gaussian(self.rng, free.shape[1])
-            a_mat = coupling_matrix(side, self.bf)[ell]
-            quad = float(np.real(draw.conj() @ (a_mat @ draw)))
-            if quad <= 0.0:
-                # Fixed side vanished as well; restart it at unit scale first.
-                fixed = self.bf.v_a if side == "elevation" else self.bf.v_e
-                redraw = circular_gaussian(self.rng, free.shape[1])
-                fixed[ell] = redraw / np.linalg.norm(redraw)
-                a_mat = coupling_matrix(side, self.bf)[ell]
-                quad = float(np.real(draw.conj() @ (a_mat @ draw)))
-            free[ell] = draw * np.sqrt(DEGENERATE_POWER_FRACTION * remaining / quad)
+            free[ell] = draw * np.sqrt(DEGENERATE_POWER_FRACTION * remaining) / np.linalg.norm(draw)
+            per_user[ell] = DEGENERATE_POWER_FRACTION * remaining
             logger.warning("reinitialized degenerate user %d on the %s side", ell, side)
         self.keep(self.evaluate(self.bf))
 
@@ -382,12 +382,15 @@ def _alternate(
     (``operator.ge`` or ``operator.le``) orders its values, and
     ``update(run, side, ops)`` returns the candidate free-side point of one
     half-iteration from the operators at the current iterate. A candidate
-    is accepted through ``_backtrack``. A ``certified`` update (max-min,
-    whose subproblem point never worsens the objective in exact arithmetic)
-    is taken whole or not at all: a worsening point ends the run as
-    "subproblem_regressed". Otherwise an iteration in which no fraction of
-    either step helps ends the run as "stalled"; an iteration whose
-    relative objective change is within the tolerance as "tolerance".
+    is accepted through ``_backtrack``. Each half-iteration starts by fixing
+    the gauge and reinitializing degenerate users (``_Run``), and the
+    objective it must not worsen is re-read from that evaluation. A
+    ``certified`` update (max-min, whose subproblem point never worsens the
+    objective in exact arithmetic) is taken whole or not at all: a worsening
+    point ends the run as "subproblem_regressed". Otherwise an iteration in
+    which no fraction of either step helps ends the run as "stalled"; an
+    iteration whose relative objective change is within the tolerance as
+    "tolerance".
     """
     options = options or AlgoOptions()
     run = _Run(algorithm, scenario, stats)
@@ -397,7 +400,9 @@ def _alternate(
         previous_full = current
         moved = False
         for half, side in enumerate(SIDE_ORDER):
+            run.fix_gauge(side)
             run.reinit_degenerate(side)
+            current = objective(run.slnrs)
             ops = half_iteration_operators(side, run.bf, stats, run.signal, run.leakage, run.sigma)
             current, stepped = _backtrack(
                 run, side, update(run, side, ops), objective, current, better,
@@ -433,9 +438,7 @@ def run_maxmin(
 
     def update(run: _Run, side: str, ops: HalfIterationOperators) -> np.ndarray:
         coeffs = slnr_minorant_coeffs(ops)
-        problem = MaxMinQuadraticProblem(
-            a=coeffs.a, b=coeffs.b, C=coeffs.C, A=coupling_matrix(side, run.bf), P=scenario.P
-        )
+        problem = MaxMinQuadraticProblem(a=coeffs.a, b=coeffs.b, C=coeffs.C, P=scenario.P)
         run.subproblem = solve_maxmin(problem, tol=SUBPROBLEM_TOL, warm_start=ops.v_bar)
         return run.subproblem.v
 
@@ -471,9 +474,7 @@ def run_gm(
         nonlocal weights
         if side == SIDE_ORDER[0]:
             weights = gm_weights(run.slnrs)
-        return closed_form_update(
-            gm_minorant_coeffs(ops), coupling_matrix(side, run.bf), scenario.P, weights=weights
-        )
+        return closed_form_update(gm_minorant_coeffs(ops), scenario.P, weights=weights)
 
     return _alternate("gm", scenario, stats, options, _geometric_mean_log, operator.ge, update)
 
@@ -497,7 +498,7 @@ def run_soft(
 
     def update(run: _Run, side: str, ops: HalfIterationOperators) -> np.ndarray:
         _, coeffs = soft_majorant_coeffs(ops, c)
-        return closed_form_update(coeffs, coupling_matrix(side, run.bf), scenario.P)
+        return closed_form_update(coeffs, scenario.P)
 
     objective = lambda slnrs: _soft_objective_value(slnrs, c)
     return _alternate("soft", scenario, stats, options, objective, operator.le, update)

@@ -1,19 +1,19 @@
-"""Max-min concave-quadratic solver under one convex quadratic constraint.
+"""Max-min concave-quadratic solver under one power-ball constraint.
 
 Solves problems of the form
 
     maximize   min_l  q_l(v_l),   q_l(v_l) = a_l + 2 Re{b_l v_l} - v_l^H C_l v_l
-    subject to sum_l v_l^H A_l v_l <= P,
+    subject to sum_l ||v_l||^2 <= P,
 
-with Hermitian PSD C_l and A_l. Users couple only through the power sum, so
+with Hermitian PSD C_l. Users couple only through the power sum, so
 the attainable objective level t admits an exact feasibility test: for each
 user the minimum power P_l(t) needed to reach q_l(v_l) >= t is a
 one-dimensional convex subproblem, and t is attainable iff those minimum
-powers sum to at most P. After simultaneous diagonalization of the
-(C_l, A_l) pencil, the multiplier of user l's subproblem solves a monotone
-secular equation; a safeguarded Newton iteration on it (all users at once)
-keeps a certified bracket q_l(nu_lo) < t <= q_l(nu_hi), so power(nu_lo) is
-a certified underestimate of P_l(t).
+powers sum to at most P. After diagonalizing each C_l by a unitary
+congruence (the pencil (C_l, I)), the multiplier of user l's subproblem
+solves a monotone secular equation; a safeguarded Newton iteration on it
+(all users at once) keeps a certified bracket q_l(nu_lo) < t <= q_l(nu_hi),
+so power(nu_lo) is a certified underestimate of P_l(t).
 
 The outer search keeps a bracket [t_lo, t_hi] where t_lo is achieved by an
 explicitly constructed feasible point and t_hi is certified unattainable.
@@ -24,7 +24,7 @@ fallback whenever a step would leave the bracket or stops shrinking it.
 
 The Lagrangian dual
 
-    g(lam, mu) = mu P + sum_l max_{v_l} [lam_l q_l(v_l) - mu v_l^H A_l v_l],
+    g(lam, mu) = mu P + sum_l max_{v_l} [lam_l q_l(v_l) - mu ||v_l||^2],
 
 over simplex weights lam and power price mu >= 0, upper-bounds the optimum
 at every dual point; the solver evaluates it (with mu minimized exactly by a
@@ -33,9 +33,9 @@ at the weights recovered from the active users' multipliers to tighten the
 certificate. The reported gap is the nonnegative difference between that
 dual bound and the best feasible value.
 
-A_l may be singular; a ridge of 1e-10 times A_l's own trace scale (floored
-at a 1e-12 fraction of the largest user's) is added before diagonalizing,
-which shrinks the feasible set by a negligible margin and never loosens it.
+The power metric is the identity, A_l = I: the designs orthonormalize the
+fixed side of every user's beamformer before each half-iteration, so a
+user's transmit power is the squared norm of its free-side vector.
 """
 
 from __future__ import annotations
@@ -47,9 +47,6 @@ import numpy as np
 
 from .numerics import pencil_diagonalize
 
-RIDGE_REL = 1e-10
-# Smallest per-user power scale, relative to the largest, that sizes a ridge.
-SCALE_FLOOR = 1e-12
 # Relative width at which a per-user multiplier bracket counts as solved.
 NU_REL_TOL = 1e-13
 # A level that needs a larger multiplier lies within about 2^-600 (relative)
@@ -67,14 +64,13 @@ MAX_PRICE_STEPS = 200
 class MaxMinQuadraticProblem:
     """Per-user quadratic data and the shared power budget.
 
-    ``a`` is (L,), ``b`` is (L, n) of row vectors, ``C`` and ``A`` are
-    (L, n, n) Hermitian PSD stacks, ``P`` the budget.
+    ``a`` is (L,), ``b`` is (L, n) of row vectors, ``C`` is an (L, n, n)
+    Hermitian PSD stack, ``P`` the budget on sum_l ||v_l||^2.
     """
 
     a: np.ndarray
     b: np.ndarray
     C: np.ndarray
-    A: np.ndarray
     P: float
 
     @property
@@ -113,25 +109,8 @@ class SubproblemSolution:
     iterations: int
 
 
-def power_ridge_size(a_stack: np.ndarray) -> np.ndarray:
-    """Per-user ridges for the power matrices, relative to their own trace scale.
-
-    The pencil diagonalization needs each A_l positive definite; loading it
-    with a fraction of the objective curvature's trace would distort the power
-    metric whenever the two matrices live on very different scales, so only
-    the power matrices' scales enter here. A user whose own scale falls below
-    ``SCALE_FLOOR`` times the largest one (an all-zero A_l, say) takes that
-    floor instead, and an all-zero stack takes unit scale: a ridge sized from
-    a vanishing trace would be subnormal and leave the pencil with infinite
-    eigenvalues.
-    """
-    scale = np.real(np.trace(a_stack, axis1=-2, axis2=-1)) / a_stack.shape[-1]
-    top = float(scale.max())
-    return RIDGE_REL * np.maximum(scale, SCALE_FLOOR * top if top > 0.0 else 1.0)
-
-
 class _Pencils:
-    """Diagonalized (C_l, A_l + eps I) pencils: the weighted Lagrangian surface.
+    """Diagonalized (C_l, I) pencils: the weighted Lagrangian surface.
 
     Serves the power price and its maximizers, shared by the closed-form
     designs and the max-min dual bound. :class:`_LevelPaths` adds the
@@ -140,9 +119,7 @@ class _Pencils:
 
     def __init__(self, problem: MaxMinQuadraticProblem):
         self.problem = problem
-        eps = power_ridge_size(problem.A)
-        self.a_ridged = problem.A + eps[:, None, None] * np.eye(problem.dim)
-        self.d, self.t = pencil_diagonalize(problem.C, self.a_ridged)
+        self.d, self.t = pencil_diagonalize(problem.C)
         b_t = (problem.b[:, None, :] @ self.t)[:, 0]
         abs_b_sq = np.abs(b_t) ** 2
         # Transformed linear terms this far below their row's maximum are
@@ -191,7 +168,7 @@ class _Pencils:
         return mu
 
     def dual_argmax(self, lam: np.ndarray, mu: float) -> np.ndarray:
-        """Stacked maximizers v_l = lam_l (lam_l C_l + mu (A_l + eps I))^{-1} b_l^H."""
+        """Stacked maximizers v_l = lam_l (lam_l C_l + mu I)^{-1} b_l^H."""
         den = lam[:, None] * self.d + mu
         num = lam[:, None] * np.conj(self.b_t)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -237,7 +214,7 @@ class _LevelPaths(_Pencils):
         """Power, q and their pieces along the users' minimum-power paths.
 
         At finite per-user multipliers ``nu >= 0`` the path
-        v_l(nu) = nu (A_l + nu C_l)^{-1} b_l^H traces the efficient
+        v_l(nu) = nu (I + nu C_l)^{-1} b_l^H traces the efficient
         power/objective frontier. With r_j = nu / (1 + nu d_j),
 
             power = sum_j |b_j|^2 r_j^2,   dq/dnu = 2 sum_j |b_j|^2 / (1 + nu d_j)^3,
@@ -454,10 +431,9 @@ def solve_maxmin(
     def consider(v: np.ndarray, power: float | None = None) -> None:
         nonlocal best_obj, best_v
         if power is None:
-            power = sum(quadratic_form(pencils.a_ridged, v).tolist())  # summed in user order
-        # Rescale only genuine violations; a true-feasible warm start may
-        # exceed the ridged budget by ridge order and must pass through
-        # untouched so the warm-start guarantee holds exactly.
+            power = float(np.vdot(v, v).real)
+        # Rescale only genuine violations: a feasible warm start passes
+        # through untouched, so the warm-start guarantee holds exactly.
         if power > problem.P * (1.0 + 1e-9):
             v = v * np.sqrt(problem.P / power)
         obj = float(problem.objective_values(v).min())

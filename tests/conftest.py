@@ -2,11 +2,15 @@
 
 The library keeps only the Q x Q Kronecker factors; these helpers rebuild the
 Q^2 x Q^2 second moments (``dense_r``, ``dense_r_tilde``), the column-major
-``vec`` of one matrix and the per-user SLNR the tests compare against, the
-per-realization SINR of one channel draw, the eigenvalue expansion of the
-ergodic rate, and a chi-space evaluator of the three quadratic bounds of
+``vec`` of one matrix, one user's transmit matrix (``full_beamformer``), the
+total power summed user by user (``total_power``), the dense mixing operator
+of one side's update (``psi_matrix``) and the per-user SLNR the tests
+compare against, the per-realization SINR of one channel draw, the
+eigenvalue expansion of the ergodic rate, and a chi-space evaluator of the three quadratic bounds of
 :mod:`slnrbeam.surrogates`; ``operators_at`` builds one half-iteration's
-operators at a given beamformer set, as the designs' driver does.
+operators at a given beamformer set, as the designs' driver does, and
+``whiten`` maps quadratics with a general power metric onto the identity
+metric the solvers take, under which ``power_of`` is the power.
 """
 
 import numpy as np
@@ -22,6 +26,33 @@ def vec(mat):
     return np.asarray(mat).reshape(-1, order="F")
 
 
+def full_beamformer(bf, ell):
+    """The rank-<=M transmit matrix V_ell = sum_m v_e[m] v_a[m].T."""
+    return bf.columns("elevation", ell) @ bf.columns("azimuth", ell).T
+
+
+def total_power(bf):
+    """Transmit power: the sum over users of ||V_ell||_F^2."""
+    return sum(float(np.linalg.norm(full_beamformer(bf, ell)) ** 2) for ell in range(bf.L))
+
+
+def psi_matrix(side, bf, ell):
+    """Mixing operator for updating ``side`` with the other side fixed.
+
+    The Q^2 x QM matrix ``Psi = [u_1 ... u_M] kron I_Q`` of the fixed side's
+    vectors u_m satisfies, for any free-side stacked v,
+
+        Psi @ v = vec(sum_m v[m] u_m.T)      (column-major vec),
+
+    so vec(H^T).T @ Psi @ v_a and vec(H).T @ Psi @ v_e both equal the
+    transmit bilinear form sum_m v_e[m].T H v_a[m]. The designs never form
+    it (they use its Kronecker structure); it is the dense reference for
+    those identities.
+    """
+    fixed = bf.columns({"azimuth": "elevation", "elevation": "azimuth"}[side], ell)
+    return np.kron(fixed, np.eye(bf.Q))
+
+
 def dense_r(stats):
     """vec(H) second moments path_gain_l * kron(R_h,l, R_v,l^T) as an (L, Q^2, Q^2) stack."""
     return np.stack(
@@ -34,6 +65,24 @@ def dense_r_tilde(stats):
     return np.stack(
         [g * np.kron(r_v.T, r_h) for g, r_v, r_h in zip(stats.path_gain, stats.R_v, stats.R_h)]
     )
+
+
+def whiten(b, c_stack, a_stack):
+    """Quadratic terms in whitened coordinates u_l = K_l^H v_l, A_l = K_l K_l^H.
+
+    For Hermitian PD power matrices A_l, v^H A_l v = ||u||^2 and the linear
+    and curvature terms become b_l K_l^-H and K_l^-1 C_l K_l^-H, so a problem
+    under a general power metric is the returned (b, C) under the identity.
+    """
+    inv = np.linalg.inv(np.linalg.cholesky(a_stack))
+    inv_h = inv.conj().swapaxes(-1, -2)
+    c_white = inv @ c_stack @ inv_h
+    return (b[:, None, :] @ inv_h)[:, 0], 0.5 * (c_white + c_white.conj().swapaxes(-1, -2))
+
+
+def power_of(v):
+    """sum_l ||v_l||^2 of stacked free vectors (L, n), user by user."""
+    return sum(float(np.real(np.vdot(row, row))) for row in v)
 
 
 def operators_at(side, bf, stats, sigma):

@@ -12,14 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from slnrbeam.beamformer import (
-    BeamformerSet,
-    beamformer_matrix,
-    coupling_matrix,
-    init_feasible,
-    psi_matrix,
-    total_power,
-)
+from slnrbeam.beamformer import BeamformerSet, beamformer_matrix, coupling_matrix, init_feasible
 from slnrbeam.channel import Scenario, build_statistics, sample_channels, vec_batch
 from slnrbeam.harness import ExperimentConfig, default_scenario_dict, run_experiment
 from slnrbeam.metrics import ergodic_rate_closed, ergodic_rate_mc, rate_report, slnr_vec
@@ -27,7 +20,16 @@ from slnrbeam.optimizers import AlgoOptions, run_baseline, run_gm, run_maxmin, r
 from slnrbeam.qcqp import MaxMinQuadraticProblem, solve_maxmin
 from slnrbeam.surrogates import log_bound, ratio_bound, smoothed_min_bound
 
-from conftest import chi_expansion, chi_minorant, chi_softmin_majorant, softmin_target, vec
+from conftest import (
+    chi_expansion,
+    chi_minorant,
+    chi_softmin_majorant,
+    psi_matrix,
+    softmin_target,
+    total_power,
+    vec,
+    whiten,
+)
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -219,6 +221,8 @@ class TestCriterion5MeanRatioBound:
 class TestCriterion6Subsolver:
     @staticmethod
     def random_problem(rng, n_users, dim):
+        """Random quadratics under a random power metric, half of them
+        rank-deficient plus a 1e-3 loading, whitened onto the identity."""
         a = rng.uniform(-1.0, 1.0, n_users)
         b = (rng.standard_normal((n_users, dim)) + 1j * rng.standard_normal((n_users, dim))) / 2
         c_stack = np.empty((n_users, dim, dim), dtype=complex)
@@ -228,17 +232,16 @@ class TestCriterion6Subsolver:
             c_stack[ell] = g @ g.conj().T / dim + 0.05 * np.eye(dim)
             rank = dim if rng.integers(0, 2) else max(dim - 2, 1)
             f = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-            a_stack[ell] = f @ f.conj().T / dim
-        return MaxMinQuadraticProblem(
-            a=a, b=b, C=c_stack, A=a_stack, P=float(rng.uniform(0.5, 4.0))
-        )
+            a_stack[ell] = f @ f.conj().T / dim + (1e-3 if rank < dim else 0.0) * np.eye(dim)
+        b, c_stack = whiten(b, c_stack, a_stack)
+        return MaxMinQuadraticProblem(a=a, b=b, C=c_stack, P=float(rng.uniform(0.5, 4.0)))
 
     @staticmethod
     def single_user_oracle(problem):
         """Two-branch closed form for one constrained concave quadratic."""
         import scipy.optimize
 
-        c_mat, a_mat, b = problem.C[0], problem.A[0], problem.b[0]
+        c_mat, a_mat, b = problem.C[0], np.eye(problem.dim), problem.b[0]
         v_free = np.linalg.solve(c_mat, b.conj())
         if np.real(v_free.conj() @ a_mat @ v_free) <= problem.P:
             return float(problem.objective_values(v_free[None, :])[0])

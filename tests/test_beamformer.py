@@ -8,15 +8,12 @@ from slnrbeam.beamformer import (
     beamformer_matrix,
     coupling_matrix,
     from_json_dict,
-    full_beamformer,
     init_feasible,
-    psi_matrix,
     to_json_dict,
-    total_power,
 )
 from slnrbeam.channel import Scenario
 
-from conftest import vec
+from conftest import full_beamformer, psi_matrix, total_power, vec
 
 
 def random_set(rng, Q=4, M=2, L=3):

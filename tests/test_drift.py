@@ -25,11 +25,13 @@ def run(design, rate, iterations=4, stop="tolerance", gap=None, trace="t", other
     }
 
 
-def test_run_set_has_76_distinct_runs(drift):
+def test_run_set_has_86_distinct_runs(drift):
     runs = list(drift.run_set())
-    assert len(runs) == 76
+    assert len(runs) == 86
     keys = {(size, tuple(kw.items()), design, c) for size, kw, design, c in runs}
-    assert len(keys) == 76
+    assert len(keys) == 86
+    # seed 107 at M = 2, where the closed-form designs once raised
+    assert ("desk", (("Q", 8), ("L", 5), ("M", 2), ("seed", 107)), "gm", None) in keys
 
 
 def test_compare_reports_counts_moves_and_changes(drift, tmp_path, capsys):
@@ -91,3 +93,38 @@ def test_summary_records_every_users_rate(drift):
     assert summary["rates_nats"] == [float(r) for r in rates]
     assert min(summary["rates_nats"]) == summary["min_rate_nats"]
     json.dumps(summary, allow_nan=False)
+
+
+def test_snapshot_records_a_raising_run(drift, monkeypatch):
+    from slnrbeam import optimizers
+
+    run_algorithm = optimizers.run_algorithm
+
+    def gm_raises(design, *args):
+        if design == "gm":
+            raise RuntimeError("power price residual 1.233e-04 exceeds 1e-4 * budget")
+        return run_algorithm(design, *args)
+
+    monkeypatch.setattr(optimizers, "run_algorithm", gm_raises)
+    keywords = dict(Q=3, L=3, M=1, seed=1)
+    monkeypatch.setattr(
+        drift, "run_set", lambda: iter([("cli", keywords, "gm", None), ("cli", keywords, "baseline", None)])
+    )
+    runs = drift.snapshot(Path(__file__).resolve().parents[1] / "src")
+    assert runs["cli/gm/Q=3/L=3/M=1/seed=1"] == {
+        "design": "gm", "error": "RuntimeError: power price residual 1.233e-04 exceeds 1e-4 * budget",
+    }
+    assert runs["cli/baseline/Q=3/L=3/M=1/seed=1"]["stop_reason"] == "direct"
+    json.dumps(runs, allow_nan=False)
+
+
+def test_compare_lists_error_transitions(drift):
+    failed = {"design": "gm", "error": "RuntimeError: residual"}
+    before = {"a": run("gm", 0.5), "b": failed, "c": failed, "d": run("gm", 0.5)}
+    after = {"a": run("gm", 0.5), "b": run("gm", 0.25), "c": failed, "d": failed}
+    assert drift.compare(before, after) == [
+        "gm: 1/1 identical, largest min-rate move 0 relative, largest per-user rate move 0 relative",
+        "b: RuntimeError: residual -> ok",
+        "c: RuntimeError: residual -> RuntimeError: residual",
+        "d: ok -> RuntimeError: residual",
+    ]

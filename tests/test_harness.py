@@ -168,7 +168,8 @@ class TestRunExperiment:
         assert not (tmp_path / "out").exists()
 
     def test_beamformer_checkpoints_opt_in(self, tmp_path):
-        from slnrbeam.beamformer import from_json_dict, total_power
+        from slnrbeam.beamformer import from_json_dict
+        from conftest import total_power
 
         config = small_config(tmp_path / "out", save_beamformers=True)
         files = run_experiment(config)
@@ -405,3 +406,28 @@ class TestCli:
         argv = ["run", "--algorithm", "gm", "--mc-samples", "5000", "--out", str(out_dir)]
         assert cli_main(argv) == 2
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--power-dbm", "nan"], ["--power-dbm", "inf"], ["--Q", "2", "--M", "3"]],
+        ids=["nan_power", "inf_power", "M_above_Q"],
+    )
+    def test_run_flags_checked_before_writing(self, tmp_path, capsys, flags):
+        out_dir = tmp_path / "res"
+        argv = ["run", "--algorithm", "gm", "--Q", "2", "--users", "2", *flags, "--out", str(out_dir)]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert not out_dir.exists()
+
+    def test_design_runtime_error_is_an_error_line(self, tmp_path, capsys, monkeypatch):
+        from slnrbeam import optimizers
+
+        def failing(scenario, stats, options=None):
+            raise RuntimeError("power price residual 1.233e-04 exceeds 1e-4 * budget")
+
+        monkeypatch.setitem(optimizers.ALGORITHMS, "gm", failing)
+        argv = ["run", "--algorithm", "gm", "--Q", "2", "--users", "2", "--out", str(tmp_path / "res")]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: power price residual 1.233e-04 exceeds 1e-4 * budget\n"

@@ -8,7 +8,7 @@ import pytest
 from scipy.special import expn
 
 from slnrbeam import metrics
-from slnrbeam.beamformer import beamformer_matrix, full_beamformer, init_feasible
+from slnrbeam.beamformer import beamformer_matrix, init_feasible
 from slnrbeam.channel import ChannelStatistics, Scenario, build_statistics, sample_channels, vec_batch
 from slnrbeam.metrics import (
     ergodic_rate_closed,
@@ -26,6 +26,7 @@ from slnrbeam.optimizers import AlgoOptions, run_gm, run_soft
 from conftest import (
     dense_r,
     expansion_rate,
+    full_beamformer,
     instantaneous_sinr,
     operators_at,
     transmit_bilinear,

@@ -15,7 +15,7 @@ import scipy.linalg
 import scipy.optimize
 
 import slnrbeam
-from slnrbeam.beamformer import beamformer_matrix, init_feasible, total_power
+from slnrbeam.beamformer import beamformer_matrix, coupling_matrix, init_feasible
 from slnrbeam.channel import (
     Scenario,
     build_statistics,
@@ -40,11 +40,12 @@ from slnrbeam.optimizers import (
 from slnrbeam.qcqp import SubproblemSolution
 from slnrbeam.surrogates import SurrogateCoefficients
 
-from conftest import dense_r, operators_at
+from conftest import dense_r, operators_at, power_of, total_power, whiten
 
 
 def random_quadratics(rng, n_users=3, dim=6, b_scale=1.0):
-    """Stacked minorant coefficients (zero constants) and power matrices."""
+    """Stacked minorant coefficients (zero constants) drawn under a random PD
+    power metric and whitened onto the identity metric."""
     bs, c_mats, a_mats = [], [], []
     for _ in range(n_users):
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -52,10 +53,8 @@ def random_quadratics(rng, n_users=3, dim=6, b_scale=1.0):
         bs.append(b_scale * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)))
         f = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         a_mats.append(f @ f.conj().T / dim + 0.1 * np.eye(dim))
-    coeffs = SurrogateCoefficients(
-        a=np.zeros(n_users), b=np.stack(bs), C=np.stack(c_mats), sense="minorant"
-    )
-    return coeffs, np.stack(a_mats)
+    b, c_stack = whiten(np.stack(bs), np.stack(c_mats), np.stack(a_mats))
+    return SurrogateCoefficients(a=np.zeros(n_users), b=b, C=c_stack, sense="minorant")
 
 
 def weighted_objective(coeffs, weights, v):
@@ -65,7 +64,7 @@ def weighted_objective(coeffs, weights, v):
     )
 
 
-def slsqp_oracle(coeffs, weights, a_mats, budget):
+def slsqp_oracle(coeffs, weights, budget):
     """Independent ball-constrained maximizer via scipy's SQP on real parts."""
     n_users, dim = coeffs.b.shape
 
@@ -77,10 +76,7 @@ def slsqp_oracle(coeffs, weights, a_mats, budget):
         return -weighted_objective(coeffs, weights, unpack(x))
 
     def power_slack(x):
-        v = unpack(x)
-        return budget - sum(
-            np.real(v[i].conj() @ a_mats[i] @ v[i]) for i in range(n_users)
-        )
+        return budget - power_of(unpack(x))
 
     best = None
     for trial in range(3):
@@ -101,37 +97,34 @@ def slsqp_oracle(coeffs, weights, a_mats, budget):
 class TestClosedFormUpdate:
     def test_zero_linear_terms_give_zero(self):
         rng = np.random.default_rng(0)
-        coeffs, a_mats = random_quadratics(rng, b_scale=0.0)
-        v = closed_form_update(coeffs, a_mats, budget=1.0)
+        coeffs = random_quadratics(rng, b_scale=0.0)
+        v = closed_form_update(coeffs, budget=1.0)
         np.testing.assert_allclose(v, 0.0, atol=1e-12)
 
     def test_inactive_constraint_pass_through(self):
         rng = np.random.default_rng(1)
-        coeffs, a_mats = random_quadratics(rng, b_scale=0.05)
+        coeffs = random_quadratics(rng, b_scale=0.05)
         free = np.stack([np.linalg.solve(c, b.conj()) for b, c in zip(coeffs.b, coeffs.C)])
-        used = sum(np.real(free[i].conj() @ a_mats[i] @ free[i]) for i in range(3))
-        v = closed_form_update(coeffs, a_mats, budget=2.0 * used)
+        v = closed_form_update(coeffs, budget=2.0 * power_of(free))
         np.testing.assert_allclose(v, free, rtol=1e-8, atol=1e-12)
 
     def test_active_constraint_power_equality(self):
         rng = np.random.default_rng(2)
-        coeffs, a_mats = random_quadratics(rng, b_scale=2.0)
+        coeffs = random_quadratics(rng, b_scale=2.0)
         free = np.stack([np.linalg.solve(c, b.conj()) for b, c in zip(coeffs.b, coeffs.C)])
-        used = sum(np.real(free[i].conj() @ a_mats[i] @ free[i]) for i in range(3))
-        budget = used / 4.0  # unconstrained point uses four times the budget
-        v = closed_form_update(coeffs, a_mats, budget=budget)
-        power = sum(np.real(v[i].conj() @ a_mats[i] @ v[i]) for i in range(3))
-        assert abs(power - budget) <= 1e-8 * budget
+        budget = power_of(free) / 4.0  # unconstrained point uses four times the budget
+        v = closed_form_update(coeffs, budget=budget)
+        assert abs(power_of(v) - budget) <= 1e-8 * budget
 
     @pytest.mark.parametrize("use_weights", [False, True])
     def test_ball_optimality_against_sqp(self, use_weights):
         rng = np.random.default_rng(3)
-        coeffs, a_mats = random_quadratics(rng, n_users=2, dim=4, b_scale=2.0)
+        coeffs = random_quadratics(rng, n_users=2, dim=4, b_scale=2.0)
         weights = np.array([1.7, 0.6]) if use_weights else np.ones(2)
         budget = 0.5
-        v = closed_form_update(coeffs, a_mats, budget, weights=weights)
+        v = closed_form_update(coeffs, budget, weights=weights)
         mine = weighted_objective(coeffs, weights, v)
-        oracle = slsqp_oracle(coeffs, weights, a_mats, budget)
+        oracle = slsqp_oracle(coeffs, weights, budget)
         assert mine >= oracle - 1e-6 * max(1.0, abs(oracle))
 
     @pytest.mark.parametrize("budget", [0.05, 1000.0])
@@ -141,34 +134,34 @@ class TestClosedFormUpdate:
         # along them the unconstrained maximum is finite (and, at the large
         # budget, fits); with one, only the power cap bounds the objective.
         rng = np.random.default_rng(5)
-        coeffs, a_mats = random_quadratics(rng, n_users=2, dim=4, b_scale=2.0)
+        coeffs = random_quadratics(rng, n_users=2, dim=4, b_scale=2.0)
         g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
         coeffs.C[0] = g @ g.conj().T
         if not linear_term:
             coeffs.b[0] = (coeffs.C[0] @ coeffs.b[0].conj()).conj()  # b^H in the range of C
-        v = closed_form_update(coeffs, a_mats, budget)
+        v = closed_form_update(coeffs, budget)
         assert np.all(np.isfinite(v))
-        power = sum(np.real(v[i].conj() @ a_mats[i] @ v[i]) for i in range(2))
+        power = power_of(v)
         assert power <= budget * (1.0 + 1e-9)
         if not linear_term and budget > 1.0:
             # the unconstrained maximizer fits (it needs about 155): no
             # power goes along the null directions' round-off linear terms
             assert power <= 0.2 * budget
         mine = weighted_objective(coeffs, np.ones(2), v)
-        oracle = slsqp_oracle(coeffs, np.ones(2), a_mats, budget)
+        oracle = slsqp_oracle(coeffs, np.ones(2), budget)
         assert mine >= oracle - 1e-6 * max(1.0, abs(oracle))
 
     def test_majorant_minimization(self):
         # With majorant sense the same update minimizes; compare against SQP
         # on the negated objective.
         rng = np.random.default_rng(4)
-        coeffs, a_mats = random_quadratics(rng, n_users=2, dim=4, b_scale=2.0)
+        coeffs = random_quadratics(rng, n_users=2, dim=4, b_scale=2.0)
         coeffs.sense = "majorant"
         budget = 0.4
-        v = closed_form_update(coeffs, a_mats, budget)
+        v = closed_form_update(coeffs, budget)
         value = coeffs.evaluate(v).sum()
         # minimizing a - 2Re{bv} + v^H C v equals maximizing its negation
-        oracle = slsqp_oracle(coeffs, np.ones(2), a_mats, budget)
+        oracle = slsqp_oracle(coeffs, np.ones(2), budget)
         assert value <= -oracle + 1e-6 * max(1.0, abs(oracle))
 
 
@@ -253,17 +246,19 @@ class TestRunGm:
     def test_half_step_surrogate_stationarity(self, desk):
         # The accepted point of each half-step maximizes the weighted
         # surrogate on the power ball: verify the KKT residual of the first
-        # azimuth update directly.
+        # azimuth update directly, in the power metric of the gauge-fixed
+        # iterate, which is the identity.
         sc, stats = desk
-        from slnrbeam.beamformer import coupling_matrix
         from slnrbeam.surrogates import gm_minorant_coeffs
 
-        bf = init_feasible(sc, np.random.default_rng([7, 1]))
-        ops = operators_at("azimuth", bf, stats, sc.sigma)
+        run = optimizers._Run("gm", sc, stats)
+        run.fix_gauge("azimuth")
+        a_mats = coupling_matrix("azimuth", run.bf)
+        np.testing.assert_allclose(a_mats, np.broadcast_to(np.eye(4), a_mats.shape), atol=1e-14)
+        ops = operators_at("azimuth", run.bf, stats, sc.sigma)
         weights = gm_weights(ops.signal / ops.x_bar)
         coeffs = gm_minorant_coeffs(ops)
-        a_mats = coupling_matrix("azimuth", bf)
-        v = closed_form_update(coeffs, a_mats, sc.P, weights=weights)
+        v = closed_form_update(coeffs, sc.P, weights=weights)
         power = sum(np.real(v[i].conj() @ a_mats[i] @ v[i]) for i in range(3))
         if power < sc.P * (1 - 1e-6):
             mu = 0.0
@@ -442,6 +437,22 @@ class TestRuntimeDependencies:
         assert out.stdout.strip() == "False"
 
 
+class TestHeldOutSeeds:
+    def test_closed_form_designs_complete(self):
+        # On held-out seeds at the reference point the M = 2 fixed side can
+        # drift toward collinear columns; with the gauge fixed every run
+        # completes within the budget (the ill-conditioned power metric once
+        # raised on seeds 107, 115, 121 and 126).
+        for seed in range(100, 130):
+            sc = Scenario(Q=8, L=5, M=2, seed=seed)
+            stats = build_statistics(sc)
+            for run in (run_gm, run_soft):
+                res = run(sc, stats, AlgoOptions())
+                assert np.all(np.isfinite(ergodic_rate_closed(res.incumbent_matrix, stats, sc.sigma)))
+                assert max(e.power for e in res.trace) <= sc.P * (1.0 + 1e-9), (seed, run.__name__)
+                assert np.linalg.norm(res.incumbent_matrix) ** 2 <= sc.P * (1.0 + 1e-9)
+
+
 class TestIncumbent:
     def test_first_candidate_accepted(self, desk):
         sc, stats = desk
@@ -559,14 +570,23 @@ class TestStopReason:
         res = run(sc, stats, AlgoOptions())
         assert res.stop_reason == "stalled" and not res.converged
         assert res.iterations == 1 and len(res.trace) == 3
-        assert len({e.objective for e in res.trace}) == 1
-        np.testing.assert_array_equal(res.final.v_a, res.incumbent.v_a)
+        # The gauge refactors the kept iterate each half-iteration, so the
+        # factors, and the objective re-read from them, change in the last
+        # bits while the beamformers stay put.
+        objectives = [e.objective for e in res.trace]
+        assert objectives == pytest.approx([objectives[0]] * len(objectives), rel=1e-12)
+        np.testing.assert_allclose(
+            beamformer_matrix(res.final), res.incumbent_matrix, rtol=0,
+            atol=1e-13 * np.abs(res.incumbent_matrix).max(),
+        )
 
     def test_slnrs_computed_once_per_objective_evaluation(self, desk, monkeypatch, caplog):
         # Each candidate iterate is evaluated once: W and the expected powers
-        # are built per backtracking trial, plus once at init and once per
+        # are built per backtracking trial, plus once at init, once per
+        # half-iteration for the gauge's refactored iterate and once per
         # degenerate-user reinit, and feed its objective, its trace row and
-        # the next half-iteration's operators. Wrapping the two functions in
+        # the next half-iteration's operators. The starting point's power
+        # scale reads one more W (``init_feasible``). Wrapping the two functions in
         # every slnrbeam namespace that binds them, and counting the calls,
         # shows that no trace row or operator build evaluates them again.
         sc, stats = desk
@@ -618,20 +638,26 @@ class TestStopReason:
                 res = run(sc, stats, AlgoOptions(max_iterations=3))
             reinits = sum("reinitialized" in r.getMessage() for r in caplog.records)
             assert len(res.trace) == 7
+            halves = len(res.trace) - 1
             assert counts["slnr_vec"] == 0
             if run is run_gm:
-                # The objective is taken once at init and once per trial.
-                assert counts["objective"] >= len(res.trace)
-                trials = counts["objective"] - 1
+                # The objective is taken once at init, once per half-iteration
+                # at the gauge-fixed iterate and once per trial.
+                assert counts["objective"] >= 1 + 2 * halves
+                trials = counts["objective"] - 1 - halves
             else:
                 # Max-min tries its subproblem's point whole: one trial per step.
-                assert counts["backtrack"] == len(res.trace) - 1
+                assert counts["backtrack"] == halves
                 trials = counts["backtrack"]
+            scale = [names for names in callers[beamformer_matrix] if names[0] == "init_feasible"]
+            assert len(scale) == 1 and scale[0][1] == "__init__"
+            callers[beamformer_matrix].remove(scale[0])
             for func, calls in callers.items():
-                assert len(calls) == 1 + trials + reinits, func.__name__
+                assert len(calls) == 1 + halves + trials + reinits, func.__name__
                 sites = [names[1] for names in calls]
                 assert all(names[0] == "evaluate" for names in calls), func.__name__
                 assert sites.count("__init__") == 1
+                assert sites.count("fix_gauge") == halves
                 assert sites.count("_backtrack") == trials
                 assert sites.count("reinit_degenerate") == reinits
                 assert not {"record", "half_iteration_operators"} & {n for c in calls for n in c}
@@ -643,11 +669,15 @@ class TestDegenerateHandling:
         from slnrbeam.optimizers import _Run
 
         run = _Run("gm", sc, stats)
+        run.fix_gauge("azimuth")
         run.bf.v_a[0] = 0.0  # kill one user's signal entirely
         run.keep(run.evaluate(run.bf))
         assert run.signal[0] == 0.0
+        others = float(np.linalg.norm(run.w_mat[:, 1:]) ** 2)
         run.reinit_degenerate("azimuth")
         assert run.signal[0] > 0.0
+        # one percent of what the other users leave in the budget
+        assert np.linalg.norm(run.w_mat[:, 0]) ** 2 == pytest.approx(0.01 * (sc.P - others), rel=1e-12)
         assert total_power(run.bf) <= sc.P * (1.0 + 1e-8)
         # The kept evaluation, SLNRs included, follows the reinitialized
         # iterate, and so do the operators built from it.
@@ -665,9 +695,49 @@ class TestDegenerateHandling:
         run.bf.v_a[1] = 0.0
         run.bf.v_e[1] = 0.0  # both sides dead: the coupling matrix vanishes
         run.keep(run.evaluate(run.bf))
+        # the gauge gives the dead fixed side orthonormal columns
+        run.fix_gauge("azimuth")
         run.reinit_degenerate("azimuth")
         assert run.signal[1] > 0.0
         assert total_power(run.bf) <= sc.P * (1.0 + 1e-8)
         np.testing.assert_array_equal(
             run.signal, operators_at("azimuth", run.bf, stats, sc.sigma).signal
         )
+
+    @pytest.mark.parametrize("run", [run_maxmin, run_gm, run_soft])
+    def test_step_after_reinit_measured_from_reinitialized_iterate(self, desk, monkeypatch, run):
+        # A user killed at the start of iteration 2 is reinitialized. Every
+        # step, that one included, is measured against the objective of the
+        # iterate the run keeps, so the next accepted objective is no worse
+        # than the reinitialized iterate's.
+        sc, stats = desk
+        fix_gauge, reinit, backtrack = (
+            optimizers._Run.fix_gauge, optimizers._Run.reinit_degenerate, optimizers._backtrack
+        )
+        reinitialized, measured = [], []
+
+        def killing(self, side):
+            fix_gauge(self, side)
+            if len(self.result.trace) == 3 and side == "azimuth":
+                self.bf.v_a[0] = 0.0
+                self.keep(self.evaluate(self.bf))
+
+        def reinit_recording(self, side):
+            dead = bool((self.signal <= 0.0).any())
+            reinit(self, side)
+            if dead:
+                reinitialized.append(len(self.result.trace))
+
+        def backtrack_recording(run_, side, v_new, objective, current, better, **kwargs):
+            measured.append((current, objective(run_.slnrs), better))
+            return backtrack(run_, side, v_new, objective, current, better, **kwargs)
+
+        monkeypatch.setattr(optimizers._Run, "fix_gauge", killing)
+        monkeypatch.setattr(optimizers._Run, "reinit_degenerate", reinit_recording)
+        monkeypatch.setattr(optimizers, "_backtrack", backtrack_recording)
+        res = run(sc, stats, AlgoOptions(max_iterations=4))
+        assert reinitialized == [3]
+        assert res.iterations >= 2 and res.stop_reason != "subproblem_regressed"
+        assert all(current == kept for current, kept, _ in measured)
+        current, _, better = measured[2]  # the step from the reinitialized iterate
+        assert better(res.trace[3].objective, current)

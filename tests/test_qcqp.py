@@ -2,27 +2,22 @@
 
 The grid oracle sweeps a dense simplex of user weights and, for each, solves
 the weighted problem with plain dense linear algebra and scipy's root
-bracketing, entirely separate from the solver's diagonalized path.
+bracketing, entirely separate from the solver's diagonalized path. Random
+problems are drawn with a general positive-definite power metric and
+whitened onto the identity metric the solver takes.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
 import scipy.optimize
 
-from slnrbeam.qcqp import (
-    RIDGE_REL,
-    SCALE_FLOOR,
-    MaxMinQuadraticProblem,
-    _LevelPaths,
-    _Pencils,
-    power_ridge_size,
-    solve_maxmin,
-)
+from slnrbeam.qcqp import MaxMinQuadraticProblem, _LevelPaths, _Pencils, solve_maxmin
+
+from conftest import power_of, whiten
 
 
-def random_problem(rng, n_users=3, dim=6, singular_a=False):
+def random_problem(rng, n_users=3, dim=6):
+    """Random concave quadratics under a random PD power metric, whitened."""
     a = rng.uniform(-1.0, 1.0, n_users)
     b = (rng.standard_normal((n_users, dim)) + 1j * rng.standard_normal((n_users, dim))) / 2
     c_stack = np.empty((n_users, dim, dim), dtype=complex)
@@ -30,10 +25,10 @@ def random_problem(rng, n_users=3, dim=6, singular_a=False):
     for ell in range(n_users):
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         c_stack[ell] = g @ g.conj().T / dim + 0.05 * np.eye(dim)
-        rank = dim - 2 if singular_a else dim
-        f = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+        f = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         a_stack[ell] = f @ f.conj().T / dim
-    return MaxMinQuadraticProblem(a=a, b=b, C=c_stack, A=a_stack, P=float(rng.uniform(0.5, 4.0)))
+    b, c_stack = whiten(b, c_stack, a_stack)
+    return MaxMinQuadraticProblem(a=a, b=b, C=c_stack, P=float(rng.uniform(0.5, 4.0)))
 
 
 def dense_point(problem, lam, mu):
@@ -42,7 +37,7 @@ def dense_point(problem, lam, mu):
     for ell in range(problem.n_users):
         if lam[ell] == 0.0:
             continue
-        mat = lam[ell] * problem.C[ell] + mu * problem.A[ell]
+        mat = lam[ell] * problem.C[ell] + mu * np.eye(problem.dim)
         v[ell] = lam[ell] * np.linalg.solve(mat, problem.b[ell].conj())
     return v
 
@@ -52,10 +47,7 @@ def dense_price(problem, lam):
     (numerically) unconstrained maximizers fit the budget."""
 
     def power(mu):
-        v = dense_point(problem, lam, mu)
-        return sum(
-            np.real(v[ell].conj() @ problem.A[ell] @ v[ell]) for ell in range(problem.n_users)
-        )
+        return power_of(dense_point(problem, lam, mu))
 
     try:
         p0 = power(1e-14)
@@ -104,7 +96,6 @@ class TestDualInnerArgmax:
             a=np.zeros(1),
             b=np.eye(dim)[0][None, :].astype(complex),
             C=np.eye(dim)[None, :, :].astype(complex),
-            A=np.eye(dim)[None, :, :].astype(complex),
             P=1.0,
         )
         v = _Pencils(problem).dual_argmax(np.array([1.0]), 0.0)
@@ -113,9 +104,7 @@ class TestDualInnerArgmax:
     def test_linearity_in_b(self):
         rng = np.random.default_rng(1)
         problem = random_problem(rng)
-        doubled = MaxMinQuadraticProblem(
-            a=problem.a, b=2.0 * problem.b, C=problem.C, A=problem.A, P=problem.P
-        )
+        doubled = MaxMinQuadraticProblem(a=problem.a, b=2.0 * problem.b, C=problem.C, P=problem.P)
         lam = np.array([0.5, 0.3, 0.2])
         v1 = _Pencils(problem).dual_argmax(lam, 0.7)
         v2 = _Pencils(doubled).dual_argmax(lam, 0.7)
@@ -128,29 +117,19 @@ class TestDualInnerArgmax:
         mu = 0.9
         v = _Pencils(problem).dual_argmax(lam, mu)
         for ell in range(problem.n_users):
-            # the power matrix carries its ridge: A_l + eps_l I
-            eps = power_ridge_size(problem.A)[ell]
-            grad = (
-                lam[ell] * (problem.b[ell].conj() - problem.C[ell] @ v[ell])
-                - mu * problem.A[ell] @ v[ell]
-                - mu * eps * v[ell]
-            )
+            grad = lam[ell] * (problem.b[ell].conj() - problem.C[ell] @ v[ell]) - mu * v[ell]
             assert np.linalg.norm(grad) <= 1e-8 * np.linalg.norm(problem.b[ell])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestPowerPrice:
-    """The Newton power price against brentq on the dense power.
-
-    The oracle runs on the ridged power matrices the pencils diagonalize,
-    so both solve the same equation.
-    """
+    """The Newton power price against brentq on the dense power."""
 
     @staticmethod
     def check(problem, lam, rel=1e-9):
         pencils = _Pencils(problem)
         mu = pencils.power_price(lam)
-        want = dense_price(dataclasses.replace(problem, A=pencils.a_ridged), lam)
+        want = dense_price(problem, lam)
         if want == 0.0:
             assert mu == 0.0
             return mu
@@ -168,15 +147,6 @@ class TestPowerPrice:
         problem = random_problem(rng, n_users=3, dim=6)
         problem.P = 0.05  # the unconstrained maximizers need more
         assert self.check(problem, rng.dirichlet(np.ones(3))) > 0.0
-
-    def test_singular_power_matrices(self):
-        # Ridged rank-deficient A_l have condition numbers near 1e10, which
-        # limits how well the pencils' whitened coordinates (not the price
-        # search) reproduce the dense power: agreement to about 1e-7.
-        rng = np.random.default_rng(41)
-        problem = random_problem(rng, n_users=3, dim=6, singular_a=True)
-        problem.P = 0.05
-        assert self.check(problem, rng.dirichlet(np.ones(3)), rel=1e-6) > 0.0
 
     def test_flat_direction_with_linear_term(self):
         rng = np.random.default_rng(46)
@@ -208,7 +178,7 @@ class TestPowerPrice:
         # with num = s = 1 and P = 1/4 it is 1, the root of 1/(1+m)^2 = 1/4
         problem = MaxMinQuadraticProblem(
             a=np.zeros(1), b=np.ones((1, 1), dtype=complex), C=np.ones((1, 1, 1), dtype=complex),
-            A=np.ones((1, 1, 1), dtype=complex), P=0.25,
+            P=0.25,
         )
         pencils = _Pencils(problem)
         mu = pencils.power_price(np.array([1.0]))
@@ -253,7 +223,7 @@ class TestSolveMaxmin:
     def test_weak_duality_gap_nonnegative(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
-            problem = random_problem(rng, n_users=4, dim=5, singular_a=True)
+            problem = random_problem(rng, n_users=4, dim=5)
             sol = solve_maxmin(problem, tol=1e-6)
             assert sol.gap >= 0.0
 
@@ -262,19 +232,14 @@ class TestSolveMaxmin:
         for _ in range(10):
             problem = random_problem(rng, n_users=3, dim=5)
             sol = solve_maxmin(problem, tol=1e-6)
-            power = sum(
-                np.real(sol.v[ell].conj() @ problem.A[ell] @ sol.v[ell])
-                for ell in range(problem.n_users)
-            )
-            assert power <= problem.P * (1.0 + 1e-8)
+            assert power_of(sol.v) <= problem.P * (1.0 + 1e-8)
 
     def test_warm_start_never_worse(self):
         rng = np.random.default_rng(8)
         problem = random_problem(rng, n_users=3, dim=5)
         # a feasible warm start: scaled random point
         v0 = (rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))) / 3
-        power = sum(np.real(v0[i].conj() @ problem.A[i] @ v0[i]) for i in range(3))
-        v0 *= np.sqrt(0.5 * problem.P / power)
+        v0 *= np.sqrt(0.5 * problem.P / power_of(v0))
         seed_obj = float(problem.objective_values(v0).min())
         sol = solve_maxmin(problem, tol=1e-6, max_iterations=1, warm_start=v0)
         assert sol.objective >= seed_obj
@@ -284,7 +249,7 @@ class TestSolveMaxmin:
         problem = random_problem(rng, n_users=3, dim=4)
         perm = np.array([2, 0, 1])
         shuffled = MaxMinQuadraticProblem(
-            a=problem.a[perm], b=problem.b[perm], C=problem.C[perm], A=problem.A[perm], P=problem.P
+            a=problem.a[perm], b=problem.b[perm], C=problem.C[perm], P=problem.P
         )
         s1 = solve_maxmin(problem, tol=1e-6)
         s2 = solve_maxmin(shuffled, tol=1e-6)
@@ -303,33 +268,11 @@ class TestSolveMaxmin:
                 sol = solve_maxmin(problem)
                 assert sol.gap <= 1e-4
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_all_zero_power_matrix(self):
-        # A user whose power matrix vanishes takes its ridge from the other
-        # users' scale; one sized from its own zero trace was subnormal, and
-        # the search then ran to its iteration cap and returned a nan gap.
-        rng = np.random.default_rng(12)
-        problem = random_problem(rng, n_users=3, dim=2)
-        problem.A[0] = 0.0
-        sol = solve_maxmin(problem, tol=1e-5)
-        assert np.isfinite(sol.gap) and sol.gap <= 1e-5
-        assert 0 < sol.iterations <= 100
-
-    def test_ridge_sizes(self):
-        a_stack = np.stack([np.eye(3), 4.0 * np.eye(3), np.zeros((3, 3))])
-        np.testing.assert_allclose(
-            power_ridge_size(a_stack), [RIDGE_REL, 4.0 * RIDGE_REL, 4.0 * RIDGE_REL * SCALE_FLOOR]
-        )
-        # nothing to take a scale from: unit scale
-        np.testing.assert_allclose(power_ridge_size(np.zeros((2, 3, 3))), [RIDGE_REL] * 2)
-
     def test_complementary_slackness(self):
         rng = np.random.default_rng(10)
         problem = random_problem(rng, n_users=3, dim=4)
         sol = solve_maxmin(problem, tol=1e-8)
-        power = sum(
-            np.real(sol.v[ell].conj() @ problem.A[ell] @ sol.v[ell]) for ell in range(3)
-        )
+        power = power_of(sol.v)
         # either the budget binds or the unconstrained optimum was feasible
         assert (problem.P - power) <= 1e-6 * problem.P or sol.iterations == 0
 
@@ -394,11 +337,16 @@ class TestLevelSolve:
             assert p_hi[ell] == pytest.approx(pencil_path(pencils, ell, want)[0], rel=rel)
         return pencils, result
 
-    @pytest.mark.parametrize("singular_a", [False, True])
-    def test_random_pencils(self, singular_a):
-        rng = np.random.default_rng(20 + singular_a)
+    @pytest.mark.parametrize("singular_c", [False, True])
+    def test_random_pencils(self, singular_c):
+        # With singular_c, user 0's curvature has two null directions that
+        # its linear term reaches: its level rises without bound.
+        rng = np.random.default_rng(20 + singular_c)
         for _ in range(6):
-            problem = random_problem(rng, n_users=3, dim=5, singular_a=singular_a)
+            problem = random_problem(rng, n_users=3, dim=5)
+            if singular_c:
+                g = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+                problem.C[0] = g @ g.conj().T
             q_free = _LevelPaths(problem).q_free
             top = float(np.max(q_free[np.isfinite(q_free)]))
             for frac in (0.02, 0.3, 0.7, 0.95, 0.999):
@@ -415,14 +363,6 @@ class TestLevelSolve:
         early = _LevelPaths(problem).min_power_bracket(level, budget)
         self.check_bracket(pencils, level, early)
         assert early[2].sum() > budget
-
-    def test_singular_power_matrix(self):
-        rng = np.random.default_rng(21)
-        problem = random_problem(rng, n_users=2, dim=5)
-        f = rng.standard_normal((5, 1)) + 1j * rng.standard_normal((5, 1))
-        problem.A[0] = f @ f.conj().T  # rank one
-        for level in (float(problem.a[0]) + 0.1, float(problem.a[0]) + 1.0):
-            self.check_against_reference(problem, level)
 
     def test_flat_directions_with_linear_term(self):
         rng = np.random.default_rng(22)

@@ -4,7 +4,7 @@ and first-order agreement with the target."""
 import numpy as np
 import pytest
 
-from slnrbeam.beamformer import beamformer_matrix, init_feasible, psi_matrix
+from slnrbeam.beamformer import beamformer_matrix, init_feasible
 from slnrbeam.channel import Scenario, build_statistics
 from slnrbeam.metrics import slnr_vec
 from slnrbeam.optimizers import _soft_objective_value
@@ -25,6 +25,7 @@ from conftest import (
     dense_r,
     dense_r_tilde,
     operators_at,
+    psi_matrix,
     softmin_target,
     user_slnr,
 )

@@ -6,22 +6,24 @@ Run from the root of a checkout::
     python3 tools/drift.py snapshot after.json
     python3 tools/drift.py compare before.json after.json
 
-``snapshot`` runs a fixed set of 76 design runs with the ``slnrbeam`` found
+``snapshot`` runs a fixed set of 86 design runs with the ``slnrbeam`` found
 under ``--src`` (default: this checkout's ``src``) and writes, per run,
 sha256 digests of the incumbent matrix, the final iterate and the trace,
 plus the iteration count, the stop reason, the minimum rate, every user's
-incumbent rate and the largest max-min subproblem gap. The set covers the
-three benchmark sizes:
+incumbent rate and the largest max-min subproblem gap. A run that raises
+is recorded by its exception's type and message instead. The set covers
+the three benchmark sizes:
 
-* desk: Q=8, L=5, M in {1, 2}, seeds 1, 2, 100, 101, every design;
+* desk: Q=8, L=5, M in {1, 2}, seeds 1, 2, 100, 101, 107, every design;
 * lit: Q=12, L=10, M=2, seeds 0, 1, 100, 101, every design but max-min;
 * cli: Q in {3, 4}, L=3, M=1, seeds 1, 2, every design;
 
 where every design is max-min, gm, soft at c = 0.1 and at c = 1, and the
 baseline. ``compare`` prints, per design, how many runs are identical (all
 digests equal), the largest relative move of the minimum rate, the largest
-relative move of any user's rate and the largest max-min gap, then every
-change of iteration count or stop reason.
+relative move of any user's rate and the largest max-min gap over the runs
+that completed in both, then every change of iteration count or stop
+reason and every run that raises in either snapshot.
 It needs numpy and the standard library only.
 """
 
@@ -43,7 +45,7 @@ DIGESTS = ("incumbent", "final", "trace")
 
 def run_set():
     """``(size, scenario keywords, design, soft c)`` of every run."""
-    for seed in (1, 2, 100, 101):
+    for seed in (1, 2, 100, 101, 107):
         for m_count in (1, 2):
             for design, c in DESIGNS:
                 yield "desk", dict(Q=8, L=5, M=m_count, seed=seed), design, c
@@ -103,9 +105,13 @@ def snapshot(src: Path) -> dict:
         scenario = channel.Scenario(**keywords)
         stats = channel.build_statistics(scenario)
         options = optimizers.AlgoOptions(soft_c=0.1 if c is None else c)
-        result = optimizers.run_algorithm(design, scenario, stats, options)
-        rates = metrics.ergodic_rate_closed(result.incumbent_matrix, stats, scenario.sigma)
         key = "/".join([size, label(design, c)] + [f"{k}={v}" for k, v in keywords.items()])
+        try:
+            result = optimizers.run_algorithm(design, scenario, stats, options)
+        except Exception as exc:  # a failing run is a finding, not the end of the set
+            runs[key] = {"design": label(design, c), "error": f"{type(exc).__name__}: {exc}"}
+            continue
+        rates = metrics.ergodic_rate_closed(result.incumbent_matrix, stats, scenario.sigma)
         runs[key] = {"design": label(design, c), **summarize(result, rates)}
     return runs
 
@@ -123,6 +129,8 @@ def compare(before: dict, after: dict) -> list[str]:
     if missing:
         lines.append(f"runs in one snapshot only: {', '.join(missing)}")
     shared = [key for key in before if key in after]
+    failing = [key for key in shared if "error" in before[key] or "error" in after[key]]
+    shared = [key for key in shared if key not in failing]
     designs: dict[str, list[str]] = {}
     for key in shared:
         designs.setdefault(after[key]["design"], []).append(key)
@@ -142,6 +150,8 @@ def compare(before: dict, after: dict) -> list[str]:
         for field in ("iterations", "stop_reason"):
             if before[key][field] != after[key][field]:
                 lines.append(f"{key}: {field} {before[key][field]} -> {after[key][field]}")
+    for key in failing:
+        lines.append(f"{key}: {before[key].get('error', 'ok')} -> {after[key].get('error', 'ok')}")
     return lines
 
 
