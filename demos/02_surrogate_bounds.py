@@ -72,24 +72,25 @@ target = np.log(np.sum(1.0 / (1.0 + np.sum(np.abs(chis) ** 2, axis=-1) / (c * xs
 bound = constant - np.sum(minorant(0.0, b, scale, chis, c * xs), axis=-1)
 report("soft-min majorant:", bound - target)
 
-# The designs' coefficients: one (a, b, C) stack per half-iteration, touching
-# every user's target at the current iterate.
+# The designs' coefficients: one stack of concave quadratics (a, b, C) per
+# half-iteration, touching every user's target at the current iterate. The
+# soft majorant is its constant minus the sum of its (negated) quadratics.
 sc = Scenario(Q=4, L=3, M=2, seed=31)
 stats = build_statistics(sc)
 bf = init_feasible(sc, np.random.default_rng(31))
 signal, leakage = _signal_and_leakage(beamformer_matrix(bf), stats)
 slnrs = signal / (leakage + sc.sigma)
 ops = half_iteration_operators("azimuth", bf, stats, signal, leakage, sc.sigma)
-ratio_coeffs = slnr_minorant_coeffs(ops)
-log_coeffs = gm_minorant_coeffs(ops)
-soft_constant, soft_coeffs = soft_majorant_coeffs(ops, c)
+ratio_quads = slnr_minorant_coeffs(ops)
+log_quads = gm_minorant_coeffs(ops)
+soft_constant, soft_quads = soft_majorant_coeffs(ops, c)
 print()
 print(f"Stacked coefficients at a Q={sc.Q}, L={sc.L}, M={sc.M} iterate: "
-      f"b {ratio_coeffs.b.shape}, C {ratio_coeffs.C.shape}")
-gap = np.abs(ratio_coeffs.evaluate(bf.v_a) - slnrs).max() / slnrs.max()
+      f"b {ratio_quads.b.shape}, C {ratio_quads.C.shape}")
+gap = np.abs(ratio_quads.values(bf.v_a) - slnrs).max() / slnrs.max()
 print(f"  SLNR minorants:         largest relative gap at the iterate {gap:.1e}")
-gap = np.abs(log_coeffs.evaluate(bf.v_a) - np.log1p(slnrs)).max()
+gap = np.abs(log_quads.values(bf.v_a) - np.log1p(slnrs)).max()
 print(f"  ln(1 + SLNR) minorants: largest gap at the iterate {gap:.1e}")
-soft = soft_constant + soft_coeffs.evaluate(bf.v_a).sum()
+soft = soft_constant - soft_quads.values(bf.v_a).sum()
 gap = abs(soft - np.log(np.sum(1.0 / (1.0 + slnrs / c))))
 print(f"  soft-min majorant:      gap at the iterate {gap:.1e}")

@@ -27,13 +27,15 @@ Keys outside this schema are ignored. Values must be finite JSON numbers
 (not booleans or strings), and Q, users, M and seed integral ones; anything
 else is rejected when the config is built, before any file is written.
 
-Experiment JSON wraps that under ``"scenario"`` and adds ``"algorithms"``,
-``"antennas"``, ``"power_dbm"``, ``"c"``, ``"n_seeds"``, ``"base_seed"``,
-``"output_dir"`` and an ``"options"`` object mirroring
-:class:`slnrbeam.optimizers.AlgoOptions`. Unknown option keys, algorithms
-not given as a list of known names, and numbers of the wrong kind (sweep
-axes of finite numbers, antennas perfect squares, c positive, integral
-``n_seeds`` and ``base_seed``) are rejected before any file is written.
+Experiment JSON is an object that wraps that under ``"scenario"`` (an
+object) and adds ``"algorithms"`` (required), ``"antennas"``,
+``"power_dbm"``, ``"c"``, ``"n_seeds"``, ``"base_seed"``, a string
+``"output_dir"``, a boolean ``"save_beamformers"`` and an ``"options"``
+object mirroring :class:`slnrbeam.optimizers.AlgoOptions`. Missing required
+keys, unknown option keys, algorithms not given as a list of known names,
+values of the wrong JSON type and numbers of the wrong kind (sweep axes of
+finite numbers, antennas perfect squares, c positive, integral ``n_seeds``
+and ``base_seed``) are rejected before any file is written.
 
 Outputs per (algorithm, sweep point, seed): a convergence-trace CSV with
 columns ``iteration,min_slnr,objective,min_rate_mbps``; plus one shared
@@ -48,6 +50,7 @@ from __future__ import annotations
 import csv
 import json
 import numbers
+import os
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -97,11 +100,19 @@ class ExperimentConfig:
     c: list[float] = field(default_factory=lambda: [0.1])
     n_seeds: int = 1
     base_seed: int = 0
-    output_dir: str = "out"
+    output_dir: str | os.PathLike = "out"
     options: dict = field(default_factory=dict)
     save_beamformers: bool = False
 
     def __post_init__(self):
+        for key, kind, wanted in (
+            ("scenario", dict, "an object"),
+            ("options", dict, "an object"),
+            ("output_dir", (str, os.PathLike), "a string"),
+            ("save_beamformers", bool, "true or false"),
+        ):
+            if not isinstance(getattr(self, key), kind):
+                raise ValueError(f"key {key!r} must be {wanted}, got {getattr(self, key)!r}")
         accepted = sorted(f.name for f in fields(AlgoOptions))
         for key in self.options:
             if key not in accepted:
@@ -132,25 +143,34 @@ class ExperimentConfig:
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"an experiment config must be a JSON object, got {data!r}")
         return cls(
             scenario=data.get("scenario", {}),
-            algorithms=data["algorithms"],
+            algorithms=_required(data, "algorithms"),
             antennas=data.get("antennas", [16]),
             power_dbm=data.get("power_dbm", [24.0]),
             c=data.get("c", [0.1]),
             n_seeds=_number(data, "n_seeds", 1, integral=True),
             base_seed=_number(data, "base_seed", 0, integral=True),
-            output_dir=str(data.get("output_dir", "out")),
-            options=dict(data.get("options", {})),
-            save_beamformers=bool(data.get("save_beamformers", False)),
+            output_dir=data.get("output_dir", "out"),
+            options=data.get("options", {}),
+            save_beamformers=data.get("save_beamformers", False),
         )
+
+
+def _required(spec: dict, key: str):
+    """``spec[key]``; ValueError saying that the key is required if it is missing."""
+    if key not in spec:
+        raise ValueError(f"key {key!r} is required")
+    return spec[key]
 
 
 def _number(spec: dict, key: str, default=None, integral: bool = False):
     """``spec[key]`` (required without a ``default``) as a float, or an int if
     ``integral``; ValueError unless it is a finite real number, integral if
     so asked."""
-    value = spec[key] if default is None else spec.get(key, default)
+    value = _required(spec, key) if default is None else spec.get(key, default)
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not np.isfinite(value):
         raise ValueError(f"key {key!r} must be a finite number, got {value!r}")
     if not integral:

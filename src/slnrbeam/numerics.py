@@ -165,8 +165,10 @@ def largest_generalized_eigvec(a: np.ndarray, roots: np.ndarray) -> np.ndarray:
     (L, n, r), row l of the (L, n) result maximizes
     ``(w^H S_l S_l^H w) / (w^H A w)``: with A = K K^H it is K^-H u_l for the
     top left singular vector u_l of K^-1 S_l, so zero columns change nothing.
-    The global phase is fixed so the largest-magnitude entry is real positive.
-    A metric that is not positive definite raises ValueError.
+    The global phase is fixed so the pivot is real positive: the first entry
+    whose magnitude is within a relative 1e-12 of the largest, so that a
+    round-off near-tie cannot flip it. A metric that is not positive definite
+    raises ValueError.
     """
     check_hermitian(a)
     try:
@@ -176,7 +178,9 @@ def largest_generalized_eigvec(a: np.ndarray, roots: np.ndarray) -> np.ndarray:
     u = np.linalg.svd(inv @ roots, full_matrices=False)[0][..., :1]
     w = (inv.conj().T @ u)[..., 0]
     w = w / np.linalg.norm(w, axis=-1, keepdims=True)
-    pivot = np.take_along_axis(w, np.argmax(np.abs(w), axis=-1)[..., None], axis=-1)
+    mag = np.abs(w)
+    first = np.argmax(mag >= (1.0 - 1e-12) * mag.max(axis=-1, keepdims=True), axis=-1)
+    pivot = np.take_along_axis(w, first[..., None], axis=-1)
     return w * np.conj(pivot / np.abs(pivot))
 
 

@@ -14,7 +14,11 @@ driving objective. The designs differ in that objective and in the step:
     proportional to each user's current log term.
   * ``run_soft`` minimizes the smoothed-minimum objective
     ln(sum_l (1 + SLNR_l / c)^-1) through a quadratic majorant with
-    closed-form updates; the objective trace is nonincreasing.
+    closed-form updates (maximizing its negation); the objective trace is
+    nonincreasing.
+
+The closed-form step is :func:`slnrbeam.qcqp.closed_form_update`, re-exported
+here; every bound is one :class:`slnrbeam.qcqp.Quadratics` stack.
 
 Independently of its driving objective, every run tracks the incumbent
 beamformers achieving the best minimum ergodic rate seen so far, evaluated
@@ -44,10 +48,9 @@ from .beamformer import BeamformerSet, beamformer_matrix, circular_gaussian, ini
 from .channel import ChannelStatistics, Scenario
 from .metrics import _signal_and_leakage, ergodic_rate_closed, slnr_vec
 from .numerics import largest_generalized_eigvec
-from .qcqp import MaxMinQuadraticProblem, SubproblemSolution, _Pencils, solve_maxmin
+from .qcqp import SubproblemSolution, closed_form_update, solve_maxmin
 from .surrogates import (
     HalfIterationOperators,
-    SurrogateCoefficients,
     gm_minorant_coeffs,
     half_iteration_operators,
     slnr_minorant_coeffs,
@@ -160,49 +163,6 @@ def track_incumbent(
         result.incumbent = None if bf is None else bf.copy()
         result.incumbent_matrix = w_mat
     return result
-
-
-def closed_form_update(
-    coeffs: SurrogateCoefficients,
-    budget: float,
-    weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """Optimal per-user vectors of a separable quadratic under a power cap.
-
-    Solves, for positive user weights w_l (default 1),
-
-        opt  sum_l w_l (+-2 Re{b_l v_l} -+ v_l^H C_l v_l)
-        s.t. sum_l ||v_l||^2 <= budget,
-
-    over the users' stacked coefficients; the power is the free vectors'
-    squared norm because the designs orthonormalize the fixed side first.
-    It is a maximization for minorant coefficients and a minimization for
-    majorant coefficients; both share the stationarity system
-    v_l(mu) = w_l (w_l C_l + mu I)^{-1} b_l^H on the diagonalized pencils
-    of :mod:`slnrbeam.qcqp`. Their power price (the Lagrangian dual's at
-    weights w, a safeguarded Newton search) is zero exactly when the
-    unconstrained solution C_l^{-1} b_l^H fits the budget, and is then
-    returned as is; otherwise mu > 0 puts v on the budget sphere.
-    """
-    n_users = coeffs.b.shape[0]
-    if n_users == 0:
-        raise ValueError("no users")
-    weights = np.ones(n_users) if weights is None else np.asarray(weights, dtype=float)
-    if np.any(weights <= 0):
-        raise ValueError("weights must be positive")
-
-    pencils = _Pencils(MaxMinQuadraticProblem(np.zeros(n_users), coeffs.b, coeffs.C, budget))
-    mu = pencils.power_price(weights)
-    v = pencils.dual_argmax(weights, mu)
-    if mu == 0.0:
-        return v
-    # The price stops at a power residual of 1e-12 * budget; a final exact
-    # rescale lands on the budget sphere. A larger residual is a wrong
-    # power, never rescaled away.
-    power = float(np.vdot(v, v).real)
-    if abs(power - budget) > 1e-4 * budget:
-        raise RuntimeError(f"power price residual {abs(power - budget):.3e} exceeds 1e-4 * budget")
-    return v * np.sqrt(budget / power)
 
 
 def baseline_uniform(stats: ChannelStatistics, scenario: Scenario) -> np.ndarray:
@@ -437,9 +397,9 @@ def run_maxmin(
     """
 
     def update(run: _Run, side: str, ops: HalfIterationOperators) -> np.ndarray:
-        coeffs = slnr_minorant_coeffs(ops)
-        problem = MaxMinQuadraticProblem(a=coeffs.a, b=coeffs.b, C=coeffs.C, P=scenario.P)
-        run.subproblem = solve_maxmin(problem, tol=SUBPROBLEM_TOL, warm_start=ops.v_bar)
+        run.subproblem = solve_maxmin(
+            slnr_minorant_coeffs(ops), scenario.P, tol=SUBPROBLEM_TOL, warm_start=ops.v_bar
+        )
         return run.subproblem.v
 
     objective = lambda slnrs: float(slnrs.min())
@@ -491,14 +451,14 @@ def run_soft(
 
     Minimizes the smoothed minimum ln(sum_l (1 + SLNR_l / c)^-1), whose
     gap to the true (negated) minimum is at most ln L. Each half-iteration
-    minimizes a tight quadratic majorant in closed form, so the objective
-    trace never increases.
+    minimizes a tight quadratic majorant in closed form, by maximizing the
+    negated per-user quadratics, so the objective trace never increases.
     """
     c = (options or AlgoOptions()).soft_c
 
     def update(run: _Run, side: str, ops: HalfIterationOperators) -> np.ndarray:
-        _, coeffs = soft_majorant_coeffs(ops, c)
-        return closed_form_update(coeffs, scenario.P)
+        _, quads = soft_majorant_coeffs(ops, c)
+        return closed_form_update(quads, scenario.P)
 
     objective = lambda slnrs: _soft_objective_value(slnrs, c)
     return _alternate("soft", scenario, stats, options, objective, operator.le, update)

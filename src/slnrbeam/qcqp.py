@@ -1,19 +1,21 @@
-"""Max-min concave-quadratic solver under one power-ball constraint.
+"""Concave quadratics under one power ball: the closed-form weighted-sum
+update and the certified max-min solver.
 
-Solves problems of the form
+Every user's bound is one concave quadratic (:class:`Quadratics`)
+q_l(v_l) = a_l + 2 Re{b_l v_l} - v_l^H C_l v_l with Hermitian PSD C_l, and
+the users share the budget sum_l ||v_l||^2 <= P. ``closed_form_update``
+maximizes a positively weighted sum of the q_l and ``solve_maxmin``
+maximizes min_l q_l; both work on the diagonalized pencils (C_l, I).
 
-    maximize   min_l  q_l(v_l),   q_l(v_l) = a_l + 2 Re{b_l v_l} - v_l^H C_l v_l
-    subject to sum_l ||v_l||^2 <= P,
-
-with Hermitian PSD C_l. Users couple only through the power sum, so
-the attainable objective level t admits an exact feasibility test: for each
-user the minimum power P_l(t) needed to reach q_l(v_l) >= t is a
-one-dimensional convex subproblem, and t is attainable iff those minimum
-powers sum to at most P. After diagonalizing each C_l by a unitary
-congruence (the pencil (C_l, I)), the multiplier of user l's subproblem
-solves a monotone secular equation; a safeguarded Newton iteration on it
-(all users at once) keeps a certified bracket q_l(nu_lo) < t <= q_l(nu_hi),
-so power(nu_lo) is a certified underestimate of P_l(t).
+Users couple only through the power sum, so the attainable max-min level t
+admits an exact feasibility test: for each user the minimum power P_l(t)
+needed to reach q_l(v_l) >= t is a one-dimensional convex subproblem, and t
+is attainable iff those minimum powers sum to at most P. After
+diagonalizing each C_l by a unitary congruence, the multiplier of user l's
+subproblem solves a monotone secular equation; a safeguarded Newton
+iteration on it (all users at once) keeps a certified bracket
+q_l(nu_lo) < t <= q_l(nu_hi), so power(nu_lo) is a certified underestimate
+of P_l(t).
 
 The outer search keeps a bracket [t_lo, t_hi] where t_lo is achieved by an
 explicitly constructed feasible point and t_hi is certified unattainable.
@@ -33,9 +35,9 @@ at the weights recovered from the active users' multipliers to tighten the
 certificate. The reported gap is the nonnegative difference between that
 dual bound and the best feasible value.
 
-The power metric is the identity, A_l = I: the designs orthonormalize the
-fixed side of every user's beamformer before each half-iteration, so a
-user's transmit power is the squared norm of its free-side vector.
+The power metric is the identity: the designs orthonormalize the fixed side
+of every user's beamformer before each half-iteration, so a user's transmit
+power is the squared norm of its free-side vector.
 """
 
 from __future__ import annotations
@@ -61,39 +63,21 @@ MAX_PRICE_STEPS = 200
 
 
 @dataclass
-class MaxMinQuadraticProblem:
-    """Per-user quadratic data and the shared power budget.
+class Quadratics:
+    """Every user's concave quadratic a_l + 2 Re{b_l v_l} - v_l^H C_l v_l.
 
-    ``a`` is (L,), ``b`` is (L, n) of row vectors, ``C`` is an (L, n, n)
-    Hermitian PSD stack, ``P`` the budget on sum_l ||v_l||^2.
+    Stacked over users: ``a`` is (L,), ``b`` (L, n) of row vectors and ``C``
+    an (L, n, n) Hermitian PSD stack.
     """
 
     a: np.ndarray
     b: np.ndarray
     C: np.ndarray
-    P: float
 
-    @property
-    def n_users(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.b.shape[1]
-
-    def objective_values(self, v: np.ndarray) -> np.ndarray:
-        """Per-user quadratic values at stacked vectors v of shape (L, n)."""
-        return quadratic_values(self.a, self.b, self.C, v)
-
-
-def quadratic_form(mats: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Every user's v_l^H M_l v_l for an (L, n, n) Hermitian stack and (L, n) vectors."""
-    return np.real(v.conj()[:, None, :] @ (mats @ v[:, :, None]))[:, 0, 0]
-
-
-def quadratic_values(a: np.ndarray, b: np.ndarray, C: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Every user's a_l + 2 Re{b_l v_l} - v_l^H C_l v_l for (L, n) vectors v."""
-    return a + 2.0 * np.real(b[:, None, :] @ v[:, :, None])[:, 0, 0] - quadratic_form(C, v)
+    def values(self, v: np.ndarray) -> np.ndarray:
+        """Every user's value at stacked vectors v of shape (L, n)."""
+        linear = 2.0 * np.real(self.b[:, None, :] @ v[:, :, None])[:, 0, 0]
+        return self.a + linear - np.real(v.conj()[:, None, :] @ (self.C @ v[:, :, None]))[:, 0, 0]
 
 
 @dataclass
@@ -110,17 +94,20 @@ class SubproblemSolution:
 
 
 class _Pencils:
-    """Diagonalized (C_l, I) pencils: the weighted Lagrangian surface.
+    """Diagonalized (C_l, I) pencils of ``quads`` under ``budget``: the
+    weighted Lagrangian surface.
 
-    Serves the power price and its maximizers, shared by the closed-form
-    designs and the max-min dual bound. :class:`_LevelPaths` adds the
-    per-user minimum-power paths of the max-min level test.
+    Serves the power price and its maximizers, shared by
+    :func:`closed_form_update` and the max-min dual bound.
+    :class:`_LevelPaths` adds the per-user minimum-power paths of the
+    max-min level test.
     """
 
-    def __init__(self, problem: MaxMinQuadraticProblem):
-        self.problem = problem
-        self.d, self.t = pencil_diagonalize(problem.C)
-        b_t = (problem.b[:, None, :] @ self.t)[:, 0]
+    def __init__(self, quads: Quadratics, budget: float):
+        self.quads = quads
+        self.budget = budget
+        self.d, self.t = pencil_diagonalize(quads.C)
+        b_t = (quads.b[:, None, :] @ self.t)[:, 0]
         abs_b_sq = np.abs(b_t) ** 2
         # Transformed linear terms this far below their row's maximum are
         # round-off zeros: kept, they drive level multipliers toward an
@@ -142,7 +129,7 @@ class _Pencils:
         inside the bracket takes over if round-off sends a step outside it.
         Stops at a residual of 1e-12 P or when a step no longer moves mu.
         """
-        budget = self.problem.P
+        budget = self.budget
         num = (lam[:, None] ** 2) * self.abs_b_sq
         live = num > 0.0
         num, s = num[live], (lam[:, None] * self.d)[live]
@@ -183,15 +170,48 @@ class _Pencils:
         with np.errstate(divide="ignore", invalid="ignore"):
             frac = num / (lam[:, None] * self.d + mu)
         frac[num == 0.0] = 0.0
-        return mu * self.problem.P + float(lam @ self.problem.a) + float(frac.sum())
+        return mu * self.budget + float(lam @ self.quads.a) + float(frac.sum())
+
+
+def closed_form_update(
+    quads: Quadratics, budget: float, weights: np.ndarray | None = None
+) -> np.ndarray:
+    """Maximizer of sum_l w_l q_l(v_l) under sum_l ||v_l||^2 <= budget.
+
+    For positive user weights w_l (default 1) the stationarity system is
+    v_l(mu) = w_l (w_l C_l + mu I)^{-1} b_l^H on the diagonalized pencils;
+    the constants a_l do not enter. The power price (the Lagrangian dual's at
+    weights w, a safeguarded Newton search) is zero exactly when the
+    unconstrained maximizer C_l^{-1} b_l^H fits the budget, which is then
+    returned as is; otherwise mu > 0 puts v on the budget sphere.
+    """
+    n_users = quads.b.shape[0]
+    if n_users == 0:
+        raise ValueError("no users")
+    weights = np.ones(n_users) if weights is None else np.asarray(weights, dtype=float)
+    if np.any(weights <= 0):
+        raise ValueError("weights must be positive")
+
+    pencils = _Pencils(quads, budget)
+    mu = pencils.power_price(weights)
+    v = pencils.dual_argmax(weights, mu)
+    if mu == 0.0:
+        return v
+    # The price stops at a power residual of 1e-12 * budget; a final exact
+    # rescale lands on the budget sphere. A larger residual is a wrong
+    # power, never rescaled away.
+    power = float(np.vdot(v, v).real)
+    if abs(power - budget) > 1e-4 * budget:
+        raise RuntimeError(f"power price residual {abs(power - budget):.3e} exceeds 1e-4 * budget")
+    return v * np.sqrt(budget / power)
 
 
 class _LevelPaths(_Pencils):
     """The pencils plus every user's minimum-power path, for the max-min
     level test."""
 
-    def __init__(self, problem: MaxMinQuadraticProblem):
-        super().__init__(problem)
+    def __init__(self, quads: Quadratics, budget: float):
+        super().__init__(quads, budget)
         w = self.abs_b_sq
         d_floor = 1e-13 * max(float(self.d.max()), 1e-300)
         self.flat = self.d <= d_floor
@@ -201,7 +221,7 @@ class _LevelPaths(_Pencils):
         self.gain = np.where(self.flat, 0.0, w / np.where(self.flat, 1.0, self.d))
         self.w_curved = np.where(self.flat, 0.0, w)
         self.w_flat = np.where(self.flat, w, 0.0)
-        self.q_curved = self.problem.a + self.gain.sum(axis=1)
+        self.q_curved = self.quads.a + self.gain.sum(axis=1)
         # unconstrained per-user maxima of q_l (inf along flat directions
         # carrying a linear term)
         self.q_free = np.where(self.escapes, np.inf, self.q_curved)
@@ -241,7 +261,7 @@ class _LevelPaths(_Pencils):
         w = self.abs_b_sq[users]
         power = (w * r * r).sum(axis=1)
         gains = w * r * (2.0 - d * r)
-        q = self.problem.a[users] + gains.sum(axis=1)
+        q = self.quads.a[users] + gains.sum(axis=1)
         shortfall = (self.gain[users] * inv * inv).sum(axis=1)
         dq_curved = 2.0 * (self.w_curved[users] * inv_cube).sum(axis=1)
         lift = np.zeros(nu.shape)
@@ -285,7 +305,7 @@ class _LevelPaths(_Pencils):
         sum(power_lo) > budget, which certifies that the level needs more
         power than that; the brackets stay certified, only wider.
         """
-        n_users = self.problem.n_users
+        n_users = self.d.shape[0]
         nu_lo = np.zeros(n_users)
         nu_hi = np.zeros(n_users)
         p_lo = np.zeros(n_users)
@@ -406,27 +426,29 @@ class _LevelPaths(_Pencils):
 
 
 def solve_maxmin(
-    problem: MaxMinQuadraticProblem,
+    quads: Quadratics,
+    budget: float,
     tol: float = 1e-5,
     max_iterations: int = 5000,
     warm_start: np.ndarray | None = None,
 ) -> SubproblemSolution:
-    """Solve the max-min quadratic problem with a certified relative gap.
+    """Maximize min_l q_l(v_l) under sum_l ||v_l||^2 <= ``budget``, with a
+    certified relative gap.
 
     When ``warm_start`` (a feasible stacked point) is supplied, the returned
     objective never falls below the min-objective at the warm start: the
     warm start always stays in the candidate pool. If the iteration cap is
     reached first, the best feasible point is returned with the achieved gap.
     """
-    n_users = problem.n_users
-    if problem.P <= 0:
-        raise ValueError(f"power budget must be positive, got {problem.P}")
+    n_users, dim = quads.b.shape
+    if budget <= 0:
+        raise ValueError(f"power budget must be positive, got {budget}")
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    pencils = _LevelPaths(problem)
+    pencils = _LevelPaths(quads, budget)
 
     best_obj = -np.inf
-    best_v = np.zeros((n_users, problem.dim), dtype=complex)
+    best_v = np.zeros((n_users, dim), dtype=complex)
 
     def consider(v: np.ndarray, power: float | None = None) -> None:
         nonlocal best_obj, best_v
@@ -434,9 +456,9 @@ def solve_maxmin(
             power = float(np.vdot(v, v).real)
         # Rescale only genuine violations: a feasible warm start passes
         # through untouched, so the warm-start guarantee holds exactly.
-        if power > problem.P * (1.0 + 1e-9):
-            v = v * np.sqrt(problem.P / power)
-        obj = float(problem.objective_values(v).min())
+        if power > budget * (1.0 + 1e-9):
+            v = v * np.sqrt(budget / power)
+        obj = float(quads.values(v).min())
         if obj > best_obj:
             best_obj = obj
             best_v = v.copy()
@@ -451,14 +473,14 @@ def solve_maxmin(
             u_free = np.conj(pencils.b_t) / pencils.d
         u_free[pencils.flat] = 0.0
         power_free = float((np.abs(u_free) ** 2).sum())
-        if power_free <= problem.P:
+        if power_free <= budget:
             v_free = np.einsum("lij,lj->li", pencils.t, u_free)
             consider(v_free, power=power_free)
             return SubproblemSolution(v=best_v, objective=best_obj, gap=0.0, iterations=0)
 
     # Bracket the attainable level: the zero point is always feasible, and
     # the dual value at uniform weights upper-bounds the optimum.
-    consider(np.zeros((n_users, problem.dim), dtype=complex), power=0.0)
+    consider(np.zeros((n_users, dim), dtype=complex), power=0.0)
     t_lo = best_obj
     uniform = np.full(n_users, 1.0 / n_users)
     q_cap = float(pencils.q_free.min())
@@ -468,7 +490,7 @@ def solve_maxmin(
     # What is known of F(t) = sum_l P_l(t) - P at each bracket end: lower and
     # upper bounds on F and on its slope sum_l nu_l, from the per-user
     # brackets. The zero point reaches every a_l at no power, so F = -P there.
-    at_lo = (-problem.P, -problem.P, 0.0, 0.0) if t_lo <= float(problem.a.min()) else None
+    at_lo = (-budget, -budget, 0.0, 0.0) if t_lo <= float(quads.a.min()) else None
     at_hi = None
     # The level tested in full before the steps start: a better warm start's
     # own (its tangent bounds the optimum from above), else the dual bound.
@@ -484,16 +506,16 @@ def solve_maxmin(
         if width <= stop:
             break
         if probe is not None:
-            level, budget, probe = probe, np.inf, None
+            level, cap, probe = probe, np.inf, None
         else:
             level = _next_level(t_lo, t_hi, at_lo, at_hi, moved_hi, widths, stop)
             # Searches stop early on levels needing over FAR_EXCESS times
             # the budget: their power sums are too loose to steer by anyway.
-            budget = FAR_EXCESS * problem.P
-        nus_lo, nus, p_lo, p_hi = pencils.min_power_bracket(level, budget)
+            cap = FAR_EXCESS * budget
+        nus_lo, nus, p_lo, p_hi = pencils.min_power_bracket(level, cap)
         known = (
-            float(p_lo.sum()) - problem.P,
-            float(p_hi.sum()) - problem.P,
+            float(p_lo.sum()) - budget,
+            float(p_hi.sum()) - budget,
             float(nus_lo.sum()),
             float(nus.sum()),
         )

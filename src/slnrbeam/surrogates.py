@@ -17,9 +17,12 @@ and a covariance square root, and x_l = leakage_l + sigma. With the
 operators of ``half_iteration_operators``, ||chi_l||^2 = v_l^H own_l v_l,
 chi_bar_l^H chi_l = v_bar_l^H own_l v_l and ||chi_l||^2 + x_l =
 v_l^H sum_l v_l + sigma, so cross_l = v_bar_l^H own_l turns each bound into
-stacked coefficients (a, b, C) of a quadratic in v: the SLNR max-min step
-uses the ratio bound, the geometric-mean step the log bound, and the soft
-max-min step the smoothed-minimum bound.
+one stacked :class:`~slnrbeam.qcqp.Quadratics`, concave quadratics
+a_l + 2 Re{b_l v_l} - v_l^H C_l v_l in the free vectors v: the SLNR max-min
+step uses the ratio bound, the geometric-mean step the log bound, and the
+soft max-min step the smoothed-minimum bound. The last is an upper bound of
+an objective to minimize; its builder returns the negated per-user terms,
+so that every update maximizes its quadratics.
 
 The operators carry the expansion point's expected signal and leakage
 powers, which the caller hands in: the designs' driver has them from
@@ -35,32 +38,11 @@ import numpy as np
 
 from .beamformer import BeamformerSet
 from .channel import ChannelStatistics
-from .qcqp import quadratic_values
+from .qcqp import Quadratics
 
 
 class DegenerateUserError(ValueError):
     """A user's expected signal power vanished at the expansion point."""
-
-
-@dataclass
-class SurrogateCoefficients:
-    """Every user's quadratic bound a_l +/- 2 Re{b_l v_l} -/+ v_l^H C_l v_l.
-
-    Stacked over users: ``a`` is (L,), ``b`` (L, n) of row vectors and ``C``
-    (L, n, n). ``sense='minorant'`` evaluates a + 2 Re{b v} - v^H C v (a lower
-    bound of the target), ``sense='majorant'`` evaluates a - 2 Re{b v} + v^H C v.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    C: np.ndarray
-    sense: str = "minorant"
-
-    def evaluate(self, v: np.ndarray) -> np.ndarray:
-        """Every user's bound at stacked vectors v of shape (L, n)."""
-        if self.sense == "minorant":
-            return quadratic_values(self.a, self.b, self.C, v)
-        return -quadratic_values(-self.a, self.b, self.C, v)  # a - 2 Re{b v} + v^H C v
 
 
 def _check_expansion(x: np.ndarray) -> None:
@@ -207,38 +189,37 @@ def _expansion(ops: HalfIterationOperators) -> np.ndarray:
     return (ops.v_bar.conj()[:, None, :] @ ops.own_quad)[:, 0]
 
 
-def slnr_minorant_coeffs(ops: HalfIterationOperators) -> SurrogateCoefficients:
+def slnr_minorant_coeffs(ops: HalfIterationOperators) -> Quadratics:
     """Concave-quadratic minorants of every user's SLNR in its free vector.
 
     The ratio bound at the operators' iterate: tight there, below the SLNR
     everywhere on the feasible set.
     """
     a, b, c = ratio_bound(ops.signal, ops.x_bar, _expansion(ops))
-    return SurrogateCoefficients(a - ops.sigma * c, b, c[:, None, None] * ops.sum_quad)
+    return Quadratics(a - ops.sigma * c, b, c[:, None, None] * ops.sum_quad)
 
 
-def gm_minorant_coeffs(ops: HalfIterationOperators) -> SurrogateCoefficients:
+def gm_minorant_coeffs(ops: HalfIterationOperators) -> Quadratics:
     """Concave-quadratic minorants of every user's ln(1 + SLNR).
 
     The log bound at the operators' iterate; the design's user weights enter
-    in :func:`~slnrbeam.optimizers.closed_form_update`.
+    in :func:`~slnrbeam.qcqp.closed_form_update`.
     """
     a, b, c = log_bound(ops.signal, ops.x_bar, _expansion(ops))
-    return SurrogateCoefficients(a - ops.sigma * c, b, c[:, None, None] * ops.sum_quad)
+    return Quadratics(a - ops.sigma * c, b, c[:, None, None] * ops.sum_quad)
 
 
-def soft_majorant_coeffs(
-    ops: HalfIterationOperators, c: float
-) -> tuple[float, SurrogateCoefficients]:
+def soft_majorant_coeffs(ops: HalfIterationOperators, c: float) -> tuple[float, Quadratics]:
     """Majorant of the smoothed-minimum objective, stacked over users.
 
-    Returns ``(constant, coeffs)``: the majorant at free vectors v is
-    constant + sum_l coeffs.evaluate(v)[l], with sense 'majorant' and zero
-    per-user constants. ``coeffs.C[l]`` combines the user's own quadratic
-    with the smoothing-scaled leakage quadratic,
+    Returns ``(constant, quads)``: the majorant at free vectors v is
+    constant - quads.values(v).sum(), the per-user quadratics having zero
+    constants, so minimizing the majorant maximizes their sum.
+    ``quads.C[l]`` combines the user's own quadratic with the
+    smoothing-scaled leakage quadratic,
     ||chi_l||^2 + c x_l = v_l^H ((1 - c) own_l + c sum_l) v_l + c sigma.
     """
     constant, b, scale = smoothed_min_bound(ops.signal, ops.x_bar, _expansion(ops), c)
     quad = scale[:, None, None] * ((1.0 - c) * ops.own_quad + c * ops.sum_quad)
-    coeffs = SurrogateCoefficients(np.zeros_like(scale), b, quad, sense="majorant")
-    return constant + c * ops.sigma * float(np.sum(scale)), coeffs
+    quads = Quadratics(np.zeros_like(scale), b, quad)
+    return constant + c * ops.sigma * float(np.sum(scale)), quads

@@ -17,7 +17,7 @@ from slnrbeam.channel import Scenario, build_statistics, sample_channels, vec_ba
 from slnrbeam.harness import ExperimentConfig, default_scenario_dict, run_experiment
 from slnrbeam.metrics import ergodic_rate_closed, ergodic_rate_mc, rate_report, slnr_vec
 from slnrbeam.optimizers import AlgoOptions, run_baseline, run_gm, run_maxmin, run_soft
-from slnrbeam.qcqp import MaxMinQuadraticProblem, solve_maxmin
+from slnrbeam.qcqp import Quadratics, solve_maxmin
 from slnrbeam.surrogates import log_bound, ratio_bound, smoothed_min_bound
 
 from conftest import (
@@ -222,7 +222,8 @@ class TestCriterion6Subsolver:
     @staticmethod
     def random_problem(rng, n_users, dim):
         """Random quadratics under a random power metric, half of them
-        rank-deficient plus a 1e-3 loading, whitened onto the identity."""
+        rank-deficient plus a 1e-3 loading, whitened onto the identity, and a
+        random budget: ``(quads, budget)``."""
         a = rng.uniform(-1.0, 1.0, n_users)
         b = (rng.standard_normal((n_users, dim)) + 1j * rng.standard_normal((n_users, dim))) / 2
         c_stack = np.empty((n_users, dim, dim), dtype=complex)
@@ -234,30 +235,30 @@ class TestCriterion6Subsolver:
             f = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
             a_stack[ell] = f @ f.conj().T / dim + (1e-3 if rank < dim else 0.0) * np.eye(dim)
         b, c_stack = whiten(b, c_stack, a_stack)
-        return MaxMinQuadraticProblem(a=a, b=b, C=c_stack, P=float(rng.uniform(0.5, 4.0)))
+        return Quadratics(a=a, b=b, C=c_stack), float(rng.uniform(0.5, 4.0))
 
     @staticmethod
-    def single_user_oracle(problem):
+    def single_user_oracle(quads, budget):
         """Two-branch closed form for one constrained concave quadratic."""
         import scipy.optimize
 
-        c_mat, a_mat, b = problem.C[0], np.eye(problem.dim), problem.b[0]
+        c_mat, a_mat, b = quads.C[0], np.eye(quads.b.shape[1]), quads.b[0]
         v_free = np.linalg.solve(c_mat, b.conj())
-        if np.real(v_free.conj() @ a_mat @ v_free) <= problem.P:
-            return float(problem.objective_values(v_free[None, :])[0])
+        if np.real(v_free.conj() @ a_mat @ v_free) <= budget:
+            return float(quads.values(v_free[None, :])[0])
 
         def point(mu):
             return np.linalg.solve(c_mat + mu * a_mat, b.conj())
 
         def slack(mu):
             v = point(mu)
-            return np.real(v.conj() @ a_mat @ v) - problem.P
+            return np.real(v.conj() @ a_mat @ v) - budget
 
         hi = 1.0
         while slack(hi) > 0:
             hi *= 2.0
         mu = scipy.optimize.brentq(slack, 1e-16, hi, xtol=1e-15)
-        return float(problem.objective_values(point(mu)[None, :])[0])
+        return float(quads.values(point(mu)[None, :])[0])
 
     def test_certified_gaps(self):
         rng = np.random.default_rng(1006)
@@ -266,15 +267,15 @@ class TestCriterion6Subsolver:
         for _ in range(50):
             n_users = int(rng.integers(1, 5))
             dim = int(rng.integers(2, 17))
-            problem = self.random_problem(rng, n_users, dim)
+            quads, budget = self.random_problem(rng, n_users, dim)
             # single-user instances are solved tighter so the closed-form
             # comparison is meaningful at 1e-6
-            sol = solve_maxmin(problem, tol=1e-8 if n_users == 1 else 1e-5)
+            sol = solve_maxmin(quads, budget, tol=1e-8 if n_users == 1 else 1e-5)
             worst = max(worst, sol.gap)
             assert sol.gap <= 1e-4
             if n_users == 1:
                 singles += 1
-                oracle = self.single_user_oracle(problem)
+                oracle = self.single_user_oracle(quads, budget)
                 assert sol.objective == pytest.approx(oracle, rel=1e-6)
         report(
             "criterion 6 (subsolver certification)",

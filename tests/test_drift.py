@@ -128,3 +128,37 @@ def test_compare_lists_error_transitions(drift):
         "c: RuntimeError: residual -> RuntimeError: residual",
         "d: ok -> RuntimeError: residual",
     ]
+
+
+def test_scan_reports_each_design_on_held_out_seeds(drift, monkeypatch, capsys):
+    monkeypatch.setattr(drift, "SCAN_SEEDS", [100, 101])
+    runs = list(drift.scan_set())
+    assert len(runs) == 10
+    assert {kw["seed"] for _, kw, _, _ in runs} == {100, 101}
+    assert all(kw["Q"] == 8 and kw["L"] == 5 and kw["M"] == 2 for _, kw, _, _ in runs)
+    assert drift.main(["scan"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["maxmin", "gm", "soft c=0.1", "soft c=1", "baseline"]
+    assert lines[0].startswith("maxmin: 2/2 completed, ") and ", largest gap " in lines[0]
+    assert lines[-1].startswith("baseline: 2/2 completed, 2 direct, largest trace power ")
+    assert all(", largest trace power P (1 " in line for line in lines)
+
+
+def test_scan_fails_on_errors_power_and_gaps(drift):
+    ok = {**run("gm", 0.5), "power_over_budget": 1.0}
+    runs = {
+        "a": ok,
+        "b": {**run("maxmin", 0.1, gap=2e-4), "power_over_budget": 0.9},
+        "c": {**run("gm", 0.4, stop="stalled"), "power_over_budget": 1.0 + 1e-8},
+        "d": {"design": "gm", "error": "RuntimeError: residual"},
+    }
+    lines, passed = drift.scan(runs)
+    assert not passed
+    assert lines == [
+        "gm: 2/3 completed, 1 stalled, 1 tolerance, largest trace power P (1 + 1e-08)",
+        "maxmin: 1/1 completed, 1 tolerance, largest gap 0.0002, largest trace power P (1 - 0.1)",
+        "b: subproblem gap 0.0002 above 0.0001",
+        "c: trace power 1.00000001 P exceeds P (1 + 1e-9)",
+        "d: RuntimeError: residual",
+    ]
+    assert drift.scan({"a": ok}) == (["gm: 1/1 completed, 1 tolerance, largest trace power P (1 + 0)"], True)

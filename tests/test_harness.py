@@ -85,6 +85,11 @@ class TestRunExperiment:
         assert "aggregate.csv" in names and "summary.csv" in names
         assert any(n.startswith("trace_soft") for n in names)
 
+    def test_path_output_dir_accepted(self, tmp_path):
+        # Python callers may pass a path object; only JSON configs are limited to strings.
+        run_experiment(small_config(tmp_path / "out", output_dir=tmp_path / "out"))
+        assert (tmp_path / "out" / "aggregate.csv").exists()
+
     def test_deterministic_numeric_columns(self, tmp_path):
         files_a = run_experiment(small_config(tmp_path / "a"))
         files_b = run_experiment(small_config(tmp_path / "b"))
@@ -400,6 +405,50 @@ class TestCli:
         assert err.startswith(f"error: key '{name}' must be")
         assert len(err.strip().splitlines()) == 1
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "name, change",
+        [
+            ("scenario", {"scenario": [1]}),
+            ("options", {"options": 5}),
+            ("save_beamformers", {"save_beamformers": "no"}),
+            ("output_dir", {"output_dir": None}),
+            ("users", {"scenario": {"Q": 3}}),
+            ("algorithms", {"algorithms": ...}),
+        ],
+        ids=[
+            "scenario_list", "options_number", "save_beamformers_string", "output_dir_null",
+            "no_users", "no_algorithms",
+        ],
+    )
+    def test_malformed_config_is_an_error_line(self, tmp_path, capsys, name, change):
+        # Wrong JSON types and missing required keys (``...`` drops a key) end
+        # in one error line naming the key, never a traceback, and nothing is
+        # written.
+        out_dir = tmp_path / "sweepout"
+        doc = {
+            "scenario": default_scenario_dict(Q=3, users=2),
+            "algorithms": ["gm"],
+            "antennas": [9],
+            "output_dir": str(out_dir),
+            **change,
+        }
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps({k: v for k, v in doc.items() if v is not ...}))
+        assert cli_main(["sweep", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: key '{name}' ")
+        assert len(err.strip().splitlines()) == 1
+        assert not out_dir.exists()
+
+    def test_config_not_an_object_is_an_error_line(self, tmp_path, capsys):
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps([{"algorithms": ["gm"]}]))
+        assert cli_main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: an experiment config must be a JSON object")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_mc_samples_flag_removed(self, tmp_path):
         out_dir = tmp_path / "res"

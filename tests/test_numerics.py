@@ -230,6 +230,15 @@ class TestGeneralizedEigvec:
                 grad_norm_sq += ((self.quotient(up, a, s) - self.quotient(dn, a, s)) / (2 * h)) ** 2
         assert np.sqrt(grad_norm_sq) <= 1e-6 * max(1.0, abs(val))
 
+    def test_phase_pivot_stable_under_round_off_ties(self):
+        # Two roots a round-off apart, whose entries tie in magnitude within a
+        # few ulps; the phase pivot must not follow which entry wins the tie.
+        eps = 4e-16
+        w1 = largest_generalized_eigvec(np.eye(2), np.array([[[1.0 + eps], [1j]]]))
+        w2 = largest_generalized_eigvec(np.eye(2), np.array([[[1.0], [1j * (1.0 + eps)]]]))
+        assert np.abs(w1 - w2).max() <= 1e-12
+        assert abs(w1[0, 0].imag) <= 1e-15 * w1[0, 0].real
+
     def test_rejects_singular_metric(self):
         with pytest.raises(ValueError, match="positive definite"):
             largest_generalized_eigvec(np.diag([1.0, 0.0]), np.eye(2)[None])

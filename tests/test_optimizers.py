@@ -37,14 +37,13 @@ from slnrbeam.optimizers import (
     run_soft,
     track_incumbent,
 )
-from slnrbeam.qcqp import SubproblemSolution
-from slnrbeam.surrogates import SurrogateCoefficients
+from slnrbeam.qcqp import Quadratics, SubproblemSolution
 
 from conftest import dense_r, operators_at, power_of, total_power, whiten
 
 
 def random_quadratics(rng, n_users=3, dim=6, b_scale=1.0):
-    """Stacked minorant coefficients (zero constants) drawn under a random PD
+    """Stacked concave quadratics (zero constants) drawn under a random PD
     power metric and whitened onto the identity metric."""
     bs, c_mats, a_mats = [], [], []
     for _ in range(n_users):
@@ -54,26 +53,27 @@ def random_quadratics(rng, n_users=3, dim=6, b_scale=1.0):
         f = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         a_mats.append(f @ f.conj().T / dim + 0.1 * np.eye(dim))
     b, c_stack = whiten(np.stack(bs), np.stack(c_mats), np.stack(a_mats))
-    return SurrogateCoefficients(a=np.zeros(n_users), b=b, C=c_stack, sense="minorant")
+    return Quadratics(a=np.zeros(n_users), b=b, C=c_stack)
 
 
-def weighted_objective(coeffs, weights, v):
+def weighted_objective(quads, weights, v):
     return sum(
         w * (2.0 * np.real(b @ v[i]) - np.real(v[i].conj() @ c_mat @ v[i]))
-        for i, (b, c_mat, w) in enumerate(zip(coeffs.b, coeffs.C, weights))
+        for i, (b, c_mat, w) in enumerate(zip(quads.b, quads.C, weights))
     )
 
 
-def slsqp_oracle(coeffs, weights, budget):
-    """Independent ball-constrained maximizer via scipy's SQP on real parts."""
-    n_users, dim = coeffs.b.shape
+def slsqp_oracle(quads, weights, budget):
+    """Independent maximum of sum_l w_l q_l(v_l) under sum_l ||v_l||^2 <= budget,
+    by scipy's SQP on real parts."""
+    n_users, dim = quads.b.shape
 
     def unpack(x):
         z = x[: n_users * dim] + 1j * x[n_users * dim :]
         return z.reshape(n_users, dim)
 
     def neg_obj(x):
-        return -weighted_objective(coeffs, weights, unpack(x))
+        return -weighted_objective(quads, weights, unpack(x))
 
     def power_slack(x):
         return budget - power_of(unpack(x))
@@ -97,34 +97,34 @@ def slsqp_oracle(coeffs, weights, budget):
 class TestClosedFormUpdate:
     def test_zero_linear_terms_give_zero(self):
         rng = np.random.default_rng(0)
-        coeffs = random_quadratics(rng, b_scale=0.0)
-        v = closed_form_update(coeffs, budget=1.0)
+        quads = random_quadratics(rng, b_scale=0.0)
+        v = closed_form_update(quads, budget=1.0)
         np.testing.assert_allclose(v, 0.0, atol=1e-12)
 
     def test_inactive_constraint_pass_through(self):
         rng = np.random.default_rng(1)
-        coeffs = random_quadratics(rng, b_scale=0.05)
-        free = np.stack([np.linalg.solve(c, b.conj()) for b, c in zip(coeffs.b, coeffs.C)])
-        v = closed_form_update(coeffs, budget=2.0 * power_of(free))
+        quads = random_quadratics(rng, b_scale=0.05)
+        free = np.stack([np.linalg.solve(c, b.conj()) for b, c in zip(quads.b, quads.C)])
+        v = closed_form_update(quads, budget=2.0 * power_of(free))
         np.testing.assert_allclose(v, free, rtol=1e-8, atol=1e-12)
 
     def test_active_constraint_power_equality(self):
         rng = np.random.default_rng(2)
-        coeffs = random_quadratics(rng, b_scale=2.0)
-        free = np.stack([np.linalg.solve(c, b.conj()) for b, c in zip(coeffs.b, coeffs.C)])
+        quads = random_quadratics(rng, b_scale=2.0)
+        free = np.stack([np.linalg.solve(c, b.conj()) for b, c in zip(quads.b, quads.C)])
         budget = power_of(free) / 4.0  # unconstrained point uses four times the budget
-        v = closed_form_update(coeffs, budget=budget)
+        v = closed_form_update(quads, budget=budget)
         assert abs(power_of(v) - budget) <= 1e-8 * budget
 
     @pytest.mark.parametrize("use_weights", [False, True])
     def test_ball_optimality_against_sqp(self, use_weights):
         rng = np.random.default_rng(3)
-        coeffs = random_quadratics(rng, n_users=2, dim=4, b_scale=2.0)
+        quads = random_quadratics(rng, n_users=2, dim=4, b_scale=2.0)
         weights = np.array([1.7, 0.6]) if use_weights else np.ones(2)
         budget = 0.5
-        v = closed_form_update(coeffs, budget, weights=weights)
-        mine = weighted_objective(coeffs, weights, v)
-        oracle = slsqp_oracle(coeffs, weights, budget)
+        v = closed_form_update(quads, budget, weights=weights)
+        mine = weighted_objective(quads, weights, v)
+        oracle = slsqp_oracle(quads, weights, budget)
         assert mine >= oracle - 1e-6 * max(1.0, abs(oracle))
 
     @pytest.mark.parametrize("budget", [0.05, 1000.0])
@@ -134,12 +134,12 @@ class TestClosedFormUpdate:
         # along them the unconstrained maximum is finite (and, at the large
         # budget, fits); with one, only the power cap bounds the objective.
         rng = np.random.default_rng(5)
-        coeffs = random_quadratics(rng, n_users=2, dim=4, b_scale=2.0)
+        quads = random_quadratics(rng, n_users=2, dim=4, b_scale=2.0)
         g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-        coeffs.C[0] = g @ g.conj().T
+        quads.C[0] = g @ g.conj().T
         if not linear_term:
-            coeffs.b[0] = (coeffs.C[0] @ coeffs.b[0].conj()).conj()  # b^H in the range of C
-        v = closed_form_update(coeffs, budget)
+            quads.b[0] = (quads.C[0] @ quads.b[0].conj()).conj()  # b^H in the range of C
+        v = closed_form_update(quads, budget)
         assert np.all(np.isfinite(v))
         power = power_of(v)
         assert power <= budget * (1.0 + 1e-9)
@@ -147,22 +147,26 @@ class TestClosedFormUpdate:
             # the unconstrained maximizer fits (it needs about 155): no
             # power goes along the null directions' round-off linear terms
             assert power <= 0.2 * budget
-        mine = weighted_objective(coeffs, np.ones(2), v)
-        oracle = slsqp_oracle(coeffs, np.ones(2), budget)
+        mine = weighted_objective(quads, np.ones(2), v)
+        oracle = slsqp_oracle(quads, np.ones(2), budget)
         assert mine >= oracle - 1e-6 * max(1.0, abs(oracle))
 
-    def test_majorant_minimization(self):
-        # With majorant sense the same update minimizes; compare against SQP
-        # on the negated objective.
-        rng = np.random.default_rng(4)
-        coeffs = random_quadratics(rng, n_users=2, dim=4, b_scale=2.0)
-        coeffs.sense = "majorant"
-        budget = 0.4
-        v = closed_form_update(coeffs, budget)
-        value = coeffs.evaluate(v).sum()
-        # minimizing a - 2Re{bv} + v^H C v equals maximizing its negation
-        oracle = slsqp_oracle(coeffs, np.ones(2), budget)
-        assert value <= -oracle + 1e-6 * max(1.0, abs(oracle))
+    def test_majorant_minimization(self, desk):
+        # The soft design's majorant, constant - sum_l q_l(v_l), is handed
+        # over as its negated quadratics q; the update that maximizes their
+        # sum must lower the majorant below its value at the current iterate
+        # and reach the SQP minimum of the majorant on the power ball.
+        sc, stats = desk
+        run = optimizers._Run("soft", sc, stats)
+        run.fix_gauge("azimuth")
+        ops = operators_at("azimuth", run.bf, stats, sc.sigma)
+        for c in (1.0, 0.1):
+            constant, quads = surrogates.soft_majorant_coeffs(ops, c)
+            v = closed_form_update(quads, sc.P)
+            value = constant - quads.values(v).sum()
+            assert value <= constant - quads.values(ops.v_bar).sum()
+            oracle = constant - slsqp_oracle(quads, np.ones(len(quads.a)), sc.P)
+            assert value <= oracle + 1e-6 * abs(oracle)
 
 
 @pytest.fixture(scope="module")
@@ -210,9 +214,9 @@ class TestRunMaxmin:
         # keeps its iterate, stops, and says so.
         sc, stats = desk
 
-        def regress(problem, **kwargs):
+        def regress(quads, budget, **kwargs):
             return SubproblemSolution(
-                v=np.zeros((problem.n_users, problem.dim), dtype=complex),
+                v=np.zeros(quads.b.shape, dtype=complex),
                 objective=0.0,
                 gap=0.0,
                 iterations=1,
@@ -257,21 +261,21 @@ class TestRunGm:
         np.testing.assert_allclose(a_mats, np.broadcast_to(np.eye(4), a_mats.shape), atol=1e-14)
         ops = operators_at("azimuth", run.bf, stats, sc.sigma)
         weights = gm_weights(ops.signal / ops.x_bar)
-        coeffs = gm_minorant_coeffs(ops)
-        v = closed_form_update(coeffs, sc.P, weights=weights)
+        quads = gm_minorant_coeffs(ops)
+        v = closed_form_update(quads, sc.P, weights=weights)
         power = sum(np.real(v[i].conj() @ a_mats[i] @ v[i]) for i in range(3))
         if power < sc.P * (1 - 1e-6):
             mu = 0.0
         else:
             # recover the common multiplier from user 0's stationarity
-            resid = weights[0] * (coeffs.b[0].conj() - coeffs.C[0] @ v[0])
+            resid = weights[0] * (quads.b[0].conj() - quads.C[0] @ v[0])
             av = a_mats[0] @ v[0]
             mu = float(np.real(np.vdot(av, resid)) / np.real(np.vdot(av, av)))
         for i in range(3):
-            grad = weights[i] * (coeffs.b[i].conj() - coeffs.C[i] @ v[i]) - mu * (
+            grad = weights[i] * (quads.b[i].conj() - quads.C[i] @ v[i]) - mu * (
                 a_mats[i] @ v[i]
             )
-            scale = np.linalg.norm(weights[i] * coeffs.b[i])
+            scale = np.linalg.norm(weights[i] * quads.b[i])
             assert np.linalg.norm(grad) <= 1e-6 * scale
 
 
@@ -452,6 +456,29 @@ class TestHeldOutSeeds:
                 assert max(e.power for e in res.trace) <= sc.P * (1.0 + 1e-9), (seed, run.__name__)
                 assert np.linalg.norm(res.incumbent_matrix) ** 2 <= sc.P * (1.0 + 1e-9)
 
+    def test_maxmin_certified_and_converged(self):
+        # Every held-out max-min run stops on the tolerance, each subproblem
+        # certified within the design's subsolver tolerance.
+        for seed in range(100, 110):
+            sc = Scenario(Q=8, L=5, M=2, seed=seed)
+            stats = build_statistics(sc)
+            res = run_maxmin(sc, stats, AlgoOptions())
+            assert res.stop_reason == "tolerance", seed
+            gaps = [e.subproblem_gap for e in res.trace[1:]]
+            assert max(gaps) <= optimizers.SUBPROBLEM_TOL, (seed, max(gaps))
+            assert max(e.power for e in res.trace) <= sc.P * (1.0 + 1e-9), seed
+            assert np.all(np.isfinite(ergodic_rate_closed(res.incumbent_matrix, stats, sc.sigma)))
+
+    def test_baseline_feasible(self):
+        for seed in range(100, 130):
+            sc = Scenario(Q=8, L=5, M=2, seed=seed)
+            stats = build_statistics(sc)
+            res = optimizers.run_baseline(sc, stats)
+            rates = ergodic_rate_closed(res.incumbent_matrix, stats, sc.sigma)
+            assert np.all(np.isfinite(rates)) and np.all(rates > 0.0), seed
+            assert np.linalg.norm(res.incumbent_matrix) ** 2 <= sc.P * (1.0 + 1e-9), seed
+            assert res.stop_reason == "direct"
+
 
 class TestIncumbent:
     def test_first_candidate_accepted(self, desk):
@@ -563,8 +590,8 @@ class TestStopReason:
         # fraction of the step: the run keeps its iterate and stalls.
         sc, stats = desk
         monkeypatch.setattr(
-            optimizers, "closed_form_update", lambda coeffs, *args, **kwargs: np.zeros_like(
-                coeffs.b
+            optimizers, "closed_form_update", lambda quads, *args, **kwargs: np.zeros_like(
+                quads.b
             )
         )
         res = run(sc, stats, AlgoOptions())

@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from slnrbeam.qcqp import MaxMinQuadraticProblem, _LevelPaths, _Pencils, solve_maxmin
+from slnrbeam.qcqp import Quadratics, _LevelPaths, _Pencils, solve_maxmin
 
 from conftest import power_of, whiten
 
 
 def random_problem(rng, n_users=3, dim=6):
-    """Random concave quadratics under a random PD power metric, whitened."""
+    """Random concave quadratics under a random PD power metric, whitened,
+    and a random budget: ``(quads, budget)``."""
     a = rng.uniform(-1.0, 1.0, n_users)
     b = (rng.standard_normal((n_users, dim)) + 1j * rng.standard_normal((n_users, dim))) / 2
     c_stack = np.empty((n_users, dim, dim), dtype=complex)
@@ -28,47 +29,48 @@ def random_problem(rng, n_users=3, dim=6):
         f = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         a_stack[ell] = f @ f.conj().T / dim
     b, c_stack = whiten(b, c_stack, a_stack)
-    return MaxMinQuadraticProblem(a=a, b=b, C=c_stack, P=float(rng.uniform(0.5, 4.0)))
+    return Quadratics(a=a, b=b, C=c_stack), float(rng.uniform(0.5, 4.0))
 
 
-def dense_point(problem, lam, mu):
+def dense_point(quads, lam, mu):
     """Oracle weighted maximizers at power price ``mu``: one dense solve per user."""
-    v = np.zeros((problem.n_users, problem.dim), dtype=complex)
-    for ell in range(problem.n_users):
+    n_users, dim = quads.b.shape
+    v = np.zeros((n_users, dim), dtype=complex)
+    for ell in range(n_users):
         if lam[ell] == 0.0:
             continue
-        mat = lam[ell] * problem.C[ell] + mu * np.eye(problem.dim)
-        v[ell] = lam[ell] * np.linalg.solve(mat, problem.b[ell].conj())
+        mat = lam[ell] * quads.C[ell] + mu * np.eye(dim)
+        v[ell] = lam[ell] * np.linalg.solve(mat, quads.b[ell].conj())
     return v
 
 
-def dense_price(problem, lam):
+def dense_price(quads, budget, lam):
     """Oracle power price: brentq on the dense power, 0 when the
     (numerically) unconstrained maximizers fit the budget."""
 
     def power(mu):
-        return power_of(dense_point(problem, lam, mu))
+        return power_of(dense_point(quads, lam, mu))
 
     try:
         p0 = power(1e-14)
     except np.linalg.LinAlgError:
         p0 = np.inf
-    if np.isfinite(p0) and p0 <= problem.P:
+    if np.isfinite(p0) and p0 <= budget:
         return 0.0
     hi = 1.0
-    while power(hi) > problem.P:
+    while power(hi) > budget:
         hi *= 2.0
-    return scipy.optimize.brentq(lambda m: power(m) - problem.P, 1e-14, hi, xtol=1e-14)
+    return scipy.optimize.brentq(lambda m: power(m) - budget, 1e-14, hi, xtol=1e-14)
 
 
-def dense_weighted_solution(problem, lam):
+def dense_weighted_solution(quads, budget, lam):
     """Oracle inner solve: dense linear algebra plus brentq on the power."""
-    return dense_point(problem, lam, max(dense_price(problem, lam), 1e-14))
+    return dense_point(quads, lam, max(dense_price(quads, budget, lam), 1e-14))
 
 
-def grid_oracle(problem, steps=24):
+def grid_oracle(quads, budget, steps=24):
     """Best feasible min-objective over a dense simplex grid of weights."""
-    n_users = problem.n_users
+    n_users = quads.b.shape[0]
     best = -np.inf
     if n_users == 1:
         grid = [np.array([1.0])]
@@ -82,43 +84,42 @@ def grid_oracle(problem, steps=24):
                 grid.append(lam)
     for lam in grid:
         try:
-            v = dense_weighted_solution(problem, lam)
+            v = dense_weighted_solution(quads, budget, lam)
         except np.linalg.LinAlgError:
             continue
-        best = max(best, float(problem.objective_values(v).min()))
+        best = max(best, float(quads.values(v).min()))
     return best
 
 
 class TestDualInnerArgmax:
     def test_identity_solve(self):
         dim = 4
-        problem = MaxMinQuadraticProblem(
+        quads = Quadratics(
             a=np.zeros(1),
             b=np.eye(dim)[0][None, :].astype(complex),
             C=np.eye(dim)[None, :, :].astype(complex),
-            P=1.0,
         )
-        v = _Pencils(problem).dual_argmax(np.array([1.0]), 0.0)
+        v = _Pencils(quads, 1.0).dual_argmax(np.array([1.0]), 0.0)
         np.testing.assert_allclose(v[0], np.eye(dim)[0], atol=1e-8)
 
     def test_linearity_in_b(self):
         rng = np.random.default_rng(1)
-        problem = random_problem(rng)
-        doubled = MaxMinQuadraticProblem(a=problem.a, b=2.0 * problem.b, C=problem.C, P=problem.P)
+        quads, budget = random_problem(rng)
+        doubled = Quadratics(a=quads.a, b=2.0 * quads.b, C=quads.C)
         lam = np.array([0.5, 0.3, 0.2])
-        v1 = _Pencils(problem).dual_argmax(lam, 0.7)
-        v2 = _Pencils(doubled).dual_argmax(lam, 0.7)
+        v1 = _Pencils(quads, budget).dual_argmax(lam, 0.7)
+        v2 = _Pencils(doubled, budget).dual_argmax(lam, 0.7)
         np.testing.assert_allclose(v2, 2.0 * v1, rtol=1e-10)
 
     def test_stationarity_residual(self):
         rng = np.random.default_rng(2)
-        problem = random_problem(rng)
+        quads, budget = random_problem(rng)
         lam = np.array([0.2, 0.5, 0.3])
         mu = 0.9
-        v = _Pencils(problem).dual_argmax(lam, mu)
-        for ell in range(problem.n_users):
-            grad = lam[ell] * (problem.b[ell].conj() - problem.C[ell] @ v[ell]) - mu * v[ell]
-            assert np.linalg.norm(grad) <= 1e-8 * np.linalg.norm(problem.b[ell])
+        v = _Pencils(quads, budget).dual_argmax(lam, mu)
+        for ell in range(3):
+            grad = lam[ell] * (quads.b[ell].conj() - quads.C[ell] @ v[ell]) - mu * v[ell]
+            assert np.linalg.norm(grad) <= 1e-8 * np.linalg.norm(quads.b[ell])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -126,10 +127,10 @@ class TestPowerPrice:
     """The Newton power price against brentq on the dense power."""
 
     @staticmethod
-    def check(problem, lam, rel=1e-9):
-        pencils = _Pencils(problem)
+    def check(quads, budget, lam, rel=1e-9):
+        pencils = _Pencils(quads, budget)
         mu = pencils.power_price(lam)
-        want = dense_price(problem, lam)
+        want = dense_price(quads, budget, lam)
         if want == 0.0:
             assert mu == 0.0
             return mu
@@ -138,51 +139,47 @@ class TestPowerPrice:
         num = (lam[:, None] ** 2) * np.abs(pencils.b_t) ** 2
         live = num > 0.0
         power = float((num[live] / (lam[:, None] * pencils.d + mu)[live] ** 2).sum())
-        assert abs(power - problem.P) <= 1e-12 * problem.P
+        assert abs(power - budget) <= 1e-12 * budget
         return mu
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_pencils(self, seed):
         rng = np.random.default_rng(50 + seed)
-        problem = random_problem(rng, n_users=3, dim=6)
-        problem.P = 0.05  # the unconstrained maximizers need more
-        assert self.check(problem, rng.dirichlet(np.ones(3))) > 0.0
+        quads, _ = random_problem(rng, n_users=3, dim=6)
+        # the unconstrained maximizers need more than this budget
+        assert self.check(quads, 0.05, rng.dirichlet(np.ones(3))) > 0.0
 
     def test_flat_direction_with_linear_term(self):
         rng = np.random.default_rng(46)
-        problem = random_problem(rng, n_users=2, dim=5)
+        quads, budget = random_problem(rng, n_users=2, dim=5)
         g = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-        problem.C[1] = g @ g.conj().T  # two null directions, which b reaches
-        assert self.check(problem, np.array([0.5, 0.5])) > 0.0
+        quads.C[1] = g @ g.conj().T  # two null directions, which b reaches
+        assert self.check(quads, budget, np.array([0.5, 0.5])) > 0.0
 
     def test_zero_weight_user(self):
-        problem = random_problem(np.random.default_rng(47), n_users=3, dim=4)
-        problem.P = 0.05
-        assert self.check(problem, np.array([0.6, 0.0, 0.4])) > 0.0
+        quads, _ = random_problem(np.random.default_rng(47), n_users=3, dim=4)
+        assert self.check(quads, 0.05, np.array([0.6, 0.0, 0.4])) > 0.0
 
     def test_zero_rows_of_b(self):
-        problem = random_problem(np.random.default_rng(48), n_users=3, dim=4)
-        problem.P = 0.05
-        problem.b[1] = 0.0
-        assert self.check(problem, np.array([0.2, 0.5, 0.3])) > 0.0
+        quads, _ = random_problem(np.random.default_rng(48), n_users=3, dim=4)
+        quads.b[1] = 0.0
+        assert self.check(quads, 0.05, np.array([0.2, 0.5, 0.3])) > 0.0
 
     def test_unconstrained_point_fits(self):
-        problem = random_problem(np.random.default_rng(49), n_users=3, dim=4)
-        problem.P = 1e6
-        assert self.check(problem, np.array([0.2, 0.5, 0.3])) == 0.0
-        problem.b[:] = 0.0
-        assert _Pencils(problem).power_price(np.array([0.2, 0.5, 0.3])) == 0.0
+        quads, _ = random_problem(np.random.default_rng(49), n_users=3, dim=4)
+        assert self.check(quads, 1e6, np.array([0.2, 0.5, 0.3])) == 0.0
+        quads.b[:] = 0.0
+        assert _Pencils(quads, 1e6).power_price(np.array([0.2, 0.5, 0.3])) == 0.0
 
     def test_one_term_exact_root(self):
         # power(mu) = num / (s + mu)^2 = P has the root sqrt(num / P) - s;
         # with num = s = 1 and P = 1/4 it is 1, the root of 1/(1+m)^2 = 1/4
-        problem = MaxMinQuadraticProblem(
-            a=np.zeros(1), b=np.ones((1, 1), dtype=complex), C=np.ones((1, 1, 1), dtype=complex),
-            P=0.25,
+        quads = Quadratics(
+            a=np.zeros(1), b=np.ones((1, 1), dtype=complex), C=np.ones((1, 1, 1), dtype=complex)
         )
-        pencils = _Pencils(problem)
+        pencils = _Pencils(quads, 0.25)
         mu = pencils.power_price(np.array([1.0]))
-        exact = np.sqrt(pencils.abs_b_sq[0, 0] / problem.P) - pencils.d[0, 0]
+        exact = np.sqrt(pencils.abs_b_sq[0, 0] / 0.25) - pencils.d[0, 0]
         assert mu == pytest.approx(exact, rel=1e-15)
         assert mu == pytest.approx(1.0, abs=1e-9)
 
@@ -193,29 +190,28 @@ class TestSolveMaxmin:
         # quadratic maximum (unconstrained solve or power-saturating shift).
         rng = np.random.default_rng(3)
         for trial in range(10):
-            problem = random_problem(rng, n_users=1, dim=5)
-            sol = solve_maxmin(problem, tol=1e-8)
-            oracle = dense_weighted_solution(problem, np.array([1.0]))
-            want = float(problem.objective_values(oracle).min())
+            quads, budget = random_problem(rng, n_users=1, dim=5)
+            sol = solve_maxmin(quads, budget, tol=1e-8)
+            oracle = dense_weighted_solution(quads, budget, np.array([1.0]))
+            want = float(quads.values(oracle).min())
             assert sol.objective == pytest.approx(want, rel=1e-6)
 
     def test_inactive_constraint_exact(self):
         rng = np.random.default_rng(4)
-        problem = random_problem(rng, n_users=2, dim=4)
-        problem.P = 1e9  # budget far beyond the unconstrained maximizers
-        sol = solve_maxmin(problem)
+        quads, _ = random_problem(rng, n_users=2, dim=4)
+        sol = solve_maxmin(quads, 1e9)  # budget far beyond the unconstrained maximizers
         assert sol.gap == 0.0
         assert sol.iterations == 0
         for ell in range(2):
-            v_free = np.linalg.solve(problem.C[ell], problem.b[ell].conj())
+            v_free = np.linalg.solve(quads.C[ell], quads.b[ell].conj())
             np.testing.assert_allclose(sol.v[ell], v_free, rtol=1e-6, atol=1e-10)
 
     def test_grid_oracle(self):
         rng = np.random.default_rng(5)
         for trial in range(5):
-            problem = random_problem(rng, n_users=3, dim=4)
-            sol = solve_maxmin(problem, tol=1e-6)
-            oracle = grid_oracle(problem, steps=30)
+            quads, budget = random_problem(rng, n_users=3, dim=4)
+            sol = solve_maxmin(quads, budget, tol=1e-6)
+            oracle = grid_oracle(quads, budget, steps=30)
             # solver must not fall below the grid's best feasible value
             assert sol.objective >= oracle - 1e-4 * max(1.0, abs(oracle))
             assert sol.gap <= 1e-4
@@ -223,36 +219,33 @@ class TestSolveMaxmin:
     def test_weak_duality_gap_nonnegative(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
-            problem = random_problem(rng, n_users=4, dim=5)
-            sol = solve_maxmin(problem, tol=1e-6)
+            sol = solve_maxmin(*random_problem(rng, n_users=4, dim=5), tol=1e-6)
             assert sol.gap >= 0.0
 
     def test_feasibility(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
-            problem = random_problem(rng, n_users=3, dim=5)
-            sol = solve_maxmin(problem, tol=1e-6)
-            assert power_of(sol.v) <= problem.P * (1.0 + 1e-8)
+            quads, budget = random_problem(rng, n_users=3, dim=5)
+            sol = solve_maxmin(quads, budget, tol=1e-6)
+            assert power_of(sol.v) <= budget * (1.0 + 1e-8)
 
     def test_warm_start_never_worse(self):
         rng = np.random.default_rng(8)
-        problem = random_problem(rng, n_users=3, dim=5)
+        quads, budget = random_problem(rng, n_users=3, dim=5)
         # a feasible warm start: scaled random point
         v0 = (rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))) / 3
-        v0 *= np.sqrt(0.5 * problem.P / power_of(v0))
-        seed_obj = float(problem.objective_values(v0).min())
-        sol = solve_maxmin(problem, tol=1e-6, max_iterations=1, warm_start=v0)
+        v0 *= np.sqrt(0.5 * budget / power_of(v0))
+        seed_obj = float(quads.values(v0).min())
+        sol = solve_maxmin(quads, budget, tol=1e-6, max_iterations=1, warm_start=v0)
         assert sol.objective >= seed_obj
 
     def test_reindexing_invariance(self):
         rng = np.random.default_rng(9)
-        problem = random_problem(rng, n_users=3, dim=4)
+        quads, budget = random_problem(rng, n_users=3, dim=4)
         perm = np.array([2, 0, 1])
-        shuffled = MaxMinQuadraticProblem(
-            a=problem.a[perm], b=problem.b[perm], C=problem.C[perm], P=problem.P
-        )
-        s1 = solve_maxmin(problem, tol=1e-6)
-        s2 = solve_maxmin(shuffled, tol=1e-6)
+        shuffled = Quadratics(a=quads.a[perm], b=quads.b[perm], C=quads.C[perm])
+        s1 = solve_maxmin(quads, budget, tol=1e-6)
+        s2 = solve_maxmin(shuffled, budget, tol=1e-6)
         assert s2.objective == pytest.approx(s1.objective, rel=1e-4)
 
     def test_badly_scaled_linear_terms(self):
@@ -262,19 +255,19 @@ class TestSolveMaxmin:
         rng = np.random.default_rng(11)
         for scale in (1e-6, 1e6):
             for _ in range(4):
-                problem = random_problem(rng, n_users=4, dim=6)
-                problem.b *= scale
-                problem.b[0] = 0.0
-                sol = solve_maxmin(problem)
+                quads, budget = random_problem(rng, n_users=4, dim=6)
+                quads.b *= scale
+                quads.b[0] = 0.0
+                sol = solve_maxmin(quads, budget)
                 assert sol.gap <= 1e-4
 
     def test_complementary_slackness(self):
         rng = np.random.default_rng(10)
-        problem = random_problem(rng, n_users=3, dim=4)
-        sol = solve_maxmin(problem, tol=1e-8)
+        quads, budget = random_problem(rng, n_users=3, dim=4)
+        sol = solve_maxmin(quads, budget, tol=1e-8)
         power = power_of(sol.v)
         # either the budget binds or the unconstrained optimum was feasible
-        assert (problem.P - power) <= 1e-6 * problem.P or sol.iterations == 0
+        assert (budget - power) <= 1e-6 * budget or sol.iterations == 0
 
 
 def pencil_path(pencils, ell, nu):
@@ -283,13 +276,13 @@ def pencil_path(pencils, ell, nu):
     power = sum_j |b_j|^2 r_j^2 and q = a + sum_j |b_j|^2 r_j (2 - d_j r_j)."""
     d, w = pencils.d[ell], pencils.abs_b_sq[ell]
     r = nu / (1.0 + nu * d)
-    return float(np.sum(w * r * r)), float(pencils.problem.a[ell] + np.sum(w * r * (2.0 - d * r)))
+    return float(np.sum(w * r * r)), float(pencils.quads.a[ell] + np.sum(w * r * (2.0 - d * r)))
 
 
 def reference_multiplier(pencils, ell, level, rel=1e-13):
     """Plain bisection on the multiplier reaching ``level``; None if the
     level needs a multiplier beyond 2^300, the solver's cap too."""
-    if pencils.problem.a[ell] >= level:
+    if pencils.quads.a[ell] >= level:
         return 0.0
     lo, hi = 0.0, 1.0
     while pencil_path(pencils, ell, hi)[1] < level:
@@ -323,12 +316,13 @@ class TestLevelSolve:
         assert np.all(q_lo[at_level] >= level)
         assert np.all(p_hi[at_level] == 0.0)
 
-    def check_against_reference(self, problem, level, rel=1e-8):
-        pencils = _LevelPaths(problem)
+    def check_against_reference(self, quads, level, rel=1e-8):
+        # the level test's brackets do not depend on the budget
+        pencils = _LevelPaths(quads, 1.0)
         result = pencils.min_power_bracket(level)
         self.check_bracket(pencils, level, result)
         _, nu_hi, _, p_hi = result
-        for ell in range(problem.n_users):
+        for ell in range(quads.b.shape[0]):
             want = reference_multiplier(pencils, ell, level)
             if want is None or level >= pencils.q_free[ell]:
                 assert nu_hi[ell] == np.inf and p_hi[ell] == np.inf
@@ -343,66 +337,66 @@ class TestLevelSolve:
         # its linear term reaches: its level rises without bound.
         rng = np.random.default_rng(20 + singular_c)
         for _ in range(6):
-            problem = random_problem(rng, n_users=3, dim=5)
+            quads, budget = random_problem(rng, n_users=3, dim=5)
             if singular_c:
                 g = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-                problem.C[0] = g @ g.conj().T
-            q_free = _LevelPaths(problem).q_free
+                quads.C[0] = g @ g.conj().T
+            q_free = _LevelPaths(quads, budget).q_free
             top = float(np.max(q_free[np.isfinite(q_free)]))
             for frac in (0.02, 0.3, 0.7, 0.95, 0.999):
-                level = float(problem.a.min()) + frac * (top - float(problem.a.min()))
-                self.check_against_reference(problem, level)
+                level = float(quads.a.min()) + frac * (top - float(quads.a.min()))
+                self.check_against_reference(quads, level)
 
     def test_early_stop_stays_certified(self):
         rng = np.random.default_rng(27)
-        problem = random_problem(rng, n_users=4, dim=6)
-        pencils = _LevelPaths(problem)
+        quads, budget = random_problem(rng, n_users=4, dim=6)
+        pencils = _LevelPaths(quads, budget)
         level = float(np.min(pencils.q_free)) - 1e-3
         full = pencils.min_power_bracket(level)
-        budget = 0.5 * float(full[2].sum())
-        early = _LevelPaths(problem).min_power_bracket(level, budget)
+        cap = 0.5 * float(full[2].sum())
+        early = _LevelPaths(quads, budget).min_power_bracket(level, cap)
         self.check_bracket(pencils, level, early)
-        assert early[2].sum() > budget
+        assert early[2].sum() > cap
 
     def test_flat_directions_with_linear_term(self):
         rng = np.random.default_rng(22)
-        problem = random_problem(rng, n_users=2, dim=5)
+        quads, budget = random_problem(rng, n_users=2, dim=5)
         g = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-        problem.C[1] = g @ g.conj().T  # two null directions, which b reaches
-        pencils = _LevelPaths(problem)
+        quads.C[1] = g @ g.conj().T  # two null directions, which b reaches
+        pencils = _LevelPaths(quads, budget)
         assert pencils.q_free[1] == np.inf
-        for level in (float(problem.a[1]) + 0.5, float(problem.a[1]) + 50.0):
-            _, result = self.check_against_reference(problem, level)
+        for level in (float(quads.a[1]) + 0.5, float(quads.a[1]) + 50.0):
+            _, result = self.check_against_reference(quads, level)
             assert np.isfinite(result[1][1])
 
     def test_zero_rows_of_b(self):
         rng = np.random.default_rng(23)
-        problem = random_problem(rng, n_users=3, dim=4)
-        problem.b[1] = 0.0
-        pencils = _LevelPaths(problem)
-        assert pencils.q_free[1] == problem.a[1]
-        above = float(problem.a[1]) + 0.1
+        quads, budget = random_problem(rng, n_users=3, dim=4)
+        quads.b[1] = 0.0
+        pencils = _LevelPaths(quads, budget)
+        assert pencils.q_free[1] == quads.a[1]
+        above = float(quads.a[1]) + 0.1
         nu_lo, nu_hi, p_lo, p_hi = pencils.min_power_bracket(above)
         assert nu_hi[1] == np.inf and p_lo[1] == np.inf
         self.check_bracket(pencils, above, (nu_lo, nu_hi, p_lo, p_hi))
-        below = float(problem.a[1]) - 0.1
+        below = float(quads.a[1]) - 0.1
         result = pencils.min_power_bracket(below)
         assert result[1][1] == 0.0 and result[3][1] == 0.0
         self.check_bracket(pencils, below, result)
 
     def test_level_at_or_below_a(self):
         rng = np.random.default_rng(24)
-        problem = random_problem(rng, n_users=3, dim=4)
-        pencils = _LevelPaths(problem)
-        for level in (float(problem.a.min()), float(problem.a.min()) - 5.0):
+        quads, budget = random_problem(rng, n_users=3, dim=4)
+        pencils = _LevelPaths(quads, budget)
+        for level in (float(quads.a.min()), float(quads.a.min()) - 5.0):
             result = pencils.min_power_bracket(level)
             for arr in result:
                 np.testing.assert_array_equal(arr, 0.0)
 
     def test_level_at_or_above_q_free(self):
         rng = np.random.default_rng(25)
-        problem = random_problem(rng, n_users=3, dim=4)
-        pencils = _LevelPaths(problem)
+        quads, budget = random_problem(rng, n_users=3, dim=4)
+        pencils = _LevelPaths(quads, budget)
         top = int(np.argmax(pencils.q_free))
         for level in (float(pencils.q_free.max()), float(pencils.q_free.max()) + 1.0):
             result = pencils.min_power_bracket(level)
@@ -410,4 +404,4 @@ class TestLevelSolve:
             self.check_bracket(pencils, level, result)
         # just below the asymptote the level is reached, at a large multiplier
         level = float(pencils.q_free[top]) - 1e-9 * max(1.0, abs(float(pencils.q_free[top])))
-        self.check_against_reference(problem, level, rel=1e-4)
+        self.check_against_reference(quads, level, rel=1e-4)

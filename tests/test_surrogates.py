@@ -168,20 +168,20 @@ class TestSlnrMinorant:
         sc, stats, bf = setup
         slnrs = slnr_vec(beamformer_matrix(bf), stats, sc.sigma)
         for side in ("azimuth", "elevation"):
-            coeffs = slnr_minorant_coeffs(operators_at(side, bf, stats, sc.sigma))
+            quads = slnr_minorant_coeffs(operators_at(side, bf, stats, sc.sigma))
             v = bf.v_a if side == "azimuth" else bf.v_e
-            np.testing.assert_allclose(coeffs.evaluate(v), slnrs, rtol=1e-9)
+            np.testing.assert_allclose(quads.values(v), slnrs, rtol=1e-9)
 
     def test_domination_random_perturbations(self, setup):
         sc, stats, bf = setup
         rng = np.random.default_rng(8)
         side = "azimuth"
         ell = 1
-        coeffs = slnr_minorant_coeffs(operators_at(side, bf, stats, sc.sigma))
+        quads = slnr_minorant_coeffs(operators_at(side, bf, stats, sc.sigma))
         base = np.linalg.norm(bf.v_a[ell])
         for _ in range(1000):
             other = perturb(bf, side, ell, rng, base * rng.uniform(0, 2))
-            bound = coeffs.evaluate(other.v_a)[ell]
+            bound = quads.values(other.v_a)[ell]
             truth = user_slnr(other, stats, ell, sc.sigma)
             assert bound <= truth + 1e-9 * max(1.0, abs(truth))
 
@@ -189,7 +189,7 @@ class TestSlnrMinorant:
         sc, stats, bf = setup
         side = "azimuth"
         ell = 0
-        coeffs = slnr_minorant_coeffs(operators_at(side, bf, stats, sc.sigma))
+        quads = slnr_minorant_coeffs(operators_at(side, bf, stats, sc.sigma))
         scale = np.linalg.norm(bf.v_a[ell])
         h = 1e-6 * scale
 
@@ -202,7 +202,7 @@ class TestSlnrMinorant:
         def surrogate(v):
             trial = bf.v_a.copy()
             trial[ell] = v
-            return coeffs.evaluate(trial)[ell]
+            return quads.values(trial)[ell]
 
         v0 = bf.v_a[ell]
         grads = []
@@ -258,8 +258,8 @@ class TestGmMinorant:
         sc, stats, bf = setup
         rng = np.random.default_rng(9)
         weights = rng.uniform(1.0, 3.0, bf.L)
-        coeffs = gm_minorant_coeffs(operators_at("azimuth", bf, stats, sc.sigma))
-        total_bound = float(weights @ coeffs.evaluate(bf.v_a))
+        quads = gm_minorant_coeffs(operators_at("azimuth", bf, stats, sc.sigma))
+        total_bound = float(weights @ quads.values(bf.v_a))
         total_true = float(weights @ np.log1p(slnr_vec(beamformer_matrix(bf), stats, sc.sigma)))
         assert total_bound == pytest.approx(total_true, rel=1e-9)
 
@@ -267,24 +267,24 @@ class TestGmMinorant:
         sc, stats, bf = setup
         rng = np.random.default_rng(10)
         ell = 2
-        coeffs = gm_minorant_coeffs(operators_at("azimuth", bf, stats, sc.sigma))
+        quads = gm_minorant_coeffs(operators_at("azimuth", bf, stats, sc.sigma))
         base = np.linalg.norm(bf.v_a[ell])
         for _ in range(1000):
             other = perturb(bf, "azimuth", ell, rng, base * rng.uniform(0, 2))
             truth = np.log1p(user_slnr(other, stats, ell, sc.sigma))
-            assert coeffs.evaluate(other.v_a)[ell] <= truth + 1e-9 * max(1.0, abs(truth))
+            assert quads.values(other.v_a)[ell] <= truth + 1e-9 * max(1.0, abs(truth))
 
     def test_single_user_unit_weight_reduces_to_log_bound(self):
         sc = Scenario(Q=3, L=1, M=1, seed=13)
         stats = build_statistics(sc)
         bf = init_feasible(sc, np.random.default_rng(13))
         ops = operators_at("azimuth", bf, stats, sc.sigma)
-        coeffs = gm_minorant_coeffs(ops)
+        quads = gm_minorant_coeffs(ops)
         g = (ops.signal / ops.x_bar)[0]
         alpha = np.log1p(g) - g
         psi = g / (ops.x_bar[0] * (1.0 + g))
-        assert coeffs.a[0] == pytest.approx(alpha - sc.sigma * psi, rel=1e-12)
-        np.testing.assert_allclose(coeffs.C[0], psi * ops.sum_quad[0], rtol=1e-12)
+        assert quads.a[0] == pytest.approx(alpha - sc.sigma * psi, rel=1e-12)
+        np.testing.assert_allclose(quads.C[0], psi * ops.sum_quad[0], rtol=1e-12)
 
 
 class TestSoftMajorant:
@@ -292,8 +292,8 @@ class TestSoftMajorant:
         sc, stats, bf = setup
         ops = operators_at("azimuth", bf, stats, sc.sigma)
         for c in (1.0, 0.1):
-            constant, coeffs = soft_majorant_coeffs(ops, c)
-            value = constant + coeffs.evaluate(bf.v_a).sum()
+            constant, quads = soft_majorant_coeffs(ops, c)
+            value = constant - quads.values(bf.v_a).sum()
             slnrs = slnr_vec(beamformer_matrix(bf), stats, sc.sigma)
             assert value == pytest.approx(_soft_objective_value(slnrs, c), rel=1e-9)
 
@@ -301,14 +301,14 @@ class TestSoftMajorant:
         sc, stats, bf = setup
         rng = np.random.default_rng(11)
         c = 0.1
-        constant, coeffs = soft_majorant_coeffs(operators_at("azimuth", bf, stats, sc.sigma), c)
+        constant, quads = soft_majorant_coeffs(operators_at("azimuth", bf, stats, sc.sigma), c)
         base = np.linalg.norm(bf.v_a)
         for _ in range(1000):
             other = bf.copy()
             other.v_a = bf.v_a + 0.5 * base * rng.uniform(0, 1) * (
                 rng.standard_normal(bf.v_a.shape) + 1j * rng.standard_normal(bf.v_a.shape)
             )
-            bound = constant + coeffs.evaluate(other.v_a).sum()
+            bound = constant - quads.values(other.v_a).sum()
             truth = _soft_objective_value(
                 slnr_vec(beamformer_matrix(other), stats, sc.sigma), c
             )
@@ -328,8 +328,8 @@ class TestSoftMajorant:
 
     def test_positive_curvature_coefficients(self, setup):
         sc, stats, bf = setup
-        _, coeffs = soft_majorant_coeffs(operators_at("azimuth", bf, stats, sc.sigma), 0.1)
-        for mat in coeffs.C:
+        _, quads = soft_majorant_coeffs(operators_at("azimuth", bf, stats, sc.sigma), 0.1)
+        for mat in quads.C:
             lam = np.linalg.eigvalsh(mat)
             assert lam.min() >= -1e-12 * max(lam.max(), 1.0)
 
@@ -367,9 +367,9 @@ class TestCoefficientPositivity:
         assert np.all(smoothed_min_bound(*expansion, c=0.2)[2] > 0.0)
         # The designs' curvature scalars, through their stacked builders.
         ops = operators_at("azimuth", bf, stats, sc.sigma)
-        for coeffs in (
+        for quads in (
             slnr_minorant_coeffs(ops),
             gm_minorant_coeffs(ops),
             soft_majorant_coeffs(ops, 0.2)[1],
         ):
-            assert np.all(np.real(np.trace(coeffs.C, axis1=1, axis2=2)) > 0.0)
+            assert np.all(np.real(np.trace(quads.C, axis1=1, axis2=2)) > 0.0)

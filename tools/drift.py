@@ -1,18 +1,22 @@
-"""Drift report: do two checkouts' design runs agree?
+"""Drift report and held-out scan of the design runs.
+
+Do two checkouts' design runs agree? Does every design complete, feasibly
+and certified, on seeds no default was tuned on?
 
 Run from the root of a checkout::
 
     python3 tools/drift.py snapshot before.json --src /path/to/parent/src
     python3 tools/drift.py snapshot after.json
     python3 tools/drift.py compare before.json after.json
+    python3 tools/drift.py scan
 
 ``snapshot`` runs a fixed set of 86 design runs with the ``slnrbeam`` found
 under ``--src`` (default: this checkout's ``src``) and writes, per run,
 sha256 digests of the incumbent matrix, the final iterate and the trace,
 plus the iteration count, the stop reason, the minimum rate, every user's
-incumbent rate and the largest max-min subproblem gap. A run that raises
-is recorded by its exception's type and message instead. The set covers
-the three benchmark sizes:
+incumbent rate, the largest max-min subproblem gap and the largest trace
+power over the budget. A run that raises is recorded by its exception's
+type and message instead. The set covers the three benchmark sizes:
 
 * desk: Q=8, L=5, M in {1, 2}, seeds 1, 2, 100, 101, 107, every design;
 * lit: Q=12, L=10, M=2, seeds 0, 1, 100, 101, every design but max-min;
@@ -24,6 +28,14 @@ digests equal), the largest relative move of the minimum rate, the largest
 relative move of any user's rate and the largest max-min gap over the runs
 that completed in both, then every change of iteration count or stop
 reason and every run that raises in either snapshot.
+
+``scan`` runs every design of this checkout's ``src`` on the held-out seeds
+100-159 at Q=8, L=5, M=2 (300 runs, recorded as ``snapshot`` records them)
+and prints, per design, the runs completed, the count of each stop reason,
+the largest subproblem gap and the largest trace power over P; then every
+run that raised, whose trace power exceeds P (1 + 1e-9) or whose subproblem
+gap exceeds 1e-4. It exits 1 if there is any such run, else 0.
+
 It needs numpy and the standard library only.
 """
 
@@ -35,12 +47,19 @@ import importlib
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 DESIGNS = (("maxmin", None), ("gm", None), ("soft", 0.1), ("soft", 1.0), ("baseline", None))
 DIGESTS = ("incumbent", "final", "trace")
+# This checkout's package, the default source of a snapshot and of the scan.
+SRC = Path(__file__).resolve().parents[1] / "src"
+# The held-out scan's seeds and its limits on trace power (over P) and gaps.
+SCAN_SEEDS = range(100, 160)
+POWER_LIMIT = 1.0 + 1e-9
+GAP_LIMIT = 1e-4
 
 
 def run_set():
@@ -56,6 +75,13 @@ def run_set():
         for q_side in (3, 4):
             for design, c in DESIGNS:
                 yield "cli", dict(Q=q_side, L=3, M=1, seed=seed), design, c
+
+
+def scan_set():
+    """The held-out scan's runs, shaped as ``run_set``'s."""
+    for seed in SCAN_SEEDS:
+        for design, c in DESIGNS:
+            yield "scan", dict(Q=8, L=5, M=2, seed=seed), design, c
 
 
 def label(design: str, c: float | None) -> str:
@@ -95,13 +121,14 @@ def summarize(result, rates) -> dict:
     }
 
 
-def snapshot(src: Path) -> dict:
+def snapshot(src: Path, runs_to_do=None) -> dict:
+    """Every run of ``runs_to_do`` (default: ``run_set()``) summarized by key."""
     sys.path.insert(0, str(src))
     channel = importlib.import_module("slnrbeam.channel")
     metrics = importlib.import_module("slnrbeam.metrics")
     optimizers = importlib.import_module("slnrbeam.optimizers")
     runs = {}
-    for size, keywords, design, c in run_set():
+    for size, keywords, design, c in run_set() if runs_to_do is None else runs_to_do:
         scenario = channel.Scenario(**keywords)
         stats = channel.build_statistics(scenario)
         options = optimizers.AlgoOptions(soft_c=0.1 if c is None else c)
@@ -112,7 +139,10 @@ def snapshot(src: Path) -> dict:
             runs[key] = {"design": label(design, c), "error": f"{type(exc).__name__}: {exc}"}
             continue
         rates = metrics.ergodic_rate_closed(result.incumbent_matrix, stats, scenario.sigma)
-        runs[key] = {"design": label(design, c), **summarize(result, rates)}
+        power = max(e.power for e in result.trace) / scenario.P
+        runs[key] = {
+            "design": label(design, c), **summarize(result, rates), "power_over_budget": power
+        }
     return runs
 
 
@@ -155,19 +185,55 @@ def compare(before: dict, after: dict) -> list[str]:
     return lines
 
 
+def scan(runs: dict) -> tuple[list[str], bool]:
+    """Report lines on a snapshot of held-out runs, and whether every run
+    completed within the power and gap limits."""
+    designs: dict[str, list[dict]] = {}
+    for run in runs.values():
+        designs.setdefault(run["design"], []).append(run)
+    lines = []
+    for design, group in designs.items():
+        done = [run for run in group if "error" not in run]
+        stops = Counter(run["stop_reason"] for run in done)
+        line = f"{design}: {len(done)}/{len(group)} completed"
+        if done:
+            line += ", " + ", ".join(f"{n} {reason}" for reason, n in sorted(stops.items()))
+            gaps = [run["gap_max"] for run in done if run["gap_max"] is not None]
+            if gaps:
+                line += f", largest gap {max(gaps):.3g}"
+            excess = max(run["power_over_budget"] for run in done) - 1.0
+            line += f", largest trace power P (1 {'-' if excess < 0 else '+'} {abs(excess):.2g})"
+        lines.append(line)
+    failures = []
+    for key, run in runs.items():
+        if "error" in run:
+            failures.append(f"{key}: {run['error']}")
+            continue
+        if run["power_over_budget"] > POWER_LIMIT:
+            failures.append(f"{key}: trace power {run['power_over_budget']!r} P exceeds P (1 + 1e-9)")
+        if run["gap_max"] is not None and run["gap_max"] > GAP_LIMIT:
+            failures.append(f"{key}: subproblem gap {run['gap_max']:.3g} above {GAP_LIMIT:g}")
+    return lines + failures, not failures
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     snap = sub.add_parser("snapshot", help="run the set and write its digests")
     snap.add_argument("out", type=Path)
-    snap.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src")
+    snap.add_argument("--src", type=Path, default=SRC)
     comp = sub.add_parser("compare", help="compare two snapshots")
     comp.add_argument("before", type=Path)
     comp.add_argument("after", type=Path)
+    sub.add_parser("scan", help="run every design on the held-out seeds and check them")
     args = parser.parse_args(argv)
     if args.command == "snapshot":
         args.out.write_text(json.dumps(snapshot(args.src.resolve()), indent=1) + "\n")
         return 0
+    if args.command == "scan":
+        lines, ok = scan(snapshot(SRC, scan_set()))
+        print("\n".join(lines))
+        return 0 if ok else 1
     before, after = (json.loads(p.read_text()) for p in (args.before, args.after))
     print("\n".join(compare(before, after)))
     return 0
