@@ -3,13 +3,13 @@
 All routines are deterministic given the input bits (LAPACK drivers only,
 no randomized algorithms), so seeded experiment traces reproduce exactly.
 Only numpy is needed: the baseline's generalized Hermitian eigenvectors use
-the Cholesky reduction of LAPACK's xHEGV, written out on numpy's stacked
-linear algebra.
+the Cholesky reduction of LAPACK's xHEGV, written out on numpy's linear
+algebra.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -158,28 +158,34 @@ def bisect(
     return mid
 
 
-def largest_generalized_eigvec(a: np.ndarray, roots: np.ndarray) -> np.ndarray:
+def largest_generalized_eigvec(a: np.ndarray, roots: Iterable[np.ndarray]) -> np.ndarray:
     """Unit-norm maximizers of generalized Rayleigh quotients with one metric.
 
-    For a Hermitian positive-definite metric ``a`` (n, n) and roots ``roots``
-    (L, n, r), row l of the (L, n) result maximizes
-    ``(w^H S_l S_l^H w) / (w^H A w)``: with A = K K^H it is K^-H u_l for the
-    top left singular vector u_l of K^-1 S_l, so zero columns change nothing.
-    The global phase is fixed so the pivot is real positive: the first entry
-    whose magnitude is within a relative 1e-12 of the largest, so that a
-    round-off near-tie cannot flip it. A metric that is not positive definite
-    raises ValueError.
+    For a Hermitian positive-definite metric ``a`` (n, n) and an iterable of
+    roots S_l, each (n, r_l) (a stacked (L, n, r) array also serves), row l of
+    the (L, n) result maximizes ``(w^H S_l S_l^H w) / (w^H A w)``: with
+    A = K K^H it is K^-H u_l for the top left singular vector u_l of K^-1 S_l.
+    The roots are read one at a time, so a generator keeps a single user's
+    root alive. The global phase is fixed so the pivot is real positive: the
+    first entry whose magnitude is within a relative 1e-8 of the largest, so
+    that round-off cannot flip a tie (the baseline's largest entries come in
+    exactly mirrored pairs). A metric that is not positive definite raises
+    ValueError.
     """
     check_hermitian(a)
     try:
         inv = np.linalg.inv(np.linalg.cholesky(a))
     except np.linalg.LinAlgError as err:
         raise ValueError(f"metric matrix is not positive definite: {err}") from None
-    u = np.linalg.svd(inv @ roots, full_matrices=False)[0][..., :1]
-    w = (inv.conj().T @ u)[..., 0]
+
+    def direction(root: np.ndarray) -> np.ndarray:
+        u = np.linalg.svd(inv @ root, full_matrices=False)[0][:, 0]
+        return (u.conj() @ inv).conj()
+
+    w = np.array([direction(root) for root in roots])
     w = w / np.linalg.norm(w, axis=-1, keepdims=True)
     mag = np.abs(w)
-    first = np.argmax(mag >= (1.0 - 1e-12) * mag.max(axis=-1, keepdims=True), axis=-1)
+    first = np.argmax(mag >= (1.0 - 1e-8) * mag.max(axis=-1, keepdims=True), axis=-1)
     pivot = np.take_along_axis(w, first[..., None], axis=-1)
     return w * np.conj(pivot / np.abs(pivot))
 

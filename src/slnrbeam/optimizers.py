@@ -171,24 +171,30 @@ def baseline_uniform(stats: ChannelStatistics, scenario: Scenario) -> np.ndarray
     Column l, of squared norm P/L, maximizes w^H R_l w / w^H (T - R_l + rho I) w
     with T = sum_k R_k and rho = L*sigma/P (Sadek, Tarighat & Sayed, IEEE TWC
     2007). Its maximizers are those of w^H R_l w / w^H (T + rho I) w, a metric
-    all users share. R_l = S_l S_l^H enters through the root
+    all users share, built from the factors as T = sum_k g_k R_h,k kron R_v,k^T.
+    R_l = S_l S_l^H enters through the root
     S_l = sqrt(g_l) (U_h Lam_h^1/2 kron U_v Lam_v^1/2) of the factors'
-    eigenpairs, cut at machine epsilon times the largest product and padded.
+    eigenpairs, cut at machine epsilon times the largest product; the roots
+    are produced one user at a time, and a user with no product above the cut
+    keeps one zero column.
     """
     n_users, q_side = stats.L, stats.Q
+    scaled_h = stats.path_gain[:, None, None] * stats.R_h
+    metric = np.einsum("lik,lmj->ijkm", scaled_h, stats.R_v).reshape(q_side**2, q_side**2)
+    metric.flat[:: q_side**2 + 1] += n_users * scenario.sigma / scenario.P
     lam_h, u_h = np.linalg.eigh(stats.R_h)
     lam_v, u_v = np.linalg.eigh(np.swapaxes(stats.R_v, -1, -2))
-    products = np.einsum("l,li,lj->lij", stats.path_gain, lam_h.clip(0), lam_v.clip(0)).reshape(n_users, -1)
-    kept = products > np.finfo(float).eps * products.max(axis=1, keepdims=True)
-    order = np.argsort(~kept, axis=1, kind="stable")[:, : max(kept.sum(axis=1).max(), 1)]
-    scale = np.sqrt(np.take_along_axis(np.where(kept, products, 0.0), order, axis=1))
-    i_idx, j_idx = np.divmod(order, q_side)
-    left = np.take_along_axis(u_h, i_idx[:, None, :], axis=2) * scale[:, None, :]
-    right = np.take_along_axis(u_v, j_idx[:, None, :], axis=2)
-    roots = (left[:, :, None, :] * right[:, None, :, :]).reshape(n_users, q_side**2, -1)
-    flat = np.concatenate(roots, axis=1)
-    metric = flat @ flat.conj().T + n_users * scenario.sigma / scenario.P * np.eye(q_side**2)
-    w = largest_generalized_eigvec(metric, roots)
+
+    def roots():
+        for ell in range(n_users):
+            products = stats.path_gain[ell] * np.outer(lam_h[ell].clip(0), lam_v[ell].clip(0)).ravel()
+            kept = products > np.finfo(float).eps * products.max()
+            order = np.argsort(~kept, kind="stable")[: max(kept.sum(), 1)]
+            i_idx, j_idx = np.divmod(order, q_side)
+            left = u_h[ell][:, i_idx] * np.sqrt(np.where(kept, products, 0.0)[order])
+            yield (left[:, None, :] * u_v[ell][None, :, j_idx]).reshape(q_side**2, -1)
+
+    w = largest_generalized_eigvec(metric, roots())
     return np.ascontiguousarray(np.sqrt(scenario.P / n_users) * w.T)
 
 

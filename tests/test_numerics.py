@@ -186,8 +186,8 @@ class TestBisect:
 
 
 class TestGeneralizedEigvec:
-    # One shared metric A (n, n) and stacked roots S (L, n, r): the rows
-    # maximize w^H S_l S_l^H w / w^H A w.
+    # One shared metric A (n, n) and per-user roots S_l (n, r_l), or a stack
+    # of them: row l maximizes w^H S_l S_l^H w / w^H A w.
 
     def quotient(self, w, a, s):
         return np.real(w.conj() @ s @ s.conj().T @ w) / np.real(w.conj() @ a @ w)
@@ -250,26 +250,30 @@ class TestGeneralizedEigvec:
             largest_generalized_eigvec(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2)[None])
 
     def test_stack_matches_scipy_and_single_calls(self):
-        # Roots of ranks 1-3 padded to three columns, and a metric shaped like
-        # the baseline's: their sum plus a small loading.
+        # Unpadded roots of ranks 1-3, passed one at a time by a generator,
+        # and a metric shaped like the baseline's: their sum plus a small
+        # loading. The same roots padded to one (L, n, 3) stack give the same
+        # directions up to phase.
         rng = np.random.default_rng(11)
         n, ranks = 9, [1, 3, 2, 3]
         s = random_roots(rng, n, ranks)
+        unpadded = [s[ell, :, :rank] for ell, rank in enumerate(ranks)]
         total = np.einsum("lnr,lmr->nm", s, s.conj())
         a = total + 1e-10 * np.real(np.trace(total)) / n * np.eye(n)
-        w = largest_generalized_eigvec(a, s)
-        for ell, rank in enumerate(ranks):
-            alone = largest_generalized_eigvec(a, s[ell : ell + 1])[0]
+        w = largest_generalized_eigvec(a, (root for root in unpadded))
+        padded = largest_generalized_eigvec(a, s)
+        assert w.shape == padded.shape == (len(ranks), n)
+        for ell, root in enumerate(unpadded):
+            alone = largest_generalized_eigvec(a, [root])[0]
             assert np.array_equal(w[ell], alone)
-            unpadded = largest_generalized_eigvec(a, s[ell : ell + 1, :, :rank])[0]
-            assert abs(np.vdot(unpadded, w[ell])) == pytest.approx(1.0, abs=1e-12)
+            assert abs(np.vdot(padded[ell], w[ell])) == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.norm(w[ell]) == pytest.approx(1.0, abs=1e-12)
             pivot = w[ell][np.argmax(np.abs(w[ell]))]
             assert abs(pivot.imag) <= 1e-15 * pivot.real
-            lam, vec = scipy.linalg.eigh(s[ell] @ s[ell].conj().T, a)
+            lam, vec = scipy.linalg.eigh(root @ root.conj().T, a)
             ref = vec[:, -1]
             assert abs(np.vdot(ref, w[ell])) / np.linalg.norm(ref) == pytest.approx(1.0, abs=1e-9)
-            assert self.quotient(w[ell], a, s[ell]) == pytest.approx(lam[-1], rel=1e-9)
+            assert self.quotient(w[ell], a, root) == pytest.approx(lam[-1], rel=1e-9)
 
 
 class TestPencil:
