@@ -137,10 +137,8 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "sweep":
             config = ExperimentConfig.from_json(args.config)
-            if args.out:
-                config.output_dir = args.out
-            if args.seeds is not None:
-                config.n_seeds = args.seeds
+            changes = {"output_dir": args.out or None, "n_seeds": args.seeds}
+            config = replace(config, **{k: v for k, v in changes.items() if v is not None})
             files = run_experiment(config)
             print(f"wrote {len(files)} files under {config.output_dir}")
             return 0

@@ -5,37 +5,25 @@ run, and sweep axes (antenna counts as Q^2 values, power in dBm, smoothing
 coefficients for the soft algorithm). Power is converted between dBm and
 watts only at this boundary; everything below works in linear units.
 
-Scenario JSON schema (all keys optional except Q and users)::
-
-    {
-      "Q": 4,                  side length of the square array
-      "users": 3,              number of downlink users
-      "M": 1,                  outer products per beamformer
-      "power_dbm": 24.0,       transmit power budget
-      "bandwidth_hz": 1e7,
-      "cell_radius_m": 200.0,
-      "bs_height_m": 10.0,
-      "ue_height_m": 1.5,
-      "shadow_std_db": 7.8,
-      "azimuth_spread_deg": 5.0,
-      "elevation_spread_deg": 5.0,
-      "noise_dbm_per_hz": -174.0,   or "sigma_watts" to set noise directly
-      "seed": 0
-    }
-
-Keys outside this schema are ignored. Values must be finite JSON numbers
-(not booleans or strings), and Q, users, M and seed integral ones; anything
-else is rejected when the config is built, before any file is written.
+A scenario is a JSON object with the keys of ``SCENARIO_DEFAULTS``, all
+optional except Q and users; ``"sigma_watts"`` sets the noise power directly
+in place of ``"noise_dbm_per_hz"``. Keys outside this schema are ignored.
+Values must be finite JSON numbers (not booleans or strings), and Q, users, M
+and seed integral ones.
 
 Experiment JSON is an object that wraps that under ``"scenario"`` (an
 object) and adds ``"algorithms"`` (required), ``"antennas"``,
 ``"power_dbm"``, ``"c"``, ``"n_seeds"``, ``"base_seed"``, a string
 ``"output_dir"``, a boolean ``"save_beamformers"`` and an ``"options"``
-object mirroring :class:`slnrbeam.optimizers.AlgoOptions`. Missing required
-keys, unknown option keys, algorithms not given as a list of known names,
-values of the wrong JSON type and numbers of the wrong kind (sweep axes of
-finite numbers, antennas perfect squares, c positive, integral ``n_seeds``
-and ``base_seed``) are rejected before any file is written.
+object mirroring :class:`slnrbeam.optimizers.AlgoOptions`; the keys it leaves
+out take :class:`ExperimentConfig`'s defaults. Missing required keys, unknown
+option keys, algorithms not given as a list of known names, values of the
+wrong JSON type, numbers of the wrong kind (sweep axes of finite numbers,
+antennas perfect squares, c positive, integral ``n_seeds`` and
+``base_seed``) and a value repeated in ``algorithms`` or a sweep axis (9 and
+9.0 being one value) are rejected when the config is built, before any file
+is written. A config built in Python, or changed by command-line flags, goes
+through the same checks.
 
 Outputs per (algorithm, sweep point, seed): a convergence-trace CSV with
 columns ``iteration,min_slnr,objective,min_rate_mbps``; plus one shared
@@ -122,6 +110,7 @@ class ExperimentConfig:
         known = isinstance(self.algorithms, list) and all(a in names for a in self.algorithms)
         if not known or not self.algorithms:
             raise ValueError(f"key 'algorithms' must be a list of {names}, got {self.algorithms!r}")
+        _distinct("algorithms", self.algorithms)
         self.antennas = _axis("antennas", self.antennas, integral=True)
         self.power_dbm = _axis("power_dbm", self.power_dbm)
         self.c = _axis("c", self.c)
@@ -129,11 +118,13 @@ class ExperimentConfig:
             raise ValueError(f"key 'antennas' must be perfect squares, got {self.antennas}")
         if any(cc <= 0 for cc in self.c):
             raise ValueError(f"key 'c' must be positive, got {self.c}")
+        self.n_seeds = _number("n_seeds", self.n_seeds, integral=True)
+        self.base_seed = _number("base_seed", self.base_seed, integral=True)
+        if self.n_seeds < 1:
+            raise ValueError(f"key 'n_seeds' must be >= 1, got {self.n_seeds}")
         for n_ant in self.antennas:
             for power in self.power_dbm:
                 scenario_from_dict(self.run_spec(n_ant, power, self.base_seed))
-        if self.n_seeds < 1:
-            raise ValueError(f"n_seeds must be >= 1, got {self.n_seeds}")
 
     def run_spec(self, antennas: int, power_dbm: float, seed: int) -> dict:
         """The scenario template at one sweep point and seed."""
@@ -141,36 +132,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
+        """The config a JSON file holds; keys it leaves out take the defaults."""
         with open(path) as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError(f"an experiment config must be a JSON object, got {data!r}")
-        return cls(
-            scenario=data.get("scenario", {}),
-            algorithms=_required(data, "algorithms"),
-            antennas=data.get("antennas", [16]),
-            power_dbm=data.get("power_dbm", [24.0]),
-            c=data.get("c", [0.1]),
-            n_seeds=_number(data, "n_seeds", 1, integral=True),
-            base_seed=_number(data, "base_seed", 0, integral=True),
-            output_dir=data.get("output_dir", "out"),
-            options=data.get("options", {}),
-            save_beamformers=data.get("save_beamformers", False),
-        )
+        for key in ("scenario", "algorithms"):
+            if key not in data:
+                raise ValueError(f"key {key!r} is required")
+        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
 
-def _required(spec: dict, key: str):
-    """``spec[key]``; ValueError saying that the key is required if it is missing."""
-    if key not in spec:
-        raise ValueError(f"key {key!r} is required")
-    return spec[key]
-
-
-def _number(spec: dict, key: str, default=None, integral: bool = False):
-    """``spec[key]`` (required without a ``default``) as a float, or an int if
-    ``integral``; ValueError unless it is a finite real number, integral if
-    so asked."""
-    value = _required(spec, key) if default is None else spec.get(key, default)
+def _number(key: str, value, integral: bool = False):
+    """``value`` as a float, or an int if ``integral``; ValueError naming
+    ``key`` unless it is a finite real number, integral if so asked."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not np.isfinite(value):
         raise ValueError(f"key {key!r} must be a finite number, got {value!r}")
     if not integral:
@@ -180,57 +155,76 @@ def _number(spec: dict, key: str, default=None, integral: bool = False):
     return int(value)
 
 
+def _distinct(key: str, values: list) -> list:
+    """``values``; ValueError naming ``key`` if one of them repeats."""
+    if len(set(values)) != len(values):
+        raise ValueError(f"key {key!r} must be a list without repeats, got {values!r}")
+    return values
+
+
 def _axis(key: str, values, integral: bool = False) -> list:
-    """A sweep axis as a nonempty list of finite real numbers, integral ones if
-    so asked; ValueError naming ``key`` otherwise."""
+    """A sweep axis as a nonempty list of distinct finite real numbers,
+    integral ones if so asked; ValueError naming ``key`` otherwise."""
     if not isinstance(values, list) or not values:
         raise ValueError(f"key {key!r} must be a nonempty list, got {values!r}")
-    return [_number({key: value}, key, integral=integral) for value in values]
+    return _distinct(key, [_number(key, value, integral) for value in values])
+
+
+# The scenario schema in JSON units, in the order ``slnrbeam scenario gen``
+# writes it: each key with its default, that of ``channel.Scenario``.
+# Integers mark the integral keys. ``scenario_from_dict`` requires Q and
+# users; only ``default_scenario_dict`` defaults them.
+SCENARIO_DEFAULTS = {
+    "Q": 4,  # side length of the square array
+    "users": 3,  # number of downlink users
+    "M": 1,  # outer products per beamformer
+    "power_dbm": 24.0,  # transmit power budget
+    "bandwidth_hz": 10e6,
+    "cell_radius_m": 200.0,
+    "bs_height_m": 10.0,
+    "ue_height_m": 1.5,
+    "shadow_std_db": 7.8,
+    "azimuth_spread_deg": 5.0,
+    "elevation_spread_deg": 5.0,
+    "noise_dbm_per_hz": -174.0,  # unread when "sigma_watts" is given
+    "seed": 0,
+}
 
 
 def scenario_from_dict(spec: dict) -> Scenario:
     """Build a Scenario from the JSON schema, checking types and converting units."""
-    bandwidth = _number(spec, "bandwidth_hz", 10e6)
-    sigma = None
+
+    def get(key: str):
+        if key not in spec and key in ("Q", "users"):
+            raise ValueError(f"key {key!r} is required")
+        default = SCENARIO_DEFAULTS[key]
+        return _number(key, spec.get(key, default), integral=isinstance(default, int))
+
+    bandwidth = get("bandwidth_hz")
     if spec.get("sigma_watts") is not None:
-        sigma = _number(spec, "sigma_watts")
-    elif "noise_dbm_per_hz" in spec:
-        sigma = dbm_to_watt(_number(spec, "noise_dbm_per_hz")) * bandwidth
+        sigma = _number("sigma_watts", spec["sigma_watts"])
+    else:
+        sigma = dbm_to_watt(get("noise_dbm_per_hz")) * bandwidth
     return Scenario(
-        Q=_number(spec, "Q", integral=True),
-        L=_number(spec, "users", integral=True),
-        M=_number(spec, "M", 1, integral=True),
-        P=dbm_to_watt(_number(spec, "power_dbm", 24.0)),
+        Q=get("Q"),
+        L=get("users"),
+        M=get("M"),
+        P=dbm_to_watt(get("power_dbm")),
         sigma=sigma,
         bandwidth=bandwidth,
-        cell_radius=_number(spec, "cell_radius_m", 200.0),
-        bs_height=_number(spec, "bs_height_m", 10.0),
-        ue_height=_number(spec, "ue_height_m", 1.5),
-        sigma_sf=_number(spec, "shadow_std_db", 7.8),
-        sigma_alpha=float(np.deg2rad(_number(spec, "azimuth_spread_deg", 5.0))),
-        sigma_beta=float(np.deg2rad(_number(spec, "elevation_spread_deg", 5.0))),
-        seed=_number(spec, "seed", 0, integral=True),
+        cell_radius=get("cell_radius_m"),
+        bs_height=get("bs_height_m"),
+        ue_height=get("ue_height_m"),
+        sigma_sf=get("shadow_std_db"),
+        sigma_alpha=float(np.deg2rad(get("azimuth_spread_deg"))),
+        sigma_beta=float(np.deg2rad(get("elevation_spread_deg"))),
+        seed=get("seed"),
     )
 
 
 def default_scenario_dict(**overrides) -> dict:
-    spec = {
-        "Q": 4,
-        "users": 3,
-        "M": 1,
-        "power_dbm": 24.0,
-        "bandwidth_hz": 10e6,
-        "cell_radius_m": 200.0,
-        "bs_height_m": 10.0,
-        "ue_height_m": 1.5,
-        "shadow_std_db": 7.8,
-        "azimuth_spread_deg": 5.0,
-        "elevation_spread_deg": 5.0,
-        "noise_dbm_per_hz": -174.0,
-        "seed": 0,
-    }
-    spec.update(overrides)
-    return spec
+    """The scenario schema at its defaults, with ``overrides`` applied."""
+    return {**SCENARIO_DEFAULTS, **overrides}
 
 
 @dataclass(frozen=True)
@@ -253,25 +247,15 @@ class _RunKey:
 
 
 def _enumerate_runs(config: ExperimentConfig) -> list[_RunKey]:
-    m_count = int(config.scenario.get("M", 1))
-    runs = []
-    for algorithm in config.algorithms:
-        c_axis = config.c if algorithm == "soft" else [float("nan")]
-        for antennas in sorted(config.antennas):
-            for power in config.power_dbm:
-                for c_val in c_axis:
-                    for idx in range(config.n_seeds):
-                        runs.append(
-                            _RunKey(
-                                algorithm=algorithm,
-                                antennas=antennas,
-                                power_dbm=float(power),
-                                c=float(c_val),
-                                m_count=m_count,
-                                seed=config.base_seed + idx,
-                            )
-                        )
-    return runs
+    m_count = int(config.scenario.get("M", SCENARIO_DEFAULTS["M"]))
+    return [
+        _RunKey(algorithm, antennas, power, c_val, m_count, config.base_seed + idx)
+        for algorithm in config.algorithms
+        for antennas in sorted(config.antennas)
+        for power in config.power_dbm
+        for c_val in (config.c if algorithm == "soft" else [float("nan")])
+        for idx in range(config.n_seeds)
+    ]
 
 
 def _execute_run(key: _RunKey, config: ExperimentConfig, out_dir: Path) -> dict:

@@ -21,7 +21,7 @@ PSD_CLIP_REL = 1e-9
 _EULER_GAMMA = 0.57721566490153286060651209008240243
 
 
-def check_hermitian(mat: np.ndarray, atol: float | None = None) -> None:
+def check_hermitian(mat: np.ndarray) -> None:
     """Raise ValueError unless ``mat`` is a square Hermitian matrix, or a stack
     of them, within tolerance (scaled per matrix)."""
     mat = np.asarray(mat)
@@ -30,7 +30,7 @@ def check_hermitian(mat: np.ndarray, atol: float | None = None) -> None:
     if not mat.size:
         return
     scale = np.maximum(1.0, np.abs(mat).max(axis=(-2, -1)))
-    tol = (HERMITIAN_ATOL if atol is None else atol) * scale
+    tol = HERMITIAN_ATOL * scale
     dev = np.abs(mat - np.swapaxes(mat.conj(), -1, -2)).max(axis=(-2, -1))
     bad = np.flatnonzero(dev > tol)
     if bad.size:
@@ -41,32 +41,20 @@ def check_hermitian(mat: np.ndarray, atol: float | None = None) -> None:
         )
 
 
-def hermitian_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
-
-    Returns ``(eigenvalues, eigenvectors)`` with unitary columns such that
-    ``U @ diag(lam) @ U^H`` reconstructs the input. Non-Hermitian input
-    (beyond round-off) is rejected.
-    """
-    check_hermitian(mat)
-    sym = 0.5 * (mat + np.asarray(mat).conj().T)
-    lam, vec = np.linalg.eigh(sym)
-    order = np.argsort(lam)[::-1]
-    return lam[order], vec[:, order]
-
-
 def hermitian_sqrt(mat: np.ndarray) -> np.ndarray:
     """Principal square root of a Hermitian PSD matrix.
 
-    Eigenvalues in ``(-PSD_CLIP_REL * lam_max, 0)`` are clipped to zero;
-    anything more negative raises ValueError (the matrix is not PSD).
+    Non-Hermitian input (beyond round-off) raises ValueError; the
+    eigendecomposition reads the input's Hermitian part. Eigenvalues in
+    ``(-PSD_CLIP_REL * lam_max, 0)`` are clipped to zero; anything more
+    negative raises ValueError (the matrix is not PSD).
     """
-    lam, vec = hermitian_eig(mat)
-    lam_max = float(lam[0]) if lam.size else 0.0
-    floor = -PSD_CLIP_REL * max(lam_max, 0.0)
-    if lam.size and float(lam[-1]) < floor:
+    check_hermitian(mat)
+    lam, vec = np.linalg.eigh(0.5 * (mat + np.asarray(mat).conj().T))  # ascending
+    floor = -PSD_CLIP_REL * max(float(lam[-1]), 0.0) if lam.size else 0.0
+    if lam.size and float(lam[0]) < floor:
         raise ValueError(
-            f"matrix is not PSD: min eigenvalue {lam[-1]:.3e} "
+            f"matrix is not PSD: min eigenvalue {lam[0]:.3e} "
             f"below clip threshold {floor:.3e}"
         )
     root = vec * np.sqrt(np.clip(lam, 0.0, None))

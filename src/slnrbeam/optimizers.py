@@ -114,13 +114,14 @@ class OptimizationResult:
 
     ``stop_reason`` is "tolerance", "stalled", "subproblem_regressed" or
     "max_iterations" (see ``_alternate``), or "direct" for the baseline's
-    single evaluation; ``converged`` holds for "tolerance" and "direct".
+    single evaluation; ``converged`` holds for "tolerance" and "direct". A new
+    result has no incumbent and a minimum rate of -inf.
     """
 
     algorithm: str
-    incumbent: BeamformerSet | None
-    incumbent_matrix: np.ndarray | None
-    rate_min_nats: float
+    incumbent: BeamformerSet | None = None
+    incumbent_matrix: np.ndarray | None = None
+    rate_min_nats: float = -np.inf
     trace: list[TraceEntry] = field(default_factory=list)
     iterations: int = 0
     stop_reason: str | None = None
@@ -163,6 +164,36 @@ def track_incumbent(
         result.incumbent = None if bf is None else bf.copy()
         result.incumbent_matrix = w_mat
     return result
+
+
+def _record(
+    result: OptimizationResult,
+    w_mat: np.ndarray,
+    slnrs: np.ndarray,
+    stats: ChannelStatistics,
+    sigma: float,
+    step: float,
+    objective: float,
+    bf: BeamformerSet | None = None,
+    sub: SubproblemSolution | None = None,
+) -> None:
+    """Append the trace row of the iterate ``w_mat`` (SLNRs ``slnrs``) to
+    ``result`` and refresh its incumbent (``track_incumbent``, with the set
+    ``bf`` if there is one); ``sub`` is the max-min subproblem solution that
+    produced the iterate, if any."""
+    rates = ergodic_rate_closed(w_mat, stats, sigma)
+    track_incumbent(result, w_mat, rates, bf=bf)
+    result.trace.append(
+        TraceEntry(
+            step=step,
+            min_slnr=float(slnrs.min()),
+            objective=objective,
+            min_rate_nats=float(np.min(rates)),
+            power=float(np.linalg.norm(w_mat) ** 2),
+            subproblem_gap=None if sub is None else sub.gap,
+            subproblem_iterations=None if sub is None else sub.iterations,
+        )
+    )
 
 
 def baseline_uniform(stats: ChannelStatistics, scenario: Scenario) -> np.ndarray:
@@ -221,9 +252,7 @@ class _Run:
         self.bf = init_feasible(scenario, self.rng)
         self.keep(self.evaluate(self.bf))
         self.subproblem: SubproblemSolution | None = None
-        self.result = OptimizationResult(
-            algorithm=algorithm, incumbent=None, incumbent_matrix=None, rate_min_nats=-np.inf
-        )
+        self.result = OptimizationResult(algorithm)
 
     def evaluate(self, bf: BeamformerSet) -> tuple[np.ndarray, ...]:
         """``(w_mat, signal, leakage, slnrs)`` of a candidate iterate ``bf``."""
@@ -236,20 +265,10 @@ class _Run:
         self.w_mat, self.signal, self.leakage, self.slnrs = evaluation
 
     def record(self, step: float, objective: float) -> None:
-        """Append a trace row and refresh the incumbent."""
-        rates = ergodic_rate_closed(self.w_mat, self.stats, self.sigma)
-        track_incumbent(self.result, self.w_mat, rates, bf=self.bf)
-        sub = self.subproblem
-        self.result.trace.append(
-            TraceEntry(
-                step=step,
-                min_slnr=float(self.slnrs.min()),
-                objective=objective,
-                min_rate_nats=float(np.min(rates)),
-                power=float(np.linalg.norm(self.w_mat) ** 2),
-                subproblem_gap=None if sub is None else sub.gap,
-                subproblem_iterations=None if sub is None else sub.iterations,
-            )
+        """Append the current iterate's trace row and refresh the incumbent."""
+        _record(
+            self.result, self.w_mat, self.slnrs, self.stats, self.sigma, step, objective,
+            bf=self.bf, sub=self.subproblem,
         )
 
     def fix_gauge(self, side: str) -> None:
@@ -475,25 +494,9 @@ def run_baseline(
 ) -> OptimizationResult:
     """Evaluate the uniform-power baseline in the common result format."""
     w_mat = baseline_uniform(stats, scenario)
-    result = OptimizationResult(
-        algorithm="baseline",
-        incumbent=None,
-        incumbent_matrix=None,
-        rate_min_nats=-np.inf,
-        stop_reason="direct",
-    )
-    rates = ergodic_rate_closed(w_mat, stats, scenario.sigma)
-    track_incumbent(result, w_mat, rates)
-    min_slnr = float(slnr_vec(w_mat, stats, scenario.sigma).min())
-    result.trace.append(
-        TraceEntry(
-            step=0.0,
-            min_slnr=min_slnr,
-            objective=min_slnr,
-            min_rate_nats=float(np.min(rates)),
-            power=float(np.linalg.norm(w_mat) ** 2),
-        )
-    )
+    result = OptimizationResult("baseline", stop_reason="direct")
+    slnrs = slnr_vec(w_mat, stats, scenario.sigma)
+    _record(result, w_mat, slnrs, stats, scenario.sigma, 0.0, float(slnrs.min()))
     return result
 
 

@@ -15,7 +15,7 @@ from slnrbeam.harness import (
     run_experiment,
     scenario_from_dict,
 )
-from slnrbeam.channel import dbm_to_watt
+from slnrbeam.channel import Scenario, dbm_to_watt
 
 
 def small_config(out_dir, **overrides):
@@ -70,6 +70,10 @@ class TestScenarioConversion:
     def test_mistyped_keys_rejected(self, key, value):
         with pytest.raises(ValueError, match=f"key '{key}' must be"):
             scenario_from_dict(default_scenario_dict(**{key: value}))
+
+    def test_defaults_match_library(self):
+        # The schema's JSON-unit defaults give the library's own Scenario defaults.
+        assert scenario_from_dict({"Q": 4, "users": 3}) == Scenario(Q=4, L=3)
 
     def test_integral_floats_accepted(self):
         sc = scenario_from_dict(default_scenario_dict(Q=4.0, users=3.0, M=2.0, seed=7.0))
@@ -159,6 +163,23 @@ class TestRunExperiment:
         for bad in ("soft", ["soft", "sfot"], ("soft",)):
             with pytest.raises(ValueError, match="key 'algorithms' must be"):
                 small_config(tmp_path, algorithms=bad)
+        # repeated sweep entries, compared after normalization
+        for key, bad in (("antennas", [9, 9.0]), ("power_dbm", [24, 24.0]), ("c", [0.1, 0.1]),
+                         ("algorithms", ["soft", "baseline", "soft"])):
+            with pytest.raises(ValueError, match=f"key '{key}' must be a list without repeats"):
+                small_config(tmp_path, **{key: bad})
+        # Python-built configs are checked like JSON ones, before any file exists
+        for key, bad in (("n_seeds", 2.7), ("n_seeds", True), ("n_seeds", "3"), ("base_seed", "1")):
+            out_dir = tmp_path / "out"
+            with pytest.raises(ValueError, match=f"key '{key}' must be") as built:
+                run_experiment(small_config(out_dir, **{key: bad}))
+            assert not out_dir.exists()
+            path = tmp_path / "exp.json"
+            path.write_text(json.dumps({"scenario": default_scenario_dict(Q=3, users=2),
+                                        "algorithms": ["soft"], key: bad}))
+            with pytest.raises(ValueError) as loaded:
+                ExperimentConfig.from_json(path)
+            assert str(loaded.value) == str(built.value)
         # integral floats are accepted and normalized
         config = small_config(tmp_path, antennas=[9.0], c=[1])
         assert config.antennas == [9] and type(config.antennas[0]) is int
@@ -300,6 +321,25 @@ class TestCli:
         assert spec["Q"] == 5 and spec["users"] == 4
         scenario_from_dict(spec)  # schema round-trips into a Scenario
 
+    @pytest.mark.parametrize(
+        "flags, changes",
+        [([], {}),
+         (["--Q", "5", "--users", "4", "--M", "2", "--power-dbm", "30", "--seed", "7"],
+          {"Q": "5", "users": "4", "M": "2", "power_dbm": "30.0", "seed": "7"})],
+        ids=["defaults", "flags"],
+    )
+    def test_scenario_gen_bytes(self, tmp_path, flags, changes):
+        # The file's bytes, key order included, are part of the schema.
+        values = {"Q": "4", "users": "3", "M": "1", "power_dbm": "24.0",
+                  "bandwidth_hz": "10000000.0", "cell_radius_m": "200.0", "bs_height_m": "10.0",
+                  "ue_height_m": "1.5", "shadow_std_db": "7.8", "azimuth_spread_deg": "5.0",
+                  "elevation_spread_deg": "5.0", "noise_dbm_per_hz": "-174.0", "seed": "0",
+                  **changes}
+        body = ",\n".join(f'  "{key}": {value}' for key, value in values.items())
+        out = tmp_path / "scenario.json"
+        assert cli_main(["scenario", "gen", "--out", str(out), *flags]) == 0
+        assert out.read_text() == "{\n" + body + "\n}\n"
+
     def test_sweep_from_config(self, tmp_path):
         config_path = tmp_path / "exp.json"
         config_path.write_text(
@@ -383,6 +423,11 @@ class TestCli:
             # algorithms: a list of known names, never a string split into letters
             ({}, {"algorithms": "gm"}),
             ({}, {"algorithms": ["gm", "gmm"]}),
+            # repeated sweep entries, 9 and 9.0 being one value
+            ({}, {"algorithms": ["gm", "gm"]}),
+            ({}, {"antennas": [9, 9.0]}),
+            ({}, {"power_dbm": [24, 24.0]}),
+            ({}, {"c": [0.1, 0.1]}),
         ],
     )
     def test_mistyped_key_is_an_error_line(self, tmp_path, capsys, scenario_key, experiment_key):

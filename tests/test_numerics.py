@@ -18,16 +18,10 @@ from slnrbeam.numerics import (
     bisect,
     check_hermitian,
     exp_scaled_e1,
-    hermitian_eig,
     hermitian_sqrt,
     largest_generalized_eigvec,
     pencil_diagonalize,
 )
-
-
-def random_hermitian(rng, n):
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return 0.5 * (g + g.conj().T)
 
 
 def random_psd(rng, n):
@@ -73,33 +67,22 @@ def e1_quadrature(x):
     return val * np.exp(-x)
 
 
-class TestHermitianEig:
+class TestHermitianSqrt:
     def test_identity(self):
-        lam, vec = hermitian_eig(np.eye(3))
-        np.testing.assert_allclose(lam, np.ones(3))
-        np.testing.assert_allclose(vec @ vec.conj().T, np.eye(3), atol=1e-12)
-
-    def test_diagonal_descending(self):
-        lam, vec = hermitian_eig(np.diag([2.0, 1.0]))
-        np.testing.assert_allclose(lam, [2.0, 1.0])
-        np.testing.assert_allclose(np.abs(vec), np.eye(2), atol=1e-12)
+        for n in (3, 4):
+            np.testing.assert_allclose(hermitian_sqrt(np.eye(n)), np.eye(n), atol=1e-12)
 
     def test_reconstruction(self):
         rng = np.random.default_rng(1)
-        mat = random_hermitian(rng, 6)
-        lam, vec = hermitian_eig(mat)
-        rebuilt = (vec * lam) @ vec.conj().T
-        assert np.linalg.norm(rebuilt - mat) <= 1e-9 * np.linalg.norm(mat)
-        assert np.all(np.diff(lam) <= 0)
+        mat = random_psd(rng, 6)
+        root = hermitian_sqrt(mat)
+        assert np.linalg.norm(root @ root - mat) <= 1e-9 * np.linalg.norm(mat)
+        check_hermitian(root)
+        assert np.linalg.eigvalsh(root).min() >= -1e-9 * np.linalg.norm(root, 2)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestHermitianSqrt:
-    def test_identity(self):
-        np.testing.assert_allclose(hermitian_sqrt(np.eye(4)), np.eye(4), atol=1e-12)
+            hermitian_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_diagonal(self):
         np.testing.assert_allclose(
