@@ -45,6 +45,14 @@ def noise_power_watt(bandwidth_hz: float, density_dbm_per_hz: float = NOISE_DENS
     return dbm_to_watt(density_dbm_per_hz) * bandwidth_hz
 
 
+class ScenarioError(ValueError):
+    """A Scenario field out of its range: ``field`` names it, ``rule`` says what it must be."""
+
+    def __init__(self, name: str, rule: str, value):
+        super().__init__(f"{name} must be {rule}, got {value}")
+        self.field, self.rule = name, rule
+
+
 @dataclass(frozen=True)
 class Scenario:
     """All physical and algorithmic parameters of one experiment.
@@ -68,20 +76,21 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        if self.Q < 1 or self.L < 1:
-            raise ValueError(f"need Q >= 1 and L >= 1, got Q={self.Q}, L={self.L}")
-        if not 1 <= self.M <= self.Q:
-            raise ValueError(f"need 1 <= M <= Q, got M={self.M}, Q={self.Q}")
-        if self.P <= 0:
-            raise ValueError(f"power budget must be positive, got {self.P}")
         if self.sigma is None:
             object.__setattr__(self, "sigma", noise_power_watt(self.bandwidth))
-        if self.sigma <= 0:
-            raise ValueError(f"noise power must be positive, got {self.sigma}")
-        if self.cell_radius <= INNER_RADIUS:
-            raise ValueError(f"cell radius must exceed {INNER_RADIUS} m")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        for name, ok, rule in (
+            ("Q", self.Q >= 1, ">= 1"),
+            ("L", self.L >= 1, ">= 1"),
+            ("M", 1 <= self.M <= self.Q, f"between 1 and Q = {self.Q}"),
+            ("P", self.P > 0, "positive"),
+            ("bandwidth", self.bandwidth > 0, "positive"),
+            ("sigma", self.sigma > 0, "positive"),
+            ("cell_radius", self.cell_radius > INNER_RADIUS, f"above {INNER_RADIUS:g} m"),
+            ("sigma_sf", self.sigma_sf >= 0, ">= 0"),
+            ("seed", self.seed >= 0, ">= 0"),
+        ):
+            if not ok:
+                raise ScenarioError(name, rule, getattr(self, name))
 
 
 @dataclass(frozen=True)

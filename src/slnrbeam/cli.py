@@ -11,7 +11,8 @@ Subcommands::
 ``run`` executes one algorithm at one sweep point (flags override the
 optional --config); ``sweep`` runs a full experiment config; ``report``
 tabulates fairness metrics from an existing output directory. Exit codes:
-0 on success, 2 on usage or validation errors, 1 on runtime failures.
+0 on success, 2 on usage errors (argparse), 1 on any other error, such as a
+rejected value: an ``error:`` line naming its key, from a flag or a file alike.
 """
 
 from __future__ import annotations
@@ -22,10 +23,12 @@ import sys
 from dataclasses import replace
 
 from .harness import (
+    SWEEP_KEYS,
     ExperimentConfig,
     default_scenario_dict,
     report_fairness,
     run_experiment,
+    scenario_from_dict,
 )
 from .optimizers import ALGORITHMS
 
@@ -45,6 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--algorithm", choices=sorted(ALGORITHMS), help="algorithm to run")
     run.add_argument("--out", help="output directory (default: out)")
     _add_scenario_flags(run)
+    run.add_argument("--c", type=float, help="soft max-min smoothing coefficient")
 
     sweep = sub.add_parser("sweep", help="run a full experiment configuration")
     sweep.add_argument("--config", required=True, help="experiment JSON path")
@@ -61,23 +65,7 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--users", type=int, help="number of users")
     parser.add_argument("--M", type=int, help="outer products per beamformer")
     parser.add_argument("--power-dbm", type=float, help="transmit power budget in dBm")
-    parser.add_argument("--c", type=float, help="soft max-min smoothing coefficient")
     parser.add_argument("--seed", type=int, help="base random seed")
-
-
-def _validate(args: argparse.Namespace) -> str | None:
-    checks = [
-        (getattr(args, "Q", None), lambda v: v >= 1, "--Q must be >= 1"),
-        (getattr(args, "users", None), lambda v: v >= 1, "--users must be >= 1"),
-        (getattr(args, "M", None), lambda v: v >= 1, "--M must be >= 1"),
-        (getattr(args, "c", None), lambda v: v > 0, "--c must be positive"),
-        (getattr(args, "seed", None), lambda v: v >= 0, "--seed must be nonnegative"),
-        (getattr(args, "seeds", None), lambda v: v >= 1, "--seeds must be >= 1"),
-    ]
-    for value, ok, message in checks:
-        if value is not None and not ok(value):
-            return message
-    return None
 
 
 def _scenario_overrides(args: argparse.Namespace) -> dict:
@@ -85,77 +73,59 @@ def _scenario_overrides(args: argparse.Namespace) -> dict:
     return {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
 
 
+def _run_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The ``run`` command's config: one seed, the flags over the --config."""
+    if args.config:
+        config = ExperimentConfig.from_json(args.config)
+    else:
+        config = ExperimentConfig(scenario=default_scenario_dict(), algorithms=[args.algorithm])
+    flags = _scenario_overrides(args)
+    # A flag sets its scenario key; a sweep key that would replace it is dropped.
+    changes = {"scenario": {**config.scenario, **flags}, "n_seeds": 1}
+    changes.update({SWEEP_KEYS[key]: None for key in flags if key in SWEEP_KEYS})
+    if args.algorithm:
+        changes["algorithms"] = [args.algorithm]
+    if args.c is not None:
+        changes["c"] = [args.c]
+    if args.out:
+        changes["output_dir"] = args.out
+    # rebuilt, so the flags pass the config checks before any file is written
+    return replace(config, **changes)
+
+
+def _sweep_config(args: argparse.Namespace) -> ExperimentConfig:
+    config = ExperimentConfig.from_json(args.config)
+    changes = {"output_dir": args.out or None, "n_seeds": args.seeds}
+    return replace(config, **{k: v for k, v in changes.items() if v is not None})
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "run" and not (args.config or args.algorithm):
+            parser.error("--algorithm is required without --config")
     except SystemExit as exc:
         return int(exc.code or 0)
-
-    message = _validate(args)
-    if message is not None:
-        print(f"error: {message}", file=sys.stderr)
-        return 2
 
     try:
         if args.command == "scenario":
             spec = default_scenario_dict(**_scenario_overrides(args))
+            scenario_from_dict(spec)  # a spec that does not load is never written
             with open(args.out, "w") as fh:
                 json.dump(spec, fh, indent=2)
                 fh.write("\n")
             print(f"wrote {args.out}")
-            return 0
-
-        if args.command == "run":
-            if args.config:
-                config = ExperimentConfig.from_json(args.config)
-            else:
-                if args.algorithm is None:
-                    print("error: --algorithm is required without --config", file=sys.stderr)
-                    return 2
-                config = ExperimentConfig(
-                    scenario=default_scenario_dict(), algorithms=[args.algorithm]
-                )
-            changes = {"scenario": {**config.scenario, **_scenario_overrides(args)}, "n_seeds": 1}
-            if args.algorithm:
-                changes["algorithms"] = [args.algorithm]
-            if args.Q is not None:
-                changes["antennas"] = [args.Q * args.Q]
-            if args.power_dbm is not None:
-                changes["power_dbm"] = [args.power_dbm]
-            if args.c is not None:
-                changes["c"] = [args.c]
-            if args.seed is not None:
-                changes["base_seed"] = args.seed
-            if args.out:
-                changes["output_dir"] = args.out
-            # rebuilt, so the flags pass the config checks before any file is written
-            config = replace(config, **changes)
+        elif args.command == "report":
+            print(f"wrote {report_fairness(args.out)}")
+        else:
+            config = _run_config(args) if args.command == "run" else _sweep_config(args)
             files = run_experiment(config)
             print(f"wrote {len(files)} files under {config.output_dir}")
-            return 0
-
-        if args.command == "sweep":
-            config = ExperimentConfig.from_json(args.config)
-            changes = {"output_dir": args.out or None, "n_seeds": args.seeds}
-            config = replace(config, **{k: v for k, v in changes.items() if v is not None})
-            files = run_experiment(config)
-            print(f"wrote {len(files)} files under {config.output_dir}")
-            return 0
-
-        if args.command == "report":
-            path = report_fairness(args.out)
-            print(f"wrote {path}")
-            return 0
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    print("error: unknown command", file=sys.stderr)
-    return 2
+    return 0
 
 
 if __name__ == "__main__":

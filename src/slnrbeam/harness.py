@@ -8,22 +8,26 @@ watts only at this boundary; everything below works in linear units.
 A scenario is a JSON object with the keys of ``SCENARIO_DEFAULTS``, all
 optional except Q and users; ``"sigma_watts"`` sets the noise power directly
 in place of ``"noise_dbm_per_hz"``. Keys outside this schema are ignored.
-Values must be finite JSON numbers (not booleans or strings), and Q, users, M
-and seed integral ones.
+Values must be finite JSON numbers (not booleans or strings), Q, users, M
+and seed integral ones, in :class:`slnrbeam.channel.Scenario`'s ranges.
 
 Experiment JSON is an object that wraps that under ``"scenario"`` (an
 object) and adds ``"algorithms"`` (required), ``"antennas"``,
 ``"power_dbm"``, ``"c"``, ``"n_seeds"``, ``"base_seed"``, a string
 ``"output_dir"``, a boolean ``"save_beamformers"`` and an ``"options"``
-object mirroring :class:`slnrbeam.optimizers.AlgoOptions`; the keys it leaves
-out take :class:`ExperimentConfig`'s defaults. Missing required keys, unknown
-option keys, algorithms not given as a list of known names, values of the
-wrong JSON type, numbers of the wrong kind (sweep axes of finite numbers,
-antennas perfect squares, c positive, integral ``n_seeds`` and
+object mirroring :class:`slnrbeam.optimizers.AlgoOptions`. The sweep keys
+``antennas``, ``power_dbm`` and ``base_seed`` replace the scenario's Q (as
+Q^2), ``power_dbm`` and ``seed`` (``SWEEP_KEYS``); one the config leaves out
+takes that scenario value, and the scenario must load as it stands. Other
+keys left out take :class:`ExperimentConfig`'s defaults. Missing required
+keys, unknown option keys, algorithms not given as a list of known names,
+values of the wrong JSON type or out of range (sweep axes of finite numbers,
+antennas perfect squares, c positive, integral ``n_seeds`` >= 1 and
 ``base_seed``) and a value repeated in ``algorithms`` or a sweep axis (9 and
 9.0 being one value) are rejected when the config is built, before any file
-is written. A config built in Python, or changed by command-line flags, goes
-through the same checks.
+is written, by a ValueError naming the key as the config wrote it. A config
+built in Python, or changed by command-line flags, goes through the same
+checks.
 
 Outputs per (algorithm, sweep point, seed): a convergence-trace CSV with
 columns ``iteration,min_slnr,objective,min_rate_mbps``; plus one shared
@@ -45,7 +49,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import Scenario, build_statistics, dbm_to_watt
+from .channel import (NOISE_DENSITY_DBM_PER_HZ, Scenario, ScenarioError, build_statistics,
+                      dbm_to_watt, noise_power_watt)
 from .metrics import nats_to_mbps, rate_report
 from .optimizers import ALGORITHMS, AlgoOptions, run_algorithm
 
@@ -83,11 +88,11 @@ class ExperimentConfig:
 
     scenario: dict
     algorithms: list[str]
-    antennas: list[int] = field(default_factory=lambda: [16])
-    power_dbm: list[float] = field(default_factory=lambda: [24.0])
+    antennas: list[int] | None = None
+    power_dbm: list[float] | None = None
     c: list[float] = field(default_factory=lambda: [0.1])
     n_seeds: int = 1
-    base_seed: int = 0
+    base_seed: int | None = None
     output_dir: str | os.PathLike = "out"
     options: dict = field(default_factory=dict)
     save_beamformers: bool = False
@@ -111,20 +116,27 @@ class ExperimentConfig:
         if not known or not self.algorithms:
             raise ValueError(f"key 'algorithms' must be a list of {names}, got {self.algorithms!r}")
         _distinct("algorithms", self.algorithms)
-        self.antennas = _axis("antennas", self.antennas, integral=True)
-        self.power_dbm = _axis("power_dbm", self.power_dbm)
+        # The template loads as it stands, so a run's range error comes from a
+        # sweep key; one left out takes the value of the scenario key it replaces.
+        scenario_from_dict(self.scenario)
+        template = {**SCENARIO_DEFAULTS, **self.scenario}
+        antennas = [template["Q"] ** 2] if self.antennas is None else self.antennas
+        power_dbm = [template["power_dbm"]] if self.power_dbm is None else self.power_dbm
+        base_seed = template["seed"] if self.base_seed is None else self.base_seed
+        self.antennas = _axis("antennas", antennas, integral=True)
+        self.power_dbm = _axis("power_dbm", power_dbm)
         self.c = _axis("c", self.c)
         if any(n < 1 or round(n**0.5) ** 2 != n for n in self.antennas):
             raise ValueError(f"key 'antennas' must be perfect squares, got {self.antennas}")
         if any(cc <= 0 for cc in self.c):
             raise ValueError(f"key 'c' must be positive, got {self.c}")
         self.n_seeds = _number("n_seeds", self.n_seeds, integral=True)
-        self.base_seed = _number("base_seed", self.base_seed, integral=True)
+        self.base_seed = _number("base_seed", base_seed, integral=True)
         if self.n_seeds < 1:
             raise ValueError(f"key 'n_seeds' must be >= 1, got {self.n_seeds}")
         for n_ant in self.antennas:
             for power in self.power_dbm:
-                scenario_from_dict(self.run_spec(n_ant, power, self.base_seed))
+                scenario_from_dict(self.run_spec(n_ant, power, self.base_seed), SWEEP_KEYS)
 
     def run_spec(self, antennas: int, power_dbm: float, seed: int) -> dict:
         """The scenario template at one sweep point and seed."""
@@ -170,6 +182,9 @@ def _axis(key: str, values, integral: bool = False) -> list:
     return _distinct(key, [_number(key, value, integral) for value in values])
 
 
+# Each scenario key a sweep key replaces, with that sweep key.
+SWEEP_KEYS = {"Q": "antennas", "power_dbm": "power_dbm", "seed": "base_seed"}
+
 # The scenario schema in JSON units, in the order ``slnrbeam scenario gen``
 # writes it: each key with its default, that of ``channel.Scenario``.
 # Integers mark the integral keys. ``scenario_from_dict`` requires Q and
@@ -186,13 +201,17 @@ SCENARIO_DEFAULTS = {
     "shadow_std_db": 7.8,
     "azimuth_spread_deg": 5.0,
     "elevation_spread_deg": 5.0,
-    "noise_dbm_per_hz": -174.0,  # unread when "sigma_watts" is given
+    "noise_dbm_per_hz": NOISE_DENSITY_DBM_PER_HZ,  # unread when "sigma_watts" is given
     "seed": 0,
 }
 
 
-def scenario_from_dict(spec: dict) -> Scenario:
-    """Build a Scenario from the JSON schema, checking types and converting units."""
+def scenario_from_dict(spec: dict, sweep_keys: dict | None = None) -> Scenario:
+    """Build a Scenario from the JSON schema, checking types and converting units.
+
+    A value out of :class:`Scenario`'s range is a ValueError naming its key,
+    or the sweep key ``sweep_keys`` gives for it when a sweep set the value.
+    """
 
     def get(key: str):
         if key not in spec and key in ("Q", "users"):
@@ -202,24 +221,29 @@ def scenario_from_dict(spec: dict) -> Scenario:
 
     bandwidth = get("bandwidth_hz")
     if spec.get("sigma_watts") is not None:
-        sigma = _number("sigma_watts", spec["sigma_watts"])
+        noise_key, sigma = "sigma_watts", _number("sigma_watts", spec["sigma_watts"])
     else:
-        sigma = dbm_to_watt(get("noise_dbm_per_hz")) * bandwidth
-    return Scenario(
-        Q=get("Q"),
-        L=get("users"),
-        M=get("M"),
-        P=dbm_to_watt(get("power_dbm")),
-        sigma=sigma,
-        bandwidth=bandwidth,
-        cell_radius=get("cell_radius_m"),
-        bs_height=get("bs_height_m"),
-        ue_height=get("ue_height_m"),
-        sigma_sf=get("shadow_std_db"),
-        sigma_alpha=float(np.deg2rad(get("azimuth_spread_deg"))),
-        sigma_beta=float(np.deg2rad(get("elevation_spread_deg"))),
-        seed=get("seed"),
-    )
+        noise_key, sigma = "noise_dbm_per_hz", noise_power_watt(bandwidth, get("noise_dbm_per_hz"))
+    try:
+        return Scenario(
+            Q=get("Q"),
+            L=get("users"),
+            M=get("M"),
+            P=dbm_to_watt(get("power_dbm")),
+            sigma=sigma,
+            bandwidth=bandwidth,
+            cell_radius=get("cell_radius_m"),
+            bs_height=get("bs_height_m"),
+            ue_height=get("ue_height_m"),
+            sigma_sf=get("shadow_std_db"),
+            sigma_alpha=float(np.deg2rad(get("azimuth_spread_deg"))),
+            sigma_beta=float(np.deg2rad(get("elevation_spread_deg"))),
+            seed=get("seed"),
+        )
+    except ScenarioError as err:
+        key = {"L": "users", "P": "power_dbm", "bandwidth": "bandwidth_hz", "sigma": noise_key,
+               "cell_radius": "cell_radius_m", "sigma_sf": "shadow_std_db"}.get(err.field, err.field)
+        raise ValueError(f"key {(sweep_keys or {}).get(key, key)!r} must be {err.rule}, got {spec[key]!r}") from None
 
 
 def default_scenario_dict(**overrides) -> dict:
@@ -233,23 +257,21 @@ class _RunKey:
     antennas: int
     power_dbm: float
     c: float  # nan for algorithms that ignore it
-    m_count: int
     seed: int
 
     def c_label(self) -> str:
         return "na" if np.isnan(self.c) else f"{self.c:g}"
 
-    def trace_name(self) -> str:
+    def trace_name(self, m_count: int) -> str:
         return (
             f"trace_{self.algorithm}_a{self.antennas}_p{self.power_dbm:g}"
-            f"_c{self.c_label()}_M{self.m_count}_s{self.seed}.csv"
+            f"_c{self.c_label()}_M{m_count}_s{self.seed}.csv"
         )
 
 
 def _enumerate_runs(config: ExperimentConfig) -> list[_RunKey]:
-    m_count = int(config.scenario.get("M", SCENARIO_DEFAULTS["M"]))
     return [
-        _RunKey(algorithm, antennas, power, c_val, m_count, config.base_seed + idx)
+        _RunKey(algorithm, antennas, power, c_val, config.base_seed + idx)
         for algorithm in config.algorithms
         for antennas in sorted(config.antennas)
         for power in config.power_dbm
@@ -269,7 +291,8 @@ def _execute_run(key: _RunKey, config: ExperimentConfig, out_dir: Path) -> dict:
     result = run_algorithm(key.algorithm, scenario, stats, options)
     wallclock = time.perf_counter() - start
 
-    trace_path = out_dir / key.trace_name()
+    trace_name = key.trace_name(scenario.M)
+    trace_path = out_dir / trace_name
     with open(trace_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
@@ -289,9 +312,7 @@ def _execute_run(key: _RunKey, config: ExperimentConfig, out_dir: Path) -> dict:
     if config.save_beamformers:
         from .beamformer import to_json_dict
 
-        checkpoint = out_dir / key.trace_name().replace("trace_", "beamformers_").replace(
-            ".csv", ".json"
-        )
+        checkpoint = out_dir / trace_name.replace("trace_", "beamformers_").replace(".csv", ".json")
         if result.incumbent is not None:
             doc = to_json_dict(result.incumbent)
         else:
@@ -311,7 +332,7 @@ def _execute_run(key: _RunKey, config: ExperimentConfig, out_dir: Path) -> dict:
         "antennas": key.antennas,
         "power_dbm": key.power_dbm,
         "c": key.c,
-        "M": key.m_count,
+        "M": scenario.M,
         "seed": key.seed,
         "min_slnr": result.trace[-1].min_slnr,
         "min_rate_mbps": report.min_rate_mbps,

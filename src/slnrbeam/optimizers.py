@@ -44,7 +44,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .beamformer import BeamformerSet, beamformer_matrix, circular_gaussian, init_feasible
+from .beamformer import SIDES, BeamformerSet, beamformer_matrix, circular_gaussian, init_feasible
 from .channel import ChannelStatistics, Scenario
 from .metrics import _signal_and_leakage, ergodic_rate_closed, slnr_vec
 from .numerics import largest_generalized_eigvec
@@ -59,7 +59,6 @@ from .surrogates import (
 
 logger = logging.getLogger(__name__)
 
-SIDE_ORDER = ("azimuth", "elevation")
 # Fraction of the remaining budget granted to a reinitialized degenerate user.
 DEGENERATE_POWER_FRACTION = 0.01
 # Relative duality gap to which each max-min subproblem is solved.
@@ -384,7 +383,7 @@ def _alternate(
     for it in range(1, options.max_iterations + 1):
         previous_full = current
         moved = False
-        for half, side in enumerate(SIDE_ORDER):
+        for half, side in enumerate(SIDES):
             run.fix_gauge(side)
             run.reinit_degenerate(side)
             current = objective(run.slnrs)
@@ -457,7 +456,7 @@ def run_gm(
 
     def update(run: _Run, side: str, ops: HalfIterationOperators) -> np.ndarray:
         nonlocal weights
-        if side == SIDE_ORDER[0]:
+        if side == SIDES[0]:
             weights = gm_weights(run.slnrs)
         return closed_form_update(gm_minorant_coeffs(ops), scenario.P, weights=weights)
 

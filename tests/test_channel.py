@@ -12,6 +12,7 @@ import scipy.stats
 from slnrbeam.channel import (
     INNER_RADIUS,
     Scenario,
+    ScenarioError,
     build_statistics,
     dbm_to_watt,
     horizontal_correlation,
@@ -46,6 +47,19 @@ class TestScenario:
             Scenario(Q=2, L=1, M=3)
         with pytest.raises(ValueError):
             Scenario(Q=2, L=1, P=-1.0)
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [({"Q": 0}, "Q"), ({"L": 0}, "L"), ({"M": 3}, "M"), ({"P": -1.0}, "P"),
+         ({"P": float("nan")}, "P"), ({"bandwidth": -1.0, "sigma": 1e-12}, "bandwidth"),
+         ({"sigma": 0.0}, "sigma"), ({"cell_radius": 10.0}, "cell_radius"),
+         ({"sigma_sf": -1.0}, "sigma_sf"), ({"seed": -1}, "seed")],
+    )
+    def test_error_names_field(self, change, field):
+        # The one place the ranges are written; the config boundary reads the field.
+        with pytest.raises(ScenarioError) as err:
+            Scenario(**{"Q": 2, "L": 1, **change})
+        assert err.value.field == field and str(err.value).startswith(f"{field} must be ")
 
 
 class TestPathloss:

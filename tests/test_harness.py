@@ -71,6 +71,21 @@ class TestScenarioConversion:
         with pytest.raises(ValueError, match=f"key '{key}' must be"):
             scenario_from_dict(default_scenario_dict(**{key: value}))
 
+    @pytest.mark.parametrize(
+        "change, key, rule",
+        [({"Q": 0}, "Q", ">= 1"), ({"users": 0}, "users", ">= 1"),
+         ({"M": 5}, "M", "between 1 and Q = 4"), ({"cell_radius_m": 5.0}, "cell_radius_m", "above 10 m"),
+         ({"bandwidth_hz": 0.0}, "bandwidth_hz", "positive"),
+         ({"sigma_watts": 1e-12, "bandwidth_hz": -1.0}, "bandwidth_hz", "positive"),
+         ({"sigma_watts": -1e-12}, "sigma_watts", "positive"),
+         ({"shadow_std_db": -1.0}, "shadow_std_db", ">= 0"), ({"seed": -1}, "seed", ">= 0")],
+    )
+    def test_out_of_range_names_key(self, change, key, rule):
+        # Scenario's range rules, reported under the key the spec wrote.
+        with pytest.raises(ValueError) as err:
+            scenario_from_dict(default_scenario_dict(**change))
+        assert str(err.value) == f"key '{key}' must be {rule}, got {change[key]!r}"
+
     def test_defaults_match_library(self):
         # The schema's JSON-unit defaults give the library's own Scenario defaults.
         assert scenario_from_dict({"Q": 4, "users": 3}) == Scenario(Q=4, L=3)
@@ -184,6 +199,26 @@ class TestRunExperiment:
         config = small_config(tmp_path, antennas=[9.0], c=[1])
         assert config.antennas == [9] and type(config.antennas[0]) is int
         assert config.c == [1.0] and type(config.c[0]) is float
+
+    def test_sweep_keys_default_from_scenario(self, tmp_path):
+        scenario = default_scenario_dict(Q=5, users=2, power_dbm=40, seed=3)
+        config = ExperimentConfig(scenario=scenario, algorithms=["gm"])
+        assert (config.antennas, config.power_dbm, config.base_seed) == ([25], [40.0], 3)
+        given = ExperimentConfig(scenario=scenario, algorithms=["gm"], antennas=[9],
+                                 power_dbm=[24], base_seed=0)
+        assert (given.antennas, given.power_dbm, given.base_seed) == ([9], [24.0], 0)
+        assert given.run_spec(9, 24.0, 0) == {**scenario, "Q": 3, "power_dbm": 24.0, "seed": 0}
+        # an empty axis is an error, never the scenario's value
+        for key in ("antennas", "power_dbm"):
+            with pytest.raises(ValueError, match=f"key '{key}' must be a nonempty list"):
+                ExperimentConfig(scenario=scenario, algorithms=["gm"], **{key: []})
+        # a range error names the key that set the value
+        with pytest.raises(ValueError, match=r"^key 'seed' must be >= 0, got -1$"):
+            ExperimentConfig(scenario=dict(scenario, seed=-1), algorithms=["gm"])
+        with pytest.raises(ValueError, match=r"^key 'base_seed' must be >= 0, got -1$"):
+            ExperimentConfig(scenario=scenario, algorithms=["gm"], base_seed=-1)
+        with pytest.raises(ValueError, match=r"^key 'M' must be between 1 and Q = 2, got 3$"):
+            ExperimentConfig(scenario=dict(scenario, M=3), algorithms=["gm"], antennas=[4])
 
     @pytest.mark.parametrize("key", ["tolerence", "mc_samples", "rate_every"])
     def test_unknown_option_rejected(self, tmp_path, key):
@@ -303,7 +338,7 @@ class TestCli:
 
     def test_negative_c_rejected(self, tmp_path):
         code = cli_main(["run", "--algorithm", "soft", "--c", "-1", "--out", str(tmp_path)])
-        assert code == 2
+        assert code == 1
 
     def test_unknown_flag_usage_error(self):
         assert cli_main(["run", "--bogus"]) == 2
@@ -339,6 +374,83 @@ class TestCli:
         out = tmp_path / "scenario.json"
         assert cli_main(["scenario", "gen", "--out", str(out), *flags]) == 0
         assert out.read_text() == "{\n" + body + "\n}\n"
+
+    @pytest.mark.parametrize(
+        "flags, key", [(["--Q", "2", "--M", "3"], "M"), (["--power-dbm", "nan"], "power_dbm")]
+    )
+    def test_scenario_gen_checked_before_writing(self, tmp_path, capsys, flags, key):
+        out = tmp_path / "scenario.json"
+        assert cli_main(["scenario", "gen", "--out", str(out), *flags]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: key '{key}' must be")
+        assert not out.exists()
+
+    def test_scenario_gen_has_no_c_flag(self, tmp_path):
+        out = tmp_path / "scenario.json"
+        assert cli_main(["scenario", "gen", "--out", str(out), "--c", "0.1"]) == 2
+        assert not out.exists()
+
+    def test_sweep_keys_left_out_take_scenario_values(self, tmp_path):
+        # The scenario's Q, power_dbm and seed run as written when the config
+        # gives no antennas, power_dbm or base_seed.
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps({
+            "scenario": {"Q": 5, "users": 2, "seed": 3, "power_dbm": 40.0},
+            "algorithms": ["baseline"],
+        }))
+        out_dir = tmp_path / "out"
+        assert cli_main(["sweep", "--config", str(config_path), "--out", str(out_dir)]) == 0
+        (row,) = read_csv(out_dir / "summary.csv")[1:]
+        assert row[:6] == ["baseline", "25", "40", "nan", "1", "3"]
+
+    def test_run_flag_overrides_config_axis(self, tmp_path):
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps({
+            "scenario": default_scenario_dict(Q=3, users=2),
+            "algorithms": ["baseline"], "antennas": [9, 16], "power_dbm": [20.0], "base_seed": 5,
+        }))
+        out_dir = tmp_path / "out"
+        argv = ["run", "--config", str(config_path), "--Q", "2", "--power-dbm", "30", "--seed", "1",
+                "--out", str(out_dir)]
+        assert cli_main(argv) == 0
+        (row,) = read_csv(out_dir / "summary.csv")[1:]
+        assert row[:6] == ["baseline", "4", "30", "nan", "1", "1"]
+
+    @pytest.mark.parametrize(
+        "flags, scenario, experiment, key",
+        [
+            (["run", "--algorithm", "gm", "--M", "0"], {"M": 0}, {}, "M"),
+            (["run", "--algorithm", "soft", "--c", "-1"], {}, {"algorithms": ["soft"], "c": [-1]}, "c"),
+            (["run", "--algorithm", "gm", "--Q", "0"], {"Q": 0}, {}, "Q"),
+            (["run", "--algorithm", "gm", "--users", "0"], {"users": 0}, {}, "users"),
+            (["run", "--algorithm", "gm", "--Q", "2", "--users", "2", "--M", "3"],
+             {"Q": 2, "users": 2, "M": 3}, {}, "M"),
+            (["sweep", "--config", "{valid}", "--seeds", "0"], {}, {"n_seeds": 0}, "n_seeds"),
+            (None, {}, {"base_seed": -1}, "base_seed"),
+        ],
+        ids=["M_zero", "c_negative", "Q_zero", "users_zero", "M_above_Q", "seeds_zero", "base_seed"],
+    )
+    def test_rejected_value_is_one_key_line(self, tmp_path, capsys, flags, scenario, experiment, key):
+        # A flag and the same value in JSON give one identical line naming the
+        # key, exit code 1 and no file.
+        valid = tmp_path / "valid.json"
+        valid.write_text(json.dumps({"scenario": default_scenario_dict(), "algorithms": ["gm"]}))
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps({
+            "scenario": default_scenario_dict(**scenario), "algorithms": ["gm"], **experiment,
+        }))
+        out_dir = tmp_path / "out"
+        runs = [["sweep", "--config", str(config_path)]]
+        if flags is not None:
+            runs.append([str(valid) if arg == "{valid}" else arg for arg in flags])
+        lines = []
+        for argv in runs:
+            assert cli_main([*argv, "--out", str(out_dir)]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: key '{key}' must be")
+            assert not out_dir.exists()
+            lines += err
+        assert len(set(lines)) == 1
 
     def test_sweep_from_config(self, tmp_path):
         config_path = tmp_path / "exp.json"
