@@ -15,7 +15,7 @@ import numpy as np
 
 from slnrbeam.beamformer import beamformer_matrix, init_feasible
 from slnrbeam.channel import Scenario, build_statistics
-from slnrbeam.metrics import _signal_and_leakage
+from slnrbeam.metrics import _signal_and_leakage, covariance_images
 from slnrbeam.surrogates import (
     gm_minorant_coeffs,
     half_iteration_operators,
@@ -78,7 +78,8 @@ report("soft-min majorant:", bound - target)
 sc = Scenario(Q=4, L=3, M=2, seed=31)
 stats = build_statistics(sc)
 bf = init_feasible(sc, np.random.default_rng(31))
-signal, leakage = _signal_and_leakage(beamformer_matrix(bf), stats)
+w_mat = beamformer_matrix(bf)
+signal, leakage = _signal_and_leakage(w_mat, covariance_images(w_mat, stats))
 slnrs = signal / (leakage + sc.sigma)
 ops = half_iteration_operators("azimuth", bf, stats, signal, leakage, sc.sigma)
 ratio_quads = slnr_minorant_coeffs(ops)

@@ -22,6 +22,7 @@ from .channel import (
 from .beamformer import BeamformerSet, beamformer_matrix, init_feasible
 from .metrics import (
     RateReport,
+    covariance_images,
     ergodic_rate_closed,
     ergodic_rate_mc,
     jain_index,
@@ -52,6 +53,7 @@ __all__ = [
     "beamformer_matrix",
     "build_statistics",
     "closed_form_update",
+    "covariance_images",
     "ergodic_rate_closed",
     "ergodic_rate_mc",
     "horizontal_correlation",

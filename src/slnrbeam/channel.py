@@ -87,6 +87,8 @@ class Scenario:
             ("sigma", self.sigma > 0, "positive"),
             ("cell_radius", self.cell_radius > INNER_RADIUS, f"above {INNER_RADIUS:g} m"),
             ("sigma_sf", self.sigma_sf >= 0, ">= 0"),
+            ("sigma_alpha", self.sigma_alpha >= 0, ">= 0"),
+            ("sigma_beta", self.sigma_beta >= 0, ">= 0"),
             ("seed", self.seed >= 0, ">= 0"),
         ):
             if not ok:

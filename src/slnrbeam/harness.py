@@ -242,7 +242,9 @@ def scenario_from_dict(spec: dict, sweep_keys: dict | None = None) -> Scenario:
         )
     except ScenarioError as err:
         key = {"L": "users", "P": "power_dbm", "bandwidth": "bandwidth_hz", "sigma": noise_key,
-               "cell_radius": "cell_radius_m", "sigma_sf": "shadow_std_db"}.get(err.field, err.field)
+               "cell_radius": "cell_radius_m", "sigma_sf": "shadow_std_db",
+               "sigma_alpha": "azimuth_spread_deg",
+               "sigma_beta": "elevation_spread_deg"}.get(err.field, err.field)
         raise ValueError(f"key {(sweep_keys or {}).get(key, key)!r} must be {err.rule}, got {spec[key]!r}") from None
 
 

@@ -14,6 +14,12 @@ exact ergodic rate
 with S_int the interference-only Gram (S_k without row and column k). Only
 the eigenvalues of S_k and S_int enter, and repeated or zero eigenvalues
 need no special case.
+
+Every expected power contracts the covariance images R_k w_j of the
+beamformer columns, built once per matrix by ``covariance_images``, the only
+function here that reads the channel statistics. Its readers take the
+images with the matrix: ``slnr_vec`` (through ``_signal_and_leakage``) and
+``ergodic_rate_closed``, which forms every Gram S_k.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ RATE_HEAD = 1e-17
 RATE_TAIL = 40.0
 
 
-def _covariance_images(w_mat: np.ndarray, stats: ChannelStatistics) -> np.ndarray:
+def covariance_images(w_mat: np.ndarray, stats: ChannelStatistics) -> np.ndarray:
     """The vectors R_k w_j for every channel user k and every column w_j.
 
     ``w_mat`` is (Q^2, n) with column-major vectorized beamformers. Works on
@@ -51,37 +57,37 @@ def _covariance_images(w_mat: np.ndarray, stats: ChannelStatistics) -> np.ndarra
     return stats.path_gain[:, None, None] * images.reshape(-1, n, q * q)
 
 
-def _signal_and_leakage(
-    w_mat: np.ndarray, stats: ChannelStatistics
-) -> tuple[np.ndarray, np.ndarray]:
+def _signal_and_leakage(w_mat: np.ndarray, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every user's expected signal power w_l^H R_l w_l and leakage
-    sum_{k != l} w_l^H R_k w_l."""
-    power = np.real(np.einsum("klx,xl->kl", _covariance_images(w_mat, stats), w_mat.conj()))
+    sum_{k != l} w_l^H R_k w_l, from the ``covariance_images`` of ``w_mat``."""
+    power = np.real(np.einsum("klx,xl->kl", images, w_mat.conj()))
     own = np.eye(power.shape[0], dtype=bool)
     return np.diag(power), np.maximum(np.where(own, 0.0, power).sum(axis=0), 0.0)
 
 
-def slnr_vec(w_mat: np.ndarray, stats: ChannelStatistics, sigma: float) -> np.ndarray:
+def slnr_vec(w_mat: np.ndarray, images: np.ndarray, sigma: float) -> np.ndarray:
     """Covariance-form SLNRs of all users for vectorized beamformers.
 
     ``w_mat`` is (Q^2, L) with column ell the column-major vec of user ell's
-    transmit matrix. Entry ell is the expected signal power over the
-    expected leakage toward the other users plus noise.
+    transmit matrix, and ``images`` its ``covariance_images``. Entry ell is
+    the expected signal power over the expected leakage toward the other
+    users plus noise.
     """
-    signal, leakage = _signal_and_leakage(w_mat, stats)
+    signal, leakage = _signal_and_leakage(w_mat, images)
     return signal / (leakage + sigma)
 
 
-def ergodic_rate_closed(w_mat: np.ndarray, stats: ChannelStatistics, sigma: float) -> np.ndarray:
+def ergodic_rate_closed(w_mat: np.ndarray, images: np.ndarray, sigma: float) -> np.ndarray:
     """Every user's exact ergodic rate E[ln(1 + SINR)], in nats, as an (L,) array.
 
     Evaluates Hamdi's integral (module docstring) for all users on one grid
     s = exp(t), t spaced RATE_STEP apart from ln(RATE_HEAD / (largest trace
     + sigma)) up to ln(RATE_TAIL / sigma). The integrand vanishes at both
     ends, so the trapezoid rule is the step times the plain sum over nodes.
+    ``images`` are the ``covariance_images`` of the (Q^2, L) ``w_mat``.
     """
     n = w_mat.shape[1]
-    gram = _covariance_images(w_mat, stats) @ w_mat.conj()  # [k, j, i] = w_i^H R_k w_j
+    gram = images @ w_mat.conj()  # [k, j, i] = w_i^H R_k w_j
     # S_k with row and column k zeroed has the interference-only minor's
     # spectrum plus one zero. One stacked eigensolve serves both, so a user
     # whose row is already zero gets bit-identical spectra and a rate of 0.
@@ -177,11 +183,12 @@ def rate_report(
     sigma: float,
     bandwidth_hz: float,
 ) -> RateReport:
-    """Evaluate every user's SLNR and closed-form ergodic rate."""
-    nats = np.maximum(ergodic_rate_closed(w_mat, stats, sigma), 0.0)
+    """Every user's SLNR and closed-form ergodic rate, from one image build."""
+    images = covariance_images(w_mat, stats)
+    nats = np.maximum(ergodic_rate_closed(w_mat, images, sigma), 0.0)
     mbps = nats_to_mbps(nats, bandwidth_hz)
     return RateReport(
-        slnr=slnr_vec(w_mat, stats, sigma),
+        slnr=slnr_vec(w_mat, images, sigma),
         rate_nats=nats,
         rate_mbps=mbps,
         min_rate_mbps=float(mbps.min()),

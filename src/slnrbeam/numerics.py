@@ -158,9 +158,9 @@ def largest_generalized_eigvec(a: np.ndarray, roots: Iterable[np.ndarray]) -> np
     first entry whose magnitude is within a relative 1e-8 of the largest, so
     that round-off cannot flip a tie (the baseline's largest entries come in
     exactly mirrored pairs). A metric that is not positive definite raises
-    ValueError.
+    ValueError. ``a`` must be Hermitian, which is not checked: the Cholesky
+    factorization reads its lower triangle only.
     """
-    check_hermitian(a)
     try:
         inv = np.linalg.inv(np.linalg.cholesky(a))
     except np.linalg.LinAlgError as err:
@@ -185,9 +185,8 @@ def pencil_diagonalize(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``(w, T)`` with T unitary and ``T^H C T = diag(w)``, the eigenvalues
     ascending and clipped at 0. Substituting ``v = T u`` turns every shifted
     solve ``(alpha*C + mu*I) v = r`` into a diagonal one, which the
-    power-allocation searches exploit. A curvature that is not Hermitian
-    raises ValueError.
+    power-allocation searches exploit. Every curvature must be Hermitian,
+    which is not checked: ``eigh`` reads one triangle only.
     """
-    check_hermitian(c)
     lam, t = np.linalg.eigh(c)
     return np.clip(lam, 0.0, None), t

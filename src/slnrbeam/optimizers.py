@@ -29,10 +29,11 @@ does not always increase the product), the step is backtracked toward the
 current iterate. Every result says why its run stopped.
 
 Each candidate iterate is evaluated once: a backtracking trial builds its
-beamformer matrix W and every user's expected signal and leakage power. The
-accepted trial's evaluation is kept with the iterate and serves its
-objective, its trace row (rates, power, incumbent) and the next
-half-iteration's operators.
+beamformer matrix W, W's covariance images and, from them, every user's
+expected signal and leakage power. The accepted trial's evaluation is kept
+with the iterate and serves its objective, its trace row (the rate oracle
+reads its images; power, incumbent) and the next half-iteration's
+operators.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 
 from .beamformer import SIDES, BeamformerSet, beamformer_matrix, circular_gaussian, init_feasible
 from .channel import ChannelStatistics, Scenario
-from .metrics import _signal_and_leakage, ergodic_rate_closed, slnr_vec
+from .metrics import _signal_and_leakage, covariance_images, ergodic_rate_closed, slnr_vec
 from .numerics import largest_generalized_eigvec
 from .qcqp import SubproblemSolution, closed_form_update, solve_maxmin
 from .surrogates import (
@@ -168,19 +169,19 @@ def track_incumbent(
 def _record(
     result: OptimizationResult,
     w_mat: np.ndarray,
+    images: np.ndarray,
     slnrs: np.ndarray,
-    stats: ChannelStatistics,
     sigma: float,
     step: float,
     objective: float,
     bf: BeamformerSet | None = None,
     sub: SubproblemSolution | None = None,
 ) -> None:
-    """Append the trace row of the iterate ``w_mat`` (SLNRs ``slnrs``) to
-    ``result`` and refresh its incumbent (``track_incumbent``, with the set
-    ``bf`` if there is one); ``sub`` is the max-min subproblem solution that
-    produced the iterate, if any."""
-    rates = ergodic_rate_closed(w_mat, stats, sigma)
+    """Append the trace row of the iterate ``w_mat`` (covariance images
+    ``images``, SLNRs ``slnrs``) to ``result`` and refresh its incumbent
+    (``track_incumbent``, with the set ``bf`` if there is one); ``sub`` is
+    the max-min subproblem solution that produced the iterate, if any."""
+    rates = ergodic_rate_closed(w_mat, images, sigma)
     track_incumbent(result, w_mat, rates, bf=bf)
     result.trace.append(
         TraceEntry(
@@ -232,9 +233,10 @@ class _Run:
     """Shared state and bookkeeping for one alternating-optimization run.
 
     The current iterate ``bf`` is kept with its one evaluation (``evaluate``):
-    its (Q^2, L) matrix ``w_mat``, every user's expected ``signal`` and
-    ``leakage`` power, and the ``slnrs`` derived from them. The trace row,
-    the incumbent and the next half-iteration's operators all read these.
+    its (Q^2, L) matrix ``w_mat``, its covariance ``images``, every user's
+    expected ``signal`` and ``leakage`` power, and the ``slnrs`` derived from
+    them. The trace row, the incumbent and the next half-iteration's
+    operators all read these; the images never reach the result.
     ``subproblem`` is the last max-min subproblem's solution, for the trace
     row.
 
@@ -254,19 +256,20 @@ class _Run:
         self.result = OptimizationResult(algorithm)
 
     def evaluate(self, bf: BeamformerSet) -> tuple[np.ndarray, ...]:
-        """``(w_mat, signal, leakage, slnrs)`` of a candidate iterate ``bf``."""
+        """``(w_mat, images, signal, leakage, slnrs)`` of a candidate iterate ``bf``."""
         w_mat = beamformer_matrix(bf)
-        signal, leakage = _signal_and_leakage(w_mat, self.stats)
-        return w_mat, signal, leakage, signal / (leakage + self.sigma)
+        images = covariance_images(w_mat, self.stats)
+        signal, leakage = _signal_and_leakage(w_mat, images)
+        return w_mat, images, signal, leakage, signal / (leakage + self.sigma)
 
     def keep(self, evaluation: tuple[np.ndarray, ...]) -> None:
         """Adopt ``evaluate``'s result as the current iterate's."""
-        self.w_mat, self.signal, self.leakage, self.slnrs = evaluation
+        self.w_mat, self.images, self.signal, self.leakage, self.slnrs = evaluation
 
     def record(self, step: float, objective: float) -> None:
         """Append the current iterate's trace row and refresh the incumbent."""
         _record(
-            self.result, self.w_mat, self.slnrs, self.stats, self.sigma, step, objective,
+            self.result, self.w_mat, self.images, self.slnrs, self.sigma, step, objective,
             bf=self.bf, sub=self.subproblem,
         )
 
@@ -493,9 +496,10 @@ def run_baseline(
 ) -> OptimizationResult:
     """Evaluate the uniform-power baseline in the common result format."""
     w_mat = baseline_uniform(stats, scenario)
+    images = covariance_images(w_mat, stats)
     result = OptimizationResult("baseline", stop_reason="direct")
-    slnrs = slnr_vec(w_mat, stats, scenario.sigma)
-    _record(result, w_mat, slnrs, stats, scenario.sigma, 0.0, float(slnrs.min()))
+    slnrs = slnr_vec(w_mat, images, scenario.sigma)
+    _record(result, w_mat, images, slnrs, scenario.sigma, 0.0, float(slnrs.min()))
     return result
 
 

@@ -11,12 +11,14 @@ eigenvalue expansion of the ergodic rate, and a chi-space evaluator of the three
 operators at a given beamformer set, as the designs' driver does, and
 ``whiten`` maps quadratics with a general power metric onto the identity
 metric the solvers take, under which ``power_of`` is the power.
+``rates_of`` and ``slnrs_of`` run the metrics readers on covariance images
+built for the occasion.
 """
 
 import numpy as np
 
 from slnrbeam.beamformer import beamformer_matrix
-from slnrbeam.metrics import _signal_and_leakage, slnr_vec
+from slnrbeam.metrics import _signal_and_leakage, covariance_images, ergodic_rate_closed, slnr_vec
 from slnrbeam.numerics import exp_scaled_e1
 from slnrbeam.surrogates import half_iteration_operators
 
@@ -85,15 +87,26 @@ def power_of(v):
     return sum(float(np.real(np.vdot(row, row))) for row in v)
 
 
+def rates_of(w_mat, stats, sigma):
+    """The rate oracle at the (Q^2, L) beamformers ``w_mat``."""
+    return ergodic_rate_closed(w_mat, covariance_images(w_mat, stats), sigma)
+
+
+def slnrs_of(w_mat, stats, sigma):
+    """Every user's covariance-form SLNR at the (Q^2, L) beamformers ``w_mat``."""
+    return slnr_vec(w_mat, covariance_images(w_mat, stats), sigma)
+
+
 def operators_at(side, bf, stats, sigma):
     """``half_iteration_operators`` at ``bf``, its expected powers evaluated first."""
-    signal, leakage = _signal_and_leakage(beamformer_matrix(bf), stats)
+    w_mat = beamformer_matrix(bf)
+    signal, leakage = _signal_and_leakage(w_mat, covariance_images(w_mat, stats))
     return half_iteration_operators(side, bf, stats, signal, leakage, sigma)
 
 
 def user_slnr(bf, stats, ell, sigma):
     """Covariance-form SLNR of user ``ell`` under an outer-product beamformer set."""
-    return float(slnr_vec(beamformer_matrix(bf), stats, sigma)[ell])
+    return float(slnrs_of(beamformer_matrix(bf), stats, sigma)[ell])
 
 
 def transmit_bilinear(bf, h_mat, user):

@@ -15,7 +15,7 @@ import pytest
 from slnrbeam.beamformer import BeamformerSet, beamformer_matrix, coupling_matrix, init_feasible
 from slnrbeam.channel import Scenario, build_statistics, sample_channels, vec_batch
 from slnrbeam.harness import ExperimentConfig, default_scenario_dict, run_experiment
-from slnrbeam.metrics import ergodic_rate_closed, ergodic_rate_mc, rate_report, slnr_vec
+from slnrbeam.metrics import ergodic_rate_mc, rate_report
 from slnrbeam.optimizers import AlgoOptions, run_baseline, run_gm, run_maxmin, run_soft
 from slnrbeam.qcqp import Quadratics, solve_maxmin
 from slnrbeam.surrogates import log_bound, ratio_bound, smoothed_min_bound
@@ -25,6 +25,8 @@ from conftest import (
     chi_minorant,
     chi_softmin_majorant,
     psi_matrix,
+    rates_of,
+    slnrs_of,
     softmin_target,
     total_power,
     vec,
@@ -175,7 +177,7 @@ class TestCriterion4RateOracle:
             bf = init_feasible(sc, np.random.default_rng(seed))
             w_mat = beamformer_matrix(bf)
             ell = (seed - 1) % 3
-            closed = ergodic_rate_closed(w_mat, stats, sc.sigma)[ell]
+            closed = rates_of(w_mat, stats, sc.sigma)[ell]
             est, se = ergodic_rate_mc(w_mat, stats, ell, sc.sigma, 1_000_000, rng)
             assert abs(est - closed) <= max(0.01 * closed, 3.0 * se), (
                 f"seed {seed}: closed {closed:.6f} vs MC {est:.6f} (se {se:.2e})"
@@ -207,7 +209,7 @@ class TestCriterion5MeanRatioBound:
                 leak += np.abs(vec_batch(h) @ w) ** 2
             ratios = own / (leak + sc.sigma)
             se = ratios.std(ddof=1) / np.sqrt(n_draws)
-            bound = slnr_vec(beamformer_matrix(bf), stats, sc.sigma)[ell]
+            bound = slnrs_of(beamformer_matrix(bf), stats, sc.sigma)[ell]
             assert ratios.mean() >= bound - 3.0 * se, (
                 f"seed {seed}: mean ratio {ratios.mean():.4f} vs bound {bound:.4f}"
             )

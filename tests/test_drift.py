@@ -82,13 +82,14 @@ def test_compare_names_unmatched_runs(drift):
 
 def test_summary_records_every_users_rate(drift):
     from slnrbeam.channel import Scenario, build_statistics
-    from slnrbeam.metrics import ergodic_rate_closed
+    from slnrbeam.metrics import covariance_images, ergodic_rate_closed
     from slnrbeam.optimizers import run_baseline
 
     sc = Scenario(Q=3, L=3, seed=1)
     stats = build_statistics(sc)
     result = run_baseline(sc, stats)
-    rates = ergodic_rate_closed(result.incumbent_matrix, stats, sc.sigma)
+    w_mat = result.incumbent_matrix
+    rates = ergodic_rate_closed(w_mat, covariance_images(w_mat, stats), sc.sigma)
     summary = drift.summarize(result, rates)
     assert summary["rates_nats"] == [float(r) for r in rates]
     assert min(summary["rates_nats"]) == summary["min_rate_nats"]

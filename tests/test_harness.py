@@ -78,13 +78,20 @@ class TestScenarioConversion:
          ({"bandwidth_hz": 0.0}, "bandwidth_hz", "positive"),
          ({"sigma_watts": 1e-12, "bandwidth_hz": -1.0}, "bandwidth_hz", "positive"),
          ({"sigma_watts": -1e-12}, "sigma_watts", "positive"),
-         ({"shadow_std_db": -1.0}, "shadow_std_db", ">= 0"), ({"seed": -1}, "seed", ">= 0")],
+         ({"shadow_std_db": -1.0}, "shadow_std_db", ">= 0"), ({"seed": -1}, "seed", ">= 0"),
+         ({"azimuth_spread_deg": -5.0}, "azimuth_spread_deg", ">= 0"),
+         ({"elevation_spread_deg": -0.5}, "elevation_spread_deg", ">= 0")],
     )
     def test_out_of_range_names_key(self, change, key, rule):
         # Scenario's range rules, reported under the key the spec wrote.
         with pytest.raises(ValueError) as err:
             scenario_from_dict(default_scenario_dict(**change))
         assert str(err.value) == f"key '{key}' must be {rule}, got {change[key]!r}"
+
+    def test_zero_angular_spread_accepted(self):
+        # Zero spread is a valid degenerate case: rank-1 correlation factors.
+        sc = scenario_from_dict(default_scenario_dict(azimuth_spread_deg=0.0, elevation_spread_deg=0.0))
+        assert sc.sigma_alpha == 0.0 and sc.sigma_beta == 0.0
 
     def test_defaults_match_library(self):
         # The schema's JSON-unit defaults give the library's own Scenario defaults.
@@ -451,6 +458,17 @@ class TestCli:
             assert not out_dir.exists()
             lines += err
         assert len(set(lines)) == 1
+
+    def test_negative_angular_spread_is_one_key_line(self, tmp_path, capsys):
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps({
+            "scenario": default_scenario_dict(azimuth_spread_deg=-5.0), "algorithms": ["baseline"],
+        }))
+        out_dir = tmp_path / "out"
+        assert cli_main(["sweep", "--config", str(config_path), "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: key 'azimuth_spread_deg' must be >= 0, got -5.0"]
+        assert not out_dir.exists()
 
     def test_sweep_from_config(self, tmp_path):
         config_path = tmp_path / "exp.json"

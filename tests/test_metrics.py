@@ -11,6 +11,7 @@ from slnrbeam import metrics
 from slnrbeam.beamformer import beamformer_matrix, init_feasible
 from slnrbeam.channel import ChannelStatistics, Scenario, build_statistics, sample_channels, vec_batch
 from slnrbeam.metrics import (
+    covariance_images,
     ergodic_rate_closed,
     ergodic_rate_mc,
     jain_index,
@@ -18,7 +19,6 @@ from slnrbeam.metrics import (
     nats_to_mbps,
     rate_report,
     slnr_vec,
-    _covariance_images,
 )
 from slnrbeam.numerics import exp_scaled_e1
 from slnrbeam.optimizers import AlgoOptions, run_gm, run_soft
@@ -29,6 +29,8 @@ from conftest import (
     full_beamformer,
     instantaneous_sinr,
     operators_at,
+    rates_of,
+    slnrs_of,
     transmit_bilinear,
     user_slnr,
 )
@@ -103,7 +105,7 @@ class TestSlnr:
         # that side's half-iteration operators (R_tilde for azimuth, R for
         # elevation), matches the vectorized form.
         sc, stats, bf = setup
-        want = slnr_vec(beamformer_matrix(bf), stats, sc.sigma)
+        want = slnrs_of(beamformer_matrix(bf), stats, sc.sigma)
         for side, free in (("azimuth", bf.v_a), ("elevation", bf.v_e)):
             ops = operators_at(side, bf, stats, sc.sigma)
             for ell in range(bf.L):
@@ -116,7 +118,7 @@ class TestSlnr:
         sc, stats, bf = setup
         for w in (beamformer_matrix(bf), full_rank_columns(stats)):
             np.testing.assert_allclose(
-                slnr_vec(w, stats, sc.sigma), dense_slnr(w, stats, sc.sigma), rtol=1e-12
+                slnrs_of(w, stats, sc.sigma), dense_slnr(w, stats, sc.sigma), rtol=1e-12
             )
 
     def test_mc_oracle(self, setup):
@@ -230,7 +232,7 @@ class TestErgodicRate:
         w = beamformer_matrix(bf)
         mu = float(np.real(w[:, 0].conj() @ dense_r(stats)[0] @ w[:, 0]))
         want = exp_scaled_e1(sc.sigma / mu)
-        assert ergodic_rate_closed(w, stats, sc.sigma)[0] == pytest.approx(want, rel=1e-10)
+        assert rates_of(w, stats, sc.sigma)[0] == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("n_users", [1, 2, 5, 10])
     def test_coalesced_spectrum_exact(self, n_users):
@@ -245,23 +247,23 @@ class TestErgodicRate:
             mu = ratio * sigma
             w = np.sqrt(mu / 1e-10) * basis
             want = coalesced_rate(n_users, 1.0 / ratio)
-            got = ergodic_rate_closed(w, stats, sigma)
+            got = rates_of(w, stats, sigma)
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15, err_msg=f"mu/sigma={ratio:.0e}")
 
     def test_matches_expansion_reference(self):
         # The batched integral against the eigenvalue expansion, user by user,
         # on well-separated spectra of design iterates at three scales.
         for sc, stats, w in design_iterates():
-            got = ergodic_rate_closed(w, stats, sc.sigma)
+            got = rates_of(w, stats, sc.sigma)
             want = [expansion_rate(w, stats, ell, sc.sigma) for ell in range(sc.L)]
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
     def test_grid_step_converged(self, monkeypatch):
         cases = design_iterates()
-        coarse = [ergodic_rate_closed(w, stats, sc.sigma) for sc, stats, w in cases]
+        coarse = [rates_of(w, stats, sc.sigma) for sc, stats, w in cases]
         monkeypatch.setattr(metrics, "RATE_STEP", metrics.RATE_STEP / 2)
         for (sc, stats, w), rates in zip(cases, coarse):
-            assert np.abs(ergodic_rate_closed(w, stats, sc.sigma) - rates).max() <= 1e-13
+            assert np.abs(rates_of(w, stats, sc.sigma) - rates).max() <= 1e-13
 
     def test_covariance_images_match_dense(self, setup):
         # R_k w_j from the Kronecker factors equals the dense products, for
@@ -270,14 +272,14 @@ class TestErgodicRate:
         cov = dense_r(stats)
         for w in (beamformer_matrix(bf), full_rank_columns(stats, 1)):
             dense = np.einsum("kxy,yj->kjx", cov, w)
-            got = _covariance_images(w, stats)
+            got = covariance_images(w, stats)
             assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_all_zero_beamformers(self, setup):
         sc, stats, _ = setup
         w = np.zeros((16, 3), dtype=complex)
-        np.testing.assert_array_equal(ergodic_rate_closed(w, stats, sc.sigma), 0.0)
+        np.testing.assert_array_equal(rates_of(w, stats, sc.sigma), 0.0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_degenerate_inputs(self, setup):
@@ -287,25 +289,25 @@ class TestErgodicRate:
         w = beamformer_matrix(bf)
         mute = w.copy()
         mute[:, 1] = 0.0
-        rates = ergodic_rate_closed(mute, stats, sc.sigma)
+        rates = rates_of(mute, stats, sc.sigma)
         assert abs(rates[1]) <= 1e-15 and np.all(rates[[0, 2]] > 0.0)
         faint = copy.deepcopy(stats)
         faint.path_gain[:] = 1e-300
-        assert np.all(np.isfinite(ergodic_rate_closed(w, faint, sc.sigma)))
+        assert np.all(np.isfinite(rates_of(w, faint, sc.sigma)))
         solo = Scenario(Q=4, L=1, M=1, seed=3)
         w_solo = beamformer_matrix(init_feasible(solo, np.random.default_rng(3)))
-        assert np.isfinite(ergodic_rate_closed(w_solo, build_statistics(solo), solo.sigma)).all()
+        assert np.isfinite(rates_of(w_solo, build_statistics(solo), solo.sigma)).all()
 
     def test_nonnegative(self, setup):
         sc, stats, bf = setup
         w = beamformer_matrix(bf)
-        assert np.all(ergodic_rate_closed(w, stats, sc.sigma) >= -1e-9)
+        assert np.all(rates_of(w, stats, sc.sigma) >= -1e-9)
 
     def test_matches_monte_carlo(self, setup):
         sc, stats, bf = setup
         w = beamformer_matrix(bf)
         rng = np.random.default_rng(50)
-        rates = ergodic_rate_closed(w, stats, sc.sigma)
+        rates = rates_of(w, stats, sc.sigma)
         for ell in range(bf.L):
             est, se = ergodic_rate_mc(w, stats, ell, sc.sigma, 200_000, rng)
             assert abs(est - rates[ell]) <= max(0.01 * rates[ell], 3.0 * se)
@@ -318,7 +320,7 @@ class TestErgodicRate:
         rot.v_e[1] = np.exp(1j * 1.9) * rot.v_e[1]
         w_rot = beamformer_matrix(rot)
         np.testing.assert_allclose(
-            ergodic_rate_closed(w_rot, stats, sc.sigma), ergodic_rate_closed(w, stats, sc.sigma), rtol=1e-9
+            rates_of(w_rot, stats, sc.sigma), rates_of(w, stats, sc.sigma), rtol=1e-9
         )
 
     def test_degenerate_eigenvalues_exact(self, setup, caplog):
@@ -329,7 +331,7 @@ class TestErgodicRate:
         col = 0.1 * (rng.standard_normal(16) + 1j * rng.standard_normal(16))
         w = np.stack([col, col, 0.5 * col], axis=1)
         with caplog.at_level(logging.WARNING, logger="slnrbeam"):
-            rates = ergodic_rate_closed(w, stats, sc.sigma)
+            rates = rates_of(w, stats, sc.sigma)
         assert not caplog.records
         mc_rng = np.random.default_rng(52)
         for ell in range(3):
@@ -394,3 +396,23 @@ class TestFairnessStats:
             report.min_rate_mbps / report.max_rate_mbps
         )
         assert report.slnr.shape == (3,)
+
+    def test_rate_report_reads_one_build(self, setup, monkeypatch):
+        # One build of the covariance images serves the report's SLNRs and
+        # rates, which are the readers' on those images bit for bit.
+        sc, stats, bf = setup
+        w = beamformer_matrix(bf)
+        builds = []
+
+        def building(w_mat, stats_):
+            builds.append(w_mat)
+            return covariance_images(w_mat, stats_)
+
+        monkeypatch.setattr(metrics, "covariance_images", building)
+        report = rate_report(w, stats, sc.sigma, sc.bandwidth)
+        assert len(builds) == 1 and builds[0] is w
+        images = covariance_images(w, stats)
+        np.testing.assert_array_equal(report.slnr, slnr_vec(w, images, sc.sigma))
+        np.testing.assert_array_equal(
+            report.rate_nats, np.maximum(ergodic_rate_closed(w, images, sc.sigma), 0.0)
+        )

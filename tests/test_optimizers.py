@@ -25,7 +25,7 @@ from slnrbeam.channel import (
     vertical_correlation,
 )
 from slnrbeam import optimizers, surrogates
-from slnrbeam.metrics import _signal_and_leakage, ergodic_rate_closed
+from slnrbeam.metrics import _signal_and_leakage, covariance_images
 from slnrbeam.optimizers import (
     AlgoOptions,
     OptimizationResult,
@@ -39,7 +39,7 @@ from slnrbeam.optimizers import (
 )
 from slnrbeam.qcqp import Quadratics, SubproblemSolution
 
-from conftest import dense_r, operators_at, power_of, total_power, whiten
+from conftest import dense_r, operators_at, power_of, rates_of, total_power, whiten
 
 
 def random_quadratics(rng, n_users=3, dim=6, b_scale=1.0):
@@ -327,6 +327,37 @@ class TestBaseline:
         direction = w_mat[:, 0] / np.linalg.norm(w_mat[:, 0])
         assert abs(abs(np.vdot(direction, vec[:, -1])) - 1.0) < 1e-8
 
+    def test_images_built_once(self, desk, monkeypatch):
+        # The baseline's SLNRs and its trace row's rates read one build.
+        sc, stats = desk
+        builds = []
+
+        def building(w_mat, stats_):
+            builds.append(w_mat)
+            return covariance_images(w_mat, stats_)
+
+        monkeypatch.setattr(optimizers, "covariance_images", building)
+        res = optimizers.run_baseline(sc, stats)
+        assert len(builds) == 1 and builds[0] is res.incumbent_matrix
+
+    def test_metric_hermitian_bit_for_bit(self, monkeypatch):
+        # largest_generalized_eigvec reads one triangle of the metric and does
+        # not check it: the baseline builds it exactly Hermitian.
+        metrics_seen = []
+        solve = optimizers.largest_generalized_eigvec
+
+        def capturing(a, roots):
+            metrics_seen.append(a)
+            return solve(a, roots)
+
+        monkeypatch.setattr(optimizers, "largest_generalized_eigvec", capturing)
+        for q_side, n_users, seed in ((3, 3, 1), (4, 3, 2), (8, 5, 1), (8, 5, 100), (12, 10, 2)):
+            sc = Scenario(Q=q_side, L=n_users, seed=seed)
+            baseline_uniform(build_statistics(sc), sc)
+        assert len(metrics_seen) == 5
+        for a in metrics_seen:
+            np.testing.assert_array_equal(a, a.conj().T)
+
     def test_total_power_split(self, desk):
         sc, stats = desk
         w_mat = baseline_uniform(stats, sc)
@@ -481,7 +512,7 @@ class TestHeldOutSeeds:
             stats = build_statistics(sc)
             for run in (run_gm, run_soft):
                 res = run(sc, stats, AlgoOptions())
-                assert np.all(np.isfinite(ergodic_rate_closed(res.incumbent_matrix, stats, sc.sigma)))
+                assert np.all(np.isfinite(rates_of(res.incumbent_matrix, stats, sc.sigma)))
                 assert max(e.power for e in res.trace) <= sc.P * (1.0 + 1e-9), (seed, run.__name__)
                 assert np.linalg.norm(res.incumbent_matrix) ** 2 <= sc.P * (1.0 + 1e-9)
 
@@ -496,14 +527,14 @@ class TestHeldOutSeeds:
             gaps = [e.subproblem_gap for e in res.trace[1:]]
             assert max(gaps) <= optimizers.SUBPROBLEM_TOL, (seed, max(gaps))
             assert max(e.power for e in res.trace) <= sc.P * (1.0 + 1e-9), seed
-            assert np.all(np.isfinite(ergodic_rate_closed(res.incumbent_matrix, stats, sc.sigma)))
+            assert np.all(np.isfinite(rates_of(res.incumbent_matrix, stats, sc.sigma)))
 
     def test_baseline_feasible(self):
         for seed in range(100, 130):
             sc = Scenario(Q=8, L=5, M=2, seed=seed)
             stats = build_statistics(sc)
             res = optimizers.run_baseline(sc, stats)
-            rates = ergodic_rate_closed(res.incumbent_matrix, stats, sc.sigma)
+            rates = rates_of(res.incumbent_matrix, stats, sc.sigma)
             assert np.all(np.isfinite(rates)) and np.all(rates > 0.0), seed
             assert np.linalg.norm(res.incumbent_matrix) ** 2 <= sc.P * (1.0 + 1e-9), seed
             assert res.stop_reason == "direct"
@@ -517,7 +548,7 @@ class TestIncumbent:
         )
         bf = init_feasible(sc, np.random.default_rng(1))
         w_mat = beamformer_matrix(bf)
-        track_incumbent(result, w_mat, ergodic_rate_closed(w_mat, stats, sc.sigma), bf=bf)
+        track_incumbent(result, w_mat, rates_of(w_mat, stats, sc.sigma), bf=bf)
         assert result.incumbent is not bf
         np.testing.assert_array_equal(result.incumbent.v_a, bf.v_a)
         assert result.incumbent_matrix is w_mat
@@ -529,7 +560,7 @@ class TestIncumbent:
             algorithm="x", incumbent=None, incumbent_matrix=None, rate_min_nats=-np.inf
         )
         bf = init_feasible(sc, np.random.default_rng(1))
-        rates = ergodic_rate_closed(beamformer_matrix(bf), stats, sc.sigma)
+        rates = rates_of(beamformer_matrix(bf), stats, sc.sigma)
         track_incumbent(result, beamformer_matrix(bf), rates, bf=bf)
         first = result.incumbent
         # identical min rate
@@ -555,6 +586,24 @@ class TestIncumbent:
         np.testing.assert_array_equal(run.result.incumbent.v_e, run.bf.v_e)
         assert run.result.trace[0].power == float(np.linalg.norm(built[0]) ** 2)
         assert run.result.trace[0].power == pytest.approx(total_power(run.bf), rel=1e-14)
+
+    @pytest.mark.parametrize("run", [run_maxmin, run_gm, run_soft, optimizers.run_baseline])
+    def test_trace_rates_match_fresh_oracle(self, desk, monkeypatch, run):
+        # Each trace row's minimum rate, read from its evaluation's kept
+        # images, equals the oracle's on images built afresh, bit for bit.
+        sc, stats = desk
+        matrices = []
+        record = optimizers._record
+
+        def recording(result, w_mat, *args, **kwargs):
+            matrices.append(w_mat)
+            return record(result, w_mat, *args, **kwargs)
+
+        monkeypatch.setattr(optimizers, "_record", recording)
+        res = run(sc, stats, AlgoOptions(max_iterations=3))
+        assert len(matrices) == len(res.trace)
+        for entry, w_mat in zip(res.trace, matrices):
+            assert entry.min_rate_nats == float(np.min(rates_of(w_mat, stats, sc.sigma)))
 
     def test_rate_min_equals_trace_max(self, desk):
         sc, stats = desk
@@ -637,8 +686,9 @@ class TestStopReason:
         )
 
     def test_slnrs_computed_once_per_objective_evaluation(self, desk, monkeypatch, caplog):
-        # Each candidate iterate is evaluated once: W and the expected powers
-        # are built per backtracking trial, plus once at init, once per
+        # Each candidate iterate is evaluated once: W, its covariance images
+        # and the expected powers are built per backtracking trial, plus once
+        # at init, once per
         # half-iteration for the gauge's refactored iterate and once per
         # degenerate-user reinit, and feed its objective, its trace row and
         # the next half-iteration's operators. The starting point's power
@@ -646,7 +696,7 @@ class TestStopReason:
         # every slnrbeam namespace that binds them, and counting the calls,
         # shows that no trace row or operator build evaluates them again.
         sc, stats = desk
-        callers = {beamformer_matrix: [], _signal_and_leakage: []}
+        callers = {beamformer_matrix: [], covariance_images: [], _signal_and_leakage: []}
         counts = {"objective": 0, "backtrack": 0, "slnr_vec": 0}
 
         def caller_names():
@@ -680,12 +730,9 @@ class TestStopReason:
         assert not hasattr(surrogates, "_signal_and_leakage")
         monkeypatch.setattr(optimizers, "slnr_vec", counting("slnr_vec", optimizers.slnr_vec))
         monkeypatch.setattr(optimizers, "_backtrack", counting("backtrack", optimizers._backtrack))
-        monkeypatch.setattr(
-            optimizers,
-            "_geometric_mean_log",
-            counting("objective", optimizers._geometric_mean_log),
-        )
-        for run in (run_gm, run_maxmin):
+        for name in ("_geometric_mean_log", "_soft_objective_value"):
+            monkeypatch.setattr(optimizers, name, counting("objective", getattr(optimizers, name)))
+        for run in (run_gm, run_soft, run_maxmin):
             for calls in callers.values():
                 calls.clear()
             counts.update(dict.fromkeys(counts, 0))
@@ -696,7 +743,7 @@ class TestStopReason:
             assert len(res.trace) == 7
             halves = len(res.trace) - 1
             assert counts["slnr_vec"] == 0
-            if run is run_gm:
+            if run is not run_maxmin:
                 # The objective is taken once at init, once per half-iteration
                 # at the gauge-fixed iterate and once per trial.
                 assert counts["objective"] >= 1 + 2 * halves
@@ -717,6 +764,29 @@ class TestStopReason:
                 assert sites.count("_backtrack") == trials
                 assert sites.count("reinit_degenerate") == reinits
                 assert not {"record", "half_iteration_operators"} & {n for c in calls for n in c}
+
+    @pytest.mark.parametrize("run", [run_gm, run_soft])
+    def test_half_iteration_builds_images_twice(self, desk, monkeypatch, run):
+        # A closed-form half-iteration whose first trial is accepted images
+        # two matrices, the gauge-fixed iterate and that trial, and its trace
+        # row's rate oracle reads the trial's images instead of a third build.
+        sc, stats = desk
+        events = []
+        record = optimizers._record
+
+        def building(w_mat, stats_):
+            events.append("build")
+            return covariance_images(w_mat, stats_)
+
+        def recording(*args, **kwargs):
+            events.append("row")
+            return record(*args, **kwargs)
+
+        monkeypatch.setattr(optimizers, "covariance_images", building)
+        monkeypatch.setattr(optimizers, "_record", recording)
+        res = run(sc, stats, AlgoOptions(max_iterations=1))
+        assert len(res.trace) == 3
+        assert events == ["build", "row"] + ["build", "build", "row"] * 2
 
 
 class TestDegenerateHandling:

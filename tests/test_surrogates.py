@@ -6,8 +6,8 @@ import pytest
 
 from slnrbeam.beamformer import beamformer_matrix, init_feasible
 from slnrbeam.channel import Scenario, build_statistics
-from slnrbeam.metrics import slnr_vec
-from slnrbeam.optimizers import _soft_objective_value
+from slnrbeam import qcqp
+from slnrbeam.optimizers import AlgoOptions, _soft_objective_value, run_gm, run_maxmin, run_soft
 from slnrbeam.surrogates import (
     DegenerateUserError,
     gm_minorant_coeffs,
@@ -26,6 +26,7 @@ from conftest import (
     dense_r_tilde,
     operators_at,
     psi_matrix,
+    slnrs_of,
     softmin_target,
     user_slnr,
 )
@@ -166,7 +167,7 @@ def perturb(bf, side, ell, rng, scale):
 class TestSlnrMinorant:
     def test_tight_at_iterate(self, setup):
         sc, stats, bf = setup
-        slnrs = slnr_vec(beamformer_matrix(bf), stats, sc.sigma)
+        slnrs = slnrs_of(beamformer_matrix(bf), stats, sc.sigma)
         for side in ("azimuth", "elevation"):
             quads = slnr_minorant_coeffs(operators_at(side, bf, stats, sc.sigma))
             v = bf.v_a if side == "azimuth" else bf.v_e
@@ -260,7 +261,7 @@ class TestGmMinorant:
         weights = rng.uniform(1.0, 3.0, bf.L)
         quads = gm_minorant_coeffs(operators_at("azimuth", bf, stats, sc.sigma))
         total_bound = float(weights @ quads.values(bf.v_a))
-        total_true = float(weights @ np.log1p(slnr_vec(beamformer_matrix(bf), stats, sc.sigma)))
+        total_true = float(weights @ np.log1p(slnrs_of(beamformer_matrix(bf), stats, sc.sigma)))
         assert total_bound == pytest.approx(total_true, rel=1e-9)
 
     def test_domination(self, setup):
@@ -294,7 +295,7 @@ class TestSoftMajorant:
         for c in (1.0, 0.1):
             constant, quads = soft_majorant_coeffs(ops, c)
             value = constant - quads.values(bf.v_a).sum()
-            slnrs = slnr_vec(beamformer_matrix(bf), stats, sc.sigma)
+            slnrs = slnrs_of(beamformer_matrix(bf), stats, sc.sigma)
             assert value == pytest.approx(_soft_objective_value(slnrs, c), rel=1e-9)
 
     def test_domination(self, setup):
@@ -310,7 +311,7 @@ class TestSoftMajorant:
             )
             bound = constant - quads.values(other.v_a).sum()
             truth = _soft_objective_value(
-                slnr_vec(beamformer_matrix(other), stats, sc.sigma), c
+                slnrs_of(beamformer_matrix(other), stats, sc.sigma), c
             )
             assert bound >= truth - 1e-9 * max(1.0, abs(truth))
 
@@ -354,6 +355,28 @@ class TestCoefficientPositivity:
             mats.append(soft_majorant_coeffs(ops, c)[1].C)
         for mat in mats:
             np.testing.assert_array_equal(mat, mat.conj().swapaxes(-1, -2))
+
+    def test_design_curvatures_hermitian_bit_for_bit(self, monkeypatch):
+        # pencil_diagonalize reads one triangle of each curvature and does not
+        # check it: every stack the three designs hand it along their runs,
+        # at the cli, desk and literature sizes, is exactly Hermitian.
+        stacks = []
+        diagonalize = qcqp.pencil_diagonalize
+
+        def capturing(c):
+            stacks.append(c)
+            return diagonalize(c)
+
+        monkeypatch.setattr(qcqp, "pencil_diagonalize", capturing)
+        for q_side, n_users, m_count, seed in ((3, 3, 1, 1), (8, 5, 2, 100), (12, 10, 2, 2)):
+            sc = Scenario(Q=q_side, L=n_users, M=m_count, seed=seed)
+            stats = build_statistics(sc)
+            runs = (run_gm, run_soft) if q_side == 12 else (run_maxmin, run_gm, run_soft)
+            for run in runs:
+                run(sc, stats, AlgoOptions(max_iterations=3))
+        assert len(stacks) >= 3 * 2 * 8
+        for c in stacks:
+            np.testing.assert_array_equal(c, c.conj().swapaxes(-1, -2))
 
     def test_curvature_scalars_positive_for_nonzero_signal(self, setup):
         # The quadratic-form multipliers of every bound must be strictly

@@ -36,6 +36,10 @@ the largest subproblem gap and the largest trace power over P; then every
 run that raised, whose trace power exceeds P (1 + 1e-9) or whose subproblem
 gap exceeds 1e-4. It exits 1 if there is any such run, else 0.
 
+The ``--src`` package must take the rate oracle's covariance images as
+this checkout's does; a checkout from before that change is snapshotted
+with its own copy of this tool.
+
 It needs numpy and the standard library only.
 """
 
@@ -138,7 +142,10 @@ def snapshot(src: Path, runs_to_do=None) -> dict:
         except Exception as exc:  # a failing run is a finding, not the end of the set
             runs[key] = {"design": label(design, c), "error": f"{type(exc).__name__}: {exc}"}
             continue
-        rates = metrics.ergodic_rate_closed(result.incumbent_matrix, stats, scenario.sigma)
+        w_mat = result.incumbent_matrix
+        rates = metrics.ergodic_rate_closed(
+            w_mat, metrics.covariance_images(w_mat, stats), scenario.sigma
+        )
         power = max(e.power for e in result.trace) / scenario.P
         runs[key] = {
             "design": label(design, c), **summarize(result, rates), "power_over_budget": power
