@@ -105,19 +105,3 @@ def init_feasible(scenario: Scenario, rng: np.random.Generator) -> BeamformerSet
     bf.v_a *= np.sqrt(scenario.P / np.linalg.norm(beamformer_matrix(bf)) ** 2)
     return bf
 
-
-def to_json_dict(bf: BeamformerSet) -> dict:
-    """JSON-safe representation with complex entries as [re, im] pairs."""
-
-    def encode(arr: np.ndarray) -> list:
-        return np.stack([arr.real, arr.imag], axis=-1).tolist()
-
-    return {"Q": bf.Q, "M": bf.M, "v_a": encode(bf.v_a), "v_e": encode(bf.v_e)}
-
-
-def from_json_dict(data: dict) -> BeamformerSet:
-    def decode(entry: list) -> np.ndarray:
-        arr = np.asarray(entry, dtype=float)
-        return arr[..., 0] + 1j * arr[..., 1]
-
-    return BeamformerSet(int(data["Q"]), int(data["M"]), decode(data["v_a"]), decode(data["v_e"]))

@@ -18,8 +18,10 @@ object) and adds ``"algorithms"`` (required), ``"antennas"``,
 object mirroring :class:`slnrbeam.optimizers.AlgoOptions`. The sweep keys
 ``antennas``, ``power_dbm`` and ``base_seed`` replace the scenario's Q (as
 Q^2), ``power_dbm`` and ``seed`` (``SWEEP_KEYS``); one the config leaves out
-takes that scenario value, and the scenario must load as it stands. Other
-keys left out take :class:`ExperimentConfig`'s defaults. Missing required
+takes that scenario value, and the scenario must load as it stands. A
+``c`` axis left out takes ``options.soft_c`` (else :class:`AlgoOptions`'
+default); a given one sets ``soft_c`` in every soft run. Other keys left out
+take :class:`ExperimentConfig`'s defaults. Missing required
 keys, unknown option keys, algorithms not given as a list of known names,
 values of the wrong JSON type or out of range (sweep axes of finite numbers,
 antennas perfect squares, c positive, integral ``n_seeds`` >= 1 and
@@ -32,9 +34,13 @@ checks.
 Outputs per (algorithm, sweep point, seed): a convergence-trace CSV with
 columns ``iteration,min_slnr,objective,min_rate_mbps``; plus one shared
 ``summary.csv`` (a row per run) and one ``aggregate.csv`` (a row per
-algorithm and sweep point, averaging the per-seed summaries). Floats are
-printed with 17 significant digits so reruns diff byte-identically; the
-wallclock column is the only nondeterministic one.
+algorithm and sweep point, averaging the per-seed summaries). The summary
+row's rates are the incumbent's, as the design run returned them. Floats
+are printed with 17 significant digits so reruns diff byte-identically; the
+wallclock column is the only nondeterministic one. With
+``save_beamformers`` each run also writes its incumbent matrix W, whatever
+the design, as ``{"Q": Q, "columns": W as [re, im] pairs}`` (nested lists of
+shape (Q^2, L, 2)).
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ import numpy as np
 
 from .channel import (NOISE_DENSITY_DBM_PER_HZ, Scenario, ScenarioError, build_statistics,
                       dbm_to_watt, noise_power_watt)
-from .metrics import nats_to_mbps, rate_report
+from .metrics import jain_index, min_max_ratio, nats_to_mbps
 from .optimizers import ALGORITHMS, AlgoOptions, run_algorithm
 
 TRACE_COLUMNS = ("iteration", "min_slnr", "objective", "min_rate_mbps")
@@ -90,7 +96,7 @@ class ExperimentConfig:
     algorithms: list[str]
     antennas: list[int] | None = None
     power_dbm: list[float] | None = None
-    c: list[float] = field(default_factory=lambda: [0.1])
+    c: list[float] | None = None
     n_seeds: int = 1
     base_seed: int | None = None
     output_dir: str | os.PathLike = "out"
@@ -110,14 +116,15 @@ class ExperimentConfig:
         for key in self.options:
             if key not in accepted:
                 raise ValueError(f"unknown option {key!r}; accepted options: {', '.join(accepted)}")
-        AlgoOptions(**self.options)  # checks the values, before any file is written
+        options = AlgoOptions(**self.options)  # checks the values, before any file is written
         names = sorted(ALGORITHMS)
         known = isinstance(self.algorithms, list) and all(a in names for a in self.algorithms)
         if not known or not self.algorithms:
             raise ValueError(f"key 'algorithms' must be a list of {names}, got {self.algorithms!r}")
         _distinct("algorithms", self.algorithms)
         # The template loads as it stands, so a run's range error comes from a
-        # sweep key; one left out takes the value of the scenario key it replaces.
+        # sweep key; one left out takes the value of the scenario key it
+        # replaces, and a c axis left out takes the soft_c option.
         scenario_from_dict(self.scenario)
         template = {**SCENARIO_DEFAULTS, **self.scenario}
         antennas = [template["Q"] ** 2] if self.antennas is None else self.antennas
@@ -125,7 +132,7 @@ class ExperimentConfig:
         base_seed = template["seed"] if self.base_seed is None else self.base_seed
         self.antennas = _axis("antennas", antennas, integral=True)
         self.power_dbm = _axis("power_dbm", power_dbm)
-        self.c = _axis("c", self.c)
+        self.c = _axis("c", [options.soft_c] if self.c is None else self.c)
         if any(n < 1 or round(n**0.5) ** 2 != n for n in self.antennas):
             raise ValueError(f"key 'antennas' must be perfect squares, got {self.antennas}")
         if any(cc <= 0 for cc in self.c):
@@ -206,6 +213,25 @@ SCENARIO_DEFAULTS = {
 }
 
 
+# Each Scenario field but the noise power, with the JSON key that sets it and
+# the conversion from that key's unit (None: the value as it stands). The
+# noise power comes from "sigma_watts" or, in its absence, "noise_dbm_per_hz".
+SCENARIO_FIELDS = {
+    "Q": ("Q", None),
+    "L": ("users", None),
+    "M": ("M", None),
+    "P": ("power_dbm", dbm_to_watt),
+    "bandwidth": ("bandwidth_hz", None),
+    "cell_radius": ("cell_radius_m", None),
+    "bs_height": ("bs_height_m", None),
+    "ue_height": ("ue_height_m", None),
+    "sigma_sf": ("shadow_std_db", None),
+    "sigma_alpha": ("azimuth_spread_deg", lambda deg: float(np.deg2rad(deg))),
+    "sigma_beta": ("elevation_spread_deg", lambda deg: float(np.deg2rad(deg))),
+    "seed": ("seed", None),
+}
+
+
 def scenario_from_dict(spec: dict, sweep_keys: dict | None = None) -> Scenario:
     """Build a Scenario from the JSON schema, checking types and converting units.
 
@@ -219,32 +245,18 @@ def scenario_from_dict(spec: dict, sweep_keys: dict | None = None) -> Scenario:
         default = SCENARIO_DEFAULTS[key]
         return _number(key, spec.get(key, default), integral=isinstance(default, int))
 
-    bandwidth = get("bandwidth_hz")
+    values = {
+        name: get(key) if unit is None else unit(get(key)) for name, (key, unit) in SCENARIO_FIELDS.items()
+    }
     if spec.get("sigma_watts") is not None:
-        noise_key, sigma = "sigma_watts", _number("sigma_watts", spec["sigma_watts"])
+        noise_key, values["sigma"] = "sigma_watts", _number("sigma_watts", spec["sigma_watts"])
     else:
-        noise_key, sigma = "noise_dbm_per_hz", noise_power_watt(bandwidth, get("noise_dbm_per_hz"))
+        noise_key = "noise_dbm_per_hz"
+        values["sigma"] = noise_power_watt(values["bandwidth"], get(noise_key))
     try:
-        return Scenario(
-            Q=get("Q"),
-            L=get("users"),
-            M=get("M"),
-            P=dbm_to_watt(get("power_dbm")),
-            sigma=sigma,
-            bandwidth=bandwidth,
-            cell_radius=get("cell_radius_m"),
-            bs_height=get("bs_height_m"),
-            ue_height=get("ue_height_m"),
-            sigma_sf=get("shadow_std_db"),
-            sigma_alpha=float(np.deg2rad(get("azimuth_spread_deg"))),
-            sigma_beta=float(np.deg2rad(get("elevation_spread_deg"))),
-            seed=get("seed"),
-        )
+        return Scenario(**values)
     except ScenarioError as err:
-        key = {"L": "users", "P": "power_dbm", "bandwidth": "bandwidth_hz", "sigma": noise_key,
-               "cell_radius": "cell_radius_m", "sigma_sf": "shadow_std_db",
-               "sigma_alpha": "azimuth_spread_deg",
-               "sigma_beta": "elevation_spread_deg"}.get(err.field, err.field)
+        key = noise_key if err.field == "sigma" else SCENARIO_FIELDS[err.field][0]
         raise ValueError(f"key {(sweep_keys or {}).get(key, key)!r} must be {err.rule}, got {spec[key]!r}") from None
 
 
@@ -312,22 +324,13 @@ def _execute_run(key: _RunKey, config: ExperimentConfig, out_dir: Path) -> dict:
 
     extra_paths = []
     if config.save_beamformers:
-        from .beamformer import to_json_dict
-
         checkpoint = out_dir / trace_name.replace("trace_", "beamformers_").replace(".csv", ".json")
-        if result.incumbent is not None:
-            doc = to_json_dict(result.incumbent)
-        else:
-            w = result.incumbent_matrix
-            doc = {
-                "Q": scenario.Q,
-                "columns": np.stack([w.real, w.imag], axis=-1).tolist(),
-            }
+        w = result.incumbent_matrix
         with open(checkpoint, "w") as fh:
-            json.dump(doc, fh)
+            json.dump({"Q": scenario.Q, "columns": np.stack([w.real, w.imag], axis=-1).tolist()}, fh)
         extra_paths.append(str(checkpoint))
 
-    report = rate_report(result.incumbent_matrix, stats, scenario.sigma, scenario.bandwidth)
+    mbps = nats_to_mbps(result.incumbent_rates, scenario.bandwidth)
     return {
         "extra_paths": extra_paths,
         "algorithm": key.algorithm,
@@ -337,10 +340,10 @@ def _execute_run(key: _RunKey, config: ExperimentConfig, out_dir: Path) -> dict:
         "M": scenario.M,
         "seed": key.seed,
         "min_slnr": result.trace[-1].min_slnr,
-        "min_rate_mbps": report.min_rate_mbps,
-        "max_rate_mbps": report.max_rate_mbps,
-        "min_max_ratio": report.min_max_ratio,
-        "jain": report.jain,
+        "min_rate_mbps": float(mbps.min()),
+        "max_rate_mbps": float(mbps.max()),
+        "min_max_ratio": min_max_ratio(mbps),
+        "jain": jain_index(mbps),
         "iterations": result.iterations,
         "converged": result.converged,
         "wallclock_s": wallclock,

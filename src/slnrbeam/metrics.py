@@ -85,6 +85,8 @@ def ergodic_rate_closed(w_mat: np.ndarray, images: np.ndarray, sigma: float) -> 
     + sigma)) up to ln(RATE_TAIL / sigma). The integrand vanishes at both
     ends, so the trapezoid rule is the step times the plain sum over nodes.
     ``images`` are the ``covariance_images`` of the (Q^2, L) ``w_mat``.
+    Rates are clipped at 0: a user with next to no signal would otherwise
+    read a round-off difference of the two determinant terms, about -1e-16.
     """
     n = w_mat.shape[1]
     gram = images @ w_mat.conj()  # [k, j, i] = w_i^H R_k w_j
@@ -98,7 +100,8 @@ def ergodic_rate_closed(w_mat: np.ndarray, images: np.ndarray, sigma: float) -> 
     t_lo = np.log(RATE_HEAD / (lam[:n].sum(axis=1).max() + sigma))
     s = np.exp(t_hi - RATE_STEP * np.arange(int(np.ceil((t_hi - t_lo) / RATE_STEP)) + 1))
     inverse_det = np.exp(-np.log1p(s[:, None, None] * lam).sum(axis=-1))  # det(I + s S)^-1
-    return RATE_STEP * (np.exp(-sigma * s) @ (inverse_det[:, n:] - inverse_det[:, :n]))
+    rates = RATE_STEP * (np.exp(-sigma * s) @ (inverse_det[:, n:] - inverse_det[:, :n]))
+    return np.maximum(rates, 0.0)
 
 
 def ergodic_rate_mc(
@@ -185,7 +188,7 @@ def rate_report(
 ) -> RateReport:
     """Every user's SLNR and closed-form ergodic rate, from one image build."""
     images = covariance_images(w_mat, stats)
-    nats = np.maximum(ergodic_rate_closed(w_mat, images, sigma), 0.0)
+    nats = ergodic_rate_closed(w_mat, images, sigma)
     mbps = nats_to_mbps(nats, bandwidth_hz)
     return RateReport(
         slnr=slnr_vec(w_mat, images, sigma),

@@ -68,7 +68,8 @@ SUBPROBLEM_TOL = 1e-5
 
 @dataclass
 class AlgoOptions:
-    """Knobs shared by the three iterative algorithms."""
+    """Knobs shared by the three iterative algorithms; a value out of range is
+    a ValueError naming its key."""
 
     tolerance: float = 1e-3
     max_iterations: int = 200
@@ -77,11 +78,11 @@ class AlgoOptions:
     def __post_init__(self):
         for name in ("tolerance", "soft_c"):
             value = getattr(self, name)
-            if not _is_number(value, numbers.Real) or not value > 0:
-                raise ValueError(f"{name} must be a positive number, got {value!r}")
+            if not _is_number(value, numbers.Real) or not 0 < value < np.inf:
+                raise ValueError(f"key {name!r} must be a positive finite number, got {value!r}")
         if not _is_number(self.max_iterations, numbers.Integral) or self.max_iterations < 0:
             raise ValueError(
-                f"max_iterations must be an integer >= 0, got {self.max_iterations!r}"
+                f"key 'max_iterations' must be an integer >= 0, got {self.max_iterations!r}"
             )
 
 
@@ -112,20 +113,26 @@ class TraceEntry:
 class OptimizationResult:
     """A design run's incumbent, trace and ending.
 
-    ``stop_reason`` is "tolerance", "stalled", "subproblem_regressed" or
-    "max_iterations" (see ``_alternate``), or "direct" for the baseline's
-    single evaluation; ``converged`` holds for "tolerance" and "direct". A new
-    result has no incumbent and a minimum rate of -inf.
+    The incumbent is the evaluated (Q^2, L) matrix ``incumbent_matrix`` with
+    the best minimum ergodic rate seen, and ``incumbent_rates`` its users'
+    rates in nats; ``rate_min_nats`` is their minimum, -inf before any
+    incumbent. ``stop_reason`` is "tolerance", "stalled",
+    "subproblem_regressed" or "max_iterations" (see ``_alternate``), or
+    "direct" for the baseline's single evaluation; ``converged`` holds for
+    "tolerance" and "direct".
     """
 
     algorithm: str
-    incumbent: BeamformerSet | None = None
     incumbent_matrix: np.ndarray | None = None
-    rate_min_nats: float = -np.inf
+    incumbent_rates: np.ndarray | None = None
     trace: list[TraceEntry] = field(default_factory=list)
     iterations: int = 0
     stop_reason: str | None = None
     final: BeamformerSet | None = None
+
+    @property
+    def rate_min_nats(self) -> float:
+        return -np.inf if self.incumbent_rates is None else float(self.incumbent_rates.min())
 
     @property
     def converged(self) -> bool:
@@ -146,26 +153,6 @@ def gm_weights(slnr_values: np.ndarray) -> np.ndarray:
     return weights
 
 
-def track_incumbent(
-    result: OptimizationResult,
-    w_mat: np.ndarray,
-    rates: np.ndarray,
-    bf: BeamformerSet | None = None,
-) -> OptimizationResult:
-    """Adopt the (Q^2, L) beamformers ``w_mat`` iff the minimum of their
-    per-user ergodic ``rates`` (nats) strictly improves.
-
-    ``bf``, the set that ``w_mat`` vectorizes if there is one, is copied into
-    the incumbent on adoption.
-    """
-    min_rate = float(np.min(rates))
-    if min_rate > result.rate_min_nats:
-        result.rate_min_nats = min_rate
-        result.incumbent = None if bf is None else bf.copy()
-        result.incumbent_matrix = w_mat
-    return result
-
-
 def _record(
     result: OptimizationResult,
     w_mat: np.ndarray,
@@ -174,21 +161,23 @@ def _record(
     sigma: float,
     step: float,
     objective: float,
-    bf: BeamformerSet | None = None,
     sub: SubproblemSolution | None = None,
 ) -> None:
     """Append the trace row of the iterate ``w_mat`` (covariance images
-    ``images``, SLNRs ``slnrs``) to ``result`` and refresh its incumbent
-    (``track_incumbent``, with the set ``bf`` if there is one); ``sub`` is
-    the max-min subproblem solution that produced the iterate, if any."""
+    ``images``, SLNRs ``slnrs``) to ``result``, and adopt the iterate and its
+    per-user rates as the incumbent iff their minimum strictly improves;
+    ``sub`` is the max-min subproblem solution that produced the iterate, if
+    any."""
     rates = ergodic_rate_closed(w_mat, images, sigma)
-    track_incumbent(result, w_mat, rates, bf=bf)
+    min_rate = float(rates.min())
+    if min_rate > result.rate_min_nats:
+        result.incumbent_matrix, result.incumbent_rates = w_mat, rates
     result.trace.append(
         TraceEntry(
             step=step,
             min_slnr=float(slnrs.min()),
             objective=objective,
-            min_rate_nats=float(np.min(rates)),
+            min_rate_nats=min_rate,
             power=float(np.linalg.norm(w_mat) ** 2),
             subproblem_gap=None if sub is None else sub.gap,
             subproblem_iterations=None if sub is None else sub.iterations,
@@ -270,7 +259,7 @@ class _Run:
         """Append the current iterate's trace row and refresh the incumbent."""
         _record(
             self.result, self.w_mat, self.images, self.slnrs, self.sigma, step, objective,
-            bf=self.bf, sub=self.subproblem,
+            sub=self.subproblem,
         )
 
     def fix_gauge(self, side: str) -> None:

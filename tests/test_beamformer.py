@@ -7,9 +7,7 @@ from slnrbeam.beamformer import (
     BeamformerSet,
     beamformer_matrix,
     coupling_matrix,
-    from_json_dict,
     init_feasible,
-    to_json_dict,
 )
 from slnrbeam.channel import Scenario
 
@@ -192,22 +190,6 @@ class TestInitFeasible:
         doubled = bf.copy()
         doubled.v_a = 2.0 * doubled.v_a
         assert total_power(doubled) == pytest.approx(4.0 * total_power(bf), rel=1e-12)
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        rng = np.random.default_rng(8)
-        bf = random_set(rng)
-        back = from_json_dict(to_json_dict(bf))
-        np.testing.assert_array_equal(back.v_a, bf.v_a)
-        np.testing.assert_array_equal(back.v_e, bf.v_e)
-        assert back.Q == bf.Q and back.M == bf.M
-
-    def test_json_is_re_im_pairs(self):
-        bf = BeamformerSet(2, 1, np.array([[1 + 2j, 0j]]), np.array([[0j, 3 - 1j]]))
-        doc = to_json_dict(bf)
-        assert doc["v_a"][0][0] == [1.0, 2.0]
-        assert doc["v_e"][0][1] == [3.0, -1.0]
 
 
 class TestBeamformerMatrix:

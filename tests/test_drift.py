@@ -119,6 +119,35 @@ def test_snapshot_records_a_raising_run(drift, monkeypatch):
     json.dumps(runs, allow_nan=False)
 
 
+def test_snapshot_records_a_raising_rate_call(drift, monkeypatch):
+    # The incumbent's rates are read inside the per-run try: a rate call that
+    # raises (as one of another checkout's signature would) is that run's
+    # error, and the runs after it are still snapshotted.
+    from slnrbeam import metrics
+
+    rate_report = metrics.rate_report
+    calls = []
+
+    def first_raises(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise TypeError("rate_report() takes 3 positional arguments but 4 were given")
+        return rate_report(*args)
+
+    monkeypatch.setattr(metrics, "rate_report", first_raises)
+    keywords = dict(Q=3, L=3, M=1, seed=1)
+    monkeypatch.setattr(
+        drift, "run_set", lambda: iter([("cli", keywords, "gm", None), ("cli", keywords, "baseline", None)])
+    )
+    runs = drift.snapshot(Path(__file__).resolve().parents[1] / "src")
+    assert runs["cli/gm/Q=3/L=3/M=1/seed=1"] == {
+        "design": "gm", "error": "TypeError: rate_report() takes 3 positional arguments but 4 were given",
+    }
+    baseline = runs["cli/baseline/Q=3/L=3/M=1/seed=1"]
+    assert baseline["stop_reason"] == "direct" and len(baseline["rates_nats"]) == 3
+    assert len(calls) == 2
+
+
 def test_compare_lists_error_transitions(drift):
     failed = {"design": "gm", "error": "RuntimeError: residual"}
     before = {"a": run("gm", 0.5), "b": failed, "c": failed, "d": run("gm", 0.5)}

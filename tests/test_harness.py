@@ -2,20 +2,27 @@
 
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from slnrbeam import harness
 from slnrbeam.cli import main as cli_main
 from slnrbeam.harness import (
     ExperimentConfig,
     default_scenario_dict,
+    fmt,
     report_fairness,
     run_experiment,
     scenario_from_dict,
 )
 from slnrbeam.channel import Scenario, dbm_to_watt
+from slnrbeam.metrics import covariance_images, rate_report
+from slnrbeam.optimizers import ALGORITHMS, run_algorithm
+
+DESIGNS = sorted(ALGORITHMS)
 
 
 def small_config(out_dir, **overrides):
@@ -32,6 +39,22 @@ def small_config(out_dir, **overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def captured_runs(monkeypatch, builds=()):
+    """The design runs ``run_experiment`` makes from now on, in order: each
+    one's scenario, statistics, result and the number of entries the run
+    added to ``builds`` (a list a patched image builder appends to)."""
+    runs = []
+
+    def running(name, scenario, stats, options=None):
+        before = len(builds)
+        result = run_algorithm(name, scenario, stats, options)
+        runs.append((scenario, stats, result, len(builds) - before))
+        return result
+
+    monkeypatch.setattr(harness, "run_algorithm", running)
+    return runs
 
 
 def read_csv(path):
@@ -215,6 +238,11 @@ class TestRunExperiment:
                                  power_dbm=[24], base_seed=0)
         assert (given.antennas, given.power_dbm, given.base_seed) == ([9], [24.0], 0)
         assert given.run_spec(9, 24.0, 0) == {**scenario, "Q": 3, "power_dbm": 24.0, "seed": 0}
+        # a c axis left out takes options.soft_c, else AlgoOptions' default
+        assert config.c == [0.1]
+        option = ExperimentConfig(scenario=scenario, algorithms=["soft"], options={"soft_c": 1})
+        assert option.c == [1.0]
+        assert replace(option, c=[0.5]).c == [0.5]
         # an empty axis is an error, never the scenario's value
         for key in ("antennas", "power_dbm"):
             with pytest.raises(ValueError, match=f"key '{key}' must be a nonempty list"):
@@ -235,18 +263,49 @@ class TestRunExperiment:
             small_config(tmp_path / "out", options={key: 1})
         assert not (tmp_path / "out").exists()
 
-    def test_beamformer_checkpoints_opt_in(self, tmp_path):
-        from slnrbeam.beamformer import from_json_dict
-        from conftest import total_power
+    def test_beamformer_checkpoints_opt_in(self, tmp_path, monkeypatch):
+        # Every design writes its incumbent matrix in one column form,
+        # {"Q", "columns"} with [re, im] pairs, equal to the result's matrix.
+        runs = captured_runs(monkeypatch)
+        config = small_config(tmp_path / "out", algorithms=list(DESIGNS), save_beamformers=True)
+        checkpoints = [f for f in run_experiment(config) if "beamformers_" in f]
+        assert len(checkpoints) == len(runs) == 4
+        for path, (scenario, _, result, _) in zip(checkpoints, runs):
+            assert Path(path).name.startswith(f"beamformers_{result.algorithm}_a9_")
+            with open(path) as fh:
+                doc = json.load(fh)
+            assert sorted(doc) == ["Q", "columns"] and doc["Q"] == 3
+            pairs = np.array(doc["columns"])
+            assert pairs.shape == (9, 2, 2)
+            np.testing.assert_array_equal(pairs[..., 0] + 1j * pairs[..., 1], result.incumbent_matrix)
+            assert np.linalg.norm(result.incumbent_matrix) ** 2 <= scenario.P * (1.0 + 1e-9)
 
-        config = small_config(tmp_path / "out", save_beamformers=True)
-        files = run_experiment(config)
-        checkpoints = [f for f in files if "beamformers_" in f]
-        assert len(checkpoints) == 1
-        with open(checkpoints[0]) as fh:
-            bf = from_json_dict(json.load(fh))
-        assert bf.Q == 3
-        assert total_power(bf) > 0.0
+    def test_summary_reads_the_incumbent_rates(self, tmp_path, monkeypatch):
+        # A summary row's rate cells are the rates its design run returned
+        # with the incumbent, equal to rate_report's on that matrix bit for
+        # bit; the harness builds no covariance images beyond the runs' own.
+        from slnrbeam import metrics, optimizers
+
+        builds = []
+
+        def building(w_mat, stats):
+            builds.append(w_mat)
+            return covariance_images(w_mat, stats)
+
+        monkeypatch.setattr(optimizers, "covariance_images", building)
+        monkeypatch.setattr(metrics, "covariance_images", building)
+        runs = captured_runs(monkeypatch, builds)
+        config = small_config(tmp_path / "out", algorithms=list(DESIGNS))
+        run_experiment(config)
+        assert len(builds) == sum(n for *_, n in runs)
+        header, *rows = read_csv(Path(config.output_dir) / "summary.csv")
+        assert len(rows) == len(runs) == 4
+        for row, (scenario, stats, result, _) in zip(rows, runs):
+            cells = dict(zip(header, row))
+            report = rate_report(result.incumbent_matrix, stats, scenario.sigma, scenario.bandwidth)
+            np.testing.assert_array_equal(result.incumbent_rates, report.rate_nats)
+            for column in ("min_rate_mbps", "max_rate_mbps", "min_max_ratio", "jain"):
+                assert cells[column] == fmt(getattr(report, column)), (result.algorithm, column)
 
 
 class TestReportFairness:
@@ -511,9 +570,12 @@ class TestCli:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
-        "options", [{"tolerance": "1e-4"}, {"soft_c": True}, {"max_iterations": 2.5}]
+        "options",
+        [{"tolerance": "1e-4"}, {"soft_c": True}, {"max_iterations": 2.5},
+         {"tolerance": float("inf")}, {"soft_c": float("inf")}],
     )
     def test_mistyped_option_is_an_error_line(self, tmp_path, capsys, options):
+        # An infinite value (JSON reads 1e999 as one) is out of range as well.
         out_dir = tmp_path / "sweepout"
         config_path = tmp_path / "exp.json"
         config_path.write_text(
@@ -530,9 +592,30 @@ class TestCli:
         assert cli_main(["sweep", "--config", str(config_path)]) == 1
         err = capsys.readouterr().err
         (name,) = options
-        assert err.startswith(f"error: {name} must be")
+        assert err.startswith(f"error: key '{name}' must be")
         assert len(err.strip().splitlines()) == 1
         assert not out_dir.exists()
+
+    def test_c_axis_left_out_takes_soft_c(self, tmp_path):
+        # The soft_c option sets the c axis a config leaves out; a given c
+        # sets soft_c in every soft run. Rows match but for the wallclock.
+        doc = {"scenario": {"Q": 3, "users": 3}, "algorithms": ["soft"]}
+        variants = {
+            "option": {"options": {"soft_c": 1.0}},
+            "axis": {"c": [1.0]},
+            "given": {"options": {"soft_c": 1.0}, "c": [0.1]},
+            "default": {},
+        }
+        rows = {}
+        for name, extra in variants.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({**doc, **extra}))
+            assert cli_main(["sweep", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+            (row,) = read_csv(tmp_path / name / "summary.csv")[1:]
+            rows[name] = row[:-1]
+        assert rows["option"][3] == fmt(1.0) and rows["option"] == rows["axis"]
+        assert rows["given"][3] == fmt(0.1) and rows["given"] == rows["default"]
+        assert rows["option"] != rows["default"]
 
     @pytest.mark.parametrize(
         "scenario_key, experiment_key",

@@ -303,6 +303,19 @@ class TestErgodicRate:
         w = beamformer_matrix(bf)
         assert np.all(rates_of(w, stats, sc.sigma) >= -1e-9)
 
+    def test_faint_user_clipped_at_zero(self):
+        # A column scaled by 1e-9 leaves user 0 a round-off difference of the
+        # two determinant terms, -1.3e-16 unclipped; the oracle returns 0, as
+        # ``rate_report`` does, and the other users' rates are untouched.
+        sc = Scenario(Q=4, L=3, M=1, seed=0)
+        stats = build_statistics(sc)
+        rng = np.random.default_rng(0)
+        w = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
+        w[:, 0] *= 1e-9
+        rates = rates_of(w, stats, sc.sigma)
+        assert rates[0] == 0.0 and np.all(rates[1:] > 0.1)
+        np.testing.assert_array_equal(rate_report(w, stats, sc.sigma, sc.bandwidth).rate_nats, rates)
+
     def test_matches_monte_carlo(self, setup):
         sc, stats, bf = setup
         w = beamformer_matrix(bf)
@@ -413,6 +426,4 @@ class TestFairnessStats:
         assert len(builds) == 1 and builds[0] is w
         images = covariance_images(w, stats)
         np.testing.assert_array_equal(report.slnr, slnr_vec(w, images, sc.sigma))
-        np.testing.assert_array_equal(
-            report.rate_nats, np.maximum(ergodic_rate_closed(w, images, sc.sigma), 0.0)
-        )
+        np.testing.assert_array_equal(report.rate_nats, ergodic_rate_closed(w, images, sc.sigma))

@@ -25,7 +25,7 @@ from slnrbeam.channel import (
     vertical_correlation,
 )
 from slnrbeam import optimizers, surrogates
-from slnrbeam.metrics import _signal_and_leakage, covariance_images
+from slnrbeam.metrics import _signal_and_leakage, covariance_images, slnr_vec
 from slnrbeam.optimizers import (
     AlgoOptions,
     OptimizationResult,
@@ -35,7 +35,6 @@ from slnrbeam.optimizers import (
     run_gm,
     run_maxmin,
     run_soft,
-    track_incumbent,
 )
 from slnrbeam.qcqp import Quadratics, SubproblemSolution
 
@@ -542,30 +541,35 @@ class TestHeldOutSeeds:
 
 class TestIncumbent:
     def test_first_candidate_accepted(self, desk):
+        # A new result has no incumbent; the first trace row's matrix and its
+        # users' rates become the incumbent, and the minimum rate reads them.
         sc, stats = desk
-        result = OptimizationResult(
-            algorithm="x", incumbent=None, incumbent_matrix=None, rate_min_nats=-np.inf
-        )
-        bf = init_feasible(sc, np.random.default_rng(1))
-        w_mat = beamformer_matrix(bf)
-        track_incumbent(result, w_mat, rates_of(w_mat, stats, sc.sigma), bf=bf)
-        assert result.incumbent is not bf
-        np.testing.assert_array_equal(result.incumbent.v_a, bf.v_a)
+        result = OptimizationResult(algorithm="x")
+        assert result.incumbent_matrix is None and result.incumbent_rates is None
+        assert result.rate_min_nats == -np.inf
+        w_mat = beamformer_matrix(init_feasible(sc, np.random.default_rng(1)))
+        images = covariance_images(w_mat, stats)
+        optimizers._record(result, w_mat, images, slnr_vec(w_mat, images, sc.sigma), sc.sigma, 0.0, 0.0)
         assert result.incumbent_matrix is w_mat
+        np.testing.assert_array_equal(result.incumbent_rates, rates_of(w_mat, stats, sc.sigma))
+        assert result.rate_min_nats == float(result.incumbent_rates.min()) == result.trace[0].min_rate_nats
         assert np.isfinite(result.rate_min_nats)
 
     def test_equal_candidate_rejected(self, desk):
+        # Only a strictly higher minimum rate replaces the incumbent.
         sc, stats = desk
-        result = OptimizationResult(
-            algorithm="x", incumbent=None, incumbent_matrix=None, rate_min_nats=-np.inf
-        )
-        bf = init_feasible(sc, np.random.default_rng(1))
-        rates = rates_of(beamformer_matrix(bf), stats, sc.sigma)
-        track_incumbent(result, beamformer_matrix(bf), rates, bf=bf)
-        first = result.incumbent
-        # identical min rate
-        track_incumbent(result, beamformer_matrix(bf), rates, bf=bf.copy())
-        assert result.incumbent is first
+        result = OptimizationResult(algorithm="x")
+
+        def record(w_mat):
+            images = covariance_images(w_mat, stats)
+            optimizers._record(result, w_mat, images, slnr_vec(w_mat, images, sc.sigma), sc.sigma, 0.0, 0.0)
+
+        w_mat = beamformer_matrix(init_feasible(sc, np.random.default_rng(1)))
+        record(w_mat)
+        first = result.incumbent_rates
+        record(w_mat.copy())  # identical min rate
+        assert result.incumbent_matrix is w_mat and result.incumbent_rates is first
+        assert len(result.trace) == 2
 
     def test_trace_row_vectorizes_once(self, desk, monkeypatch):
         # An iterate is vectorized once, when it is evaluated; its trace row's
@@ -583,7 +587,7 @@ class TestIncumbent:
         assert len(built) == 1
         assert run.w_mat is built[0]
         assert run.result.incumbent_matrix is built[0]
-        np.testing.assert_array_equal(run.result.incumbent.v_e, run.bf.v_e)
+        np.testing.assert_array_equal(run.result.incumbent_rates, rates_of(built[0], stats, sc.sigma))
         assert run.result.trace[0].power == float(np.linalg.norm(built[0]) ** 2)
         assert run.result.trace[0].power == pytest.approx(total_power(run.bf), rel=1e-14)
 
@@ -628,7 +632,7 @@ class TestOptions:
         with pytest.raises(ValueError):
             AlgoOptions(soft_c=-0.1)
         # Wrongly typed values are ValueErrors too, never TypeErrors.
-        for bad in ("1e-4", True, None, float("nan")):
+        for bad in ("1e-4", True, None, float("nan"), float("inf")):
             for name in ("tolerance", "soft_c"):
                 with pytest.raises(ValueError, match=name):
                     AlgoOptions(**{name: bad})

@@ -15,7 +15,9 @@ under ``--src`` (default: this checkout's ``src``) and writes, per run,
 sha256 digests of the incumbent matrix, the final iterate and the trace,
 plus the iteration count, the stop reason, the minimum rate, every user's
 incumbent rate, the largest max-min subproblem gap and the largest trace
-power over the budget. A run that raises is recorded by its exception's
+power over the budget. The incumbent's rates are read through
+``metrics.rate_report``, whose signature every checkout shares. A run that
+raises, in its design or in that rate call, is recorded by its exception's
 type and message instead. The set covers the three benchmark sizes:
 
 * desk: Q=8, L=5, M in {1, 2}, seeds 1, 2, 100, 101, 107, every design;
@@ -35,10 +37,6 @@ and prints, per design, the runs completed, the count of each stop reason,
 the largest subproblem gap and the largest trace power over P; then every
 run that raised, whose trace power exceeds P (1 + 1e-9) or whose subproblem
 gap exceeds 1e-4. It exits 1 if there is any such run, else 0.
-
-The ``--src`` package must take the rate oracle's covariance images as
-this checkout's does; a checkout from before that change is snapshotted
-with its own copy of this tool.
 
 It needs numpy and the standard library only.
 """
@@ -139,13 +137,12 @@ def snapshot(src: Path, runs_to_do=None) -> dict:
         key = "/".join([size, label(design, c)] + [f"{k}={v}" for k, v in keywords.items()])
         try:
             result = optimizers.run_algorithm(design, scenario, stats, options)
+            rates = metrics.rate_report(
+                result.incumbent_matrix, stats, scenario.sigma, scenario.bandwidth
+            ).rate_nats
         except Exception as exc:  # a failing run is a finding, not the end of the set
             runs[key] = {"design": label(design, c), "error": f"{type(exc).__name__}: {exc}"}
             continue
-        w_mat = result.incumbent_matrix
-        rates = metrics.ergodic_rate_closed(
-            w_mat, metrics.covariance_images(w_mat, stats), scenario.sigma
-        )
         power = max(e.power for e in result.trace) / scenario.P
         runs[key] = {
             "design": label(design, c), **summarize(result, rates), "power_over_budget": power
