@@ -8,8 +8,6 @@ demo_output/.
 import csv
 from pathlib import Path
 
-import numpy as np
-
 from slnrbeam import AlgoOptions, Scenario, build_statistics, nats_to_mbps
 from slnrbeam.optimizers import run_baseline, run_gm, run_maxmin, run_soft
 
@@ -26,16 +24,15 @@ for name, runner in (
     ("baseline", run_baseline),
 ):
     result = runner(scenario, stats, AlgoOptions())
+    trace = result.trace
     best = nats_to_mbps(result.rate_min_nats, scenario.bandwidth)
     print(f"{name:9s} {result.iterations:3d} iterations, stopped on {result.stop_reason}, "
-          f"min SLNR {result.trace[0].min_slnr:.4f} -> {result.trace[-1].min_slnr:.4f}, "
+          f"min SLNR {trace.min_slnr[0]:.4f} -> {trace.min_slnr[-1]:.4f}, "
           f"best minimum rate {best:.3f} Mbps")
     path = out_dir / f"trace_{name}.csv"
+    rates = nats_to_mbps(trace.min_rate_nats, scenario.bandwidth)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "min_slnr", "objective", "min_rate_mbps"])
-        for entry in result.trace:
-            rate = nats_to_mbps(max(entry.min_rate_nats, 0.0), scenario.bandwidth) \
-                if np.isfinite(entry.min_rate_nats) else float("nan")
-            writer.writerow([entry.step, entry.min_slnr, entry.objective, rate])
+        writer.writerows(zip(trace.step, trace.min_slnr, trace.objective, rates))
     print(f"          trace written to {path}")

@@ -209,22 +209,13 @@ class ChannelStatistics:
         return self.path_gain.shape[0]
 
 
-def build_statistics(
-    scenario: Scenario,
-    geometry: list[UserGeometry] | None = None,
-    rng: np.random.Generator | None = None,
-) -> ChannelStatistics:
-    """Generate (or take) user geometry and assemble the correlation factors.
+def build_statistics(scenario: Scenario) -> ChannelStatistics:
+    """Place the users and assemble their correlation factors.
 
-    Without an explicit geometry, users are placed with a generator seeded
-    from ``scenario.seed`` (stream 0), so repeated calls are identical.
+    Users are placed with a generator seeded from ``scenario.seed`` (stream
+    0), so repeated calls are identical.
     """
-    if geometry is None:
-        if rng is None:
-            rng = np.random.default_rng([scenario.seed, 0])
-        geometry = place_users(scenario, rng)
-    if len(geometry) != scenario.L:
-        raise ValueError(f"expected {scenario.L} users, got {len(geometry)}")
+    geometry = place_users(scenario, np.random.default_rng([scenario.seed, 0]))
     Q = scenario.Q
     r_v = np.stack(
         [vertical_correlation(g.elevation_angle, scenario.sigma_beta, Q) for g in geometry]
@@ -242,7 +233,7 @@ def build_statistics(
         path_gain=np.array([g.path_gain for g in geometry]),
         R_v=r_v,
         R_h=r_h,
-        geometry=list(geometry),
+        geometry=geometry,
     )
 
 

@@ -20,8 +20,9 @@ object mirroring :class:`slnrbeam.optimizers.AlgoOptions`. The sweep keys
 Q^2), ``power_dbm`` and ``seed`` (``SWEEP_KEYS``); one the config leaves out
 takes that scenario value, and the scenario must load as it stands. A
 ``c`` axis left out takes ``options.soft_c`` (else :class:`AlgoOptions`'
-default); a given one sets ``soft_c`` in every soft run. Other keys left out
-take :class:`ExperimentConfig`'s defaults. Missing required
+default); a given one sets ``soft_c`` in every soft run. The resolved sweep
+is ``ExperimentConfig.axes``; the fields keep what the config wrote. Other
+keys left out take :class:`ExperimentConfig`'s defaults. Missing required
 keys, unknown option keys, algorithms not given as a list of known names,
 values of the wrong JSON type or out of range (sweep axes of finite numbers,
 antennas perfect squares, c positive, integral ``n_seeds`` >= 1 and
@@ -52,6 +53,7 @@ import os
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,9 +90,24 @@ def fmt(value) -> str:
     return str(value)
 
 
+class SweepAxes(NamedTuple):
+    """The sweep a config runs: its axes and first seed, resolved from what
+    the config wrote."""
+
+    antennas: list[int]
+    power_dbm: list[float]
+    c: list[float]
+    base_seed: int
+
+
 @dataclass
 class ExperimentConfig:
-    """One experiment: a scenario template plus sweep axes."""
+    """One experiment: a scenario template plus sweep axes.
+
+    The fields keep what the caller wrote (None for a sweep key left out);
+    ``axes`` is the sweep resolved from them, so ``dataclasses.replace``
+    resolves it afresh.
+    """
 
     scenario: dict
     algorithms: list[str]
@@ -102,6 +119,7 @@ class ExperimentConfig:
     output_dir: str | os.PathLike = "out"
     options: dict = field(default_factory=dict)
     save_beamformers: bool = False
+    axes: SweepAxes = field(init=False)
 
     def __post_init__(self):
         for key, kind, wanted in (
@@ -129,21 +147,22 @@ class ExperimentConfig:
         template = {**SCENARIO_DEFAULTS, **self.scenario}
         antennas = [template["Q"] ** 2] if self.antennas is None else self.antennas
         power_dbm = [template["power_dbm"]] if self.power_dbm is None else self.power_dbm
+        c = [options.soft_c] if self.c is None else self.c
         base_seed = template["seed"] if self.base_seed is None else self.base_seed
-        self.antennas = _axis("antennas", antennas, integral=True)
-        self.power_dbm = _axis("power_dbm", power_dbm)
-        self.c = _axis("c", [options.soft_c] if self.c is None else self.c)
-        if any(n < 1 or round(n**0.5) ** 2 != n for n in self.antennas):
-            raise ValueError(f"key 'antennas' must be perfect squares, got {self.antennas}")
-        if any(cc <= 0 for cc in self.c):
-            raise ValueError(f"key 'c' must be positive, got {self.c}")
+        self.axes = axes = SweepAxes(
+            _axis("antennas", antennas, integral=True), _axis("power_dbm", power_dbm), _axis("c", c),
+            _number("base_seed", base_seed, integral=True),
+        )
+        if any(n < 1 or round(n**0.5) ** 2 != n for n in axes.antennas):
+            raise ValueError(f"key 'antennas' must be perfect squares, got {axes.antennas}")
+        if any(cc <= 0 for cc in axes.c):
+            raise ValueError(f"key 'c' must be positive, got {axes.c}")
         self.n_seeds = _number("n_seeds", self.n_seeds, integral=True)
-        self.base_seed = _number("base_seed", base_seed, integral=True)
         if self.n_seeds < 1:
             raise ValueError(f"key 'n_seeds' must be >= 1, got {self.n_seeds}")
-        for n_ant in self.antennas:
-            for power in self.power_dbm:
-                scenario_from_dict(self.run_spec(n_ant, power, self.base_seed), SWEEP_KEYS)
+        for n_ant in axes.antennas:
+            for power in axes.power_dbm:
+                scenario_from_dict(self.run_spec(n_ant, power, axes.base_seed), SWEEP_KEYS)
 
     def run_spec(self, antennas: int, power_dbm: float, seed: int) -> dict:
         """The scenario template at one sweep point and seed."""
@@ -159,7 +178,7 @@ class ExperimentConfig:
         for key in ("scenario", "algorithms"):
             if key not in data:
                 raise ValueError(f"key {key!r} is required")
-        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
+        return cls(**{f.name: data[f.name] for f in fields(cls) if f.init and f.name in data})
 
 
 def _number(key: str, value, integral: bool = False):
@@ -284,12 +303,13 @@ class _RunKey:
 
 
 def _enumerate_runs(config: ExperimentConfig) -> list[_RunKey]:
+    axes = config.axes
     return [
-        _RunKey(algorithm, antennas, power, c_val, config.base_seed + idx)
+        _RunKey(algorithm, antennas, power, c_val, axes.base_seed + idx)
         for algorithm in config.algorithms
-        for antennas in sorted(config.antennas)
-        for power in config.power_dbm
-        for c_val in (config.c if algorithm == "soft" else [float("nan")])
+        for antennas in sorted(axes.antennas)
+        for power in axes.power_dbm
+        for c_val in (axes.c if algorithm == "soft" else [float("nan")])
         for idx in range(config.n_seeds)
     ]
 
@@ -305,22 +325,16 @@ def _execute_run(key: _RunKey, config: ExperimentConfig, out_dir: Path) -> dict:
     result = run_algorithm(key.algorithm, scenario, stats, options)
     wallclock = time.perf_counter() - start
 
+    trace = result.trace
     trace_name = key.trace_name(scenario.M)
     trace_path = out_dir / trace_name
     with open(trace_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
-        for entry in result.trace:
-            writer.writerow(
-                [
-                    fmt(entry.step),
-                    fmt(entry.min_slnr),
-                    fmt(entry.objective),
-                    fmt(nats_to_mbps(entry.min_rate_nats, scenario.bandwidth))
-                    if np.isfinite(entry.min_rate_nats)
-                    else "nan",
-                ]
-            )
+        rates = nats_to_mbps(trace.min_rate_nats, scenario.bandwidth)
+        for step, min_slnr, objective, rate in zip(trace.step, trace.min_slnr, trace.objective, rates):
+            rate_cell = fmt(rate) if np.isfinite(rate) else "nan"
+            writer.writerow([fmt(step), fmt(min_slnr), fmt(objective), rate_cell])
 
     extra_paths = []
     if config.save_beamformers:
@@ -339,7 +353,7 @@ def _execute_run(key: _RunKey, config: ExperimentConfig, out_dir: Path) -> dict:
         "c": key.c,
         "M": scenario.M,
         "seed": key.seed,
-        "min_slnr": result.trace[-1].min_slnr,
+        "min_slnr": trace.min_slnr[-1],
         "min_rate_mbps": float(mbps.min()),
         "max_rate_mbps": float(mbps.max()),
         "min_max_ratio": min_max_ratio(mbps),

@@ -90,23 +90,14 @@ def _is_number(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-@dataclass(slots=True)
-class TraceEntry:
-    """One half-iteration record; ``step`` advances by 0.5 per half.
-
-    Max-min half-iterations also keep their subproblem's certified relative
-    gap and outer-iteration count (:class:`~slnrbeam.qcqp.SubproblemSolution`);
-    they stay None elsewhere and are not written to the trace CSV. Slotted:
-    a sweep holds thousands of these.
-    """
-
-    step: float
-    min_slnr: float
-    objective: float
-    min_rate_nats: float
-    power: float
-    subproblem_gap: float | None = None
-    subproblem_iterations: int | None = None
+# A run's trace: one row per half-iteration, ``step`` advancing by 0.5 per
+# half. Max-min rows also keep their subproblem's certified relative gap and
+# level trials (:class:`~slnrbeam.qcqp.SubproblemSolution`); other rows read
+# NaN and -1 there. Neither is written to the trace CSV.
+TRACE_DTYPE = np.dtype(
+    [("step", float), ("min_slnr", float), ("objective", float), ("min_rate_nats", float),
+     ("power", float), ("subproblem_gap", float), ("subproblem_iterations", np.int64)]
+)
 
 
 @dataclass
@@ -116,7 +107,9 @@ class OptimizationResult:
     The incumbent is the evaluated (Q^2, L) matrix ``incumbent_matrix`` with
     the best minimum ergodic rate seen, and ``incumbent_rates`` its users'
     rates in nats; ``rate_min_nats`` is their minimum, -inf before any
-    incumbent. ``stop_reason`` is "tolerance", "stalled",
+    incumbent. ``trace`` is one record array of ``TRACE_DTYPE`` rows, frozen
+    when the run returns: a column reads as ``trace.min_slnr``, a row as
+    ``trace[k].power``. ``stop_reason`` is "tolerance", "stalled",
     "subproblem_regressed" or "max_iterations" (see ``_alternate``), or
     "direct" for the baseline's single evaluation; ``converged`` holds for
     "tolerance" and "direct".
@@ -125,7 +118,7 @@ class OptimizationResult:
     algorithm: str
     incumbent_matrix: np.ndarray | None = None
     incumbent_rates: np.ndarray | None = None
-    trace: list[TraceEntry] = field(default_factory=list)
+    trace: np.recarray = field(default_factory=lambda: np.recarray(0, TRACE_DTYPE))
     iterations: int = 0
     stop_reason: str | None = None
     final: BeamformerSet | None = None
@@ -162,27 +155,26 @@ def _record(
     step: float,
     objective: float,
     sub: SubproblemSolution | None = None,
-) -> None:
-    """Append the trace row of the iterate ``w_mat`` (covariance images
-    ``images``, SLNRs ``slnrs``) to ``result``, and adopt the iterate and its
-    per-user rates as the incumbent iff their minimum strictly improves;
-    ``sub`` is the max-min subproblem solution that produced the iterate, if
-    any."""
+) -> tuple:
+    """The trace row of the iterate ``w_mat`` (covariance images ``images``,
+    SLNRs ``slnrs``), a ``TRACE_DTYPE`` tuple; adopts the iterate and its
+    per-user rates as ``result``'s incumbent iff their minimum strictly
+    improves. ``sub`` is the max-min subproblem solution that produced the
+    iterate, if any."""
     rates = ergodic_rate_closed(w_mat, images, sigma)
     min_rate = float(rates.min())
     if min_rate > result.rate_min_nats:
         result.incumbent_matrix, result.incumbent_rates = w_mat, rates
-    result.trace.append(
-        TraceEntry(
-            step=step,
-            min_slnr=float(slnrs.min()),
-            objective=objective,
-            min_rate_nats=min_rate,
-            power=float(np.linalg.norm(w_mat) ** 2),
-            subproblem_gap=None if sub is None else sub.gap,
-            subproblem_iterations=None if sub is None else sub.iterations,
-        )
-    )
+    gap, trials = (np.nan, -1) if sub is None else (sub.gap, sub.iterations)
+    return step, float(slnrs.min()), objective, min_rate, float(np.linalg.norm(w_mat) ** 2), gap, trials
+
+
+def _finish(result: OptimizationResult, rows: list, iterations: int, stop_reason: str) -> OptimizationResult:
+    """Freeze the trace ``rows`` into ``result.trace`` and record how the run
+    ended; every design returns through here."""
+    result.trace = np.rec.fromrecords(rows, dtype=TRACE_DTYPE)
+    result.iterations, result.stop_reason = iterations, stop_reason
+    return result
 
 
 def baseline_uniform(stats: ChannelStatistics, scenario: Scenario) -> np.ndarray:
@@ -226,8 +218,8 @@ class _Run:
     expected ``signal`` and ``leakage`` power, and the ``slnrs`` derived from
     them. The trace row, the incumbent and the next half-iteration's
     operators all read these; the images never reach the result.
-    ``subproblem`` is the last max-min subproblem's solution, for the trace
-    row.
+    ``subproblem`` is the last max-min subproblem's solution, and ``rows``
+    the trace rows so far.
 
     Before each half-iteration ``fix_gauge`` orthonormalizes the side held
     fixed, so a user's transmit power is the squared norm of its free-side
@@ -243,6 +235,7 @@ class _Run:
         self.keep(self.evaluate(self.bf))
         self.subproblem: SubproblemSolution | None = None
         self.result = OptimizationResult(algorithm)
+        self.rows: list[tuple] = []
 
     def evaluate(self, bf: BeamformerSet) -> tuple[np.ndarray, ...]:
         """``(w_mat, images, signal, leakage, slnrs)`` of a candidate iterate ``bf``."""
@@ -257,10 +250,10 @@ class _Run:
 
     def record(self, step: float, objective: float) -> None:
         """Append the current iterate's trace row and refresh the incumbent."""
-        _record(
+        self.rows.append(_record(
             self.result, self.w_mat, self.images, self.slnrs, self.sigma, step, objective,
             sub=self.subproblem,
-        )
+        ))
 
     def fix_gauge(self, side: str) -> None:
         """Orthonormalize the side held fixed while ``side`` is updated.
@@ -302,10 +295,8 @@ class _Run:
         self.keep(self.evaluate(self.bf))
 
     def finish(self, iterations: int, stop_reason: str) -> OptimizationResult:
-        self.result.iterations = iterations
-        self.result.stop_reason = stop_reason
         self.result.final = self.bf.copy()
-        return self.result
+        return _finish(self.result, self.rows, iterations, stop_reason)
 
 
 def _backtrack(
@@ -486,10 +477,10 @@ def run_baseline(
     """Evaluate the uniform-power baseline in the common result format."""
     w_mat = baseline_uniform(stats, scenario)
     images = covariance_images(w_mat, stats)
-    result = OptimizationResult("baseline", stop_reason="direct")
+    result = OptimizationResult("baseline")
     slnrs = slnr_vec(w_mat, images, scenario.sigma)
-    _record(result, w_mat, images, slnrs, scenario.sigma, 0.0, float(slnrs.min()))
-    return result
+    row = _record(result, w_mat, images, slnrs, scenario.sigma, 0.0, float(slnrs.min()))
+    return _finish(result, [row], 0, "direct")
 
 
 ALGORITHMS = {

@@ -149,14 +149,12 @@ class TestCriterion3Monotonicity:
                 res_gm = run_gm(sc, stats, opts)
                 res_soft = run_soft(sc, stats, opts)
                 for res, direction in ((res_mm, +1), (res_gm, +1), (res_soft, -1)):
-                    objs = np.array([e.objective for e in res.trace])
-                    steps = direction * np.diff(objs)
+                    steps = direction * np.diff(res.trace.objective)
                     assert np.all(steps >= -1e-12), (
                         f"{res.algorithm} M={m_count} seed={seed}: worst step "
                         f"{steps.min():.3e}"
                     )
-                    for entry in res.trace:
-                        assert entry.power <= sc.P * (1.0 + 1e-8)
+                    assert res.trace.power.max() <= sc.P * (1.0 + 1e-8)
                 checked += 1
         elapsed = time.perf_counter() - start
         report(
@@ -308,7 +306,7 @@ def ordering_suite():
         def metrics(res, sc, stats):
             rep = rate_report(res.incumbent_matrix, stats, sc.sigma, sc.bandwidth)
             return {
-                "min_slnr": res.trace[-1].min_slnr,
+                "min_slnr": res.trace.min_slnr[-1],
                 "min_rate": rep.min_rate_mbps,
                 "jain": rep.jain,
             }

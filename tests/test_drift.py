@@ -4,6 +4,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "drift.py"
@@ -192,3 +193,47 @@ def test_scan_fails_on_errors_power_and_gaps(drift):
         "d: RuntimeError: residual",
     ]
     assert drift.scan({"a": ok}) == (["gm: 1/1 completed, 1 tolerance, largest trace power P (1 + 0)"], True)
+
+
+def test_trace_read_by_column_matches_the_row_list(drift):
+    # A checkout whose trace is a list of rows, None outside max-min, and one
+    # whose trace is a record array, NaN and -1 there, give one digest; the
+    # largest gap stays None outside max-min, and max-min's level trials add up.
+    from types import SimpleNamespace
+
+    from slnrbeam.channel import Scenario, build_statistics
+    from slnrbeam.optimizers import run_algorithm
+
+    sc = Scenario(Q=3, L=3, M=1, seed=1)
+    stats = build_statistics(sc)
+    for design in ("maxmin", "gm", "soft", "baseline"):
+        result = run_algorithm(design, sc, stats)
+        rows = [
+            SimpleNamespace(**{
+                name: None if name.startswith("subproblem") and row.subproblem_iterations == -1 else row[name]
+                for name in drift.TRACE_FIELDS
+            })
+            for row in result.trace
+        ]
+        fields = {**vars(result), "rate_min_nats": result.rate_min_nats, "trace": rows}
+        listed = drift.summarize(SimpleNamespace(**fields), [1.0])
+        table = drift.summarize(result, [1.0])
+        assert listed == table
+        trials = result.trace.subproblem_iterations
+        if design == "maxmin":
+            assert table["gap_max"] == float(np.nanmax(result.trace.subproblem_gap))
+            assert table["level_trials"] == int(trials[1:].sum()) > 0
+        else:
+            assert table["gap_max"] is None and table["level_trials"] == 0
+
+
+def test_compare_reports_level_trials(drift):
+    before = {"a": {**run("maxmin", 0.1, gap=1e-6), "level_trials": 40},
+              "b": {**run("maxmin", 0.2, gap=1e-6), "level_trials": 60}, "c": run("gm", 0.5)}
+    after = {"a": {**run("maxmin", 0.1, gap=2e-6, trace="u"), "level_trials": 20},
+             "b": {**run("maxmin", 0.2, gap=1e-6), "level_trials": 30}, "c": run("gm", 0.5)}
+    assert drift.compare(before, after) == [
+        "maxmin: 1/2 identical, largest min-rate move 0 relative, largest per-user rate move 0 "
+        "relative, largest gap 2e-06, level trials 100 -> 50",
+        "gm: 1/1 identical, largest min-rate move 0 relative, largest per-user rate move 0 relative",
+    ]

@@ -227,22 +227,22 @@ class TestRunExperiment:
             assert str(loaded.value) == str(built.value)
         # integral floats are accepted and normalized
         config = small_config(tmp_path, antennas=[9.0], c=[1])
-        assert config.antennas == [9] and type(config.antennas[0]) is int
-        assert config.c == [1.0] and type(config.c[0]) is float
+        assert config.axes.antennas == [9] and type(config.axes.antennas[0]) is int
+        assert config.axes.c == [1.0] and type(config.axes.c[0]) is float
 
     def test_sweep_keys_default_from_scenario(self, tmp_path):
         scenario = default_scenario_dict(Q=5, users=2, power_dbm=40, seed=3)
         config = ExperimentConfig(scenario=scenario, algorithms=["gm"])
-        assert (config.antennas, config.power_dbm, config.base_seed) == ([25], [40.0], 3)
+        assert (config.axes.antennas, config.axes.power_dbm, config.axes.base_seed) == ([25], [40.0], 3)
         given = ExperimentConfig(scenario=scenario, algorithms=["gm"], antennas=[9],
                                  power_dbm=[24], base_seed=0)
-        assert (given.antennas, given.power_dbm, given.base_seed) == ([9], [24.0], 0)
+        assert (given.axes.antennas, given.axes.power_dbm, given.axes.base_seed) == ([9], [24.0], 0)
         assert given.run_spec(9, 24.0, 0) == {**scenario, "Q": 3, "power_dbm": 24.0, "seed": 0}
         # a c axis left out takes options.soft_c, else AlgoOptions' default
-        assert config.c == [0.1]
+        assert config.axes.c == [0.1]
         option = ExperimentConfig(scenario=scenario, algorithms=["soft"], options={"soft_c": 1})
-        assert option.c == [1.0]
-        assert replace(option, c=[0.5]).c == [0.5]
+        assert option.axes.c == [1.0]
+        assert replace(option, c=[0.5]).axes.c == [0.5]
         # an empty axis is an error, never the scenario's value
         for key in ("antennas", "power_dbm"):
             with pytest.raises(ValueError, match=f"key '{key}' must be a nonempty list"):
@@ -254,6 +254,16 @@ class TestRunExperiment:
             ExperimentConfig(scenario=scenario, algorithms=["gm"], base_seed=-1)
         with pytest.raises(ValueError, match=r"^key 'M' must be between 1 and Q = 2, got 3$"):
             ExperimentConfig(scenario=dict(scenario, M=3), algorithms=["gm"], antennas=[4])
+
+    def test_replace_resolves_the_axes_afresh(self):
+        # The fields keep what the caller wrote, so a replaced config resolves
+        # its sweep from its own scenario and options.
+        config = ExperimentConfig(scenario={"Q": 3, "users": 3}, algorithms=["soft"])
+        assert config.axes == ([9], [24.0], [0.1], 0)
+        assert config.antennas is config.power_dbm is config.c is config.base_seed is None
+        assert replace(config, options={"soft_c": 1.0}).axes.c == [1.0]
+        assert replace(config, scenario={"Q": 4, "users": 3}).axes.antennas == [16]
+        assert replace(config, scenario={"Q": 3, "users": 3, "seed": 5}).axes.base_seed == 5
 
     @pytest.mark.parametrize("key", ["tolerence", "mc_samples", "rate_every"])
     def test_unknown_option_rejected(self, tmp_path, key):

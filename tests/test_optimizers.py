@@ -2,6 +2,7 @@
 incumbent tracking, stop reasons, and the uniform-power baseline."""
 
 import dataclasses
+import gc
 import os
 import subprocess
 import sys
@@ -179,34 +180,31 @@ class TestRunMaxmin:
         sc = Scenario(Q=3, L=1, M=1, seed=4)
         stats = build_statistics(sc)
         res = run_maxmin(sc, stats, AlgoOptions(max_iterations=2))
-        assert res.trace[-1].min_slnr >= res.trace[0].min_slnr
+        assert res.trace.min_slnr[-1] >= res.trace.min_slnr[0]
 
     def test_desk_monotone_and_feasible(self, desk):
         sc, stats = desk
         res = run_maxmin(sc, stats, AlgoOptions())
-        slnrs = [e.min_slnr for e in res.trace]
-        assert np.all(np.diff(slnrs) >= -1e-12)
-        for entry in res.trace:
-            assert entry.power <= sc.P * (1.0 + 1e-8)
+        assert np.all(np.diff(res.trace.min_slnr) >= -1e-12)
+        assert res.trace.power.max() <= sc.P * (1.0 + 1e-8)
         assert total_power(res.final) <= sc.P * (1.0 + 1e-8)
 
     def test_objective_is_min_slnr(self, desk):
         sc, stats = desk
         res = run_maxmin(sc, stats, AlgoOptions(max_iterations=3))
-        for entry in res.trace:
-            assert entry.objective == entry.min_slnr
+        np.testing.assert_array_equal(res.trace.objective, res.trace.min_slnr)
 
     def test_subproblem_diagnostics_kept(self, desk):
         sc, stats = desk
         res = run_maxmin(sc, stats, AlgoOptions(max_iterations=3))
-        assert res.trace[0].subproblem_gap is None
-        assert res.trace[0].subproblem_iterations is None
+        # the first row precedes any subproblem: NaN and -1, as outside max-min
+        assert np.isnan(res.trace[0].subproblem_gap) and res.trace[0].subproblem_iterations == -1
         assert len(res.trace) > 1
-        for entry in res.trace[1:]:
-            assert 0.0 <= entry.subproblem_gap <= 1e-4
-            assert entry.subproblem_iterations >= 0
-        gm = run_gm(sc, stats, AlgoOptions(max_iterations=1))
-        assert all(e.subproblem_gap is None for e in gm.trace)
+        assert np.all((res.trace.subproblem_gap[1:] >= 0.0) & (res.trace.subproblem_gap[1:] <= 1e-4))
+        assert np.all(res.trace.subproblem_iterations[1:] >= 0)
+        for run in (run_gm, run_soft, optimizers.run_baseline):
+            other = run(sc, stats, AlgoOptions(max_iterations=1)).trace
+            assert np.isnan(other.subproblem_gap).all() and np.all(other.subproblem_iterations == -1)
 
     def test_regressed_subproblem_warns(self, desk, monkeypatch, caplog):
         # A subproblem returning the zero point lowers the min SLNR; the run
@@ -241,10 +239,8 @@ class TestRunGm:
     def test_desk_monotone(self, desk):
         sc, stats = desk
         res = run_gm(sc, stats, AlgoOptions())
-        objs = [e.objective for e in res.trace]
-        assert np.all(np.diff(objs) >= -1e-12)
-        for entry in res.trace:
-            assert entry.power <= sc.P * (1.0 + 1e-8)
+        assert np.all(np.diff(res.trace.objective) >= -1e-12)
+        assert res.trace.power.max() <= sc.P * (1.0 + 1e-8)
 
     def test_half_step_surrogate_stationarity(self, desk):
         # The accepted point of each half-step maximizes the weighted
@@ -288,8 +284,8 @@ class TestRunGm:
         assert stored < 1e6
         res = run_gm(sc, stats, AlgoOptions(max_iterations=2))
         assert np.isfinite(res.rate_min_nats)
-        assert all(np.isfinite(e.min_rate_nats) for e in res.trace)
-        assert max(e.power for e in res.trace) <= sc.P * (1.0 + 1e-9)
+        assert np.all(np.isfinite(res.trace.min_rate_nats))
+        assert res.trace.power.max() <= sc.P * (1.0 + 1e-9)
         assert np.linalg.norm(res.incumbent_matrix) ** 2 <= sc.P * (1.0 + 1e-9)
 
 
@@ -297,24 +293,22 @@ class TestRunSoft:
     def test_desk_monotone_decreasing(self, desk):
         sc, stats = desk
         res = run_soft(sc, stats, AlgoOptions())
-        objs = [e.objective for e in res.trace]
-        assert np.all(np.diff(objs) <= 1e-12)
+        assert np.all(np.diff(res.trace.objective) <= 1e-12)
 
     def test_single_user_objective_tracks_slnr(self):
         sc = Scenario(Q=3, L=1, M=1, seed=6)
         stats = build_statistics(sc)
         res = run_soft(sc, stats, AlgoOptions(max_iterations=10))
         # ln((1 + slnr/c)^-1) is a decreasing transform of the SLNR
-        for entry in res.trace:
-            want = np.log(1.0 / (1.0 + entry.min_slnr / 0.1))
-            assert entry.objective == pytest.approx(want, rel=1e-9)
+        want = np.log(1.0 / (1.0 + res.trace.min_slnr / 0.1))
+        np.testing.assert_allclose(res.trace.objective, want, rtol=1e-9)
 
     @pytest.mark.parametrize("c", [1.0, 0.1, 0.01])
     def test_smoothing_grid_completes(self, desk, c):
         sc, stats = desk
         res = run_soft(sc, stats, AlgoOptions(soft_c=c, max_iterations=30))
         assert len(res.trace) >= 3
-        assert np.all(np.diff([e.objective for e in res.trace]) <= 1e-12)
+        assert np.all(np.diff(res.trace.objective) <= 1e-12)
 
 
 class TestBaseline:
@@ -512,7 +506,7 @@ class TestHeldOutSeeds:
             for run in (run_gm, run_soft):
                 res = run(sc, stats, AlgoOptions())
                 assert np.all(np.isfinite(rates_of(res.incumbent_matrix, stats, sc.sigma)))
-                assert max(e.power for e in res.trace) <= sc.P * (1.0 + 1e-9), (seed, run.__name__)
+                assert res.trace.power.max() <= sc.P * (1.0 + 1e-9), (seed, run.__name__)
                 assert np.linalg.norm(res.incumbent_matrix) ** 2 <= sc.P * (1.0 + 1e-9)
 
     def test_maxmin_certified_and_converged(self):
@@ -523,9 +517,9 @@ class TestHeldOutSeeds:
             stats = build_statistics(sc)
             res = run_maxmin(sc, stats, AlgoOptions())
             assert res.stop_reason == "tolerance", seed
-            gaps = [e.subproblem_gap for e in res.trace[1:]]
-            assert max(gaps) <= optimizers.SUBPROBLEM_TOL, (seed, max(gaps))
-            assert max(e.power for e in res.trace) <= sc.P * (1.0 + 1e-9), seed
+            gap = res.trace.subproblem_gap[1:].max()
+            assert gap <= optimizers.SUBPROBLEM_TOL, (seed, gap)
+            assert res.trace.power.max() <= sc.P * (1.0 + 1e-9), seed
             assert np.all(np.isfinite(rates_of(res.incumbent_matrix, stats, sc.sigma)))
 
     def test_baseline_feasible(self):
@@ -549,10 +543,11 @@ class TestIncumbent:
         assert result.rate_min_nats == -np.inf
         w_mat = beamformer_matrix(init_feasible(sc, np.random.default_rng(1)))
         images = covariance_images(w_mat, stats)
-        optimizers._record(result, w_mat, images, slnr_vec(w_mat, images, sc.sigma), sc.sigma, 0.0, 0.0)
+        row = optimizers._record(result, w_mat, images, slnr_vec(w_mat, images, sc.sigma), sc.sigma, 0.0, 0.0)
         assert result.incumbent_matrix is w_mat
         np.testing.assert_array_equal(result.incumbent_rates, rates_of(w_mat, stats, sc.sigma))
-        assert result.rate_min_nats == float(result.incumbent_rates.min()) == result.trace[0].min_rate_nats
+        trace = optimizers._finish(result, [row], 0, "direct").trace
+        assert result.rate_min_nats == float(result.incumbent_rates.min()) == trace.min_rate_nats[0]
         assert np.isfinite(result.rate_min_nats)
 
     def test_equal_candidate_rejected(self, desk):
@@ -562,14 +557,14 @@ class TestIncumbent:
 
         def record(w_mat):
             images = covariance_images(w_mat, stats)
-            optimizers._record(result, w_mat, images, slnr_vec(w_mat, images, sc.sigma), sc.sigma, 0.0, 0.0)
+            return optimizers._record(result, w_mat, images, slnr_vec(w_mat, images, sc.sigma), sc.sigma, 0.0, 0.0)
 
         w_mat = beamformer_matrix(init_feasible(sc, np.random.default_rng(1)))
-        record(w_mat)
+        rows = [record(w_mat)]
         first = result.incumbent_rates
-        record(w_mat.copy())  # identical min rate
+        rows.append(record(w_mat.copy()))  # identical min rate
         assert result.incumbent_matrix is w_mat and result.incumbent_rates is first
-        assert len(result.trace) == 2
+        assert rows[0][:5] == rows[1][:5]  # the same iterate, the same row
 
     def test_trace_row_vectorizes_once(self, desk, monkeypatch):
         # An iterate is vectorized once, when it is evaluated; its trace row's
@@ -588,8 +583,9 @@ class TestIncumbent:
         assert run.w_mat is built[0]
         assert run.result.incumbent_matrix is built[0]
         np.testing.assert_array_equal(run.result.incumbent_rates, rates_of(built[0], stats, sc.sigma))
-        assert run.result.trace[0].power == float(np.linalg.norm(built[0]) ** 2)
-        assert run.result.trace[0].power == pytest.approx(total_power(run.bf), rel=1e-14)
+        power = run.finish(0, "max_iterations").trace[0].power
+        assert power == float(np.linalg.norm(built[0]) ** 2)
+        assert power == pytest.approx(total_power(run.bf), rel=1e-14)
 
     @pytest.mark.parametrize("run", [run_maxmin, run_gm, run_soft, optimizers.run_baseline])
     def test_trace_rates_match_fresh_oracle(self, desk, monkeypatch, run):
@@ -612,8 +608,29 @@ class TestIncumbent:
     def test_rate_min_equals_trace_max(self, desk):
         sc, stats = desk
         res = run_gm(sc, stats, AlgoOptions(max_iterations=15))
-        best = np.nanmax([e.min_rate_nats for e in res.trace])
+        best = np.nanmax(res.trace.min_rate_nats)
         assert res.rate_min_nats == pytest.approx(best, rel=1e-12)
+
+
+class TestRetention:
+    def test_finished_result_keeps_its_trace_as_one_table(self):
+        # A finished result keeps one record array, at most 64 B a trace row,
+        # beside its incumbent and final iterate (a list of row objects kept
+        # about 230 B a row).
+        sc = Scenario(Q=3, L=3, M=1, seed=1)
+        stats = build_statistics(sc)
+        run_soft(sc, stats)  # any lazily built module state comes first
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = run_soft(sc, stats)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(result.trace) > 100
+        assert kept <= 64 * len(result.trace) + 4096, (kept, len(result.trace))
 
 
 class TestDeterminism:
@@ -621,8 +638,7 @@ class TestDeterminism:
         sc, stats = desk
         a = run_soft(sc, stats, AlgoOptions(max_iterations=10))
         b = run_soft(sc, stats, AlgoOptions(max_iterations=10))
-        assert [e.objective for e in a.trace] == [e.objective for e in b.trace]
-        assert [e.min_rate_nats for e in a.trace] == [e.min_rate_nats for e in b.trace]
+        assert a.trace.tobytes() == b.trace.tobytes()
 
 
 class TestOptions:
@@ -682,8 +698,8 @@ class TestStopReason:
         # The gauge refactors the kept iterate each half-iteration, so the
         # factors, and the objective re-read from them, change in the last
         # bits while the beamformers stay put.
-        objectives = [e.objective for e in res.trace]
-        assert objectives == pytest.approx([objectives[0]] * len(objectives), rel=1e-12)
+        objectives = res.trace.objective
+        np.testing.assert_allclose(objectives, objectives[0], rtol=1e-12)
         np.testing.assert_allclose(
             beamformer_matrix(res.final), res.incumbent_matrix, rtol=0,
             atol=1e-13 * np.abs(res.incumbent_matrix).max(),
@@ -848,7 +864,7 @@ class TestDegenerateHandling:
 
         def killing(self, side):
             fix_gauge(self, side)
-            if len(self.result.trace) == 3 and side == "azimuth":
+            if len(self.rows) == 3 and side == "azimuth":
                 self.bf.v_a[0] = 0.0
                 self.keep(self.evaluate(self.bf))
 
@@ -856,7 +872,7 @@ class TestDegenerateHandling:
             dead = bool((self.signal <= 0.0).any())
             reinit(self, side)
             if dead:
-                reinitialized.append(len(self.result.trace))
+                reinitialized.append(len(self.rows))
 
         def backtrack_recording(run_, side, v_new, objective, current, better, **kwargs):
             measured.append((current, objective(run_.slnrs), better))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from slnrbeam.qcqp import Quadratics, _LevelPaths, _Pencils, solve_maxmin
+from slnrbeam.qcqp import NU_MAX, Quadratics, _LevelPaths, _Pencils, solve_maxmin
 
 from conftest import power_of, whiten
 
@@ -261,6 +261,19 @@ class TestSolveMaxmin:
                 sol = solve_maxmin(quads, budget)
                 assert sol.gap <= 1e-4
 
+    def test_every_multiplier_certifies_a_bound(self):
+        # Weak duality: at any nu >= 0 the path points give the bound
+        # g(nu) = (P + sum_l (nu_l q_l - ||v_l||^2)) / sum_l nu_l on the optimum.
+        rng = np.random.default_rng(12)
+        for _ in range(4):
+            quads, budget = random_problem(rng, n_users=3, dim=4)
+            pencils = _LevelPaths(quads, budget)
+            best = max(grid_oracle(quads, budget, steps=12), solve_maxmin(quads, budget, tol=1e-8).objective)
+            for nu in rng.exponential(size=(20, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, (20, 1)):
+                power, q, *_ = pencils.level_curves(nu)
+                bound = (budget + nu @ q - power.sum()) / nu.sum()
+                assert bound >= best - 1e-9 * max(1.0, abs(best))
+
     def test_complementary_slackness(self):
         rng = np.random.default_rng(10)
         quads, budget = random_problem(rng, n_users=3, dim=4)
@@ -300,36 +313,31 @@ def reference_multiplier(pencils, ell, level, rel=1e-13):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestLevelSolve:
-    """The safeguarded Newton level solve against a reference bisection."""
+    """The Newton multiplier solve against a reference bisection."""
 
     @staticmethod
-    def check_bracket(pencils, level, result):
-        nu_lo, nu_hi, p_lo, p_hi = result
-        assert np.all(p_lo <= p_hi)
-        at_level = nu_hi == 0.0
-        live = np.isfinite(nu_hi) & ~at_level
-        _, q_lo, *_ = pencils.level_curves(np.where(live, nu_lo, 0.0))
-        _, q_hi, *_ = pencils.level_curves(np.where(live, nu_hi, 0.0))
-        assert np.all(q_lo[live] < level)
-        assert np.all(q_hi[live] >= level)
+    def check_multipliers(pencils, level, nu):
+        at_level = nu == 0.0
+        live = (nu < NU_MAX) & ~at_level
+        power, q, *_ = pencils.level_curves(nu)
+        # the solved users reach the level, to round-off
+        np.testing.assert_allclose(q[live], level, rtol=1e-9, atol=1e-12)
         # users already at the level need no power at all
-        assert np.all(q_lo[at_level] >= level)
-        assert np.all(p_hi[at_level] == 0.0)
+        assert np.all(pencils.quads.a[at_level] >= level)
+        assert np.all(power[at_level] == 0.0)
 
-    def check_against_reference(self, quads, level, rel=1e-8):
-        # the level test's brackets do not depend on the budget
+    def check_against_reference(self, quads, level, rel=1e-8, start=None):
+        # the multipliers do not depend on the budget
         pencils = _LevelPaths(quads, 1.0)
-        result = pencils.min_power_bracket(level)
-        self.check_bracket(pencils, level, result)
-        _, nu_hi, _, p_hi = result
+        nu = pencils.multipliers(level, np.zeros(quads.b.shape[0]) if start is None else start)
+        self.check_multipliers(pencils, level, nu)
         for ell in range(quads.b.shape[0]):
             want = reference_multiplier(pencils, ell, level)
             if want is None or level >= pencils.q_free[ell]:
-                assert nu_hi[ell] == np.inf and p_hi[ell] == np.inf
+                assert nu[ell] == NU_MAX
                 continue
-            assert nu_hi[ell] == pytest.approx(want, rel=rel, abs=1e-300)
-            assert p_hi[ell] == pytest.approx(pencil_path(pencils, ell, want)[0], rel=rel)
-        return pencils, result
+            assert nu[ell] == pytest.approx(want, rel=rel, abs=1e-300)
+        return pencils, nu
 
     @pytest.mark.parametrize("singular_c", [False, True])
     def test_random_pencils(self, singular_c):
@@ -347,16 +355,22 @@ class TestLevelSolve:
                 level = float(quads.a.min()) + frac * (top - float(quads.a.min()))
                 self.check_against_reference(quads, level)
 
-    def test_early_stop_stays_certified(self):
+    @pytest.mark.parametrize("flat_user", [False, True])
+    def test_start_on_either_side_of_the_root(self, flat_user):
+        # Newton from another level's multipliers, from above or below the
+        # roots, or from the cap, lands on the multipliers it finds from zero;
+        # also for a user whose every direction is flat (zero curvature).
         rng = np.random.default_rng(27)
         quads, budget = random_problem(rng, n_users=4, dim=6)
+        if flat_user:
+            quads.C[1] = 0.0
         pencils = _LevelPaths(quads, budget)
-        level = float(np.min(pencils.q_free)) - 1e-3
-        full = pencils.min_power_bracket(level)
-        cap = 0.5 * float(full[2].sum())
-        early = _LevelPaths(quads, budget).min_power_bracket(level, cap)
-        self.check_bracket(pencils, level, early)
-        assert early[2].sum() > cap
+        low, high = float(quads.a.max()) + 0.1, float(pencils.q_free.min()) - 1e-3
+        below, above = pencils.multipliers(low, np.zeros(4)), pencils.multipliers(high, np.zeros(4))
+        assert np.all(below < above)
+        for level, start in ((high, below), (low, above), (low, np.full(4, NU_MAX))):
+            want = pencils.multipliers(level, np.zeros(4))
+            np.testing.assert_allclose(pencils.multipliers(level, start), want, rtol=1e-9)
 
     def test_flat_directions_with_linear_term(self):
         rng = np.random.default_rng(22)
@@ -366,8 +380,8 @@ class TestLevelSolve:
         pencils = _LevelPaths(quads, budget)
         assert pencils.q_free[1] == np.inf
         for level in (float(quads.a[1]) + 0.5, float(quads.a[1]) + 50.0):
-            _, result = self.check_against_reference(quads, level)
-            assert np.isfinite(result[1][1])
+            _, nu = self.check_against_reference(quads, level)
+            assert nu[1] < NU_MAX
 
     def test_zero_rows_of_b(self):
         rng = np.random.default_rng(23)
@@ -376,22 +390,20 @@ class TestLevelSolve:
         pencils = _LevelPaths(quads, budget)
         assert pencils.q_free[1] == quads.a[1]
         above = float(quads.a[1]) + 0.1
-        nu_lo, nu_hi, p_lo, p_hi = pencils.min_power_bracket(above)
-        assert nu_hi[1] == np.inf and p_lo[1] == np.inf
-        self.check_bracket(pencils, above, (nu_lo, nu_hi, p_lo, p_hi))
+        nu = pencils.multipliers(above, np.zeros(3))
+        assert nu[1] == NU_MAX
+        self.check_multipliers(pencils, above, nu)
         below = float(quads.a[1]) - 0.1
-        result = pencils.min_power_bracket(below)
-        assert result[1][1] == 0.0 and result[3][1] == 0.0
-        self.check_bracket(pencils, below, result)
+        nu = pencils.multipliers(below, np.zeros(3))
+        assert nu[1] == 0.0
+        self.check_multipliers(pencils, below, nu)
 
     def test_level_at_or_below_a(self):
         rng = np.random.default_rng(24)
         quads, budget = random_problem(rng, n_users=3, dim=4)
         pencils = _LevelPaths(quads, budget)
         for level in (float(quads.a.min()), float(quads.a.min()) - 5.0):
-            result = pencils.min_power_bracket(level)
-            for arr in result:
-                np.testing.assert_array_equal(arr, 0.0)
+            np.testing.assert_array_equal(pencils.multipliers(level, np.ones(3)), 0.0)
 
     def test_level_at_or_above_q_free(self):
         rng = np.random.default_rng(25)
@@ -399,9 +411,11 @@ class TestLevelSolve:
         pencils = _LevelPaths(quads, budget)
         top = int(np.argmax(pencils.q_free))
         for level in (float(pencils.q_free.max()), float(pencils.q_free.max()) + 1.0):
-            result = pencils.min_power_bracket(level)
-            assert result[1][top] == np.inf and result[3][top] == np.inf
-            self.check_bracket(pencils, level, result)
+            nu = pencils.multipliers(level, np.zeros(3))
+            assert nu[top] == NU_MAX
+            # at the cap the path point is the unconstrained maximizer
+            _, q, *_ = pencils.level_curves(nu)
+            assert q[top] == pytest.approx(pencils.q_free[top], rel=1e-12)
         # just below the asymptote the level is reached, at a large multiplier
         level = float(pencils.q_free[top]) - 1e-9 * max(1.0, abs(float(pencils.q_free[top])))
         self.check_against_reference(quads, level, rel=1e-4)

@@ -14,8 +14,9 @@ Run from the root of a checkout::
 under ``--src`` (default: this checkout's ``src``) and writes, per run,
 sha256 digests of the incumbent matrix, the final iterate and the trace,
 plus the iteration count, the stop reason, the minimum rate, every user's
-incumbent rate, the largest max-min subproblem gap and the largest trace
-power over the budget. The incumbent's rates are read through
+incumbent rate, the largest max-min subproblem gap, the summed max-min level
+trials and the largest trace power over the budget. The trace is read by
+column; an older checkout's list of rows is read as the same table. The incumbent's rates are read through
 ``metrics.rate_report``, whose signature every checkout shares. A run that
 raises, in its design or in that rate call, is recorded by its exception's
 type and message instead. The set covers the three benchmark sizes:
@@ -27,8 +28,8 @@ type and message instead. The set covers the three benchmark sizes:
 where every design is max-min, gm, soft at c = 0.1 and at c = 1, and the
 baseline. ``compare`` prints, per design, how many runs are identical (all
 digests equal), the largest relative move of the minimum rate, the largest
-relative move of any user's rate and the largest max-min gap over the runs
-that completed in both, then every change of iteration count or stop
+relative move of any user's rate, the largest max-min gap and the summed
+level trials before -> after over the runs that completed in both, then every change of iteration count or stop
 reason and every run that raises in either snapshot.
 
 ``scan`` runs every design of this checkout's ``src`` on the held-out seeds
@@ -97,20 +98,33 @@ def digest(*arrays) -> str:
     return h.hexdigest()
 
 
+# The trace's columns, in the order of its record array.
+TRACE_FIELDS = ("step", "min_slnr", "objective", "min_rate_nats", "power", "subproblem_gap",
+                "subproblem_iterations")
+
+
+def trace_table(trace) -> np.recarray:
+    """A result's trace as one record array; a checkout from before the
+    trace was one table holds a list of rows, with None for the NaN and -1
+    outside max-min."""
+    if isinstance(trace, np.ndarray):
+        return trace
+    rows = [
+        (e.step, e.min_slnr, e.objective, e.min_rate_nats, e.power,
+         math.nan if e.subproblem_gap is None else e.subproblem_gap,
+         -1 if e.subproblem_iterations is None else e.subproblem_iterations)
+        for e in trace
+    ]
+    return np.rec.fromrecords(rows, names=TRACE_FIELDS)
+
+
 def summarize(result, rates) -> dict:
     """Digests and headline figures of one ``OptimizationResult``, with the
     per-user ``rates`` (nats) of its incumbent."""
-    rows = np.array(
-        [
-            (e.step, e.min_slnr, e.objective, e.min_rate_nats, e.power,
-             math.nan if e.subproblem_gap is None else e.subproblem_gap,
-             -1 if e.subproblem_iterations is None else e.subproblem_iterations)
-            for e in result.trace
-        ],
-        dtype=float,
-    )
+    trace = trace_table(result.trace)
+    rows = np.column_stack([trace[f].astype(float) for f in TRACE_FIELDS])
+    gaps = trace.subproblem_gap[~np.isnan(trace.subproblem_gap)]
     final = result.final
-    gaps = [e.subproblem_gap for e in result.trace if e.subproblem_gap is not None]
     return {
         "incumbent": digest(result.incumbent_matrix),
         "final": None if final is None else digest(final.v_a, final.v_e),
@@ -119,7 +133,8 @@ def summarize(result, rates) -> dict:
         "stop_reason": result.stop_reason,
         "min_rate_nats": result.rate_min_nats,
         "rates_nats": [float(r) for r in rates],
-        "gap_max": max(gaps) if gaps else None,
+        "gap_max": float(gaps.max()) if gaps.size else None,
+        "level_trials": int(trace.subproblem_iterations.clip(min=0).sum()),
     }
 
 
@@ -143,7 +158,7 @@ def snapshot(src: Path, runs_to_do=None) -> dict:
         except Exception as exc:  # a failing run is a finding, not the end of the set
             runs[key] = {"design": label(design, c), "error": f"{type(exc).__name__}: {exc}"}
             continue
-        power = max(e.power for e in result.trace) / scenario.P
+        power = float(trace_table(result.trace).power.max()) / scenario.P
         runs[key] = {
             "design": label(design, c), **summarize(result, rates), "power_over_budget": power
         }
@@ -179,6 +194,9 @@ def compare(before: dict, after: dict) -> list[str]:
         gaps = [after[k]["gap_max"] for k in keys if after[k]["gap_max"] is not None]
         if gaps:
             line += f", largest gap {max(gaps):.3g}"
+        trials = [sum(snap[k].get("level_trials", 0) for k in keys) for snap in (before, after)]
+        if any(trials):
+            line += f", level trials {trials[0]} -> {trials[1]}"
         lines.append(line)
     for key in shared:
         for field in ("iterations", "stop_reason"):
