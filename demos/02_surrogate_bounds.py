@@ -77,21 +77,22 @@ report("soft-min majorant:", bound - target)
 # soft majorant is its constant minus the sum of its (negated) quadratics.
 sc = Scenario(Q=4, L=3, M=2, seed=31)
 stats = build_statistics(sc)
-bf = init_feasible(sc, np.random.default_rng(31))
-w_mat = beamformer_matrix(bf)
+factors = init_feasible(sc, np.random.default_rng(31))  # (2, L, M, Q): azimuth, elevation
+w_mat = beamformer_matrix(factors)
 signal, leakage = _signal_and_leakage(w_mat, covariance_images(w_mat, stats))
 slnrs = signal / (leakage + sc.sigma)
-ops = half_iteration_operators("azimuth", bf, stats, signal, leakage, sc.sigma)
+ops = half_iteration_operators(0, factors, stats, signal, leakage, sc.sigma)  # azimuth side free
+v_a = factors[0].reshape(sc.L, -1)  # every user's azimuth vectors, one row each
 ratio_quads = slnr_minorant_coeffs(ops)
 log_quads = gm_minorant_coeffs(ops)
 soft_constant, soft_quads = soft_majorant_coeffs(ops, c)
 print()
 print(f"Stacked coefficients at a Q={sc.Q}, L={sc.L}, M={sc.M} iterate: "
       f"b {ratio_quads.b.shape}, C {ratio_quads.C.shape}")
-gap = np.abs(ratio_quads.values(bf.v_a) - slnrs).max() / slnrs.max()
+gap = np.abs(ratio_quads.values(v_a) - slnrs).max() / slnrs.max()
 print(f"  SLNR minorants:         largest relative gap at the iterate {gap:.1e}")
-gap = np.abs(log_quads.values(bf.v_a) - np.log1p(slnrs)).max()
+gap = np.abs(log_quads.values(v_a) - np.log1p(slnrs)).max()
 print(f"  ln(1 + SLNR) minorants: largest gap at the iterate {gap:.1e}")
-soft = soft_constant - soft_quads.values(bf.v_a).sum()
+soft = soft_constant - soft_quads.values(v_a).sum()
 gap = abs(soft - np.log(np.sum(1.0 / (1.0 + slnrs / c))))
 print(f"  soft-min majorant:      gap at the iterate {gap:.1e}")

@@ -19,7 +19,7 @@ from .channel import (
     place_users,
     vertical_correlation,
 )
-from .beamformer import BeamformerSet, beamformer_matrix, init_feasible
+from .beamformer import beamformer_matrix, init_feasible
 from .metrics import (
     RateReport,
     covariance_images,
@@ -43,7 +43,6 @@ from .optimizers import (
 
 __all__ = [
     "AlgoOptions",
-    "BeamformerSet",
     "ChannelStatistics",
     "OptimizationResult",
     "RateReport",

@@ -26,11 +26,12 @@ keys left out take :class:`ExperimentConfig`'s defaults. Missing required
 keys, unknown option keys, algorithms not given as a list of known names,
 values of the wrong JSON type or out of range (sweep axes of finite numbers,
 antennas perfect squares, c positive, integral ``n_seeds`` >= 1 and
-``base_seed``) and a value repeated in ``algorithms`` or a sweep axis (9 and
-9.0 being one value) are rejected when the config is built, before any file
-is written, by a ValueError naming the key as the config wrote it. A config
-built in Python, or changed by command-line flags, goes through the same
-checks.
+``base_seed``), a value repeated in ``algorithms`` or a sweep axis (9 and
+9.0 being one value) and ``power_dbm`` or ``c`` values that file names print
+alike (``file_label``) are rejected when the config is built, before any
+file is written, by a ValueError naming the key as the config wrote it. A
+config built in Python, or changed by command-line flags, goes through the
+same checks.
 
 Outputs per (algorithm, sweep point, seed): a convergence-trace CSV with
 columns ``iteration,min_slnr,objective,min_rate_mbps``; plus one shared
@@ -88,6 +89,12 @@ def fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return f"{float(value):.17g}"
     return str(value)
+
+
+def file_label(value: float) -> str:
+    """A ``power_dbm`` or ``c`` sweep value as run file names print it ("na":
+    no c, outside soft)."""
+    return "na" if np.isnan(value) else f"{value:g}"
 
 
 class SweepAxes(NamedTuple):
@@ -157,6 +164,13 @@ class ExperimentConfig:
             raise ValueError(f"key 'antennas' must be perfect squares, got {axes.antennas}")
         if any(cc <= 0 for cc in axes.c):
             raise ValueError(f"key 'c' must be positive, got {axes.c}")
+        for key in ("power_dbm", "c"):  # each run's files are named by its labels
+            by_label = {}
+            for value in getattr(axes, key):
+                first = by_label.setdefault(file_label(value), value)
+                if first != value:
+                    raise ValueError(f"key {key!r} values {first!r} and {value!r} both print as "
+                                     f"{file_label(value)!r} in file names")
         self.n_seeds = _number("n_seeds", self.n_seeds, integral=True)
         if self.n_seeds < 1:
             raise ValueError(f"key 'n_seeds' must be >= 1, got {self.n_seeds}")
@@ -292,13 +306,10 @@ class _RunKey:
     c: float  # nan for algorithms that ignore it
     seed: int
 
-    def c_label(self) -> str:
-        return "na" if np.isnan(self.c) else f"{self.c:g}"
-
     def trace_name(self, m_count: int) -> str:
         return (
-            f"trace_{self.algorithm}_a{self.antennas}_p{self.power_dbm:g}"
-            f"_c{self.c_label()}_M{m_count}_s{self.seed}.csv"
+            f"trace_{self.algorithm}_a{self.antennas}_p{file_label(self.power_dbm)}"
+            f"_c{file_label(self.c)}_M{m_count}_s{self.seed}.csv"
         )
 
 
@@ -333,8 +344,7 @@ def _execute_run(key: _RunKey, config: ExperimentConfig, out_dir: Path) -> dict:
         writer.writerow(TRACE_COLUMNS)
         rates = nats_to_mbps(trace.min_rate_nats, scenario.bandwidth)
         for step, min_slnr, objective, rate in zip(trace.step, trace.min_slnr, trace.objective, rates):
-            rate_cell = fmt(rate) if np.isfinite(rate) else "nan"
-            writer.writerow([fmt(step), fmt(min_slnr), fmt(objective), rate_cell])
+            writer.writerow([fmt(step), fmt(min_slnr), fmt(objective), fmt(rate)])
 
     extra_paths = []
     if config.save_beamformers:

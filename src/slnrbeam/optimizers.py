@@ -41,11 +41,11 @@ from __future__ import annotations
 import logging
 import numbers
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beamformer import SIDES, BeamformerSet, beamformer_matrix, circular_gaussian, init_feasible
+from .beamformer import SIDES, beamformer_matrix, circular_gaussian, init_feasible
 from .channel import ChannelStatistics, Scenario
 from .metrics import _signal_and_leakage, covariance_images, ergodic_rate_closed, slnr_vec
 from .numerics import largest_generalized_eigvec
@@ -112,7 +112,8 @@ class OptimizationResult:
     ``trace[k].power``. ``stop_reason`` is "tolerance", "stalled",
     "subproblem_regressed" or "max_iterations" (see ``_alternate``), or
     "direct" for the baseline's single evaluation; ``converged`` holds for
-    "tolerance" and "direct".
+    "tolerance" and "direct". ``final`` is an iterative run's last
+    (2, L, M, Q) factor array (:mod:`slnrbeam.beamformer`).
     """
 
     algorithm: str
@@ -121,7 +122,7 @@ class OptimizationResult:
     trace: np.recarray = field(default_factory=lambda: np.recarray(0, TRACE_DTYPE))
     iterations: int = 0
     stop_reason: str | None = None
-    final: BeamformerSet | None = None
+    final: np.ndarray | None = None
 
     @property
     def rate_min_nats(self) -> float:
@@ -213,7 +214,8 @@ def baseline_uniform(stats: ChannelStatistics, scenario: Scenario) -> np.ndarray
 class _Run:
     """Shared state and bookkeeping for one alternating-optimization run.
 
-    The current iterate ``bf`` is kept with its one evaluation (``evaluate``):
+    The current iterate, the (2, L, M, Q) array ``factors``
+    (:mod:`slnrbeam.beamformer`), is kept with its one evaluation (``evaluate``):
     its (Q^2, L) matrix ``w_mat``, its covariance ``images``, every user's
     expected ``signal`` and ``leakage`` power, and the ``slnrs`` derived from
     them. The trace row, the incumbent and the next half-iteration's
@@ -231,15 +233,15 @@ class _Run:
         self.stats = stats
         self.sigma = scenario.sigma
         self.rng = np.random.default_rng([scenario.seed, 1])
-        self.bf = init_feasible(scenario, self.rng)
-        self.keep(self.evaluate(self.bf))
+        self.factors = init_feasible(scenario, self.rng)
+        self.keep(self.evaluate(self.factors))
         self.subproblem: SubproblemSolution | None = None
         self.result = OptimizationResult(algorithm)
         self.rows: list[tuple] = []
 
-    def evaluate(self, bf: BeamformerSet) -> tuple[np.ndarray, ...]:
-        """``(w_mat, images, signal, leakage, slnrs)`` of a candidate iterate ``bf``."""
-        w_mat = beamformer_matrix(bf)
+    def evaluate(self, factors: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``(w_mat, images, signal, leakage, slnrs)`` of candidate ``factors``."""
+        w_mat = beamformer_matrix(factors)
         images = covariance_images(w_mat, self.stats)
         signal, leakage = _signal_and_leakage(w_mat, images)
         return w_mat, images, signal, leakage, signal / (leakage + self.sigma)
@@ -255,7 +257,7 @@ class _Run:
             sub=self.subproblem,
         ))
 
-    def fix_gauge(self, side: str) -> None:
+    def fix_gauge(self, side: int) -> None:
         """Orthonormalize the side held fixed while ``side`` is updated.
 
         Every user's fixed (Q, M) columns F = Q_f R are replaced by Q_f and
@@ -264,15 +266,12 @@ class _Run:
         the squared norm of its free vector. The kept evaluation is redone
         at the refactored iterate.
         """
-        bf = self.bf
-        free, fixed = ("v_a", "v_e") if side == "azimuth" else ("v_e", "v_a")
-        shape = (bf.L, bf.M, bf.Q)  # row m of a user's block is its m-th vector
-        q_f, r = np.linalg.qr(getattr(bf, fixed).reshape(shape).swapaxes(-1, -2))
-        setattr(bf, fixed, q_f.swapaxes(-1, -2).reshape(bf.L, -1))
-        setattr(bf, free, (r @ getattr(bf, free).reshape(shape)).reshape(bf.L, -1))
-        self.keep(self.evaluate(bf))
+        q_f, r = np.linalg.qr(self.factors[1 - side].swapaxes(-1, -2))
+        self.factors[1 - side] = q_f.swapaxes(-1, -2)
+        self.factors[side] = r @ self.factors[side]
+        self.keep(self.evaluate(self.factors))
 
-    def reinit_degenerate(self, side: str) -> None:
+    def reinit_degenerate(self, side: int) -> None:
         """Replace zero-signal users' free vectors by a small random draw.
 
         A vanished expected signal makes every bound uninformative, so the
@@ -284,32 +283,33 @@ class _Run:
         dead = np.nonzero(self.signal <= 0.0)[0]
         if dead.size == 0:
             return
-        free = self.bf.v_a if side == "azimuth" else self.bf.v_e
+        free = self.factors[side]
         per_user = np.linalg.norm(self.w_mat, axis=0) ** 2
         for ell in dead:
             remaining = max(self.scenario.P - (per_user.sum() - per_user[ell]), 1e-12 * self.scenario.P)
-            draw = circular_gaussian(self.rng, free.shape[1])
+            draw = circular_gaussian(self.rng, free.shape[1:])
             free[ell] = draw * np.sqrt(DEGENERATE_POWER_FRACTION * remaining) / np.linalg.norm(draw)
             per_user[ell] = DEGENERATE_POWER_FRACTION * remaining
-            logger.warning("reinitialized degenerate user %d on the %s side", ell, side)
-        self.keep(self.evaluate(self.bf))
+            logger.warning("reinitialized degenerate user %d on the %s side", ell, SIDES[side])
+        self.keep(self.evaluate(self.factors))
 
     def finish(self, iterations: int, stop_reason: str) -> OptimizationResult:
-        self.result.final = self.bf.copy()
+        self.result.final = self.factors
         return _finish(self.result, self.rows, iterations, stop_reason)
 
 
 def _backtrack(
     run: _Run,
-    side: str,
+    side: int,
     v_new: np.ndarray,
     objective,
     current: float,
     better,
-    max_halvings: int = 40,
+    max_halvings: int,
 ) -> tuple[float, bool]:
     """Accept v_new, or a fraction of the step toward it, or stall.
 
+    ``v_new`` holds every user's new vector on ``side`` as an (L, QM) row.
     Tries v_old + s (v_new - v_old) for s = 1, 1/2, ... (``max_halvings``
     trials); ``max_halvings=0`` tries v_new itself, unblended, once.
     Each trial is evaluated once (``_Run.evaluate``); ``objective`` maps its
@@ -318,16 +318,18 @@ def _backtrack(
     evaluation becomes the run's. Returns the accepted objective value and
     whether any step was taken.
     """
-    attr = "v_a" if side == "azimuth" else "v_e"
-    v_old = getattr(run.bf, attr)
+    v_old = run.factors[side]
+    v_new = v_new.reshape(v_old.shape)
     trials = [v_new] if max_halvings == 0 else (
         v_old + 0.5**k * (v_new - v_old) for k in range(max_halvings)
     )
     for point in trials:
-        evaluation = run.evaluate(replace(run.bf, **{attr: point}))
+        factors = run.factors.copy()
+        factors[side] = point
+        evaluation = run.evaluate(factors)
         value = objective(evaluation[-1])  # the trial's SLNRs
         if better(value, current):
-            setattr(run.bf, attr, point)
+            run.factors = factors
             run.keep(evaluation)
             return value, True
     return current, False
@@ -366,11 +368,11 @@ def _alternate(
     for it in range(1, options.max_iterations + 1):
         previous_full = current
         moved = False
-        for half, side in enumerate(SIDES):
+        for side in (0, 1):
             run.fix_gauge(side)
             run.reinit_degenerate(side)
             current = objective(run.slnrs)
-            ops = half_iteration_operators(side, run.bf, stats, run.signal, run.leakage, run.sigma)
+            ops = half_iteration_operators(side, run.factors, stats, run.signal, run.leakage, run.sigma)
             current, stepped = _backtrack(
                 run, side, update(run, side, ops), objective, current, better,
                 max_halvings=0 if certified else 40,
@@ -379,11 +381,11 @@ def _alternate(
                 logger.warning(
                     "%s stopped in iteration %d: the %s subproblem's point lowers "
                     "the min SLNR below %.9e (gap %.2e)",
-                    algorithm, it, side, current, run.subproblem.gap,
+                    algorithm, it, SIDES[side], current, run.subproblem.gap,
                 )
                 return run.finish(it, "subproblem_regressed")
             moved = moved or stepped
-            run.record(it - 0.5 + 0.5 * half, current)
+            run.record(it - 0.5 + 0.5 * side, current)
         if not moved:
             return run.finish(it, "stalled")
         if abs(current - previous_full) <= options.tolerance * max(abs(previous_full), 1e-30):
@@ -403,7 +405,7 @@ def run_maxmin(
     iteration drops below the tolerance.
     """
 
-    def update(run: _Run, side: str, ops: HalfIterationOperators) -> np.ndarray:
+    def update(run: _Run, side: int, ops: HalfIterationOperators) -> np.ndarray:
         run.subproblem = solve_maxmin(
             slnr_minorant_coeffs(ops), scenario.P, tol=SUBPROBLEM_TOL, warm_start=ops.v_bar
         )
@@ -437,9 +439,9 @@ def run_gm(
     """
     weights = None
 
-    def update(run: _Run, side: str, ops: HalfIterationOperators) -> np.ndarray:
+    def update(run: _Run, side: int, ops: HalfIterationOperators) -> np.ndarray:
         nonlocal weights
-        if side == SIDES[0]:
+        if side == 0:
             weights = gm_weights(run.slnrs)
         return closed_form_update(gm_minorant_coeffs(ops), scenario.P, weights=weights)
 
@@ -463,7 +465,7 @@ def run_soft(
     """
     c = (options or AlgoOptions()).soft_c
 
-    def update(run: _Run, side: str, ops: HalfIterationOperators) -> np.ndarray:
+    def update(run: _Run, side: int, ops: HalfIterationOperators) -> np.ndarray:
         _, quads = soft_majorant_coeffs(ops, c)
         return closed_form_update(quads, scenario.P)
 

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamformer import BeamformerSet
 from .channel import ChannelStatistics
 from .qcqp import Quadratics
 
@@ -102,11 +101,11 @@ class HalfIterationOperators:
     ``sum_quad[l]`` is Psi_l^H (sum_l' R_l') Psi_l, where Psi_l mixes the
     free vector through the fixed side and R is the matching second-moment
     matrix (R_tilde for azimuth updates, R for elevation updates).
-    ``signal[l]`` and ``leakage[l]`` are the expected own-signal power and
-    summed leakage power at the current iterate.
+    ``v_bar`` holds every user's free vector at the current iterate as an
+    (L, QM) row; ``signal[l]`` and ``leakage[l]`` are the expected
+    own-signal power and summed leakage power there.
     """
 
-    side: str
     v_bar: np.ndarray
     own_quad: np.ndarray
     sum_quad: np.ndarray
@@ -120,8 +119,8 @@ class HalfIterationOperators:
 
 
 def half_iteration_operators(
-    side: str,
-    bf: BeamformerSet,
+    side: int,
+    factors: np.ndarray,
     stats: ChannelStatistics,
     signal: np.ndarray,
     leakage: np.ndarray,
@@ -129,7 +128,9 @@ def half_iteration_operators(
 ) -> HalfIterationOperators:
     """Assemble the quadratic operators of one alternating half-iteration.
 
-    ``signal`` and ``leakage`` are every user's expected powers at ``bf``
+    ``side`` indexes the free side of the (2, L, M, Q) ``factors``
+    (:mod:`slnrbeam.beamformer`); ``signal`` and ``leakage`` are every
+    user's expected powers at ``factors``
     (:func:`~slnrbeam.metrics._signal_and_leakage`), evaluated by the caller
     with the iterate and kept as the expansion point.
 
@@ -140,39 +141,27 @@ def half_iteration_operators(
         azimuth:   Psi_l^H R_tilde_k Psi_l = g_k (F_l^H R_v,k^T F_l) kron R_h,k,
         elevation: Psi_l^H R_k Psi_l       = g_k (F_l^H R_h,k F_l) kron R_v,k^T.
 
+    The inner factor is ``(R_h, R_v^T)[side]`` and the outer one the other.
     The M x M factors are symmetrized, so every operator is Hermitian bit
     for bit.
     """
-    if side == "azimuth":
-        free, fixed, outer, inner = bf.v_a, bf.v_e, stats.R_v.swapaxes(-1, -2), stats.R_h
-    else:
-        free, fixed, outer, inner = bf.v_e, bf.v_a, stats.R_h, stats.R_v.swapaxes(-1, -2)
-    n_users, q, m = bf.L, bf.Q, bf.M
-    f = fixed.reshape(n_users, m, q).swapaxes(-1, -2)  # F_l as (L, Q, M)
+    pair = (stats.R_h, stats.R_v.swapaxes(-1, -2))
+    inner, outer = pair[side], pair[1 - side]
+    n_users, m, q = factors.shape[1:]
+    f = factors[1 - side].swapaxes(-1, -2)  # F_l as (L, Q, M)
     # gram[l, k] = g_k F_l^H outer_k F_l, shape (L, L, M, M)
     gram = f.conj().swapaxes(-1, -2)[:, None] @ outer[None] @ f[:, None]
     gram = 0.5 * (gram + gram.conj().swapaxes(-1, -2))
     gram *= stats.path_gain[None, :, None, None]
     # Kronecker blocks are laid out (L, M, Q, M, Q), then flattened to QM x QM.
     own = gram[np.arange(n_users), np.arange(n_users)]
-    own_quad = (own[:, :, None, :, None] * inner[:, None, :, None, :]).reshape(
-        n_users, q * m, q * m
-    )
-    summed = gram.transpose(0, 2, 3, 1).reshape(n_users, m * m, n_users) @ inner.reshape(
-        n_users, q * q
-    )
-    sum_quad = (
-        summed.reshape(n_users, m, m, q, q).transpose(0, 1, 3, 2, 4).reshape(n_users, q * m, q * m)
-    )
-    return HalfIterationOperators(
-        side=side,
-        v_bar=free.copy(),
-        own_quad=own_quad,
-        sum_quad=sum_quad,
-        signal=signal,
-        leakage=leakage,
-        sigma=sigma,
-    )
+    shape = (n_users, q * m, q * m)
+    own_quad = (own[:, :, None, :, None] * inner[:, None, :, None, :]).reshape(shape)
+    summed = gram.transpose(0, 2, 3, 1).reshape(n_users, m * m, n_users)
+    summed = summed @ inner.reshape(n_users, q * q)
+    sum_quad = summed.reshape(n_users, m, m, q, q).transpose(0, 1, 3, 2, 4).reshape(shape)
+    v_bar = factors[side].reshape(n_users, q * m).copy()
+    return HalfIterationOperators(v_bar, own_quad, sum_quad, signal, leakage, sigma)
 
 
 def _expansion(ops: HalfIterationOperators) -> np.ndarray:

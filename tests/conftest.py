@@ -8,11 +8,13 @@ of one side's update (``psi_matrix``) and the per-user SLNR the tests
 compare against, the per-realization SINR of one channel draw, the
 eigenvalue expansion of the ergodic rate, and a chi-space evaluator of the three quadratic bounds of
 :mod:`slnrbeam.surrogates`; ``operators_at`` builds one half-iteration's
-operators at a given beamformer set, as the designs' driver does, and
+operators at given (2, L, M, Q) factors, as the designs' driver does, and
 ``whiten`` maps quadratics with a general power metric onto the identity
 metric the solvers take, under which ``power_of`` is the power.
 ``rates_of`` and ``slnrs_of`` run the metrics readers on covariance images
-built for the occasion.
+built for the occasion. ``columns`` and ``free_rows`` read one side of the
+factor array as a user's (Q, M) column matrix and as every user's stacked
+(L, QM) free vectors.
 """
 
 import numpy as np
@@ -28,17 +30,29 @@ def vec(mat):
     return np.asarray(mat).reshape(-1, order="F")
 
 
-def full_beamformer(bf, ell):
+def columns(factors, side, ell):
+    """User ``ell``'s M vectors on ``side`` as a (Q, M) column matrix."""
+    return factors[side, ell].T
+
+
+def free_rows(factors, side):
+    """Every user's M vectors on ``side`` stacked in one (L, QM) row each."""
+    return factors[side].reshape(factors.shape[1], -1)
+
+
+def full_beamformer(factors, ell):
     """The rank-<=M transmit matrix V_ell = sum_m v_e[m] v_a[m].T."""
-    return bf.columns("elevation", ell) @ bf.columns("azimuth", ell).T
+    return columns(factors, 1, ell) @ columns(factors, 0, ell).T
 
 
-def total_power(bf):
+def total_power(factors):
     """Transmit power: the sum over users of ||V_ell||_F^2."""
-    return sum(float(np.linalg.norm(full_beamformer(bf, ell)) ** 2) for ell in range(bf.L))
+    return sum(
+        float(np.linalg.norm(full_beamformer(factors, ell)) ** 2) for ell in range(factors.shape[1])
+    )
 
 
-def psi_matrix(side, bf, ell):
+def psi_matrix(side, factors, ell):
     """Mixing operator for updating ``side`` with the other side fixed.
 
     The Q^2 x QM matrix ``Psi = [u_1 ... u_M] kron I_Q`` of the fixed side's
@@ -51,8 +65,8 @@ def psi_matrix(side, bf, ell):
     it (they use its Kronecker structure); it is the dense reference for
     those identities.
     """
-    fixed = bf.columns({"azimuth": "elevation", "elevation": "azimuth"}[side], ell)
-    return np.kron(fixed, np.eye(bf.Q))
+    fixed = columns(factors, 1 - side, ell)
+    return np.kron(fixed, np.eye(fixed.shape[0]))
 
 
 def dense_r(stats):
@@ -97,33 +111,33 @@ def slnrs_of(w_mat, stats, sigma):
     return slnr_vec(w_mat, covariance_images(w_mat, stats), sigma)
 
 
-def operators_at(side, bf, stats, sigma):
-    """``half_iteration_operators`` at ``bf``, its expected powers evaluated first."""
-    w_mat = beamformer_matrix(bf)
+def operators_at(side, factors, stats, sigma):
+    """``half_iteration_operators`` at ``factors``, its expected powers evaluated first."""
+    w_mat = beamformer_matrix(factors)
     signal, leakage = _signal_and_leakage(w_mat, covariance_images(w_mat, stats))
-    return half_iteration_operators(side, bf, stats, signal, leakage, sigma)
+    return half_iteration_operators(side, factors, stats, signal, leakage, sigma)
 
 
-def user_slnr(bf, stats, ell, sigma):
-    """Covariance-form SLNR of user ``ell`` under an outer-product beamformer set."""
-    return float(slnrs_of(beamformer_matrix(bf), stats, sigma)[ell])
+def user_slnr(factors, stats, ell, sigma):
+    """Covariance-form SLNR of user ``ell`` under outer-product beamformer factors."""
+    return float(slnrs_of(beamformer_matrix(factors), stats, sigma)[ell])
 
 
-def transmit_bilinear(bf, h_mat, user):
+def transmit_bilinear(factors, h_mat, user):
     """sum_m v_e[m].T H v_a[m] for one channel realization H."""
-    v_e = bf.columns("elevation", user)
-    v_a = bf.columns("azimuth", user)
+    v_e = columns(factors, 1, user)
+    v_a = columns(factors, 0, user)
     return complex(np.sum((v_e.T @ h_mat) * v_a.T))
 
 
-def instantaneous_sinr(bf, channels, ell, sigma):
+def instantaneous_sinr(factors, channels, ell, sigma):
     """SINR of user ``ell`` at one realization per user, ``channels`` (L, Q, Q).
 
     Only user ``ell``'s entry matters: every transmission reaches them
     through their own channel.
     """
     h_mat = np.asarray(channels)[ell]
-    gains = np.array([transmit_bilinear(bf, h_mat, lp) for lp in range(bf.L)])
+    gains = np.array([transmit_bilinear(factors, h_mat, lp) for lp in range(factors.shape[1])])
     powers = np.abs(gains) ** 2
     return float(powers[ell] / (powers.sum() - powers[ell] + sigma))
 

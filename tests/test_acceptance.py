@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from slnrbeam.beamformer import BeamformerSet, beamformer_matrix, coupling_matrix, init_feasible
+from slnrbeam.beamformer import beamformer_matrix, coupling_matrix, init_feasible
 from slnrbeam.channel import Scenario, build_statistics, sample_channels, vec_batch
 from slnrbeam.harness import ExperimentConfig, default_scenario_dict, run_experiment
 from slnrbeam.metrics import ergodic_rate_mc, rate_report
@@ -24,6 +24,8 @@ from conftest import (
     chi_expansion,
     chi_minorant,
     chi_softmin_majorant,
+    columns,
+    free_rows,
     psi_matrix,
     rates_of,
     slnrs_of,
@@ -103,29 +105,28 @@ class TestCriterion2Identities:
             q_len = int(rng.integers(2, 5))
             m_count = int(rng.integers(1, q_len + 1))
             n_users = int(rng.integers(1, 4))
-            shape = (n_users, q_len * m_count)
-            bf = BeamformerSet(
-                q_len,
-                m_count,
+            shape = (n_users, m_count, q_len)
+            factors = np.stack([
                 rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
                 rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-            )
-            direct = total_power(bf)
-            a_az = coupling_matrix("azimuth", bf)
-            a_el = coupling_matrix("elevation", bf)
-            via_az = sum(np.real(bf.v_a[i].conj() @ a_az[i] @ bf.v_a[i]) for i in range(n_users))
-            via_el = sum(np.real(bf.v_e[i].conj() @ a_el[i] @ bf.v_e[i]) for i in range(n_users))
+            ])
+            direct = total_power(factors)
+            a_az = coupling_matrix(0, factors)
+            a_el = coupling_matrix(1, factors)
+            v_az, v_el = free_rows(factors, 0), free_rows(factors, 1)
+            via_az = sum(np.real(v_az[i].conj() @ a_az[i] @ v_az[i]) for i in range(n_users))
+            via_el = sum(np.real(v_el[i].conj() @ a_el[i] @ v_el[i]) for i in range(n_users))
             assert via_az == pytest.approx(direct, rel=1e-10)
             assert via_el == pytest.approx(direct, rel=1e-10)
 
             h = rng.standard_normal((q_len, q_len)) + 1j * rng.standard_normal((q_len, q_len))
             for i in range(n_users):
-                v_e = bf.columns("elevation", i)
-                v_a = bf.columns("azimuth", i)
+                v_e = columns(factors, 1, i)
+                v_a = columns(factors, 0, i)
                 want = sum(v_e[:, m] @ h @ v_a[:, m] for m in range(m_count))
                 scale = max(1.0, abs(want))
-                az = vec(h.T) @ psi_matrix("azimuth", bf, i) @ bf.v_a[i]
-                el = vec(h) @ psi_matrix("elevation", bf, i) @ bf.v_e[i]
+                az = vec(h.T) @ psi_matrix(0, factors, i) @ v_az[i]
+                el = vec(h) @ psi_matrix(1, factors, i) @ v_el[i]
                 assert abs(az - want) <= 1e-12 * scale
                 assert abs(el - want) <= 1e-12 * scale
         elapsed = time.perf_counter() - start
@@ -172,8 +173,8 @@ class TestCriterion4RateOracle:
         for seed in range(1, 11):
             sc = Scenario(Q=4, L=3, M=1, seed=seed)
             stats = build_statistics(sc)
-            bf = init_feasible(sc, np.random.default_rng(seed))
-            w_mat = beamformer_matrix(bf)
+            factors = init_feasible(sc, np.random.default_rng(seed))
+            w_mat = beamformer_matrix(factors)
             ell = (seed - 1) % 3
             closed = rates_of(w_mat, stats, sc.sigma)[ell]
             est, se = ergodic_rate_mc(w_mat, stats, ell, sc.sigma, 1_000_000, rng)
@@ -195,9 +196,9 @@ class TestCriterion5MeanRatioBound:
         for seed in range(20):
             sc = Scenario(Q=4, L=3, M=1, seed=seed)
             stats = build_statistics(sc)
-            bf = init_feasible(sc, np.random.default_rng(seed + 500))
+            factors = init_feasible(sc, np.random.default_rng(seed + 500))
             ell = seed % 3
-            w = beamformer_matrix(bf)[:, ell]
+            w = beamformer_matrix(factors)[:, ell]
             own = np.abs(vec_batch(sample_channels(stats, ell, n_draws, rng)) @ w) ** 2
             leak = np.zeros(n_draws)
             for lp in range(3):
@@ -207,7 +208,7 @@ class TestCriterion5MeanRatioBound:
                 leak += np.abs(vec_batch(h) @ w) ** 2
             ratios = own / (leak + sc.sigma)
             se = ratios.std(ddof=1) / np.sqrt(n_draws)
-            bound = slnrs_of(beamformer_matrix(bf), stats, sc.sigma)[ell]
+            bound = slnrs_of(beamformer_matrix(factors), stats, sc.sigma)[ell]
             assert ratios.mean() >= bound - 3.0 * se, (
                 f"seed {seed}: mean ratio {ratios.mean():.4f} vs bound {bound:.4f}"
             )

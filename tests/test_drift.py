@@ -112,7 +112,7 @@ def test_snapshot_records_a_raising_run(drift, monkeypatch):
     monkeypatch.setattr(
         drift, "run_set", lambda: iter([("cli", keywords, "gm", None), ("cli", keywords, "baseline", None)])
     )
-    runs = drift.snapshot(Path(__file__).resolve().parents[1] / "src")
+    runs = drift.snapshot()
     assert runs["cli/gm/Q=3/L=3/M=1/seed=1"] == {
         "design": "gm", "error": "RuntimeError: power price residual 1.233e-04 exceeds 1e-4 * budget",
     }
@@ -122,8 +122,7 @@ def test_snapshot_records_a_raising_run(drift, monkeypatch):
 
 def test_snapshot_records_a_raising_rate_call(drift, monkeypatch):
     # The incumbent's rates are read inside the per-run try: a rate call that
-    # raises (as one of another checkout's signature would) is that run's
-    # error, and the runs after it are still snapshotted.
+    # raises is that run's error, and the runs after it are still snapshotted.
     from slnrbeam import metrics
 
     rate_report = metrics.rate_report
@@ -140,7 +139,7 @@ def test_snapshot_records_a_raising_rate_call(drift, monkeypatch):
     monkeypatch.setattr(
         drift, "run_set", lambda: iter([("cli", keywords, "gm", None), ("cli", keywords, "baseline", None)])
     )
-    runs = drift.snapshot(Path(__file__).resolve().parents[1] / "src")
+    runs = drift.snapshot()
     assert runs["cli/gm/Q=3/L=3/M=1/seed=1"] == {
         "design": "gm", "error": "TypeError: rate_report() takes 3 positional arguments but 4 were given",
     }
@@ -195,36 +194,36 @@ def test_scan_fails_on_errors_power_and_gaps(drift):
     assert drift.scan({"a": ok}) == (["gm: 1/1 completed, 1 tolerance, largest trace power P (1 + 0)"], True)
 
 
-def test_trace_read_by_column_matches_the_row_list(drift):
-    # A checkout whose trace is a list of rows, None outside max-min, and one
-    # whose trace is a record array, NaN and -1 there, give one digest; the
-    # largest gap stays None outside max-min, and max-min's level trials add up.
-    from types import SimpleNamespace
-
+def test_summary_reads_the_trace_by_column(drift):
+    # The trace digest covers every column of the record array, in field
+    # order; outside max-min the largest gap is None and the level trials 0
+    # (the columns read NaN and -1), and max-min's gap and trials add up.
+    # The final factor array digests as the azimuth side's bytes, then the
+    # elevation side's, each user's M vectors stacked in one row.
     from slnrbeam.channel import Scenario, build_statistics
     from slnrbeam.optimizers import run_algorithm
 
-    sc = Scenario(Q=3, L=3, M=1, seed=1)
+    sc = Scenario(Q=3, L=3, M=2, seed=1)
     stats = build_statistics(sc)
     for design in ("maxmin", "gm", "soft", "baseline"):
         result = run_algorithm(design, sc, stats)
-        rows = [
-            SimpleNamespace(**{
-                name: None if name.startswith("subproblem") and row.subproblem_iterations == -1 else row[name]
-                for name in drift.TRACE_FIELDS
-            })
-            for row in result.trace
-        ]
-        fields = {**vars(result), "rate_min_nats": result.rate_min_nats, "trace": rows}
-        listed = drift.summarize(SimpleNamespace(**fields), [1.0])
         table = drift.summarize(result, [1.0])
-        assert listed == table
-        trials = result.trace.subproblem_iterations
+        trace = result.trace
+        columns = [trace.step, trace.min_slnr, trace.objective, trace.min_rate_nats, trace.power,
+                   trace.subproblem_gap, trace.subproblem_iterations.astype(float)]
+        assert table["trace"] == drift.digest(np.column_stack(columns))
+        trials = trace.subproblem_iterations
         if design == "maxmin":
-            assert table["gap_max"] == float(np.nanmax(result.trace.subproblem_gap))
+            assert table["gap_max"] == float(np.nanmax(trace.subproblem_gap))
             assert table["level_trials"] == int(trials[1:].sum()) > 0
         else:
             assert table["gap_max"] is None and table["level_trials"] == 0
+            assert np.all(np.isnan(trace.subproblem_gap)) and np.all(trials == -1)
+        if design == "baseline":
+            assert result.final is None and table["final"] is None
+        else:
+            sides = [side.reshape(sc.L, sc.Q * sc.M) for side in result.final]
+            assert table["final"] == drift.digest(*sides)
 
 
 def test_compare_reports_level_trials(drift):

@@ -539,6 +539,34 @@ class TestCli:
         assert err == ["error: key 'azimuth_spread_deg' must be >= 0, got -5.0"]
         assert not out_dir.exists()
 
+    def test_axis_values_sharing_a_file_label_rejected(self, tmp_path, capsys):
+        # Trace and checkpoint names print power_dbm and c through one label;
+        # two values it prints alike would write one file over the other, so
+        # the config is one key-named error line before any file is written.
+        config = {"scenario": {"Q": 3, "users": 2}, "algorithms": ["gm", "soft"],
+                  "power_dbm": [24.0, 24.0000001], "c": [0.1, 0.1000001]}
+        out_dir = tmp_path / "out"
+        lines = []
+        for fixed in ({}, {"power_dbm": [24.0, 30.5]}):
+            config_path = tmp_path / "exp.json"
+            config_path.write_text(json.dumps({**config, **fixed}))
+            assert cli_main(["sweep", "--config", str(config_path), "--out", str(out_dir)]) == 1
+            lines += capsys.readouterr().err.splitlines()
+            assert not out_dir.exists()
+        assert lines == [
+            "error: key 'power_dbm' values 24.0 and 24.0000001 both print as '24' in file names",
+            "error: key 'c' values 0.1 and 0.1000001 both print as '0.1' in file names",
+        ]
+        # Values the label tells apart keep their names: one trace per run.
+        config.update(power_dbm=[24.0, 30.5], c=[0.1, 0.25], options={"max_iterations": 2})
+        written = run_experiment(ExperimentConfig(**config, output_dir=str(out_dir)))
+        traces = sorted(Path(p).name for p in written if Path(p).name.startswith("trace_"))
+        assert traces == sorted(
+            f"trace_{name}_a9_p{p}_c{c}_M1_s0.csv"
+            for p in ("24", "30.5") for name, c in (("gm", "na"), ("soft", "0.1"), ("soft", "0.25"))
+        )
+        assert len(list(out_dir.glob("trace_*.csv"))) == 6
+
     def test_sweep_from_config(self, tmp_path):
         config_path = tmp_path / "exp.json"
         config_path.write_text(

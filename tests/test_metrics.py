@@ -26,6 +26,7 @@ from slnrbeam.optimizers import AlgoOptions, run_gm, run_soft
 from conftest import (
     dense_r,
     expansion_rate,
+    free_rows,
     full_beamformer,
     instantaneous_sinr,
     operators_at,
@@ -55,18 +56,18 @@ def full_rank_columns(stats, seed=0):
 def setup():
     sc = Scenario(Q=4, L=3, M=1, seed=21)
     stats = build_statistics(sc)
-    bf = init_feasible(sc, np.random.default_rng(21))
-    return sc, stats, bf
+    factors = init_feasible(sc, np.random.default_rng(21))
+    return sc, stats, factors
 
 
-def mc_slnr(bf, stats, ell, sigma, n, rng):
+def mc_slnr(factors, stats, ell, sigma, n, rng):
     """Monte Carlo of the expected-power ratio SLNR (numerator and each
     leakage term averaged separately)."""
     num = 0.0
     leak = 0.0
-    for lp in range(bf.L):
+    for lp in range(factors.shape[1]):
         h = sample_channels(stats, lp, n, rng)
-        gains = np.array([transmit_bilinear(bf, h[i], ell) for i in range(n)])
+        gains = np.array([transmit_bilinear(factors, h[i], ell) for i in range(n)])
         power = float(np.mean(np.abs(gains) ** 2))
         if lp == ell:
             num = power
@@ -79,107 +80,106 @@ class TestSlnr:
     def test_single_user_no_leakage(self):
         sc = Scenario(Q=3, L=1, M=1, seed=3)
         stats = build_statistics(sc)
-        bf = init_feasible(sc, np.random.default_rng(3))
-        val = user_slnr(bf, stats, 0, sc.sigma)
-        w = beamformer_matrix(bf)[:, 0]
+        factors = init_feasible(sc, np.random.default_rng(3))
+        val = user_slnr(factors, stats, 0, sc.sigma)
+        w = beamformer_matrix(factors)[:, 0]
         signal = np.real(w.conj() @ dense_r(stats)[0] @ w)
         assert val == pytest.approx(signal / sc.sigma, rel=1e-9)
 
     def test_identical_users_equal_slnr(self, setup):
-        sc, stats, bf = setup
+        sc, stats, factors = setup
         twin = stats
         # duplicate user 0's statistics into user 1 and give both the same
         # beamformer; their SLNRs must coincide by symmetry
         twin = copy.deepcopy(stats)
         for name in ("path_gain", "R_v", "R_h"):
             getattr(twin, name)[1] = getattr(twin, name)[0]
-        bf2 = bf.copy()
-        bf2.v_a[1] = bf2.v_a[0]
-        bf2.v_e[1] = bf2.v_e[0]
-        a = user_slnr(bf2, twin, 0, sc.sigma)
-        b = user_slnr(bf2, twin, 1, sc.sigma)
+        twin_factors = factors.copy()
+        twin_factors[0, 1] = twin_factors[0, 0]
+        twin_factors[1, 1] = twin_factors[1, 0]
+        a = user_slnr(twin_factors, twin, 0, sc.sigma)
+        b = user_slnr(twin_factors, twin, 1, sc.sigma)
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_azimuth_elevation_forms_agree(self, setup):
         # The SLNR as a quadratic form in either side's free vector, through
         # that side's half-iteration operators (R_tilde for azimuth, R for
         # elevation), matches the vectorized form.
-        sc, stats, bf = setup
-        want = slnrs_of(beamformer_matrix(bf), stats, sc.sigma)
-        for side, free in (("azimuth", bf.v_a), ("elevation", bf.v_e)):
-            ops = operators_at(side, bf, stats, sc.sigma)
-            for ell in range(bf.L):
-                v = free[ell]
+        sc, stats, factors = setup
+        want = slnrs_of(beamformer_matrix(factors), stats, sc.sigma)
+        for side in (0, 1):
+            ops = operators_at(side, factors, stats, sc.sigma)
+            for ell in range(sc.L):
+                v = free_rows(factors, side)[ell]
                 own = np.real(v.conj() @ ops.own_quad[ell] @ v)
                 total = np.real(v.conj() @ ops.sum_quad[ell] @ v)
                 assert own / (total - own + sc.sigma) == pytest.approx(want[ell], rel=1e-9)
 
     def test_vectorized_form_agrees(self, setup):
-        sc, stats, bf = setup
-        for w in (beamformer_matrix(bf), full_rank_columns(stats)):
+        sc, stats, factors = setup
+        for w in (beamformer_matrix(factors), full_rank_columns(stats)):
             np.testing.assert_allclose(
                 slnrs_of(w, stats, sc.sigma), dense_slnr(w, stats, sc.sigma), rtol=1e-12
             )
 
     def test_mc_oracle(self, setup):
-        sc, stats, bf = setup
+        sc, stats, factors = setup
         rng = np.random.default_rng(100)
-        got = user_slnr(bf, stats, 0, sc.sigma)
-        est = mc_slnr(bf, stats, 0, sc.sigma, 100_000, rng)
+        got = user_slnr(factors, stats, 0, sc.sigma)
+        est = mc_slnr(factors, stats, 0, sc.sigma, 100_000, rng)
         assert est == pytest.approx(got, rel=0.02)
 
     def test_mean_ratio_dominates_ratio_of_means(self, setup):
         # E[signal/(leakage+noise)] >= E[signal] / (E[leakage]+noise): the
         # covariance-form SLNR is a lower bound of the expected ratio.
-        sc, stats, bf = setup
+        sc, stats, factors = setup
         rng = np.random.default_rng(101)
         n = 20_000
-        for ell in range(bf.L):
+        for ell in range(sc.L):
             h_own = sample_channels(stats, ell, n, rng)
-            own = np.abs(vec_batch(h_own) @ beamformer_matrix(bf)[:, ell]) ** 2
+            own = np.abs(vec_batch(h_own) @ beamformer_matrix(factors)[:, ell]) ** 2
             leak = np.zeros(n)
-            for lp in range(bf.L):
+            for lp in range(sc.L):
                 if lp == ell:
                     continue
                 h_lp = sample_channels(stats, lp, n, rng)
-                leak += np.abs(vec_batch(h_lp) @ beamformer_matrix(bf)[:, ell]) ** 2
+                leak += np.abs(vec_batch(h_lp) @ beamformer_matrix(factors)[:, ell]) ** 2
             ratios = own / (leak + sc.sigma)
             se = ratios.std(ddof=1) / np.sqrt(n)
-            bound = user_slnr(bf, stats, ell, sc.sigma)
+            bound = user_slnr(factors, stats, ell, sc.sigma)
             assert ratios.mean() >= bound - 3.0 * se
 
 
 class TestInstantaneousSinr:
     def test_zero_interferers(self, setup):
-        sc, stats, bf = setup
-        solo = bf.copy()
-        solo.v_a[1:] = 0.0
-        solo.v_e[1:] = 0.0
+        sc, stats, factors = setup
+        solo = factors.copy()
+        solo[:, 1:] = 0.0  # both sides of every user but 0
         rng = np.random.default_rng(40)
-        channels = np.stack([sample_channels(stats, lp, 1, rng)[0] for lp in range(bf.L)])
+        channels = np.stack([sample_channels(stats, lp, 1, rng)[0] for lp in range(sc.L)])
         gain = transmit_bilinear(solo, channels[0], 0)
         assert instantaneous_sinr(solo, channels, 0, sc.sigma) == pytest.approx(
             abs(gain) ** 2 / sc.sigma, rel=1e-12
         )
 
     def test_zero_desired(self, setup):
-        sc, stats, bf = setup
-        mute = bf.copy()
-        mute.v_a[0] = 0.0
+        sc, stats, factors = setup
+        mute = factors.copy()
+        mute[0, 0] = 0.0
         rng = np.random.default_rng(41)
-        channels = np.stack([sample_channels(stats, lp, 1, rng)[0] for lp in range(bf.L)])
+        channels = np.stack([sample_channels(stats, lp, 1, rng)[0] for lp in range(sc.L)])
         assert instantaneous_sinr(mute, channels, 0, sc.sigma) == 0.0
 
     def test_dual_path_evaluation(self, setup):
-        sc, stats, bf = setup
+        sc, stats, factors = setup
         rng = np.random.default_rng(42)
-        channels = np.stack([sample_channels(stats, lp, 1, rng)[0] for lp in range(bf.L)])
-        for ell in range(bf.L):
+        channels = np.stack([sample_channels(stats, lp, 1, rng)[0] for lp in range(sc.L)])
+        for ell in range(sc.L):
             h = channels[ell]
-            gains = np.array([np.trace(h.T @ full_beamformer(bf, lp)) for lp in range(bf.L)])
+            gains = np.array([np.trace(h.T @ full_beamformer(factors, lp)) for lp in range(sc.L)])
             powers = np.abs(gains) ** 2
             want = powers[ell] / (powers.sum() - powers[ell] + sc.sigma)
-            got = instantaneous_sinr(bf, channels, ell, sc.sigma)
+            got = instantaneous_sinr(factors, channels, ell, sc.sigma)
             assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -228,8 +228,8 @@ class TestErgodicRate:
         # expression exp(sigma/mu) E1(sigma/mu).
         sc = Scenario(Q=3, L=1, M=1, seed=5)
         stats = build_statistics(sc)
-        bf = init_feasible(sc, np.random.default_rng(5))
-        w = beamformer_matrix(bf)
+        factors = init_feasible(sc, np.random.default_rng(5))
+        w = beamformer_matrix(factors)
         mu = float(np.real(w[:, 0].conj() @ dense_r(stats)[0] @ w[:, 0]))
         want = exp_scaled_e1(sc.sigma / mu)
         assert rates_of(w, stats, sc.sigma)[0] == pytest.approx(want, rel=1e-10)
@@ -268,9 +268,9 @@ class TestErgodicRate:
     def test_covariance_images_match_dense(self, setup):
         # R_k w_j from the Kronecker factors equals the dense products, for
         # outer-product and full-rank beamformers.
-        sc, stats, bf = setup
+        sc, stats, factors = setup
         cov = dense_r(stats)
-        for w in (beamformer_matrix(bf), full_rank_columns(stats, 1)):
+        for w in (beamformer_matrix(factors), full_rank_columns(stats, 1)):
             dense = np.einsum("kxy,yj->kjx", cov, w)
             got = covariance_images(w, stats)
             assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
@@ -285,8 +285,8 @@ class TestErgodicRate:
     def test_degenerate_inputs(self, setup):
         # A user whose expected signal vanishes (its column is zero) rates
         # exactly 0; a vanishing path gain and a single user stay finite.
-        sc, stats, bf = setup
-        w = beamformer_matrix(bf)
+        sc, stats, factors = setup
+        w = beamformer_matrix(factors)
         mute = w.copy()
         mute[:, 1] = 0.0
         rates = rates_of(mute, stats, sc.sigma)
@@ -299,8 +299,8 @@ class TestErgodicRate:
         assert np.isfinite(rates_of(w_solo, build_statistics(solo), solo.sigma)).all()
 
     def test_nonnegative(self, setup):
-        sc, stats, bf = setup
-        w = beamformer_matrix(bf)
+        sc, stats, factors = setup
+        w = beamformer_matrix(factors)
         assert np.all(rates_of(w, stats, sc.sigma) >= -1e-9)
 
     def test_faint_user_clipped_at_zero(self):
@@ -317,20 +317,20 @@ class TestErgodicRate:
         np.testing.assert_array_equal(rate_report(w, stats, sc.sigma, sc.bandwidth).rate_nats, rates)
 
     def test_matches_monte_carlo(self, setup):
-        sc, stats, bf = setup
-        w = beamformer_matrix(bf)
+        sc, stats, factors = setup
+        w = beamformer_matrix(factors)
         rng = np.random.default_rng(50)
         rates = rates_of(w, stats, sc.sigma)
-        for ell in range(bf.L):
+        for ell in range(sc.L):
             est, se = ergodic_rate_mc(w, stats, ell, sc.sigma, 200_000, rng)
             assert abs(est - rates[ell]) <= max(0.01 * rates[ell], 3.0 * se)
 
     def test_phase_rotation_invariance(self, setup):
-        sc, stats, bf = setup
-        w = beamformer_matrix(bf)
-        rot = bf.copy()
-        rot.v_a[1] = np.exp(1j * 0.7) * rot.v_a[1]
-        rot.v_e[1] = np.exp(1j * 1.9) * rot.v_e[1]
+        sc, stats, factors = setup
+        w = beamformer_matrix(factors)
+        rot = factors.copy()
+        rot[0, 1] = np.exp(1j * 0.7) * rot[0, 1]
+        rot[1, 1] = np.exp(1j * 1.9) * rot[1, 1]
         w_rot = beamformer_matrix(rot)
         np.testing.assert_allclose(
             rates_of(w_rot, stats, sc.sigma), rates_of(w, stats, sc.sigma), rtol=1e-9
@@ -352,24 +352,24 @@ class TestErgodicRate:
             assert abs(est - rates[ell]) <= 3.0 * se
 
     def test_mc_large_noise_limit(self, setup):
-        sc, stats, bf = setup
-        w = beamformer_matrix(bf)
+        sc, stats, factors = setup
+        w = beamformer_matrix(factors)
         rate, _ = ergodic_rate_mc(
             w, stats, 0, sc.sigma * 1e6, 5_000_000, np.random.default_rng(52), chunk=500_000
         )
         assert rate < 1e-3
 
     def test_mc_reproducible(self, setup):
-        sc, stats, bf = setup
-        w = beamformer_matrix(bf)
+        sc, stats, factors = setup
+        w = beamformer_matrix(factors)
         a = ergodic_rate_mc(w, stats, 0, sc.sigma, 10_000, np.random.default_rng(7))
         b = ergodic_rate_mc(w, stats, 0, sc.sigma, 10_000, np.random.default_rng(7))
         assert a == b
 
     def test_mc_sample_floor(self, setup):
-        sc, stats, bf = setup
+        sc, stats, factors = setup
         with pytest.raises(ValueError):
-            ergodic_rate_mc(beamformer_matrix(bf), stats, 0, sc.sigma, 10, np.random.default_rng(0))
+            ergodic_rate_mc(beamformer_matrix(factors), stats, 0, sc.sigma, 10, np.random.default_rng(0))
 
 
 class TestFairnessStats:
@@ -401,8 +401,8 @@ class TestFairnessStats:
         assert nats_to_mbps(0.347, 10e6) == pytest.approx(5.006, abs=5e-3)
 
     def test_rate_report_aggregates(self, setup):
-        sc, stats, bf = setup
-        report = rate_report(beamformer_matrix(bf), stats, sc.sigma, sc.bandwidth)
+        sc, stats, factors = setup
+        report = rate_report(beamformer_matrix(factors), stats, sc.sigma, sc.bandwidth)
         assert 1.0 / 3.0 <= report.jain <= 1.0
         assert report.min_rate_mbps <= report.max_rate_mbps
         assert report.min_max_ratio == pytest.approx(
@@ -413,8 +413,8 @@ class TestFairnessStats:
     def test_rate_report_reads_one_build(self, setup, monkeypatch):
         # One build of the covariance images serves the report's SLNRs and
         # rates, which are the readers' on those images bit for bit.
-        sc, stats, bf = setup
-        w = beamformer_matrix(bf)
+        sc, stats, factors = setup
+        w = beamformer_matrix(factors)
         builds = []
 
         def building(w_mat, stats_):

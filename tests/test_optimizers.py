@@ -158,8 +158,8 @@ class TestClosedFormUpdate:
         # and reach the SQP minimum of the majorant on the power ball.
         sc, stats = desk
         run = optimizers._Run("soft", sc, stats)
-        run.fix_gauge("azimuth")
-        ops = operators_at("azimuth", run.bf, stats, sc.sigma)
+        run.fix_gauge(0)
+        ops = operators_at(0, run.factors, stats, sc.sigma)
         for c in (1.0, 0.1):
             constant, quads = surrogates.soft_majorant_coeffs(ops, c)
             v = closed_form_update(quads, sc.P)
@@ -251,10 +251,10 @@ class TestRunGm:
         from slnrbeam.surrogates import gm_minorant_coeffs
 
         run = optimizers._Run("gm", sc, stats)
-        run.fix_gauge("azimuth")
-        a_mats = coupling_matrix("azimuth", run.bf)
+        run.fix_gauge(0)
+        a_mats = coupling_matrix(0, run.factors)
         np.testing.assert_allclose(a_mats, np.broadcast_to(np.eye(4), a_mats.shape), atol=1e-14)
-        ops = operators_at("azimuth", run.bf, stats, sc.sigma)
+        ops = operators_at(0, run.factors, stats, sc.sigma)
         weights = gm_weights(ops.signal / ops.x_bar)
         quads = gm_minorant_coeffs(ops)
         v = closed_form_update(quads, sc.P, weights=weights)
@@ -572,8 +572,8 @@ class TestIncumbent:
         sc, stats = desk
         built = []
 
-        def counting(bf):
-            built.append(beamformer_matrix(bf))
+        def counting(factors):
+            built.append(beamformer_matrix(factors))
             return built[-1]
 
         monkeypatch.setattr(optimizers, "beamformer_matrix", counting)
@@ -585,7 +585,7 @@ class TestIncumbent:
         np.testing.assert_array_equal(run.result.incumbent_rates, rates_of(built[0], stats, sc.sigma))
         power = run.finish(0, "max_iterations").trace[0].power
         assert power == float(np.linalg.norm(built[0]) ** 2)
-        assert power == pytest.approx(total_power(run.bf), rel=1e-14)
+        assert power == pytest.approx(total_power(run.factors), rel=1e-14)
 
     @pytest.mark.parametrize("run", [run_maxmin, run_gm, run_soft, optimizers.run_baseline])
     def test_trace_rates_match_fresh_oracle(self, desk, monkeypatch, run):
@@ -815,20 +815,20 @@ class TestDegenerateHandling:
         from slnrbeam.optimizers import _Run
 
         run = _Run("gm", sc, stats)
-        run.fix_gauge("azimuth")
-        run.bf.v_a[0] = 0.0  # kill one user's signal entirely
-        run.keep(run.evaluate(run.bf))
+        run.fix_gauge(0)
+        run.factors[0, 0] = 0.0  # kill one user's signal entirely
+        run.keep(run.evaluate(run.factors))
         assert run.signal[0] == 0.0
         others = float(np.linalg.norm(run.w_mat[:, 1:]) ** 2)
-        run.reinit_degenerate("azimuth")
+        run.reinit_degenerate(0)
         assert run.signal[0] > 0.0
         # one percent of what the other users leave in the budget
         assert np.linalg.norm(run.w_mat[:, 0]) ** 2 == pytest.approx(0.01 * (sc.P - others), rel=1e-12)
-        assert total_power(run.bf) <= sc.P * (1.0 + 1e-8)
+        assert total_power(run.factors) <= sc.P * (1.0 + 1e-8)
         # The kept evaluation, SLNRs included, follows the reinitialized
         # iterate, and so do the operators built from it.
-        ops = operators_at("azimuth", run.bf, stats, sc.sigma)
-        np.testing.assert_array_equal(run.w_mat, beamformer_matrix(run.bf))
+        ops = operators_at(0, run.factors, stats, sc.sigma)
+        np.testing.assert_array_equal(run.w_mat, beamformer_matrix(run.factors))
         np.testing.assert_array_equal(run.signal, ops.signal)
         np.testing.assert_array_equal(run.leakage, ops.leakage)
         np.testing.assert_array_equal(run.slnrs, ops.signal / ops.x_bar)
@@ -838,16 +838,15 @@ class TestDegenerateHandling:
         from slnrbeam.optimizers import _Run
 
         run = _Run("soft", sc, stats)
-        run.bf.v_a[1] = 0.0
-        run.bf.v_e[1] = 0.0  # both sides dead: the coupling matrix vanishes
-        run.keep(run.evaluate(run.bf))
+        run.factors[:, 1] = 0.0  # both sides dead: the coupling matrix vanishes
+        run.keep(run.evaluate(run.factors))
         # the gauge gives the dead fixed side orthonormal columns
-        run.fix_gauge("azimuth")
-        run.reinit_degenerate("azimuth")
+        run.fix_gauge(0)
+        run.reinit_degenerate(0)
         assert run.signal[1] > 0.0
-        assert total_power(run.bf) <= sc.P * (1.0 + 1e-8)
+        assert total_power(run.factors) <= sc.P * (1.0 + 1e-8)
         np.testing.assert_array_equal(
-            run.signal, operators_at("azimuth", run.bf, stats, sc.sigma).signal
+            run.signal, operators_at(0, run.factors, stats, sc.sigma).signal
         )
 
     @pytest.mark.parametrize("run", [run_maxmin, run_gm, run_soft])
@@ -864,9 +863,9 @@ class TestDegenerateHandling:
 
         def killing(self, side):
             fix_gauge(self, side)
-            if len(self.rows) == 3 and side == "azimuth":
-                self.bf.v_a[0] = 0.0
-                self.keep(self.evaluate(self.bf))
+            if len(self.rows) == 3 and side == 0:
+                self.factors[0, 0] = 0.0
+                self.keep(self.evaluate(self.factors))
 
         def reinit_recording(self, side):
             dead = bool((self.signal <= 0.0).any())

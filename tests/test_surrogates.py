@@ -4,7 +4,7 @@ and first-order agreement with the target."""
 import numpy as np
 import pytest
 
-from slnrbeam.beamformer import beamformer_matrix, init_feasible
+from slnrbeam.beamformer import SIDES, beamformer_matrix, init_feasible
 from slnrbeam.channel import Scenario, build_statistics
 from slnrbeam import qcqp
 from slnrbeam.optimizers import AlgoOptions, _soft_objective_value, run_gm, run_maxmin, run_soft
@@ -24,6 +24,7 @@ from conftest import (
     chi_softmin_majorant,
     dense_r,
     dense_r_tilde,
+    free_rows,
     operators_at,
     psi_matrix,
     slnrs_of,
@@ -62,8 +63,8 @@ def softmin_value(chi_bars, x_bars, c, chis, xs):
 def setup():
     sc = Scenario(Q=4, L=3, M=2, seed=31)
     stats = build_statistics(sc)
-    bf = init_feasible(sc, np.random.default_rng(31))
-    return sc, stats, bf
+    factors = init_feasible(sc, np.random.default_rng(31))
+    return sc, stats, factors
 
 
 class TestLogMinorant:
@@ -155,57 +156,55 @@ class TestSoftMinMajorant:
         assert np.all(values >= softmin_target(chis, xs, c) - 1e-12)
 
 
-def perturb(bf, side, ell, rng, scale):
-    out = bf.copy()
-    v = out.v_a if side == "azimuth" else out.v_e
+def perturb(factors, side, ell, rng, scale):
+    out = factors.copy()
+    v = out[side]
     v[ell] = v[ell] + scale * (
-        rng.standard_normal(v.shape[1]) + 1j * rng.standard_normal(v.shape[1])
+        rng.standard_normal(v.shape[1:]) + 1j * rng.standard_normal(v.shape[1:])
     )
     return out
 
 
 class TestSlnrMinorant:
     def test_tight_at_iterate(self, setup):
-        sc, stats, bf = setup
-        slnrs = slnrs_of(beamformer_matrix(bf), stats, sc.sigma)
-        for side in ("azimuth", "elevation"):
-            quads = slnr_minorant_coeffs(operators_at(side, bf, stats, sc.sigma))
-            v = bf.v_a if side == "azimuth" else bf.v_e
-            np.testing.assert_allclose(quads.values(v), slnrs, rtol=1e-9)
+        sc, stats, factors = setup
+        slnrs = slnrs_of(beamformer_matrix(factors), stats, sc.sigma)
+        for side in (0, 1):
+            quads = slnr_minorant_coeffs(operators_at(side, factors, stats, sc.sigma))
+            np.testing.assert_allclose(quads.values(free_rows(factors, side)), slnrs, rtol=1e-9)
 
     def test_domination_random_perturbations(self, setup):
-        sc, stats, bf = setup
+        sc, stats, factors = setup
         rng = np.random.default_rng(8)
-        side = "azimuth"
+        side = 0
         ell = 1
-        quads = slnr_minorant_coeffs(operators_at(side, bf, stats, sc.sigma))
-        base = np.linalg.norm(bf.v_a[ell])
+        quads = slnr_minorant_coeffs(operators_at(side, factors, stats, sc.sigma))
+        base = np.linalg.norm(factors[side, ell])
         for _ in range(1000):
-            other = perturb(bf, side, ell, rng, base * rng.uniform(0, 2))
-            bound = quads.values(other.v_a)[ell]
+            other = perturb(factors, side, ell, rng, base * rng.uniform(0, 2))
+            bound = quads.values(free_rows(other, side))[ell]
             truth = user_slnr(other, stats, ell, sc.sigma)
             assert bound <= truth + 1e-9 * max(1.0, abs(truth))
 
     def test_gradient_matches_finite_differences(self, setup):
-        sc, stats, bf = setup
-        side = "azimuth"
+        sc, stats, factors = setup
+        side = 0
         ell = 0
-        quads = slnr_minorant_coeffs(operators_at(side, bf, stats, sc.sigma))
-        scale = np.linalg.norm(bf.v_a[ell])
+        quads = slnr_minorant_coeffs(operators_at(side, factors, stats, sc.sigma))
+        scale = np.linalg.norm(factors[side, ell])
         h = 1e-6 * scale
 
         def truth(v):
-            trial = bf.copy()
-            trial.v_a = bf.v_a.copy()
-            trial.v_a[ell] = v
+            trial = factors.copy()
+            trial[side, ell] = v.reshape(trial.shape[2:])
             return user_slnr(trial, stats, ell, sc.sigma)
 
         def surrogate(v):
-            trial = bf.v_a.copy()
+            trial = free_rows(factors, side).copy()
             trial[ell] = v
             return quads.values(trial)[ell]
 
-        v0 = bf.v_a[ell]
+        v0 = free_rows(factors, side)[ell]
         grads = []
         for i in range(v0.shape[0]):
             for delta in (h, 1j * h):
@@ -220,18 +219,18 @@ class TestSlnrMinorant:
         assert np.linalg.norm(g_true - g_surr) <= 1e-4 * max(np.linalg.norm(g_true), 1e-12)
 
     @pytest.mark.parametrize("m_count", [1, 2])
-    @pytest.mark.parametrize("side", ["azimuth", "elevation"])
+    @pytest.mark.parametrize("side", [0, 1], ids=SIDES)
     def test_operators_match_dense_reference(self, side, m_count):
         # The Kronecker-factored operators equal Psi^H R Psi on the dense
         # second moments (R_tilde for azimuth, R for elevation), and the
         # signal and leakage equal w^H R w with w = Psi v.
         sc = Scenario(Q=4, L=3, M=m_count, seed=33)
         stats = build_statistics(sc)
-        bf = init_feasible(sc, np.random.default_rng(33))
-        cov = dense_r_tilde(stats) if side == "azimuth" else dense_r(stats)
-        ops = operators_at(side, bf, stats, sc.sigma)
-        for ell in range(bf.L):
-            psi = psi_matrix(side, bf, ell)
+        factors = init_feasible(sc, np.random.default_rng(33))
+        cov = dense_r_tilde(stats) if side == 0 else dense_r(stats)
+        ops = operators_at(side, factors, stats, sc.sigma)
+        for ell in range(sc.L):
+            psi = psi_matrix(side, factors, ell)
             own = psi.conj().T @ cov[ell] @ psi
             total = psi.conj().T @ cov.sum(axis=0) @ psi
             assert np.abs(ops.own_quad[ell] - own).max() <= 1e-12 * np.abs(own).max()
@@ -243,10 +242,10 @@ class TestSlnrMinorant:
             assert ops.leakage[ell] == pytest.approx(leak, rel=1e-12)
 
     def test_degenerate_user_rejected(self, setup):
-        sc, stats, bf = setup
-        dead = bf.copy()
-        dead.v_a[1] = 0.0
-        ops = operators_at("azimuth", dead, stats, sc.sigma)
+        sc, stats, factors = setup
+        dead = factors.copy()
+        dead[0, 1] = 0.0
+        ops = operators_at(0, dead, stats, sc.sigma)
         for builder in (slnr_minorant_coeffs, gm_minorant_coeffs):
             with pytest.raises(DegenerateUserError, match="user 1 "):
                 builder(ops)
@@ -256,30 +255,30 @@ class TestSlnrMinorant:
 
 class TestGmMinorant:
     def test_weighted_sum_tight(self, setup):
-        sc, stats, bf = setup
+        sc, stats, factors = setup
         rng = np.random.default_rng(9)
-        weights = rng.uniform(1.0, 3.0, bf.L)
-        quads = gm_minorant_coeffs(operators_at("azimuth", bf, stats, sc.sigma))
-        total_bound = float(weights @ quads.values(bf.v_a))
-        total_true = float(weights @ np.log1p(slnrs_of(beamformer_matrix(bf), stats, sc.sigma)))
+        weights = rng.uniform(1.0, 3.0, sc.L)
+        quads = gm_minorant_coeffs(operators_at(0, factors, stats, sc.sigma))
+        total_bound = float(weights @ quads.values(free_rows(factors, 0)))
+        total_true = float(weights @ np.log1p(slnrs_of(beamformer_matrix(factors), stats, sc.sigma)))
         assert total_bound == pytest.approx(total_true, rel=1e-9)
 
     def test_domination(self, setup):
-        sc, stats, bf = setup
+        sc, stats, factors = setup
         rng = np.random.default_rng(10)
         ell = 2
-        quads = gm_minorant_coeffs(operators_at("azimuth", bf, stats, sc.sigma))
-        base = np.linalg.norm(bf.v_a[ell])
+        quads = gm_minorant_coeffs(operators_at(0, factors, stats, sc.sigma))
+        base = np.linalg.norm(factors[0, ell])
         for _ in range(1000):
-            other = perturb(bf, "azimuth", ell, rng, base * rng.uniform(0, 2))
+            other = perturb(factors, 0, ell, rng, base * rng.uniform(0, 2))
             truth = np.log1p(user_slnr(other, stats, ell, sc.sigma))
-            assert quads.values(other.v_a)[ell] <= truth + 1e-9 * max(1.0, abs(truth))
+            assert quads.values(free_rows(other, 0))[ell] <= truth + 1e-9 * max(1.0, abs(truth))
 
     def test_single_user_unit_weight_reduces_to_log_bound(self):
         sc = Scenario(Q=3, L=1, M=1, seed=13)
         stats = build_statistics(sc)
-        bf = init_feasible(sc, np.random.default_rng(13))
-        ops = operators_at("azimuth", bf, stats, sc.sigma)
+        factors = init_feasible(sc, np.random.default_rng(13))
+        ops = operators_at(0, factors, stats, sc.sigma)
         quads = gm_minorant_coeffs(ops)
         g = (ops.signal / ops.x_bar)[0]
         alpha = np.log1p(g) - g
@@ -290,26 +289,26 @@ class TestGmMinorant:
 
 class TestSoftMajorant:
     def test_tight_at_iterate(self, setup):
-        sc, stats, bf = setup
-        ops = operators_at("azimuth", bf, stats, sc.sigma)
+        sc, stats, factors = setup
+        ops = operators_at(0, factors, stats, sc.sigma)
         for c in (1.0, 0.1):
             constant, quads = soft_majorant_coeffs(ops, c)
-            value = constant - quads.values(bf.v_a).sum()
-            slnrs = slnrs_of(beamformer_matrix(bf), stats, sc.sigma)
+            value = constant - quads.values(free_rows(factors, 0)).sum()
+            slnrs = slnrs_of(beamformer_matrix(factors), stats, sc.sigma)
             assert value == pytest.approx(_soft_objective_value(slnrs, c), rel=1e-9)
 
     def test_domination(self, setup):
-        sc, stats, bf = setup
+        sc, stats, factors = setup
         rng = np.random.default_rng(11)
         c = 0.1
-        constant, quads = soft_majorant_coeffs(operators_at("azimuth", bf, stats, sc.sigma), c)
-        base = np.linalg.norm(bf.v_a)
+        constant, quads = soft_majorant_coeffs(operators_at(0, factors, stats, sc.sigma), c)
+        base = np.linalg.norm(factors[0])
         for _ in range(1000):
-            other = bf.copy()
-            other.v_a = bf.v_a + 0.5 * base * rng.uniform(0, 1) * (
-                rng.standard_normal(bf.v_a.shape) + 1j * rng.standard_normal(bf.v_a.shape)
+            other = factors.copy()
+            other[0] = factors[0] + 0.5 * base * rng.uniform(0, 1) * (
+                rng.standard_normal(factors[0].shape) + 1j * rng.standard_normal(factors[0].shape)
             )
-            bound = constant - quads.values(other.v_a).sum()
+            bound = constant - quads.values(free_rows(other, 0)).sum()
             truth = _soft_objective_value(
                 slnrs_of(beamformer_matrix(other), stats, sc.sigma), c
             )
@@ -318,8 +317,8 @@ class TestSoftMajorant:
     def test_normalizer_consistent_across_smoothing(self, setup):
         # The normalizer recomputed from the SLNRs must match the one inside
         # the coefficients when c is scaled.
-        sc, stats, bf = setup
-        ops = operators_at("azimuth", bf, stats, sc.sigma)
+        sc, stats, factors = setup
+        ops = operators_at(0, factors, stats, sc.sigma)
         for c in (0.05, 0.5):
             gamma = ops.signal / ops.x_bar
             s_direct = float(np.sum(1.0 / (1.0 + gamma / c)))
@@ -328,8 +327,8 @@ class TestSoftMajorant:
             assert s_assembled == pytest.approx(s_direct, rel=1e-12)
 
     def test_positive_curvature_coefficients(self, setup):
-        sc, stats, bf = setup
-        _, quads = soft_majorant_coeffs(operators_at("azimuth", bf, stats, sc.sigma), 0.1)
+        sc, stats, factors = setup
+        _, quads = soft_majorant_coeffs(operators_at(0, factors, stats, sc.sigma), 0.1)
         for mat in quads.C:
             lam = np.linalg.eigvalsh(mat)
             assert lam.min() >= -1e-12 * max(lam.max(), 1.0)
@@ -337,14 +336,14 @@ class TestSoftMajorant:
 
 class TestCoefficientPositivity:
     @pytest.mark.parametrize("m_count", [1, 2])
-    @pytest.mark.parametrize("side", ["azimuth", "elevation"])
+    @pytest.mark.parametrize("side", [0, 1], ids=SIDES)
     def test_curvatures_hermitian_bit_for_bit(self, side, m_count):
         # Every curvature is a real-weighted sum of Kronecker products of
         # exactly Hermitian factors, so C == C^H holds without round-off.
         sc = Scenario(Q=4, L=3, M=m_count, seed=34)
         stats = build_statistics(sc)
-        bf = init_feasible(sc, np.random.default_rng(34))
-        ops = operators_at(side, bf, stats, sc.sigma)
+        factors = init_feasible(sc, np.random.default_rng(34))
+        ops = operators_at(side, factors, stats, sc.sigma)
         mats = [
             ops.own_quad,
             ops.sum_quad,
@@ -381,7 +380,7 @@ class TestCoefficientPositivity:
     def test_curvature_scalars_positive_for_nonzero_signal(self, setup):
         # The quadratic-form multipliers of every bound must be strictly
         # positive whenever the expansion signal is nonzero.
-        sc, stats, bf = setup
+        sc, stats, factors = setup
         rng = np.random.default_rng(12)
         chis = np.stack([random_chi(rng) for _ in range(50)])
         expansion = chi_expansion(chis, rng.uniform(0.05, 5.0, 50))
@@ -389,7 +388,7 @@ class TestCoefficientPositivity:
         assert np.all(ratio_bound(*expansion)[2] > 0.0)
         assert np.all(smoothed_min_bound(*expansion, c=0.2)[2] > 0.0)
         # The designs' curvature scalars, through their stacked builders.
-        ops = operators_at("azimuth", bf, stats, sc.sigma)
+        ops = operators_at(0, factors, stats, sc.sigma)
         for quads in (
             slnr_minorant_coeffs(ops),
             gm_minorant_coeffs(ops),

@@ -3,23 +3,24 @@
 Do two checkouts' design runs agree? Does every design complete, feasibly
 and certified, on seeds no default was tuned on?
 
-Run from the root of a checkout::
+Each checkout snapshots itself with its own copy of this tool. To compare
+a change with its parent, check the parent out beside it (for example with
+``git worktree add ../parent <commit>``) and run, from the root of each::
 
-    python3 tools/drift.py snapshot before.json --src /path/to/parent/src
-    python3 tools/drift.py snapshot after.json
-    python3 tools/drift.py compare before.json after.json
-    python3 tools/drift.py scan
+    (in ../parent)   python3 tools/drift.py snapshot ../before.json
+    (in the change)  python3 tools/drift.py snapshot ../after.json
+    (in the change)  python3 tools/drift.py compare ../before.json ../after.json
+    (in the change)  python3 tools/drift.py scan
 
-``snapshot`` runs a fixed set of 86 design runs with the ``slnrbeam`` found
-under ``--src`` (default: this checkout's ``src``) and writes, per run,
-sha256 digests of the incumbent matrix, the final iterate and the trace,
-plus the iteration count, the stop reason, the minimum rate, every user's
-incumbent rate, the largest max-min subproblem gap, the summed max-min level
-trials and the largest trace power over the budget. The trace is read by
-column; an older checkout's list of rows is read as the same table. The incumbent's rates are read through
-``metrics.rate_report``, whose signature every checkout shares. A run that
-raises, in its design or in that rate call, is recorded by its exception's
-type and message instead. The set covers the three benchmark sizes:
+``snapshot`` runs a fixed set of 86 design runs with this checkout's
+``src`` and writes, per run, sha256 digests of the incumbent matrix, the
+final factor array and the trace, plus the iteration count, the stop
+reason, the minimum rate, every user's incumbent rate, the largest max-min
+subproblem gap, the summed max-min level trials and the largest trace power
+over the budget. The trace is digested column by column, in the order of
+its record array's fields. A run that raises, in its design or in
+``metrics.rate_report``, is recorded by its exception's type and message
+instead. The set covers the three benchmark sizes:
 
 * desk: Q=8, L=5, M in {1, 2}, seeds 1, 2, 100, 101, 107, every design;
 * lit: Q=12, L=10, M=2, seeds 0, 1, 100, 101, every design but max-min;
@@ -32,12 +33,12 @@ relative move of any user's rate, the largest max-min gap and the summed
 level trials before -> after over the runs that completed in both, then every change of iteration count or stop
 reason and every run that raises in either snapshot.
 
-``scan`` runs every design of this checkout's ``src`` on the held-out seeds
-100-159 at Q=8, L=5, M=2 (300 runs, recorded as ``snapshot`` records them)
-and prints, per design, the runs completed, the count of each stop reason,
-the largest subproblem gap and the largest trace power over P; then every
-run that raised, whose trace power exceeds P (1 + 1e-9) or whose subproblem
-gap exceeds 1e-4. It exits 1 if there is any such run, else 0.
+``scan`` runs every design on the held-out seeds 100-159 at Q=8, L=5, M=2
+(300 runs, recorded as ``snapshot`` records them) and prints, per design,
+the runs completed, the count of each stop reason, the largest subproblem
+gap and the largest trace power over P; then every run that raised, whose
+trace power exceeds P (1 + 1e-9) or whose subproblem gap exceeds 1e-4. It
+exits 1 if there is any such run, else 0.
 
 It needs numpy and the standard library only.
 """
@@ -48,7 +49,6 @@ import argparse
 import hashlib
 import importlib
 import json
-import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -57,7 +57,7 @@ import numpy as np
 
 DESIGNS = (("maxmin", None), ("gm", None), ("soft", 0.1), ("soft", 1.0), ("baseline", None))
 DIGESTS = ("incumbent", "final", "trace")
-# This checkout's package, the default source of a snapshot and of the scan.
+# This checkout's package, the one every snapshot and scan runs.
 SRC = Path(__file__).resolve().parents[1] / "src"
 # The held-out scan's seeds and its limits on trace power (over P) and gaps.
 SCAN_SEEDS = range(100, 160)
@@ -98,36 +98,15 @@ def digest(*arrays) -> str:
     return h.hexdigest()
 
 
-# The trace's columns, in the order of its record array.
-TRACE_FIELDS = ("step", "min_slnr", "objective", "min_rate_nats", "power", "subproblem_gap",
-                "subproblem_iterations")
-
-
-def trace_table(trace) -> np.recarray:
-    """A result's trace as one record array; a checkout from before the
-    trace was one table holds a list of rows, with None for the NaN and -1
-    outside max-min."""
-    if isinstance(trace, np.ndarray):
-        return trace
-    rows = [
-        (e.step, e.min_slnr, e.objective, e.min_rate_nats, e.power,
-         math.nan if e.subproblem_gap is None else e.subproblem_gap,
-         -1 if e.subproblem_iterations is None else e.subproblem_iterations)
-        for e in trace
-    ]
-    return np.rec.fromrecords(rows, names=TRACE_FIELDS)
-
-
 def summarize(result, rates) -> dict:
     """Digests and headline figures of one ``OptimizationResult``, with the
     per-user ``rates`` (nats) of its incumbent."""
-    trace = trace_table(result.trace)
-    rows = np.column_stack([trace[f].astype(float) for f in TRACE_FIELDS])
+    trace = result.trace
+    rows = np.column_stack([trace[f].astype(float) for f in trace.dtype.names])
     gaps = trace.subproblem_gap[~np.isnan(trace.subproblem_gap)]
-    final = result.final
     return {
         "incumbent": digest(result.incumbent_matrix),
-        "final": None if final is None else digest(final.v_a, final.v_e),
+        "final": None if result.final is None else digest(result.final),
         "trace": digest(rows),
         "iterations": result.iterations,
         "stop_reason": result.stop_reason,
@@ -138,9 +117,9 @@ def summarize(result, rates) -> dict:
     }
 
 
-def snapshot(src: Path, runs_to_do=None) -> dict:
+def snapshot(runs_to_do=None) -> dict:
     """Every run of ``runs_to_do`` (default: ``run_set()``) summarized by key."""
-    sys.path.insert(0, str(src))
+    sys.path.insert(0, str(SRC))
     channel = importlib.import_module("slnrbeam.channel")
     metrics = importlib.import_module("slnrbeam.metrics")
     optimizers = importlib.import_module("slnrbeam.optimizers")
@@ -158,7 +137,7 @@ def snapshot(src: Path, runs_to_do=None) -> dict:
         except Exception as exc:  # a failing run is a finding, not the end of the set
             runs[key] = {"design": label(design, c), "error": f"{type(exc).__name__}: {exc}"}
             continue
-        power = float(trace_table(result.trace).power.max()) / scenario.P
+        power = float(result.trace.power.max()) / scenario.P
         runs[key] = {
             "design": label(design, c), **summarize(result, rates), "power_over_budget": power
         }
@@ -243,17 +222,16 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     snap = sub.add_parser("snapshot", help="run the set and write its digests")
     snap.add_argument("out", type=Path)
-    snap.add_argument("--src", type=Path, default=SRC)
     comp = sub.add_parser("compare", help="compare two snapshots")
     comp.add_argument("before", type=Path)
     comp.add_argument("after", type=Path)
     sub.add_parser("scan", help="run every design on the held-out seeds and check them")
     args = parser.parse_args(argv)
     if args.command == "snapshot":
-        args.out.write_text(json.dumps(snapshot(args.src.resolve()), indent=1) + "\n")
+        args.out.write_text(json.dumps(snapshot(), indent=1) + "\n")
         return 0
     if args.command == "scan":
-        lines, ok = scan(snapshot(SRC, scan_set()))
+        lines, ok = scan(snapshot(scan_set()))
         print("\n".join(lines))
         return 0 if ok else 1
     before, after = (json.loads(p.read_text()) for p in (args.before, args.after))
