@@ -15,7 +15,7 @@ import numpy as np
 
 from slnrbeam.beamformer import beamformer_matrix, init_feasible
 from slnrbeam.channel import Scenario, build_statistics
-from slnrbeam.metrics import _signal_and_leakage, covariance_images
+from slnrbeam.metrics import _signal_and_leakage, power_gram
 from slnrbeam.surrogates import (
     gm_minorant_coeffs,
     half_iteration_operators,
@@ -79,8 +79,7 @@ sc = Scenario(Q=4, L=3, M=2, seed=31)
 stats = build_statistics(sc)
 factors = init_feasible(sc, np.random.default_rng(31))  # (2, L, M, Q): azimuth, elevation
 w_mat = beamformer_matrix(factors)
-signal, leakage = _signal_and_leakage(w_mat, covariance_images(w_mat, stats))
-slnrs = signal / (leakage + sc.sigma)
+signal, leakage, slnrs = _signal_and_leakage(power_gram(w_mat, stats), sc.sigma)
 ops = half_iteration_operators(0, factors, stats, signal, leakage, sc.sigma)  # azimuth side free
 v_a = factors[0].reshape(sc.L, -1)  # every user's azimuth vectors, one row each
 ratio_quads = slnr_minorant_coeffs(ops)

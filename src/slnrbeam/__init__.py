@@ -22,12 +22,12 @@ from .channel import (
 from .beamformer import beamformer_matrix, init_feasible
 from .metrics import (
     RateReport,
-    covariance_images,
     ergodic_rate_closed,
     ergodic_rate_mc,
     jain_index,
     min_max_ratio,
     nats_to_mbps,
+    power_gram,
     rate_report,
     slnr_vec,
 )
@@ -52,7 +52,6 @@ __all__ = [
     "beamformer_matrix",
     "build_statistics",
     "closed_form_update",
-    "covariance_images",
     "ergodic_rate_closed",
     "ergodic_rate_mc",
     "horizontal_correlation",
@@ -62,6 +61,7 @@ __all__ = [
     "nats_to_mbps",
     "pathloss_db",
     "place_users",
+    "power_gram",
     "rate_report",
     "run_gm",
     "run_maxmin",

@@ -60,7 +60,7 @@ import numpy as np
 
 from .channel import (NOISE_DENSITY_DBM_PER_HZ, Scenario, ScenarioError, build_statistics,
                       dbm_to_watt, noise_power_watt)
-from .metrics import jain_index, min_max_ratio, nats_to_mbps
+from .metrics import fairness_cells, nats_to_mbps
 from .optimizers import ALGORITHMS, AlgoOptions, run_algorithm
 
 TRACE_COLUMNS = ("iteration", "min_slnr", "objective", "min_rate_mbps")
@@ -354,7 +354,6 @@ def _execute_run(key: _RunKey, config: ExperimentConfig, out_dir: Path) -> dict:
             json.dump({"Q": scenario.Q, "columns": np.stack([w.real, w.imag], axis=-1).tolist()}, fh)
         extra_paths.append(str(checkpoint))
 
-    mbps = nats_to_mbps(result.incumbent_rates, scenario.bandwidth)
     return {
         "extra_paths": extra_paths,
         "algorithm": key.algorithm,
@@ -364,10 +363,7 @@ def _execute_run(key: _RunKey, config: ExperimentConfig, out_dir: Path) -> dict:
         "M": scenario.M,
         "seed": key.seed,
         "min_slnr": trace.min_slnr[-1],
-        "min_rate_mbps": float(mbps.min()),
-        "max_rate_mbps": float(mbps.max()),
-        "min_max_ratio": min_max_ratio(mbps),
-        "jain": jain_index(mbps),
+        **fairness_cells(nats_to_mbps(result.incumbent_rates, scenario.bandwidth)),
         "iterations": result.iterations,
         "converged": result.converged,
         "wallclock_s": wallclock,

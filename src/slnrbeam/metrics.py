@@ -15,11 +15,13 @@ with S_int the interference-only Gram (S_k without row and column k). Only
 the eigenvalues of S_k and S_int enter, and repeated or zero eigenvalues
 need no special case.
 
-Every expected power contracts the covariance images R_k w_j of the
-beamformer columns, built once per matrix by ``covariance_images``, the only
-function here that reads the channel statistics. Its readers take the
-images with the matrix: ``slnr_vec`` (through ``_signal_and_leakage``) and
-``ergodic_rate_closed``, which forms every Gram S_k.
+Every expected power is an entry of the power Gram [k, j, i] =
+w_i^H R_k w_j, which stacks every S_k (transposed), built once per matrix by
+``power_gram``, the only function here that reads the channel statistics
+apart from the Monte Carlo check ``ergodic_rate_mc``, which samples
+channels from them. Its readers take the Gram alone: ``slnr_vec`` (through
+``_signal_and_leakage``) reads its diagonals [k, l, l], and
+``ergodic_rate_closed`` the spectra of every S_k.
 """
 
 from __future__ import annotations
@@ -42,54 +44,54 @@ RATE_HEAD = 1e-17
 RATE_TAIL = 40.0
 
 
-def covariance_images(w_mat: np.ndarray, stats: ChannelStatistics) -> np.ndarray:
-    """The vectors R_k w_j for every channel user k and every column w_j.
+def power_gram(w_mat: np.ndarray, stats: ChannelStatistics) -> np.ndarray:
+    """The (L, n, n) power Gram [k, j, i] = w_i^H R_k w_j of the (Q^2, n) ``w_mat``.
 
-    ``w_mat`` is (Q^2, n) with column-major vectorized beamformers. Works on
-    the Kronecker factors only: with V_j = unvec(w_j),
+    ``w_mat`` holds column-major vectorized beamformers. Works on the
+    Kronecker factors only: with V_j = unvec(w_j),
     unvec(R_k w_j) = g_k R_v,k^T V_j R_h,k^T, whose transpose
-    R_h,k V_j^T R_v,k reshapes row-major into R_k w_j. Returns (L, n, Q^2);
-    every expected power w_i^H R_k w_j is a contraction of it with w_mat.
+    R_h,k V_j^T R_v,k reshapes row-major into the image R_k w_j / g_k. All
+    images contract with conj(W) in one product, and the path gains scale
+    the result. Slice k is channel user k's Gram S_k^T.
     """
-    q = stats.Q
-    n = w_mat.shape[1]
+    q, n = stats.Q, w_mat.shape[1]
     images = stats.R_h[:, None] @ w_mat.T.reshape(n, q, q) @ stats.R_v[:, None]
-    return stats.path_gain[:, None, None] * images.reshape(-1, n, q * q)
+    gram = images.reshape(-1, q * q) @ w_mat.conj()
+    return stats.path_gain[:, None, None] * gram.reshape(-1, n, n)
 
 
-def _signal_and_leakage(w_mat: np.ndarray, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every user's expected signal power w_l^H R_l w_l and leakage
-    sum_{k != l} w_l^H R_k w_l, from the ``covariance_images`` of ``w_mat``."""
-    power = np.real(np.einsum("klx,xl->kl", images, w_mat.conj()))
-    own = np.eye(power.shape[0], dtype=bool)
-    return np.diag(power), np.maximum(np.where(own, 0.0, power).sum(axis=0), 0.0)
+def _signal_and_leakage(gram: np.ndarray, sigma: float) -> tuple[np.ndarray, ...]:
+    """Every user's expected signal power w_l^H R_l w_l, leakage
+    sum_{k != l} w_l^H R_k w_l and SLNR, the signal over the leakage plus
+    ``sigma``, from the diagonals of the ``power_gram`` ``gram``."""
+    power = np.real(np.diagonal(gram, axis1=1, axis2=2))  # [k, l] = w_l^H R_k w_l
+    signal = np.diag(power)
+    leakage = np.maximum(np.where(np.eye(len(power), dtype=bool), 0.0, power).sum(axis=0), 0.0)
+    return signal, leakage, signal / (leakage + sigma)
 
 
-def slnr_vec(w_mat: np.ndarray, images: np.ndarray, sigma: float) -> np.ndarray:
-    """Covariance-form SLNRs of all users for vectorized beamformers.
-
-    ``w_mat`` is (Q^2, L) with column ell the column-major vec of user ell's
-    transmit matrix, and ``images`` its ``covariance_images``. Entry ell is
-    the expected signal power over the expected leakage toward the other
-    users plus noise.
-    """
-    signal, leakage = _signal_and_leakage(w_mat, images)
-    return signal / (leakage + sigma)
+def slnr_vec(gram: np.ndarray, sigma: float) -> np.ndarray:
+    """Covariance-form SLNRs of all users from the ``power_gram`` of their
+    (Q^2, L) beamformers: entry ell is user ell's expected signal power over
+    its expected leakage toward the other users plus noise."""
+    return _signal_and_leakage(gram, sigma)[2]
 
 
-def ergodic_rate_closed(w_mat: np.ndarray, images: np.ndarray, sigma: float) -> np.ndarray:
+def ergodic_rate_closed(gram: np.ndarray, sigma: float) -> np.ndarray:
     """Every user's exact ergodic rate E[ln(1 + SINR)], in nats, as an (L,) array.
 
     Evaluates Hamdi's integral (module docstring) for all users on one grid
     s = exp(t), t spaced RATE_STEP apart from ln(RATE_HEAD / (largest trace
     + sigma)) up to ln(RATE_TAIL / sigma). The integrand vanishes at both
     ends, so the trapezoid rule is the step times the plain sum over nodes.
-    ``images`` are the ``covariance_images`` of the (Q^2, L) ``w_mat``.
-    Rates are clipped at 0: a user with next to no signal would otherwise
-    read a round-off difference of the two determinant terms, about -1e-16.
+    ``gram`` is the ``power_gram`` of a (Q^2, L) beamformer matrix. With
+    a = ln det(I + s S_int) <= b = ln det(I + s S), the integrand's
+    exp(-a) - exp(-b) is taken as exp(-a) (-expm1(a - b)), exact to
+    round-off even when both determinants are close to 1 (low SNR). Rates
+    are clipped at 0: a user with next to no signal would otherwise read a
+    round-off negative.
     """
-    n = w_mat.shape[1]
-    gram = images @ w_mat.conj()  # [k, j, i] = w_i^H R_k w_j
+    n = gram.shape[1]
     # S_k with row and column k zeroed has the interference-only minor's
     # spectrum plus one zero. One stacked eigensolve serves both, so a user
     # whose row is already zero gets bit-identical spectra and a rate of 0.
@@ -99,8 +101,9 @@ def ergodic_rate_closed(w_mat: np.ndarray, images: np.ndarray, sigma: float) -> 
     t_hi = np.log(RATE_TAIL / sigma)
     t_lo = np.log(RATE_HEAD / (lam[:n].sum(axis=1).max() + sigma))
     s = np.exp(t_hi - RATE_STEP * np.arange(int(np.ceil((t_hi - t_lo) / RATE_STEP)) + 1))
-    inverse_det = np.exp(-np.log1p(s[:, None, None] * lam).sum(axis=-1))  # det(I + s S)^-1
-    rates = RATE_STEP * (np.exp(-sigma * s) @ (inverse_det[:, n:] - inverse_det[:, :n]))
+    log_det = np.log1p(s[:, None, None] * lam).sum(axis=-1)  # ln det(I + s S)
+    b, a = log_det[:, :n], log_det[:, n:]
+    rates = RATE_STEP * (np.exp(-sigma * s) @ (np.exp(-a) * -np.expm1(a - b)))
     return np.maximum(rates, 0.0)
 
 
@@ -167,6 +170,17 @@ def nats_to_mbps(rate_nats, bandwidth_hz: float):
     return rate_nats / np.log(2.0) * bandwidth_hz / 1e6
 
 
+def fairness_cells(rate_mbps: np.ndarray) -> dict[str, float]:
+    """The fairness aggregates of per-user rates in Mbit/s, keyed by their
+    ``RateReport`` field (and results-file column) names."""
+    return {
+        "min_rate_mbps": float(rate_mbps.min()),
+        "max_rate_mbps": float(rate_mbps.max()),
+        "min_max_ratio": min_max_ratio(rate_mbps),
+        "jain": jain_index(rate_mbps),
+    }
+
+
 @dataclass
 class RateReport:
     """Per-user SLNR and ergodic rates plus fairness aggregates."""
@@ -181,21 +195,10 @@ class RateReport:
 
 
 def rate_report(
-    w_mat: np.ndarray,
-    stats: ChannelStatistics,
-    sigma: float,
-    bandwidth_hz: float,
+    w_mat: np.ndarray, stats: ChannelStatistics, sigma: float, bandwidth_hz: float
 ) -> RateReport:
-    """Every user's SLNR and closed-form ergodic rate, from one image build."""
-    images = covariance_images(w_mat, stats)
-    nats = ergodic_rate_closed(w_mat, images, sigma)
+    """Every user's SLNR and closed-form ergodic rate, from one Gram build."""
+    gram = power_gram(w_mat, stats)
+    nats = ergodic_rate_closed(gram, sigma)
     mbps = nats_to_mbps(nats, bandwidth_hz)
-    return RateReport(
-        slnr=slnr_vec(w_mat, images, sigma),
-        rate_nats=nats,
-        rate_mbps=mbps,
-        min_rate_mbps=float(mbps.min()),
-        max_rate_mbps=float(mbps.max()),
-        min_max_ratio=min_max_ratio(mbps),
-        jain=jain_index(mbps),
-    )
+    return RateReport(slnr_vec(gram, sigma), nats, mbps, **fairness_cells(mbps))

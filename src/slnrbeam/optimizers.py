@@ -29,11 +29,11 @@ does not always increase the product), the step is backtracked toward the
 current iterate. Every result says why its run stopped.
 
 Each candidate iterate is evaluated once: a backtracking trial builds its
-beamformer matrix W, W's covariance images and, from them, every user's
-expected signal and leakage power. The accepted trial's evaluation is kept
-with the iterate and serves its objective, its trace row (the rate oracle
-reads its images; power, incumbent) and the next half-iteration's
-operators.
+beamformer matrix W, W's power Gram (:func:`slnrbeam.metrics.power_gram`)
+and, from its diagonals, every user's expected signal and leakage power and
+SLNR. The accepted trial's evaluation is kept with the iterate and serves
+its objective, its trace row (the rate oracle reads its Gram; power,
+incumbent) and the next half-iteration's operators.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import numpy as np
 
 from .beamformer import SIDES, beamformer_matrix, circular_gaussian, init_feasible
 from .channel import ChannelStatistics, Scenario
-from .metrics import _signal_and_leakage, covariance_images, ergodic_rate_closed, slnr_vec
+from .metrics import _signal_and_leakage, ergodic_rate_closed, power_gram, slnr_vec
 from .numerics import largest_generalized_eigvec
 from .qcqp import SubproblemSolution, closed_form_update, solve_maxmin
 from .surrogates import (
@@ -150,19 +150,19 @@ def gm_weights(slnr_values: np.ndarray) -> np.ndarray:
 def _record(
     result: OptimizationResult,
     w_mat: np.ndarray,
-    images: np.ndarray,
+    gram: np.ndarray,
     slnrs: np.ndarray,
     sigma: float,
     step: float,
     objective: float,
     sub: SubproblemSolution | None = None,
 ) -> tuple:
-    """The trace row of the iterate ``w_mat`` (covariance images ``images``,
-    SLNRs ``slnrs``), a ``TRACE_DTYPE`` tuple; adopts the iterate and its
+    """The trace row of the iterate ``w_mat`` (power Gram ``gram``, SLNRs
+    ``slnrs``), a ``TRACE_DTYPE`` tuple; adopts the iterate and its
     per-user rates as ``result``'s incumbent iff their minimum strictly
     improves. ``sub`` is the max-min subproblem solution that produced the
     iterate, if any."""
-    rates = ergodic_rate_closed(w_mat, images, sigma)
+    rates = ergodic_rate_closed(gram, sigma)
     min_rate = float(rates.min())
     if min_rate > result.rate_min_nats:
         result.incumbent_matrix, result.incumbent_rates = w_mat, rates
@@ -216,10 +216,10 @@ class _Run:
 
     The current iterate, the (2, L, M, Q) array ``factors``
     (:mod:`slnrbeam.beamformer`), is kept with its one evaluation (``evaluate``):
-    its (Q^2, L) matrix ``w_mat``, its covariance ``images``, every user's
+    its (Q^2, L) matrix ``w_mat``, its (L, L, L) power ``gram``, every user's
     expected ``signal`` and ``leakage`` power, and the ``slnrs`` derived from
     them. The trace row, the incumbent and the next half-iteration's
-    operators all read these; the images never reach the result.
+    operators all read these; the Gram never reaches the result.
     ``subproblem`` is the last max-min subproblem's solution, and ``rows``
     the trace rows so far.
 
@@ -240,20 +240,19 @@ class _Run:
         self.rows: list[tuple] = []
 
     def evaluate(self, factors: np.ndarray) -> tuple[np.ndarray, ...]:
-        """``(w_mat, images, signal, leakage, slnrs)`` of candidate ``factors``."""
+        """``(w_mat, gram, signal, leakage, slnrs)`` of candidate ``factors``."""
         w_mat = beamformer_matrix(factors)
-        images = covariance_images(w_mat, self.stats)
-        signal, leakage = _signal_and_leakage(w_mat, images)
-        return w_mat, images, signal, leakage, signal / (leakage + self.sigma)
+        gram = power_gram(w_mat, self.stats)
+        return (w_mat, gram, *_signal_and_leakage(gram, self.sigma))
 
     def keep(self, evaluation: tuple[np.ndarray, ...]) -> None:
         """Adopt ``evaluate``'s result as the current iterate's."""
-        self.w_mat, self.images, self.signal, self.leakage, self.slnrs = evaluation
+        self.w_mat, self.gram, self.signal, self.leakage, self.slnrs = evaluation
 
     def record(self, step: float, objective: float) -> None:
         """Append the current iterate's trace row and refresh the incumbent."""
         self.rows.append(_record(
-            self.result, self.w_mat, self.images, self.slnrs, self.sigma, step, objective,
+            self.result, self.w_mat, self.gram, self.slnrs, self.sigma, step, objective,
             sub=self.subproblem,
         ))
 
@@ -478,10 +477,10 @@ def run_baseline(
 ) -> OptimizationResult:
     """Evaluate the uniform-power baseline in the common result format."""
     w_mat = baseline_uniform(stats, scenario)
-    images = covariance_images(w_mat, stats)
+    gram = power_gram(w_mat, stats)
     result = OptimizationResult("baseline")
-    slnrs = slnr_vec(w_mat, images, scenario.sigma)
-    row = _record(result, w_mat, images, slnrs, scenario.sigma, 0.0, float(slnrs.min()))
+    slnrs = slnr_vec(gram, scenario.sigma)
+    row = _record(result, w_mat, gram, slnrs, scenario.sigma, 0.0, float(slnrs.min()))
     return _finish(result, [row], 0, "direct")
 
 

@@ -25,9 +25,10 @@ an objective to minimize; its builder returns the negated per-user terms,
 so that every update maximizes its quadratics.
 
 The operators carry the expansion point's expected signal and leakage
-powers, which the caller hands in: the designs' driver has them from
-evaluating the iterate. The three coefficient builders read the operators
-only.
+powers, which the caller hands in: the designs' driver reads them off the
+diagonals of the iterate's power Gram (:func:`slnrbeam.metrics.power_gram`)
+when it evaluates the iterate. The three coefficient builders read the
+operators only.
 """
 
 from __future__ import annotations
@@ -130,9 +131,9 @@ def half_iteration_operators(
 
     ``side`` indexes the free side of the (2, L, M, Q) ``factors``
     (:mod:`slnrbeam.beamformer`); ``signal`` and ``leakage`` are every
-    user's expected powers at ``factors``
-    (:func:`~slnrbeam.metrics._signal_and_leakage`), evaluated by the caller
-    with the iterate and kept as the expansion point.
+    user's expected powers at ``factors``, read by the caller from the
+    iterate's power Gram (:func:`~slnrbeam.metrics._signal_and_leakage`) and
+    kept as the expansion point.
 
     With Psi_l = F_l kron I_Q for the fixed side's (Q, M) vectors F_l, the
     mixed-product identity (F kron I)^H (A kron B) (F kron I) = (F^H A F) kron B

@@ -11,8 +11,8 @@ eigenvalue expansion of the ergodic rate, and a chi-space evaluator of the three
 operators at given (2, L, M, Q) factors, as the designs' driver does, and
 ``whiten`` maps quadratics with a general power metric onto the identity
 metric the solvers take, under which ``power_of`` is the power.
-``rates_of`` and ``slnrs_of`` run the metrics readers on covariance images
-built for the occasion. ``columns`` and ``free_rows`` read one side of the
+``rates_of`` and ``slnrs_of`` run the metrics readers on a power Gram built
+for the occasion. ``columns`` and ``free_rows`` read one side of the
 factor array as a user's (Q, M) column matrix and as every user's stacked
 (L, QM) free vectors.
 """
@@ -20,7 +20,7 @@ factor array as a user's (Q, M) column matrix and as every user's stacked
 import numpy as np
 
 from slnrbeam.beamformer import beamformer_matrix
-from slnrbeam.metrics import _signal_and_leakage, covariance_images, ergodic_rate_closed, slnr_vec
+from slnrbeam.metrics import _signal_and_leakage, ergodic_rate_closed, power_gram, slnr_vec
 from slnrbeam.numerics import exp_scaled_e1
 from slnrbeam.surrogates import half_iteration_operators
 
@@ -103,24 +103,28 @@ def power_of(v):
 
 def rates_of(w_mat, stats, sigma):
     """The rate oracle at the (Q^2, L) beamformers ``w_mat``."""
-    return ergodic_rate_closed(w_mat, covariance_images(w_mat, stats), sigma)
+    return ergodic_rate_closed(power_gram(w_mat, stats), sigma)
 
 
 def slnrs_of(w_mat, stats, sigma):
     """Every user's covariance-form SLNR at the (Q^2, L) beamformers ``w_mat``."""
-    return slnr_vec(w_mat, covariance_images(w_mat, stats), sigma)
+    return slnr_vec(power_gram(w_mat, stats), sigma)
 
 
 def operators_at(side, factors, stats, sigma):
     """``half_iteration_operators`` at ``factors``, its expected powers evaluated first."""
     w_mat = beamformer_matrix(factors)
-    signal, leakage = _signal_and_leakage(w_mat, covariance_images(w_mat, stats))
+    signal, leakage, _ = _signal_and_leakage(power_gram(w_mat, stats), sigma)
     return half_iteration_operators(side, factors, stats, signal, leakage, sigma)
 
 
 def user_slnr(factors, stats, ell, sigma):
-    """Covariance-form SLNR of user ``ell`` under outer-product beamformer factors."""
-    return float(slnrs_of(beamformer_matrix(factors), stats, sigma)[ell])
+    """Covariance-form SLNR of user ``ell`` under outer-product beamformer
+    factors, w^H R_ell w / (sum_{k != ell} w^H R_k w + sigma) on the dense
+    second moments, with w the vec of the user's transmit matrix."""
+    w = vec(full_beamformer(factors, ell))
+    power = np.real(np.einsum("x,kxy,y->k", w.conj(), dense_r(stats), w))
+    return float(power[ell] / (power.sum() - power[ell] + sigma))
 
 
 def transmit_bilinear(factors, h_mat, user):

@@ -73,6 +73,21 @@ def test_compare_reports_counts_moves_and_changes(drift, tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == lines
 
 
+def test_compare_reports_slnr_moves_where_both_record_them(drift):
+    # Both snapshots record SLNRs: the design line ends with their largest
+    # move. A parent snapshot without them (an older tool) prints none.
+    before = {"a": {**run("gm", 0.5), "slnrs": [2.0, 4.0]}, "b": {**run("gm", 0.25), "slnrs": [1.0, 1.0]}}
+    after = {**before, "a": {**run("gm", 0.5), "slnrs": [2.0, 4.0 * (1.0 + 5e-12)]}}
+    assert drift.compare(before, after) == [
+        "gm: 2/2 identical, largest min-rate move 0 relative, largest per-user rate move 0 relative, "
+        "largest per-user SLNR move 5e-12 relative"
+    ]
+    older = {key: run("gm", snap["min_rate_nats"]) for key, snap in before.items()}
+    assert drift.compare(older, after) == [
+        "gm: 2/2 identical, largest min-rate move 0 relative, largest per-user rate move 0 relative"
+    ]
+
+
 def test_compare_names_unmatched_runs(drift):
     lines = drift.compare({"a": run("gm", 1.0), "x": run("gm", 1.0)}, {"a": run("gm", 1.0)})
     assert lines == [
@@ -83,14 +98,14 @@ def test_compare_names_unmatched_runs(drift):
 
 def test_summary_records_every_users_rate(drift):
     from slnrbeam.channel import Scenario, build_statistics
-    from slnrbeam.metrics import covariance_images, ergodic_rate_closed
+    from slnrbeam.metrics import ergodic_rate_closed, power_gram
     from slnrbeam.optimizers import run_baseline
 
     sc = Scenario(Q=3, L=3, seed=1)
     stats = build_statistics(sc)
     result = run_baseline(sc, stats)
     w_mat = result.incumbent_matrix
-    rates = ergodic_rate_closed(w_mat, covariance_images(w_mat, stats), sc.sigma)
+    rates = ergodic_rate_closed(power_gram(w_mat, stats), sc.sigma)
     summary = drift.summarize(result, rates)
     assert summary["rates_nats"] == [float(r) for r in rates]
     assert min(summary["rates_nats"]) == summary["min_rate_nats"]
@@ -146,6 +161,10 @@ def test_snapshot_records_a_raising_rate_call(drift, monkeypatch):
     baseline = runs["cli/baseline/Q=3/L=3/M=1/seed=1"]
     assert baseline["stop_reason"] == "direct" and len(baseline["rates_nats"]) == 3
     assert len(calls) == 2
+    # The run keeps the report's per-user SLNRs beside its rates.
+    report = rate_report(*calls[1])
+    assert baseline["slnrs"] == [float(x) for x in report.slnr]
+    assert baseline["rates_nats"] == [float(r) for r in report.rate_nats]
 
 
 def test_compare_lists_error_transitions(drift):

@@ -19,7 +19,7 @@ from slnrbeam.harness import (
     scenario_from_dict,
 )
 from slnrbeam.channel import Scenario, dbm_to_watt
-from slnrbeam.metrics import covariance_images, rate_report
+from slnrbeam.metrics import power_gram, rate_report
 from slnrbeam.optimizers import ALGORITHMS, run_algorithm
 
 DESIGNS = sorted(ALGORITHMS)
@@ -44,7 +44,7 @@ def small_config(out_dir, **overrides):
 def captured_runs(monkeypatch, builds=()):
     """The design runs ``run_experiment`` makes from now on, in order: each
     one's scenario, statistics, result and the number of entries the run
-    added to ``builds`` (a list a patched image builder appends to)."""
+    added to ``builds`` (a list a patched Gram builder appends to)."""
     runs = []
 
     def running(name, scenario, stats, options=None):
@@ -293,17 +293,17 @@ class TestRunExperiment:
     def test_summary_reads_the_incumbent_rates(self, tmp_path, monkeypatch):
         # A summary row's rate cells are the rates its design run returned
         # with the incumbent, equal to rate_report's on that matrix bit for
-        # bit; the harness builds no covariance images beyond the runs' own.
+        # bit; the harness builds no power Gram beyond the runs' own.
         from slnrbeam import metrics, optimizers
 
         builds = []
 
         def building(w_mat, stats):
             builds.append(w_mat)
-            return covariance_images(w_mat, stats)
+            return power_gram(w_mat, stats)
 
-        monkeypatch.setattr(optimizers, "covariance_images", building)
-        monkeypatch.setattr(metrics, "covariance_images", building)
+        monkeypatch.setattr(optimizers, "power_gram", building)
+        monkeypatch.setattr(metrics, "power_gram", building)
         runs = captured_runs(monkeypatch, builds)
         config = small_config(tmp_path / "out", algorithms=list(DESIGNS))
         run_experiment(config)
@@ -411,6 +411,17 @@ class TestCli:
         )
         assert code == 0
         assert (tmp_path / "res" / "summary.csv").exists()
+
+    def test_low_power_runs_write_positive_rates(self, tmp_path, capsys):
+        # At -200 dBm every determinant term of the rate integral is within
+        # 1e-17 of 1; the rates stay positive, so the fairness cells exist.
+        for algorithm in ("maxmin", "gm", "soft"):
+            out = tmp_path / algorithm
+            code = cli_main(["run", "--algorithm", algorithm, "--power-dbm", "-200", "--out", str(out)])
+            assert code == 0, capsys.readouterr().err
+            header, row = read_csv(out / "summary.csv")
+            cells = dict(zip(header, row))
+            assert float(cells["min_rate_mbps"]) > 0.0 and float(cells["min_max_ratio"]) > 0.0
 
     def test_negative_c_rejected(self, tmp_path):
         code = cli_main(["run", "--algorithm", "soft", "--c", "-1", "--out", str(tmp_path)])

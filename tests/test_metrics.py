@@ -11,12 +11,12 @@ from slnrbeam import metrics
 from slnrbeam.beamformer import beamformer_matrix, init_feasible
 from slnrbeam.channel import ChannelStatistics, Scenario, build_statistics, sample_channels, vec_batch
 from slnrbeam.metrics import (
-    covariance_images,
     ergodic_rate_closed,
     ergodic_rate_mc,
     jain_index,
     min_max_ratio,
     nats_to_mbps,
+    power_gram,
     rate_report,
     slnr_vec,
 )
@@ -121,6 +121,17 @@ class TestSlnr:
             np.testing.assert_allclose(
                 slnrs_of(w, stats, sc.sigma), dense_slnr(w, stats, sc.sigma), rtol=1e-12
             )
+
+    @pytest.mark.parametrize("m_count", [1, 2])
+    def test_gram_diagonal_matches_user_slnr(self, m_count):
+        # The SLNRs read off the power Gram's diagonals equal the per-user
+        # reference on the dense second moments of each user's transmit matrix.
+        sc = Scenario(Q=4, L=3, M=m_count, seed=21)
+        stats = build_statistics(sc)
+        factors = init_feasible(sc, np.random.default_rng(21))
+        got = slnr_vec(power_gram(beamformer_matrix(factors), stats), sc.sigma)
+        want = [user_slnr(factors, stats, ell, sc.sigma) for ell in range(sc.L)]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_mc_oracle(self, setup):
         sc, stats, factors = setup
@@ -266,14 +277,29 @@ class TestErgodicRate:
             assert np.abs(rates_of(w, stats, sc.sigma) - rates).max() <= 1e-13
 
     def test_covariance_images_match_dense(self, setup):
-        # R_k w_j from the Kronecker factors equals the dense products, for
-        # outer-product and full-rank beamformers.
+        # Every entry [k, j, i] = w_i^H R_k w_j of the power Gram, built
+        # through the covariance images R_k w_j on the Kronecker factors,
+        # equals the dense product, for outer-product and full-rank beamformers.
         sc, stats, factors = setup
         cov = dense_r(stats)
         for w in (beamformer_matrix(factors), full_rank_columns(stats, 1)):
-            dense = np.einsum("kxy,yj->kjx", cov, w)
-            got = covariance_images(w, stats)
+            dense = np.einsum("xi,kxy,yj->kji", w.conj(), cov, w)
+            got = power_gram(w, stats)
+            assert got.shape == (sc.L, sc.L, sc.L)
             assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    def test_exact_at_low_snr(self):
+        # Scaling the power down drives both inverse determinants toward 1;
+        # their difference, taken through expm1 of the log-determinants,
+        # keeps the rates exact to round-off down to 1e-18 of the power.
+        sc = Scenario(Q=4, L=3, M=1, seed=1)
+        stats = build_statistics(sc)
+        w = beamformer_matrix(init_feasible(sc, np.random.default_rng(1)))
+        for scale in (1e-4, 1e-8, 1e-12, 1e-16, 1e-18):
+            faint = np.sqrt(scale) * w
+            want = [expansion_rate(faint, stats, ell, sc.sigma) for ell in range(sc.L)]
+            got = rates_of(faint, stats, sc.sigma)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=f"power scale {scale:g}")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_all_zero_beamformers(self, setup):
@@ -305,7 +331,7 @@ class TestErgodicRate:
 
     def test_faint_user_clipped_at_zero(self):
         # A column scaled by 1e-9 leaves user 0 a round-off difference of the
-        # two determinant terms, -1.3e-16 unclipped; the oracle returns 0, as
+        # two log-determinants, a rate of -2e-16 unclipped; the oracle returns 0, as
         # ``rate_report`` does, and the other users' rates are untouched.
         sc = Scenario(Q=4, L=3, M=1, seed=0)
         stats = build_statistics(sc)
@@ -411,19 +437,19 @@ class TestFairnessStats:
         assert report.slnr.shape == (3,)
 
     def test_rate_report_reads_one_build(self, setup, monkeypatch):
-        # One build of the covariance images serves the report's SLNRs and
-        # rates, which are the readers' on those images bit for bit.
+        # One build of the power Gram serves the report's SLNRs and rates,
+        # which are the readers' on that Gram bit for bit.
         sc, stats, factors = setup
         w = beamformer_matrix(factors)
         builds = []
 
         def building(w_mat, stats_):
             builds.append(w_mat)
-            return covariance_images(w_mat, stats_)
+            return power_gram(w_mat, stats_)
 
-        monkeypatch.setattr(metrics, "covariance_images", building)
+        monkeypatch.setattr(metrics, "power_gram", building)
         report = rate_report(w, stats, sc.sigma, sc.bandwidth)
         assert len(builds) == 1 and builds[0] is w
-        images = covariance_images(w, stats)
-        np.testing.assert_array_equal(report.slnr, slnr_vec(w, images, sc.sigma))
-        np.testing.assert_array_equal(report.rate_nats, ergodic_rate_closed(w, images, sc.sigma))
+        gram = power_gram(w, stats)
+        np.testing.assert_array_equal(report.slnr, slnr_vec(gram, sc.sigma))
+        np.testing.assert_array_equal(report.rate_nats, ergodic_rate_closed(gram, sc.sigma))

@@ -26,7 +26,7 @@ from slnrbeam.channel import (
     vertical_correlation,
 )
 from slnrbeam import optimizers, surrogates
-from slnrbeam.metrics import _signal_and_leakage, covariance_images, slnr_vec
+from slnrbeam.metrics import _signal_and_leakage, power_gram, slnr_vec
 from slnrbeam.optimizers import (
     AlgoOptions,
     OptimizationResult,
@@ -321,15 +321,16 @@ class TestBaseline:
         assert abs(abs(np.vdot(direction, vec[:, -1])) - 1.0) < 1e-8
 
     def test_images_built_once(self, desk, monkeypatch):
-        # The baseline's SLNRs and its trace row's rates read one build.
+        # The baseline's SLNRs and its trace row's rates read one power Gram,
+        # whose build is the only one to form the covariance images.
         sc, stats = desk
         builds = []
 
         def building(w_mat, stats_):
             builds.append(w_mat)
-            return covariance_images(w_mat, stats_)
+            return power_gram(w_mat, stats_)
 
-        monkeypatch.setattr(optimizers, "covariance_images", building)
+        monkeypatch.setattr(optimizers, "power_gram", building)
         res = optimizers.run_baseline(sc, stats)
         assert len(builds) == 1 and builds[0] is res.incumbent_matrix
 
@@ -542,8 +543,8 @@ class TestIncumbent:
         assert result.incumbent_matrix is None and result.incumbent_rates is None
         assert result.rate_min_nats == -np.inf
         w_mat = beamformer_matrix(init_feasible(sc, np.random.default_rng(1)))
-        images = covariance_images(w_mat, stats)
-        row = optimizers._record(result, w_mat, images, slnr_vec(w_mat, images, sc.sigma), sc.sigma, 0.0, 0.0)
+        gram = power_gram(w_mat, stats)
+        row = optimizers._record(result, w_mat, gram, slnr_vec(gram, sc.sigma), sc.sigma, 0.0, 0.0)
         assert result.incumbent_matrix is w_mat
         np.testing.assert_array_equal(result.incumbent_rates, rates_of(w_mat, stats, sc.sigma))
         trace = optimizers._finish(result, [row], 0, "direct").trace
@@ -556,8 +557,8 @@ class TestIncumbent:
         result = OptimizationResult(algorithm="x")
 
         def record(w_mat):
-            images = covariance_images(w_mat, stats)
-            return optimizers._record(result, w_mat, images, slnr_vec(w_mat, images, sc.sigma), sc.sigma, 0.0, 0.0)
+            gram = power_gram(w_mat, stats)
+            return optimizers._record(result, w_mat, gram, slnr_vec(gram, sc.sigma), sc.sigma, 0.0, 0.0)
 
         w_mat = beamformer_matrix(init_feasible(sc, np.random.default_rng(1)))
         rows = [record(w_mat)]
@@ -590,7 +591,7 @@ class TestIncumbent:
     @pytest.mark.parametrize("run", [run_maxmin, run_gm, run_soft, optimizers.run_baseline])
     def test_trace_rates_match_fresh_oracle(self, desk, monkeypatch, run):
         # Each trace row's minimum rate, read from its evaluation's kept
-        # images, equals the oracle's on images built afresh, bit for bit.
+        # power Gram, equals the oracle's on a Gram built afresh, bit for bit.
         sc, stats = desk
         matrices = []
         record = optimizers._record
@@ -706,8 +707,8 @@ class TestStopReason:
         )
 
     def test_slnrs_computed_once_per_objective_evaluation(self, desk, monkeypatch, caplog):
-        # Each candidate iterate is evaluated once: W, its covariance images
-        # and the expected powers are built per backtracking trial, plus once
+        # Each candidate iterate is evaluated once: W, its power Gram and the
+        # expected powers and SLNRs are built per backtracking trial, plus once
         # at init, once per
         # half-iteration for the gauge's refactored iterate and once per
         # degenerate-user reinit, and feed its objective, its trace row and
@@ -716,7 +717,7 @@ class TestStopReason:
         # every slnrbeam namespace that binds them, and counting the calls,
         # shows that no trace row or operator build evaluates them again.
         sc, stats = desk
-        callers = {beamformer_matrix: [], covariance_images: [], _signal_and_leakage: []}
+        callers = {beamformer_matrix: [], power_gram: [], _signal_and_leakage: []}
         counts = {"objective": 0, "backtrack": 0, "slnr_vec": 0}
 
         def caller_names():
@@ -787,22 +788,23 @@ class TestStopReason:
 
     @pytest.mark.parametrize("run", [run_gm, run_soft])
     def test_half_iteration_builds_images_twice(self, desk, monkeypatch, run):
-        # A closed-form half-iteration whose first trial is accepted images
-        # two matrices, the gauge-fixed iterate and that trial, and its trace
-        # row's rate oracle reads the trial's images instead of a third build.
+        # A closed-form half-iteration whose first trial is accepted builds
+        # the power Grams of two matrices, the gauge-fixed iterate and that
+        # trial, and its trace row's rate oracle reads the trial's Gram
+        # instead of a third build.
         sc, stats = desk
         events = []
         record = optimizers._record
 
         def building(w_mat, stats_):
             events.append("build")
-            return covariance_images(w_mat, stats_)
+            return power_gram(w_mat, stats_)
 
         def recording(*args, **kwargs):
             events.append("row")
             return record(*args, **kwargs)
 
-        monkeypatch.setattr(optimizers, "covariance_images", building)
+        monkeypatch.setattr(optimizers, "power_gram", building)
         monkeypatch.setattr(optimizers, "_record", recording)
         res = run(sc, stats, AlgoOptions(max_iterations=1))
         assert len(res.trace) == 3

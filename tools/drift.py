@@ -15,12 +15,13 @@ a change with its parent, check the parent out beside it (for example with
 ``snapshot`` runs a fixed set of 86 design runs with this checkout's
 ``src`` and writes, per run, sha256 digests of the incumbent matrix, the
 final factor array and the trace, plus the iteration count, the stop
-reason, the minimum rate, every user's incumbent rate, the largest max-min
-subproblem gap, the summed max-min level trials and the largest trace power
-over the budget. The trace is digested column by column, in the order of
-its record array's fields. A run that raises, in its design or in
-``metrics.rate_report``, is recorded by its exception's type and message
-instead. The set covers the three benchmark sizes:
+reason, the minimum rate, every user's incumbent rate and SLNR (read by
+``metrics.rate_report``), the largest max-min subproblem gap, the summed
+max-min level trials and the largest trace power over the budget. The
+trace is digested column by column, in the order of its record array's
+fields. A run that raises, in its design or in ``metrics.rate_report``, is
+recorded by its exception's type and message instead. The set covers the
+three benchmark sizes:
 
 * desk: Q=8, L=5, M in {1, 2}, seeds 1, 2, 100, 101, 107, every design;
 * lit: Q=12, L=10, M=2, seeds 0, 1, 100, 101, every design but max-min;
@@ -29,9 +30,12 @@ instead. The set covers the three benchmark sizes:
 where every design is max-min, gm, soft at c = 0.1 and at c = 1, and the
 baseline. ``compare`` prints, per design, how many runs are identical (all
 digests equal), the largest relative move of the minimum rate, the largest
-relative move of any user's rate, the largest max-min gap and the summed
-level trials before -> after over the runs that completed in both, then every change of iteration count or stop
-reason and every run that raises in either snapshot.
+relative move of any user's rate, the largest relative move of any user's
+SLNR (over the runs whose snapshots both record SLNRs; a snapshot from a
+checkout whose tool did not record them prints none), the largest max-min
+gap and the summed level trials before -> after over the runs that
+completed in both, then every change of iteration count or stop reason and
+every run that raises in either snapshot.
 
 ``scan`` runs every design on the held-out seeds 100-159 at Q=8, L=5, M=2
 (300 runs, recorded as ``snapshot`` records them) and prints, per design,
@@ -131,15 +135,16 @@ def snapshot(runs_to_do=None) -> dict:
         key = "/".join([size, label(design, c)] + [f"{k}={v}" for k, v in keywords.items()])
         try:
             result = optimizers.run_algorithm(design, scenario, stats, options)
-            rates = metrics.rate_report(
+            report = metrics.rate_report(
                 result.incumbent_matrix, stats, scenario.sigma, scenario.bandwidth
-            ).rate_nats
+            )
         except Exception as exc:  # a failing run is a finding, not the end of the set
             runs[key] = {"design": label(design, c), "error": f"{type(exc).__name__}: {exc}"}
             continue
         power = float(result.trace.power.max()) / scenario.P
         runs[key] = {
-            "design": label(design, c), **summarize(result, rates), "power_over_budget": power
+            "design": label(design, c), **summarize(result, report.rate_nats),
+            "slnrs": [float(x) for x in report.slnr], "power_over_budget": power,
         }
     return runs
 
@@ -170,6 +175,12 @@ def compare(before: dict, after: dict) -> list[str]:
             f"{design}: {same}/{len(keys)} identical, largest min-rate move {max(moves):.3g} "
             f"relative, largest per-user rate move {max(user_moves):.3g} relative"
         )
+        slnr_moves = [
+            relative_move(before[k]["slnrs"], after[k]["slnrs"])
+            for k in keys if "slnrs" in before[k] and "slnrs" in after[k]
+        ]
+        if slnr_moves:
+            line += f", largest per-user SLNR move {max(slnr_moves):.3g} relative"
         gaps = [after[k]["gap_max"] for k in keys if after[k]["gap_max"] is not None]
         if gaps:
             line += f", largest gap {max(gaps):.3g}"
