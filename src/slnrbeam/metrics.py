@@ -32,13 +32,16 @@ import numpy as np
 
 from .channel import ChannelStatistics, vec_batch, sample_channels
 
-# Quadrature in t = ln(s): the integrand is analytic in the strip
-# |Im t| < pi/2, so the trapezoid rule's error falls like exp(-pi^2 / h),
-# about 1e-17 at this step; halving it moves no rate by more than 1e-13.
+# Quadrature in u on the double-exponential map t = ln(s) = u - exp(c - u),
+# c = -ln(largest trace + sigma): t follows u where s (trace + sigma) > 1,
+# and the head below, where the integrand is about s * signal, falls off
+# doubly exponentially in u within a few nodes. Halving the step moves no
+# rate by more than 1e-13.
 RATE_STEP = 0.25
-# Below s = RATE_HEAD / (largest trace + sigma) the integrand is at most
-# s * signal, so the cut-off head weighs at most RATE_HEAD nats.
-RATE_HEAD = 1e-17
+# The grid's left end is u = c - RATE_LEFT, where s (trace + sigma) =
+# exp(-RATE_LEFT - e^RATE_LEFT) < 1e-25 bounds the cut-off head in nats;
+# two units further left change no rate's bits.
+RATE_LEFT = 4.0
 # Above s = RATE_TAIL / sigma the factor exp(-s sigma) leaves a tail of at
 # most E1(RATE_TAIL) < 1e-19 nats.
 RATE_TAIL = 40.0
@@ -50,12 +53,16 @@ def power_gram(w_mat: np.ndarray, stats: ChannelStatistics) -> np.ndarray:
     ``w_mat`` holds column-major vectorized beamformers. Works on the
     Kronecker factors only: with V_j = unvec(w_j),
     unvec(R_k w_j) = g_k R_v,k^T V_j R_h,k^T, whose transpose
-    R_h,k V_j^T R_v,k reshapes row-major into the image R_k w_j / g_k. All
-    images contract with conj(W) in one product, and the path gains scale
-    the result. Slice k is channel user k's Gram S_k^T.
+    R_h,k V_j^T R_v,k reshapes row-major into the image R_k w_j / g_k. Per
+    user, R_h,k multiplies the (Q, nQ) row [V_1^T ... V_n^T] and R_v,k the
+    (nQ, Q) stack of the resulting blocks, two products in all. All images
+    contract with conj(W) in one product, and the path gains scale the
+    result. Slice k is channel user k's Gram S_k^T.
     """
     q, n = stats.Q, w_mat.shape[1]
-    images = stats.R_h[:, None] @ w_mat.T.reshape(n, q, q) @ stats.R_v[:, None]
+    v_row = w_mat.T.reshape(n, q, q).swapaxes(0, 1).reshape(q, n * q)  # [V_1^T ... V_n^T]
+    left = (stats.R_h @ v_row).reshape(-1, q, n, q).swapaxes(1, 2)  # R_h,k V_j^T
+    images = left.reshape(-1, n * q, q) @ stats.R_v
     gram = images.reshape(-1, q * q) @ w_mat.conj()
     return stats.path_gain[:, None, None] * gram.reshape(-1, n, n)
 
@@ -80,10 +87,12 @@ def slnr_vec(gram: np.ndarray, sigma: float) -> np.ndarray:
 def ergodic_rate_closed(gram: np.ndarray, sigma: float) -> np.ndarray:
     """Every user's exact ergodic rate E[ln(1 + SINR)], in nats, as an (L,) array.
 
-    Evaluates Hamdi's integral (module docstring) for all users on one grid
-    s = exp(t), t spaced RATE_STEP apart from ln(RATE_HEAD / (largest trace
-    + sigma)) up to ln(RATE_TAIL / sigma). The integrand vanishes at both
-    ends, so the trapezoid rule is the step times the plain sum over nodes.
+    Evaluates Hamdi's integral (module docstring) for all users on one
+    double-exponential grid s = exp(u - exp(c - u)), c = -ln(largest trace
+    + sigma), u spaced RATE_STEP apart from ln(RATE_TAIL / sigma) down to
+    c - RATE_LEFT. The integrand vanishes at both ends, so the trapezoid
+    rule is the step times the sum over nodes, each weighted by
+    dt/du = 1 + exp(c - u).
     ``gram`` is the ``power_gram`` of a (Q^2, L) beamformer matrix. With
     a = ln det(I + s S_int) <= b = ln det(I + s S), the integrand's
     exp(-a) - exp(-b) is taken as exp(-a) (-expm1(a - b)), exact to
@@ -98,12 +107,14 @@ def ergodic_rate_closed(gram: np.ndarray, sigma: float) -> np.ndarray:
     others = ~np.eye(n, dtype=bool)
     interference = gram * (others[:, :, None] & others[:, None, :])
     lam = np.clip(np.linalg.eigvalsh(np.concatenate([gram, interference])), 0.0, None)
-    t_hi = np.log(RATE_TAIL / sigma)
-    t_lo = np.log(RATE_HEAD / (lam[:n].sum(axis=1).max() + sigma))
-    s = np.exp(t_hi - RATE_STEP * np.arange(int(np.ceil((t_hi - t_lo) / RATE_STEP)) + 1))
+    c = -np.log(lam[:n].sum(axis=1).max() + sigma)
+    u_hi = np.log(RATE_TAIL / sigma)
+    u = u_hi - RATE_STEP * np.arange(int(np.ceil((u_hi - c + RATE_LEFT) / RATE_STEP)) + 1)
+    head = np.exp(c - u)
+    s = np.exp(u - head)
     log_det = np.log1p(s[:, None, None] * lam).sum(axis=-1)  # ln det(I + s S)
     b, a = log_det[:, :n], log_det[:, n:]
-    rates = RATE_STEP * (np.exp(-sigma * s) @ (np.exp(-a) * -np.expm1(a - b)))
+    rates = RATE_STEP * (((1.0 + head) * np.exp(-sigma * s)) @ (np.exp(-a) * -np.expm1(a - b)))
     return np.maximum(rates, 0.0)
 
 

@@ -3,12 +3,12 @@
 All three designs run one alternating scheme (``_alternate``): each
 half-iteration fits per-user SLNR surrogates for the azimuth or the
 elevation side of the outer-product beamformers, the other side held fixed,
-and steps to the surrogate's optimum unless that worsens the design's
-driving objective. The designs differ in that objective and in the step:
+and steps toward the surrogate's optimum. The designs differ in their
+driving objective and in that optimum:
 
   * ``run_maxmin`` maximizes the minimum SLNR by solving a convex max-min
     quadratic subproblem (module :mod:`slnrbeam.qcqp`) built from per-user
-    SLNR minorants; the min-SLNR trace is nondecreasing per half-iteration.
+    SLNR minorants; the min-SLNR trace is nondecreasing.
   * ``run_gm`` maximizes the geometric mean of ln(1 + SLNR) through a
     weighted-sum surrogate with closed-form updates; weights are inversely
     proportional to each user's current log term.
@@ -22,11 +22,13 @@ here; every bound is one :class:`slnrbeam.qcqp.Quadratics` stack.
 
 Independently of its driving objective, every run tracks the incumbent
 beamformers achieving the best minimum ergodic rate seen so far, evaluated
-each half-iteration. A worsening step is never accepted: if a closed-form
-update would degrade the driving objective (possible only through finite
-precision or, for the geometric mean, because a weighted-sum ascent step
-does not always increase the product), the step is backtracked toward the
-current iterate. Every result says why its run stopped.
+each half-iteration. Every design steps by the rule of a minorize-maximize
+scheme (Sun, Babu & Palomar, IEEE TSP 2017), that no accepted step worsens
+the driving objective: its optimum, max-min's subproblem point included, is
+backtracked toward the current iterate until it is no worse (a worse optimum
+arises through finite precision, the subproblem's gap or, for the geometric
+mean, because weighted-sum ascent need not raise the product). Every result
+says why its run stopped.
 
 Each candidate iterate is evaluated once: a backtracking trial builds its
 beamformer matrix W, W's power Gram (:func:`slnrbeam.metrics.power_gram`)
@@ -109,11 +111,11 @@ class OptimizationResult:
     rates in nats; ``rate_min_nats`` is their minimum, -inf before any
     incumbent. ``trace`` is one record array of ``TRACE_DTYPE`` rows, frozen
     when the run returns: a column reads as ``trace.min_slnr``, a row as
-    ``trace[k].power``. ``stop_reason`` is "tolerance", "stalled",
-    "subproblem_regressed" or "max_iterations" (see ``_alternate``), or
-    "direct" for the baseline's single evaluation; ``converged`` holds for
-    "tolerance" and "direct". ``final`` is an iterative run's last
-    (2, L, M, Q) factor array (:mod:`slnrbeam.beamformer`).
+    ``trace[k].power``. ``stop_reason`` is "tolerance", "stalled" or
+    "max_iterations" (see ``_alternate``), or "direct" for the baseline's
+    single evaluation; ``converged`` holds for "tolerance" and "direct".
+    ``final`` is an iterative run's last (2, L, M, Q) factor array
+    (:mod:`slnrbeam.beamformer`).
     """
 
     algorithm: str
@@ -298,36 +300,30 @@ class _Run:
 
 
 def _backtrack(
-    run: _Run,
-    side: int,
-    v_new: np.ndarray,
-    objective,
-    current: float,
-    better,
-    max_halvings: int,
+    run: _Run, side: int, v_new: np.ndarray, objective, current: float, better
 ) -> tuple[float, bool]:
-    """Accept v_new, or a fraction of the step toward it, or stall.
+    """Accept the candidate v_new, or a fraction of the step toward it, or stall.
 
     ``v_new`` holds every user's new vector on ``side`` as an (L, QM) row.
-    Tries v_old + s (v_new - v_old) for s = 1, 1/2, ... (``max_halvings``
-    trials); ``max_halvings=0`` tries v_new itself, unblended, once.
-    Each trial is evaluated once (``_Run.evaluate``); ``objective`` maps its
-    SLNR vector to the driving objective and ``better(new, old)`` says
-    whether the step direction is acceptable. The accepted trial's
-    evaluation becomes the run's. Returns the accepted objective value and
-    whether any step was taken.
+    Tries v_new + (1 - s)(v_old - v_new) for s = 1, 1/2, ..., 2^-39, so the
+    full step is v_new exactly, whichever design produced it. Each trial is
+    evaluated once (``_Run.evaluate``); ``objective`` maps its SLNR vector
+    to the driving objective and ``better(new, old)`` says whether it is no
+    worse than ``current``. The first such trial's evaluation becomes the
+    run's, and a step taken at s < 1 is logged at debug level. Returns the
+    accepted objective value and whether any step was taken.
     """
     v_old = run.factors[side]
     v_new = v_new.reshape(v_old.shape)
-    trials = [v_new] if max_halvings == 0 else (
-        v_old + 0.5**k * (v_new - v_old) for k in range(max_halvings)
-    )
-    for point in trials:
+    back = v_old - v_new
+    for k in range(40):
         factors = run.factors.copy()
-        factors[side] = point
+        factors[side] = v_new + (1.0 - 0.5**k) * back
         evaluation = run.evaluate(factors)
         value = objective(evaluation[-1])  # the trial's SLNRs
         if better(value, current):
+            if k:
+                logger.debug("%s took %.3g of the %s step", run.result.algorithm, 0.5**k, SIDES[side])
             run.factors = factors
             run.keep(evaluation)
             return value, True
@@ -335,30 +331,22 @@ def _backtrack(
 
 
 def _alternate(
-    algorithm: str,
-    scenario: Scenario,
-    stats: ChannelStatistics,
-    options: AlgoOptions | None,
-    objective,
-    better,
-    update,
-    certified: bool = False,
+    algorithm: str, scenario: Scenario, stats: ChannelStatistics, options: AlgoOptions | None,
+    objective, better, update,
 ) -> OptimizationResult:
     """The alternating scheme the three designs share.
 
     ``objective`` maps the SLNR vector to the driving objective, ``better``
     (``operator.ge`` or ``operator.le``) orders its values, and
     ``update(run, side, ops)`` returns the candidate free-side point of one
-    half-iteration from the operators at the current iterate. A candidate
-    is accepted through ``_backtrack``. Each half-iteration starts by fixing
-    the gauge and reinitializing degenerate users (``_Run``), and the
-    objective it must not worsen is re-read from that evaluation. A
-    ``certified`` update (max-min, whose subproblem point never worsens the
-    objective in exact arithmetic) is taken whole or not at all: a worsening
-    point ends the run as "subproblem_regressed". Otherwise an iteration in
-    which no fraction of either step helps ends the run as "stalled"; an
-    iteration whose relative objective change is within the tolerance as
-    "tolerance".
+    half-iteration from the operators at the current iterate. Every
+    candidate is accepted through ``_backtrack``. Each half-iteration starts
+    by fixing the gauge and reinitializing degenerate users (``_Run``), and
+    the objective it must not worsen is re-read from that evaluation. An
+    iteration in which no fraction of either step helps ends the run as
+    "stalled", with a warning naming the design, the iteration, the kept
+    objective and, for max-min, the last subproblem gap; an iteration whose
+    relative objective change is within the tolerance as "tolerance".
     """
     options = options or AlgoOptions()
     run = _Run(algorithm, scenario, stats)
@@ -372,20 +360,15 @@ def _alternate(
             run.reinit_degenerate(side)
             current = objective(run.slnrs)
             ops = half_iteration_operators(side, run.factors, stats, run.signal, run.leakage, run.sigma)
-            current, stepped = _backtrack(
-                run, side, update(run, side, ops), objective, current, better,
-                max_halvings=0 if certified else 40,
-            )
-            if certified and not stepped:
-                logger.warning(
-                    "%s stopped in iteration %d: the %s subproblem's point lowers "
-                    "the min SLNR below %.9e (gap %.2e)",
-                    algorithm, it, SIDES[side], current, run.subproblem.gap,
-                )
-                return run.finish(it, "subproblem_regressed")
+            current, stepped = _backtrack(run, side, update(run, side, ops), objective, current, better)
             moved = moved or stepped
             run.record(it - 0.5 + 0.5 * side, current)
         if not moved:
+            gap = "" if run.subproblem is None else f" (last subproblem gap {run.subproblem.gap:.2e})"
+            logger.warning(
+                "%s stalled in iteration %d: every fraction of the %s and the %s step "
+                "worsened the kept objective %.9e%s", algorithm, it, *SIDES, current, gap,
+            )
             return run.finish(it, "stalled")
         if abs(current - previous_full) <= options.tolerance * max(abs(previous_full), 1e-30):
             return run.finish(it, "tolerance")
@@ -398,10 +381,11 @@ def run_maxmin(
     """Max-min SLNR design via convex max-min quadratic subproblems.
 
     Each half-iteration builds tight SLNR minorants at the current iterate
-    and solves the resulting max-min problem on the power ball; the current
-    iterate is kept in the subproblem's candidate pool, so the minimum SLNR
-    never decreases. Terminates when its relative change over a full
-    iteration drops below the tolerance.
+    and solves the resulting max-min problem on the power ball to
+    ``SUBPROBLEM_TOL``. Its point is backtracked as every design's is, so
+    one that round-off or the gap leaves below the current minimum SLNR is
+    blended toward the iterate. Terminates when the minimum SLNR's relative
+    change over a full iteration drops below the tolerance.
     """
 
     def update(run: _Run, side: int, ops: HalfIterationOperators) -> np.ndarray:
@@ -411,9 +395,7 @@ def run_maxmin(
         return run.subproblem.v
 
     objective = lambda slnrs: float(slnrs.min())
-    return _alternate(
-        "maxmin", scenario, stats, options, objective, operator.ge, update, certified=True
-    )
+    return _alternate("maxmin", scenario, stats, options, objective, operator.ge, update)
 
 
 def _geometric_mean_log(slnrs: np.ndarray) -> float:

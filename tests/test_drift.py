@@ -182,15 +182,26 @@ def test_compare_lists_error_transitions(drift):
 def test_scan_reports_each_design_on_held_out_seeds(drift, monkeypatch, capsys):
     monkeypatch.setattr(drift, "SCAN_SEEDS", [100, 101])
     runs = list(drift.scan_set())
-    assert len(runs) == 10
-    assert {kw["seed"] for _, kw, _, _ in runs} == {100, 101}
-    assert all(kw["Q"] == 8 and kw["L"] == 5 and kw["M"] == 2 for _, kw, _, _ in runs)
+    assert len(runs) == 20
+    held_out = [kw for size, kw, _, _ in runs if size == "scan"]
+    assert len(held_out) == 10 and {kw["seed"] for kw in held_out} == {100, 101}
+    assert all(kw["Q"] == 8 and kw["L"] == 5 and kw["M"] == 2 for kw in held_out)
+    degenerate = [(kw, design) for size, kw, design, _ in runs if size == "degenerate"]
+    one_user, one_antenna = dict(Q=4, L=1, M=1, seed=0), dict(Q=1, L=3, M=1, seed=0)
+    assert [kw for kw, _ in degenerate] == [one_user] * 5 + [one_antenna] * 5
     assert drift.main(["scan"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in lines] == ["maxmin", "gm", "soft c=0.1", "soft c=1", "baseline"]
-    assert lines[0].startswith("maxmin: 2/2 completed, ") and ", largest gap " in lines[0]
-    assert lines[-1].startswith("baseline: 2/2 completed, 2 direct, largest trace power ")
-    assert all(", largest trace power P (1 " in line for line in lines)
+    designs, block = lines[:5], lines[5:]
+    assert [line.split(":")[0] for line in designs] == ["maxmin", "gm", "soft c=0.1", "soft c=1", "baseline"]
+    assert designs[0].startswith("maxmin: 2/2 completed, ") and ", largest gap " in designs[0]
+    assert designs[-1].startswith("baseline: 2/2 completed, 2 direct, largest trace power ")
+    assert all(", largest trace power P (1 " in line for line in designs)
+    # One line per degenerate run with its stop reason; max-min on one user
+    # runs to the cap while still improving.
+    assert block[0] == "degenerate inputs:" and len(block) == 11
+    assert block[1] == "  degenerate/maxmin/Q=4/L=1/M=1/seed=0: max_iterations"
+    assert block[5] == "  degenerate/baseline/Q=4/L=1/M=1/seed=0: direct"
+    assert all(line.split(": ")[1] in ("tolerance", "max_iterations", "direct") for line in block[1:])
 
 
 def test_scan_fails_on_errors_power_and_gaps(drift):
@@ -200,15 +211,21 @@ def test_scan_fails_on_errors_power_and_gaps(drift):
         "b": {**run("maxmin", 0.1, gap=2e-4), "power_over_budget": 0.9},
         "c": {**run("gm", 0.4, stop="stalled"), "power_over_budget": 1.0 + 1e-8},
         "d": {"design": "gm", "error": "RuntimeError: residual"},
+        "degenerate/soft": {**run("soft", 0.3, stop="stalled"), "power_over_budget": 1.0},
+        "degenerate/gm": {"design": "gm", "error": "LinAlgError: singular"},
     }
     lines, passed = drift.scan(runs)
     assert not passed
     assert lines == [
         "gm: 2/3 completed, 1 stalled, 1 tolerance, largest trace power P (1 + 1e-08)",
         "maxmin: 1/1 completed, 1 tolerance, largest gap 0.0002, largest trace power P (1 - 0.1)",
+        "degenerate inputs:",
+        "  degenerate/soft: stalled",
+        "  degenerate/gm: raised",
         "b: subproblem gap 0.0002 above 0.0001",
         "c: trace power 1.00000001 P exceeds P (1 + 1e-9)",
         "d: RuntimeError: residual",
+        "degenerate/gm: LinAlgError: singular",
     ]
     assert drift.scan({"a": ok}) == (["gm: 1/1 completed, 1 tolerance, largest trace power P (1 + 0)"], True)
 

@@ -276,6 +276,15 @@ class TestErgodicRate:
         for (sc, stats, w), rates in zip(cases, coarse):
             assert np.abs(rates_of(w, stats, sc.sigma) - rates).max() <= 1e-13
 
+    def test_grid_head_converged(self, monkeypatch):
+        # The double-exponential head is spent by the grid's left end: two
+        # units further left add nodes whose weight is below round-off.
+        cases = design_iterates()
+        short = [rates_of(w, stats, sc.sigma) for sc, stats, w in cases]
+        monkeypatch.setattr(metrics, "RATE_LEFT", metrics.RATE_LEFT + 2.0)
+        for (sc, stats, w), rates in zip(cases, short):
+            np.testing.assert_allclose(rates_of(w, stats, sc.sigma), rates, rtol=1e-15, atol=0)
+
     def test_covariance_images_match_dense(self, setup):
         # Every entry [k, j, i] = w_i^H R_k w_j of the power Gram, built
         # through the covariance images R_k w_j on the Kronecker factors,

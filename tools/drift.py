@@ -38,11 +38,14 @@ completed in both, then every change of iteration count or stop reason and
 every run that raises in either snapshot.
 
 ``scan`` runs every design on the held-out seeds 100-159 at Q=8, L=5, M=2
-(300 runs, recorded as ``snapshot`` records them) and prints, per design,
-the runs completed, the count of each stop reason, the largest subproblem
-gap and the largest trace power over P; then every run that raised, whose
-trace power exceeds P (1 + 1e-9) or whose subproblem gap exceeds 1e-4. It
-exits 1 if there is any such run, else 0.
+and on two degenerate inputs, one user (Q=4, L=1, M=1, seed 0) and one
+antenna (Q=1, L=3, M=1, seed 0): 310 runs, recorded as ``snapshot``
+records them. It prints, per design, the held-out runs completed, the count
+of each stop reason, the largest subproblem gap and the largest trace
+power over P; then the degenerate runs' stop reasons in a block of their
+own; then every run that raised, whose trace power exceeds P (1 + 1e-9)
+or whose subproblem gap exceeds 1e-4. It exits 1 if there is any such
+run, else 0.
 
 It needs numpy and the standard library only.
 """
@@ -67,6 +70,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SCAN_SEEDS = range(100, 160)
 POWER_LIMIT = 1.0 + 1e-9
 GAP_LIMIT = 1e-4
+# The degenerate inputs the scan also runs with every design: one user on
+# 16 antennas, and three users on one antenna.
+DEGENERATE = (dict(Q=4, L=1, M=1, seed=0), dict(Q=1, L=3, M=1, seed=0))
 
 
 def run_set():
@@ -89,6 +95,9 @@ def scan_set():
     for seed in SCAN_SEEDS:
         for design, c in DESIGNS:
             yield "scan", dict(Q=8, L=5, M=2, seed=seed), design, c
+    for keywords in DEGENERATE:
+        for design, c in DESIGNS:
+            yield "degenerate", dict(keywords), design, c
 
 
 def label(design: str, c: float | None) -> str:
@@ -198,11 +207,14 @@ def compare(before: dict, after: dict) -> list[str]:
 
 
 def scan(runs: dict) -> tuple[list[str], bool]:
-    """Report lines on a snapshot of held-out runs, and whether every run
-    completed within the power and gap limits."""
+    """Report lines on a snapshot of held-out and degenerate runs (keys
+    starting with "degenerate/"), and whether every run completed within
+    the power and gap limits."""
+    degenerate = {key: run for key, run in runs.items() if key.startswith("degenerate/")}
     designs: dict[str, list[dict]] = {}
-    for run in runs.values():
-        designs.setdefault(run["design"], []).append(run)
+    for key, run in runs.items():
+        if key not in degenerate:
+            designs.setdefault(run["design"], []).append(run)
     lines = []
     for design, group in designs.items():
         done = [run for run in group if "error" not in run]
@@ -216,6 +228,9 @@ def scan(runs: dict) -> tuple[list[str], bool]:
             excess = max(run["power_over_budget"] for run in done) - 1.0
             line += f", largest trace power P (1 {'-' if excess < 0 else '+'} {abs(excess):.2g})"
         lines.append(line)
+    if degenerate:
+        lines.append("degenerate inputs:")
+        lines += [f"  {key}: {run.get('stop_reason', 'raised')}" for key, run in degenerate.items()]
     failures = []
     for key, run in runs.items():
         if "error" in run:
