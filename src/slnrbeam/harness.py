@@ -22,7 +22,8 @@ takes that scenario value, and the scenario must load as it stands. A
 ``c`` axis left out takes ``options.soft_c`` (else :class:`AlgoOptions`'
 default); a given one sets ``soft_c`` in every soft run. The resolved sweep
 is ``ExperimentConfig.axes``; the fields keep what the config wrote. Other
-keys left out take :class:`ExperimentConfig`'s defaults. Missing required
+keys left out take :class:`ExperimentConfig`'s defaults. Unknown keys of
+the experiment object (``ExperimentConfig.from_json``), missing required
 keys, unknown option keys, algorithms not given as a list of known names,
 values of the wrong JSON type or out of range (sweep axes of finite numbers,
 antennas perfect squares, c positive, integral ``n_seeds`` >= 1 and
@@ -37,7 +38,8 @@ Outputs per (algorithm, sweep point, seed): a convergence-trace CSV with
 columns ``iteration,min_slnr,objective,min_rate_mbps``; plus one shared
 ``summary.csv`` (a row per run) and one ``aggregate.csv`` (a row per
 algorithm and sweep point, averaging the per-seed summaries). The summary
-row's rates are the incumbent's, as the design run returned them. Floats
+row's rates are the incumbent's, as the design run returned them; its
+``min_slnr`` is the final iterate's (``trace.min_slnr[-1]``). Floats
 are printed with 17 significant digits so reruns diff byte-identically; the
 wallclock column is the only nondeterministic one. With
 ``save_beamformers`` each run also writes its incumbent matrix W, whatever
@@ -184,15 +186,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        """The config a JSON file holds; keys it leaves out take the defaults."""
+        """The config a JSON file holds; keys it leaves out take the defaults,
+        and a key it does not know is rejected."""
         with open(path) as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError(f"an experiment config must be a JSON object, got {data!r}")
+        accepted = sorted(f.name for f in fields(cls) if f.init)
+        for key in sorted(data):
+            if key not in accepted:
+                raise ValueError(f"unknown key {key!r}; accepted keys: {', '.join(accepted)}")
         for key in ("scenario", "algorithms"):
             if key not in data:
                 raise ValueError(f"key {key!r} is required")
-        return cls(**{f.name: data[f.name] for f in fields(cls) if f.init and f.name in data})
+        return cls(**data)
 
 
 def _number(key: str, value, integral: bool = False):

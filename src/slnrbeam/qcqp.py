@@ -19,9 +19,9 @@ problems (q_l >= t at least power P_l(t)) solve monotone secular equations;
 there g is the Newton step on the convex increasing F(t) = sum_l P_l(t) - P,
 whose slope is sum_l nu_l, so every level trial certifies a bound near the
 optimum. The next level is the Newton step on log(sum_l P_l(t) / P)
-instead: where users run along nearly flat directions with small linear
-terms, sum_l P_l grows quadratically in t and Newton on F only halves the
-distance per trial. A step that leaves the bounds, or a trial that does
+instead: where users run along directions of little curvature with small
+linear terms, sum_l P_l grows quadratically in t and Newton on F only
+halves the distance per trial. A step that leaves the bounds, or a trial that does
 not improve the bound, bisects them. The path points, scaled into the ball,
 and the warm start are the feasible points; the best of them is the lower
 bound, and the reported gap is the nonnegative difference between the
@@ -99,8 +99,9 @@ class _Pencils:
         abs_b_sq = np.abs(b_t) ** 2
         # Transformed linear terms this far below their row's maximum are
         # round-off zeros: kept, they drive level multipliers toward an
-        # asymptote, and along a flat direction they make a maximizer that
-        # fits the budget look unbounded, so the price spends the budget.
+        # asymptote, and along a zero-curvature direction they make a
+        # maximizer that fits the budget look unbounded, so the price spends
+        # the budget.
         kept = abs_b_sq > 1e-28 * abs_b_sq.max(axis=1, keepdims=True)
         self.b_t = np.where(kept, b_t, 0.0)
         self.abs_b_sq = np.where(kept, abs_b_sq, 0.0)
@@ -187,23 +188,23 @@ def closed_form_update(
 
 class _LevelPaths(_Pencils):
     """The pencils plus every user's minimum-power path, for the max-min
-    dual bound."""
+    dual bound.
+
+    Precondition: every user's linear term lies in the range of its
+    curvature up to round-off, as the SLNR minorants' do by construction
+    (b_l^H = k_l own_l v_bar_l with C_l = c_l sum_l and own_l <= sum_l). The
+    linear term is dropped on every direction of exactly zero curvature, so
+    no q_l is unbounded and every unconstrained maximum ``q_free`` is finite.
+    """
 
     def __init__(self, quads: Quadratics, budget: float):
         super().__init__(quads, budget)
-        w = self.abs_b_sq
-        d_floor = 1e-13 * max(float(self.d.max()), 1e-300)
-        self.flat = self.d <= d_floor
-        # users with a flat direction carrying a linear term: q_l is unbounded
-        self.escapes = (self.flat & (w > 0.0)).any(axis=1)
-        # |b_j|^2 / d_j: what each non-flat direction adds to the maximum
-        self.gain = np.where(self.flat, 0.0, w / np.where(self.flat, 1.0, self.d))
-        self.w_curved = np.where(self.flat, 0.0, w)
-        self.w_flat = np.where(self.flat, w, 0.0)
-        self.q_curved = self.quads.a + self.gain.sum(axis=1)
-        # unconstrained per-user maxima of q_l (inf along flat directions
-        # carrying a linear term)
-        self.q_free = np.where(self.escapes, np.inf, self.q_curved)
+        curved = self.d > 0.0
+        self.b_t = np.where(curved, self.b_t, 0.0)
+        self.abs_b_sq = np.where(curved, self.abs_b_sq, 0.0)
+        # |b_j|^2 / d_j: what each direction adds to the unconstrained maximum
+        self.gain = np.divide(self.abs_b_sq, self.d, out=np.zeros(self.d.shape), where=curved)
+        self.q_free = quads.a + self.gain.sum(axis=1)
 
     def level_curves(self, nu: np.ndarray):
         """Power, q and their pieces along the users' minimum-power paths.
@@ -216,15 +217,11 @@ class _LevelPaths(_Pencils):
 
         and dpower/dnu = nu dq/dnu: both coordinates increase with nu and q
         is concave in it. q = a + sum_j |b_j|^2 r_j (2 - d_j r_j) sums
-        nonnegative terms, so it carries no cancellation. Split for the
-        secular equation, q = q_curved - shortfall + lift: q_curved is a plus
-        the sum of |b_j|^2 / d_j over non-flat directions, the shortfall
-        sum_j (|b_j|^2 / d_j) / (1 + nu d_j)^2 runs over the same directions,
-        and the lift is q's sum over flat ones, nonzero only for escaping
-        users.
+        nonnegative terms, so it carries no cancellation. For the secular
+        equation, q = q_free - shortfall with the shortfall
+        sum_j (|b_j|^2 / d_j) / (1 + nu d_j)^2.
 
-        Returns ``(power, q, shortfall, lift, dq_curved, dq_flat)``, the last
-        two splitting dq/dnu between non-flat and flat directions.
+        Returns ``(power, q, shortfall, dq)``, the last being dq/dnu.
         """
         d = self.d
         inv = 1.0 / (1.0 + nu[:, None] * d)
@@ -232,57 +229,41 @@ class _LevelPaths(_Pencils):
         # computed power never decreases along the path
         inv_nu = np.divide(1.0, nu, out=np.full(nu.shape, np.inf), where=nu > 0.0)
         r = 1.0 / (inv_nu[:, None] + d)
-        inv_cube = inv * inv * inv
         w = self.abs_b_sq
         power = (w * r * r).sum(axis=1)
-        gains = w * r * (2.0 - d * r)
-        q = self.quads.a + gains.sum(axis=1)
+        q = self.quads.a + (w * r * (2.0 - d * r)).sum(axis=1)
         shortfall = (self.gain * inv * inv).sum(axis=1)
-        dq_curved = 2.0 * (self.w_curved * inv_cube).sum(axis=1)
-        lift = np.zeros(nu.shape)
-        dq_flat = np.zeros(nu.shape)
-        if self.escapes.any():
-            lift = np.where(self.flat, gains, 0.0).sum(axis=1)
-            dq_flat = 2.0 * (self.w_flat * inv_cube).sum(axis=1)
-        return power, q, shortfall, lift, dq_curved, dq_flat
+        dq = 2.0 * (w * inv * inv * inv).sum(axis=1)
+        return power, q, shortfall, dq
 
     def multipliers(self, level: float, start: np.ndarray) -> np.ndarray:
         """Every user's multiplier of its minimum-power problem at ``level``.
 
-        Users already at the level (a_l >= level) get zero and users that
-        cannot reach it (level >= q_free) the cap ``NU_MAX``. The others'
-        multipliers solve a secular equation, phi(nu) = 0 with phi concave
-        and increasing in nu:
+        Users that cannot rise above the level (level >= q_free) get the cap
+        ``NU_MAX``, the others already at it (a_l >= level) zero. The rest's
+        multipliers solve the secular equation phi(nu) = 0 with
 
-            phi = shortfall^(-1/2) - (q_curved - level + lift)^(-1/2)
+            phi = shortfall^(-1/2) - (q_free - level)^(-1/2),
 
-        wherever both roots are defined (the Moré–Sorensen transform; for
-        users without escaping directions the lift is zero and phi is nearly
-        linear), and phi = q - level elsewhere. Newton runs from ``start``
-        (from zero where it sits at the cap), all users at once, clipped at
-        zero: the tangent of a concave increasing function never leads above
-        its root, so after the first step every step rises, and a user stops
-        once its step falls below ``NU_REL_TOL`` of its multiplier or it
-        meets the cap.
+        concave, increasing and nearly linear in nu (the Moré–Sorensen
+        transform). Newton runs from ``start`` (from zero where it sits at
+        the cap), all users at once, clipped at zero: the tangent of a
+        concave increasing function never leads above its root, so after the
+        first step every step rises, and a user stops once its step falls
+        below ``NU_REL_TOL`` of its multiplier or it meets the cap.
         """
         reached = self.quads.a >= level
         nu = np.where(level >= self.q_free, NU_MAX, np.where(reached | (start >= NU_MAX), 0.0, start))
         todo = ~reached & (nu < NU_MAX)
-        # room for the shortfall: q_curved - level + lift
-        room_0 = self.q_curved - level
+        room = self.q_free - level  # positive wherever todo holds
         for rounds in range(MAX_LEVEL_STEPS):
             if not todo.any():
                 break
-            _, q, shortfall, lift, dq_curved, dq_flat = self.level_curves(nu)
-            room = room_0 + lift
-            # the transform needs a shortfall: a user whose every direction is
-            # flat has none, and its q is linear in nu
-            shaped = (room > 0.0) & (shortfall > 0.0)
-            rel = np.divide(shortfall, room, out=np.zeros(room.shape), where=shaped)
-            num = np.where(shaped, 2.0 * shortfall * (np.sqrt(rel) - 1.0), level - q)
-            den = np.where(shaped, dq_curved + rel * np.sqrt(rel) * dq_flat, dq_curved + dq_flat)
+            _, _, shortfall, dq = self.level_curves(nu)
+            rel = np.divide(shortfall, room, out=np.zeros(room.shape), where=todo)
+            num = 2.0 * shortfall * (np.sqrt(rel) - 1.0)
             # a step longer than the multiplier cap is taken as the cap, undivided
-            step = np.divide(num, den, out=np.sign(num) * NU_MAX, where=den * NU_MAX > np.abs(num))
+            step = np.divide(num, dq, out=np.sign(num) * NU_MAX, where=dq * NU_MAX > np.abs(num))
             if rounds:
                 todo &= step > NU_REL_TOL * nu
             nu = np.where(todo, np.clip(nu + step, 0.0, NU_MAX), nu)
@@ -307,7 +288,9 @@ def solve_maxmin(
     objective never falls below the min-objective at the warm start, whose
     level is the first trial. If the iteration cap is reached first, or a
     level repeats (round-off), the best feasible point is returned with the
-    achieved gap.
+    achieved gap. Every user's linear term must lie in the range of its
+    curvature up to round-off (:class:`_LevelPaths`), as the SLNR minorants'
+    do; on a direction of exactly zero curvature it is dropped.
     """
     n_users, dim = quads.b.shape
     if budget <= 0:
@@ -336,16 +319,13 @@ def solve_maxmin(
         consider(np.asarray(warm_start, dtype=complex))
 
     # Inactive-constraint short cut: if the unconstrained per-user maximizers
-    # exist and are jointly feasible, they solve the problem outright.
-    if not pencils.escapes.any():
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u_free = np.conj(pencils.b_t) / pencils.d
-        u_free[pencils.flat] = 0.0
-        power_free = float((np.abs(u_free) ** 2).sum())
-        if power_free <= budget:
-            v_free = np.einsum("lij,lj->li", pencils.t, u_free)
-            consider(v_free, power=power_free)
-            return SubproblemSolution(v=best_v, objective=best_obj, gap=0.0, iterations=0)
+    # are jointly feasible, they solve the problem outright (the linear term
+    # is zero on every direction without curvature).
+    u_free = np.conj(pencils.b_t) / np.where(pencils.d > 0.0, pencils.d, 1.0)
+    power_free = float((np.abs(u_free) ** 2).sum())
+    if power_free <= budget:
+        consider(np.einsum("lij,lj->li", pencils.t, u_free), power=power_free)
+        return SubproblemSolution(v=best_v, objective=best_obj, gap=0.0, iterations=0)
 
     # The zero point is feasible, and no user's q exceeds its unconstrained
     # maximum.

@@ -194,6 +194,7 @@ def test_scan_reports_each_design_on_held_out_seeds(drift, monkeypatch, capsys):
     designs, block = lines[:5], lines[5:]
     assert [line.split(":")[0] for line in designs] == ["maxmin", "gm", "soft c=0.1", "soft c=1", "baseline"]
     assert designs[0].startswith("maxmin: 2/2 completed, ") and ", largest gap " in designs[0]
+    assert ", 0 above 1e-05, largest trace power " in designs[0]
     assert designs[-1].startswith("baseline: 2/2 completed, 2 direct, largest trace power ")
     assert all(", largest trace power P (1 " in line for line in designs)
     # One line per degenerate run with its stop reason; max-min on one user
@@ -209,6 +210,7 @@ def test_scan_fails_on_errors_power_and_gaps(drift):
     runs = {
         "a": ok,
         "b": {**run("maxmin", 0.1, gap=2e-4), "power_over_budget": 0.9},
+        "e": {**run("maxmin", 0.1, gap=1e-5), "power_over_budget": 0.9},
         "c": {**run("gm", 0.4, stop="stalled"), "power_over_budget": 1.0 + 1e-8},
         "d": {"design": "gm", "error": "RuntimeError: residual"},
         "degenerate/soft": {**run("soft", 0.3, stop="stalled"), "power_over_budget": 1.0},
@@ -218,7 +220,7 @@ def test_scan_fails_on_errors_power_and_gaps(drift):
     assert not passed
     assert lines == [
         "gm: 2/3 completed, 1 stalled, 1 tolerance, largest trace power P (1 + 1e-08)",
-        "maxmin: 1/1 completed, 1 tolerance, largest gap 0.0002, largest trace power P (1 - 0.1)",
+        "maxmin: 2/2 completed, 2 tolerance, largest gap 0.0002, 1 above 1e-05, largest trace power P (1 - 0.1)",
         "degenerate inputs:",
         "  degenerate/soft: stalled",
         "  degenerate/gm: raised",
@@ -228,6 +230,12 @@ def test_scan_fails_on_errors_power_and_gaps(drift):
         "degenerate/gm: LinAlgError: singular",
     ]
     assert drift.scan({"a": ok}) == (["gm: 1/1 completed, 1 tolerance, largest trace power P (1 + 0)"], True)
+    # A gap above the design's own target but within the limit is counted,
+    # not failed.
+    loose = {**run("maxmin", 0.1, gap=2e-5), "power_over_budget": 1.0}
+    assert drift.scan({"a": loose}) == ([
+        "maxmin: 1/1 completed, 1 tolerance, largest gap 2e-05, 1 above 1e-05, largest trace power P (1 + 0)"
+    ], True)
 
 
 def test_summary_reads_the_trace_by_column(drift):

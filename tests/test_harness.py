@@ -618,6 +618,23 @@ class TestCli:
         assert "Traceback" not in err
         assert not out_dir.exists()
 
+    def test_unknown_key_is_an_error_line(self, tmp_path, capsys, monkeypatch):
+        # A misspelt top-level key is named with the accepted keys, where it
+        # used to be dropped (one seed into out/ instead of three elsewhere).
+        monkeypatch.chdir(tmp_path)
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps({
+            "scenario": {"Q": 3, "users": 2}, "algorithms": ["baseline"],
+            "n_seed": 3, "output_dri": "elsewhere",
+        }))
+        assert cli_main(["sweep", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: unknown key 'n_seed'; accepted keys: algorithms, antennas, base_seed, c, "
+            "n_seeds, options, output_dir, power_dbm, save_beamformers, scenario"
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json"]
+
     @pytest.mark.parametrize(
         "options",
         [{"tolerance": "1e-4"}, {"soft_c": True}, {"max_iterations": 2.5},

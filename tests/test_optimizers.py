@@ -507,8 +507,9 @@ class TestHeldOutSeeds:
 
     def test_maxmin_certified_and_converged(self):
         # Every held-out max-min run stops on the tolerance, each subproblem
-        # certified within the design's subsolver tolerance.
-        for seed in range(100, 110):
+        # certified within the design's subsolver tolerance; seeds 115 and
+        # 150 have subproblems whose gaps end just below it.
+        for seed in (*range(100, 110), 115, 150):
             sc = Scenario(Q=8, L=5, M=2, seed=seed)
             stats = build_statistics(sc)
             res = run_maxmin(sc, stats, AlgoOptions())

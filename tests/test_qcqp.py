@@ -11,7 +11,11 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from slnrbeam.channel import Scenario, build_statistics
+from slnrbeam.numerics import pencil_diagonalize
+from slnrbeam.optimizers import _Run
 from slnrbeam.qcqp import NU_MAX, Quadratics, _LevelPaths, _Pencils, solve_maxmin
+from slnrbeam.surrogates import half_iteration_operators, slnr_minorant_coeffs
 
 from conftest import power_of, whiten
 
@@ -358,30 +362,80 @@ class TestLevelSolve:
     @pytest.mark.parametrize("flat_user", [False, True])
     def test_start_on_either_side_of_the_root(self, flat_user):
         # Newton from another level's multipliers, from above or below the
-        # roots, or from the cap, lands on the multipliers it finds from zero;
-        # also for a user whose every direction is flat (zero curvature).
+        # roots, or from the cap, lands on the multipliers it finds from zero.
+        # A user without curvature (C = 0) has its linear term dropped: its
+        # q stays at a = q_free, so from any start its multiplier is zero
+        # below a and the cap from a on, where level >= q_free decides.
         rng = np.random.default_rng(27)
         quads, budget = random_problem(rng, n_users=4, dim=6)
         if flat_user:
             quads.C[1] = 0.0
         pencils = _LevelPaths(quads, budget)
-        low, high = float(quads.a.max()) + 0.1, float(pencils.q_free.min()) - 1e-3
+        live = np.arange(4) != 1 if flat_user else np.full(4, True)
+        low, high = float(quads.a[live].max()) + 0.1, float(pencils.q_free[live].min()) - 1e-3
         below, above = pencils.multipliers(low, np.zeros(4)), pencils.multipliers(high, np.zeros(4))
-        assert np.all(below < above)
-        for level, start in ((high, below), (low, above), (low, np.full(4, NU_MAX))):
+        assert np.all(below[live] < above[live])
+        starts = (np.zeros(4), below, above, np.full(4, NU_MAX))
+        for level, start in ((high, below), (low, above), (low, starts[-1])):
             want = pencils.multipliers(level, np.zeros(4))
             np.testing.assert_allclose(pencils.multipliers(level, start), want, rtol=1e-9)
+        if flat_user:
+            a_flat = float(quads.a[1])
+            assert pencils.q_free[1] == a_flat
+            for level in (a_flat - 0.5, a_flat, a_flat + 1e-9, a_flat + 0.5, high):
+                for start in starts:
+                    assert pencils.multipliers(level, start)[1] == (0.0 if level < a_flat else NU_MAX)
 
-    def test_flat_directions_with_linear_term(self):
+    def test_zero_curvature_drops_linear_term(self):
+        # Along a direction of exactly zero curvature the linear term is
+        # dropped (the precondition puts only round-off there): a user with
+        # C = 0 keeps q = a and the zero path point, even at the cap.
         rng = np.random.default_rng(22)
         quads, budget = random_problem(rng, n_users=2, dim=5)
-        g = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-        quads.C[1] = g @ g.conj().T  # two null directions, which b reaches
+        quads.C[1] = 0.0
         pencils = _LevelPaths(quads, budget)
-        assert pencils.q_free[1] == np.inf
-        for level in (float(quads.a[1]) + 0.5, float(quads.a[1]) + 50.0):
-            _, nu = self.check_against_reference(quads, level)
-            assert nu[1] < NU_MAX
+        assert pencils.q_free[1] == quads.a[1] and np.all(pencils.abs_b_sq[1] == 0.0)
+        nu = np.array([1.0, NU_MAX])
+        power, q, shortfall, dq = pencils.level_curves(nu)
+        assert power[1] == shortfall[1] == dq[1] == 0.0 and q[1] == quads.a[1]
+        assert np.all(pencils.dual_argmax(nu, 1.0)[1] == 0.0)
+        assert power[0] > 0.0 and q[0] > quads.a[0]
+
+    def test_q_free_per_user_across_curvature_scales(self):
+        # Zero curvature is judged per direction, not against the largest
+        # curvature over all users: a user whose curvature lies 1e15 below
+        # another's keeps its finite maximum a + b C^{-1} b^H.
+        rng = np.random.default_rng(28)
+        g = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
+        c_stack = g @ g.conj().swapaxes(-1, -2) / 4 + np.eye(4)
+        c_stack[1] *= 1e-15
+        b = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        b[1] *= 1e-15
+        quads = Quadratics(a=np.array([-1.0, -1.0]), b=b, C=c_stack)
+        q_free = _LevelPaths(quads, 1.0).q_free
+        dense = [-1.0 + (row @ np.linalg.solve(c, row.conj())).real for row, c in zip(b, c_stack)]
+        assert np.all(np.isfinite(q_free))
+        np.testing.assert_allclose(q_free, dense, rtol=1e-10)
+
+    def test_slnr_minorants_meet_the_precondition(self):
+        # The SLNR minorants put their linear terms in the range of their
+        # curvature: at desk iterates, on directions of exactly zero pencil
+        # curvature, they carry only round-off of each row's |b|^2.
+        seen = 0
+        for seed in (1, 2, 115, 150):
+            sc = Scenario(Q=8, L=5, M=2, seed=seed)
+            stats = build_statistics(sc)
+            run = _Run("maxmin", sc, stats)
+            for side in (0, 1):
+                run.fix_gauge(side)
+                ops = half_iteration_operators(side, run.factors, stats, run.signal, run.leakage, run.sigma)
+                quads = slnr_minorant_coeffs(ops)
+                d, t = pencil_diagonalize(quads.C)
+                abs_b_sq = np.abs((quads.b[:, None, :] @ t)[:, 0]) ** 2
+                flat = d <= 0.0
+                seen += int(flat.sum())
+                assert np.all(np.where(flat, abs_b_sq, 0.0).sum(axis=1) <= 1e-12 * abs_b_sq.sum(axis=1))
+        assert seen > 0  # the iterates have directions of zero curvature
 
     def test_zero_rows_of_b(self):
         rng = np.random.default_rng(23)
