@@ -23,6 +23,7 @@ import sys
 from dataclasses import replace
 
 from .harness import (
+    SCENARIO_SCHEMA,
     SWEEP_KEYS,
     ExperimentConfig,
     default_scenario_dict,
@@ -69,8 +70,8 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _scenario_overrides(args: argparse.Namespace) -> dict:
-    keys = ("Q", "users", "M", "power_dbm", "seed")
-    return {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
+    """The scenario keys the flags set (a flag's dest is its JSON key)."""
+    return {key: getattr(args, key) for key in SCENARIO_SCHEMA if getattr(args, key, None) is not None}
 
 
 def _run_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -87,7 +88,7 @@ def _run_config(args: argparse.Namespace) -> ExperimentConfig:
         changes["algorithms"] = [args.algorithm]
     if args.c is not None:
         changes["c"] = [args.c]
-    if args.out:
+    if args.out is not None:  # an empty --out reaches the config's check
         changes["output_dir"] = args.out
     # rebuilt, so the flags pass the config checks before any file is written
     return replace(config, **changes)
@@ -95,7 +96,7 @@ def _run_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _sweep_config(args: argparse.Namespace) -> ExperimentConfig:
     config = ExperimentConfig.from_json(args.config)
-    changes = {"output_dir": args.out or None, "n_seeds": args.seeds}
+    changes = {"output_dir": args.out, "n_seeds": args.seeds}
     return replace(config, **{k: v for k, v in changes.items() if v is not None})
 
 

@@ -5,7 +5,7 @@ run, and sweep axes (antenna counts as Q^2 values, power in dBm, smoothing
 coefficients for the soft algorithm). Power is converted between dBm and
 watts only at this boundary; everything below works in linear units.
 
-A scenario is a JSON object with the keys of ``SCENARIO_DEFAULTS``, all
+A scenario is a JSON object with the keys of ``SCENARIO_SCHEMA``, all
 optional except Q and users; ``"sigma_watts"`` sets the noise power directly
 in place of ``"noise_dbm_per_hz"``. Keys outside this schema are ignored.
 Values must be finite JSON numbers (not booleans or strings), Q, users, M
@@ -13,7 +13,7 @@ and seed integral ones, in :class:`slnrbeam.channel.Scenario`'s ranges.
 
 Experiment JSON is an object that wraps that under ``"scenario"`` (an
 object) and adds ``"algorithms"`` (required), ``"antennas"``,
-``"power_dbm"``, ``"c"``, ``"n_seeds"``, ``"base_seed"``, a string
+``"power_dbm"``, ``"c"``, ``"n_seeds"``, ``"base_seed"``, a nonempty string
 ``"output_dir"``, a boolean ``"save_beamformers"`` and an ``"options"``
 object mirroring :class:`slnrbeam.optimizers.AlgoOptions`. The sweep keys
 ``antennas``, ``power_dbm`` and ``base_seed`` replace the scenario's Q (as
@@ -83,6 +83,9 @@ SUMMARY_COLUMNS = (
     "wallclock_s",
 )
 AGGREGATE_METRICS = ("min_slnr", "min_rate_mbps", "max_rate_mbps", "min_max_ratio", "jain")
+AGGREGATE_COLUMNS = ("algorithm", "antennas", "power_dbm", "c", "M", "n_seeds",
+                     *(f"mean_{m}" for m in AGGREGATE_METRICS), *(f"se_{m}" for m in AGGREGATE_METRICS),
+                     "mean_wallclock_s")
 FAIRNESS_METRICS = ("min_max_ratio", "jain")
 
 
@@ -134,10 +137,10 @@ class ExperimentConfig:
         for key, kind, wanted in (
             ("scenario", dict, "an object"),
             ("options", dict, "an object"),
-            ("output_dir", (str, os.PathLike), "a string"),
+            ("output_dir", (str, os.PathLike), "a nonempty string"),
             ("save_beamformers", bool, "true or false"),
         ):
-            if not isinstance(getattr(self, key), kind):
+            if not isinstance(getattr(self, key), kind) or getattr(self, key) == "":
                 raise ValueError(f"key {key!r} must be {wanted}, got {getattr(self, key)!r}")
         accepted = sorted(f.name for f in fields(AlgoOptions))
         for key in self.options:
@@ -153,7 +156,7 @@ class ExperimentConfig:
         # sweep key; one left out takes the value of the scenario key it
         # replaces, and a c axis left out takes the soft_c option.
         scenario_from_dict(self.scenario)
-        template = {**SCENARIO_DEFAULTS, **self.scenario}
+        template = {**default_scenario_dict(), **self.scenario}
         antennas = [template["Q"] ** 2] if self.antennas is None else self.antennas
         power_dbm = [template["power_dbm"]] if self.power_dbm is None else self.power_dbm
         c = [options.soft_c] if self.c is None else self.c
@@ -233,42 +236,26 @@ def _axis(key: str, values, integral: bool = False) -> list:
 SWEEP_KEYS = {"Q": "antennas", "power_dbm": "power_dbm", "seed": "base_seed"}
 
 # The scenario schema in JSON units, in the order ``slnrbeam scenario gen``
-# writes it: each key with its default, that of ``channel.Scenario``.
-# Integers mark the integral keys. ``scenario_from_dict`` requires Q and
-# users; only ``default_scenario_dict`` defaults them.
-SCENARIO_DEFAULTS = {
-    "Q": 4,  # side length of the square array
-    "users": 3,  # number of downlink users
-    "M": 1,  # outer products per beamformer
-    "power_dbm": 24.0,  # transmit power budget
-    "bandwidth_hz": 10e6,
-    "cell_radius_m": 200.0,
-    "bs_height_m": 10.0,
-    "ue_height_m": 1.5,
-    "shadow_std_db": 7.8,
-    "azimuth_spread_deg": 5.0,
-    "elevation_spread_deg": 5.0,
-    "noise_dbm_per_hz": NOISE_DENSITY_DBM_PER_HZ,  # unread when "sigma_watts" is given
-    "seed": 0,
-}
-
-
-# Each Scenario field but the noise power, with the JSON key that sets it and
-# the conversion from that key's unit (None: the value as it stands). The
-# noise power comes from "sigma_watts" or, in its absence, "noise_dbm_per_hz".
-SCENARIO_FIELDS = {
-    "Q": ("Q", None),
-    "L": ("users", None),
-    "M": ("M", None),
-    "P": ("power_dbm", dbm_to_watt),
-    "bandwidth": ("bandwidth_hz", None),
-    "cell_radius": ("cell_radius_m", None),
-    "bs_height": ("bs_height_m", None),
-    "ue_height": ("ue_height_m", None),
-    "sigma_sf": ("shadow_std_db", None),
-    "sigma_alpha": ("azimuth_spread_deg", lambda deg: float(np.deg2rad(deg))),
-    "sigma_beta": ("elevation_spread_deg", lambda deg: float(np.deg2rad(deg))),
-    "seed": ("seed", None),
+# writes it: each key with its default (that of ``channel.Scenario``), the
+# Scenario field it sets and the conversion from the key's unit (None: the
+# value as it stands). Integer defaults mark the integral keys.
+# ``scenario_from_dict`` requires Q and users; only ``default_scenario_dict``
+# defaults them.
+SCENARIO_SCHEMA = {
+    "Q": (4, "Q", None),  # side length of the square array
+    "users": (3, "L", None),  # number of downlink users
+    "M": (1, "M", None),  # outer products per beamformer
+    "power_dbm": (24.0, "P", dbm_to_watt),  # transmit power budget
+    "bandwidth_hz": (10e6, "bandwidth", None),
+    "cell_radius_m": (200.0, "cell_radius", None),
+    "bs_height_m": (10.0, "bs_height", None),
+    "ue_height_m": (1.5, "ue_height", None),
+    "shadow_std_db": (7.8, "sigma_sf", None),
+    "azimuth_spread_deg": (5.0, "sigma_alpha", lambda deg: float(np.deg2rad(deg))),
+    "elevation_spread_deg": (5.0, "sigma_beta", lambda deg: float(np.deg2rad(deg))),
+    # sigma through noise_power_watt over the bandwidth; unread when "sigma_watts" is given
+    "noise_dbm_per_hz": (NOISE_DENSITY_DBM_PER_HZ, "sigma", None),
+    "seed": (0, "seed", None),
 }
 
 
@@ -282,27 +269,26 @@ def scenario_from_dict(spec: dict, sweep_keys: dict | None = None) -> Scenario:
     def get(key: str):
         if key not in spec and key in ("Q", "users"):
             raise ValueError(f"key {key!r} is required")
-        default = SCENARIO_DEFAULTS[key]
-        return _number(key, spec.get(key, default), integral=isinstance(default, int))
+        default, _, unit = SCENARIO_SCHEMA[key]
+        value = _number(key, spec.get(key, default), integral=isinstance(default, int))
+        return value if unit is None else unit(value)
 
-    values = {
-        name: get(key) if unit is None else unit(get(key)) for name, (key, unit) in SCENARIO_FIELDS.items()
-    }
+    keys = {name: key for key, (_, name, _) in SCENARIO_SCHEMA.items()}  # the key that sets each field
+    values = {name: get(key) for name, key in keys.items() if name != "sigma"}
     if spec.get("sigma_watts") is not None:
-        noise_key, values["sigma"] = "sigma_watts", _number("sigma_watts", spec["sigma_watts"])
+        keys["sigma"], values["sigma"] = "sigma_watts", _number("sigma_watts", spec["sigma_watts"])
     else:
-        noise_key = "noise_dbm_per_hz"
-        values["sigma"] = noise_power_watt(values["bandwidth"], get(noise_key))
+        values["sigma"] = noise_power_watt(values["bandwidth"], get("noise_dbm_per_hz"))
     try:
         return Scenario(**values)
     except ScenarioError as err:
-        key = noise_key if err.field == "sigma" else SCENARIO_FIELDS[err.field][0]
+        key = keys[err.field]
         raise ValueError(f"key {(sweep_keys or {}).get(key, key)!r} must be {err.rule}, got {spec[key]!r}") from None
 
 
 def default_scenario_dict(**overrides) -> dict:
     """The scenario schema at its defaults, with ``overrides`` applied."""
-    return {**SCENARIO_DEFAULTS, **overrides}
+    return {**{key: default for key, (default, _, _) in SCENARIO_SCHEMA.items()}, **overrides}
 
 
 @dataclass(frozen=True)
@@ -332,7 +318,18 @@ def _enumerate_runs(config: ExperimentConfig) -> list[_RunKey]:
     ]
 
 
-def _execute_run(key: _RunKey, config: ExperimentConfig, out_dir: Path) -> dict:
+def _write_csv(path: Path, header, rows) -> str:
+    """Write one table, every cell through ``fmt``; returns the path."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([fmt(cell) for cell in row] for row in rows)
+    return str(path)
+
+
+def _execute_run(key: _RunKey, config: ExperimentConfig, out_dir: Path) -> tuple[dict, list[str]]:
+    """One design run: its summary row by ``SUMMARY_COLUMNS`` and the paths
+    it wrote (its trace, then its checkpoint if any)."""
     scenario = scenario_from_dict(config.run_spec(key.antennas, key.power_dbm, key.seed))
     stats = build_statistics(scenario)
     opt_kwargs = dict(config.options)
@@ -345,24 +342,17 @@ def _execute_run(key: _RunKey, config: ExperimentConfig, out_dir: Path) -> dict:
 
     trace = result.trace
     trace_name = key.trace_name(scenario.M)
-    trace_path = out_dir / trace_name
-    with open(trace_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        rates = nats_to_mbps(trace.min_rate_nats, scenario.bandwidth)
-        for step, min_slnr, objective, rate in zip(trace.step, trace.min_slnr, trace.objective, rates):
-            writer.writerow([fmt(step), fmt(min_slnr), fmt(objective), fmt(rate)])
-
-    extra_paths = []
+    rates = nats_to_mbps(trace.min_rate_nats, scenario.bandwidth)
+    paths = [_write_csv(out_dir / trace_name, TRACE_COLUMNS,
+                        zip(trace.step, trace.min_slnr, trace.objective, rates))]
     if config.save_beamformers:
         checkpoint = out_dir / trace_name.replace("trace_", "beamformers_").replace(".csv", ".json")
         w = result.incumbent_matrix
         with open(checkpoint, "w") as fh:
             json.dump({"Q": scenario.Q, "columns": np.stack([w.real, w.imag], axis=-1).tolist()}, fh)
-        extra_paths.append(str(checkpoint))
+        paths.append(str(checkpoint))
 
     return {
-        "extra_paths": extra_paths,
         "algorithm": key.algorithm,
         "antennas": key.antennas,
         "power_dbm": key.power_dbm,
@@ -374,15 +364,31 @@ def _execute_run(key: _RunKey, config: ExperimentConfig, out_dir: Path) -> dict:
         "iterations": result.iterations,
         "converged": result.converged,
         "wallclock_s": wallclock,
-        "trace_path": str(trace_path),
-    }
+    }, paths
+
+
+def _aggregate_rows(rows: list[dict]) -> list[list]:
+    """One row by ``AGGREGATE_COLUMNS`` per (algorithm, sweep point): the
+    per-seed summaries' means and standard errors."""
+    groups: dict[tuple, list[dict]] = {}
+    for row in rows:
+        groups.setdefault(tuple(row[col] for col in AGGREGATE_COLUMNS[:5]), []).append(row)  # algorithm, point
+    table = []
+    for group_key in sorted(groups, key=lambda k: tuple(map(str, k))):
+        members = groups[group_key]
+        columns = [np.array([m[metric] for m in members], dtype=float) for metric in AGGREGATE_METRICS]
+        se = [vals.std(ddof=1) / np.sqrt(len(vals)) if len(vals) > 1 else 0.0 for vals in columns]
+        wallclock = np.mean([m["wallclock_s"] for m in members])
+        table.append([*group_key, len(members), *(vals.mean() for vals in columns), *se, wallclock])
+    return table
 
 
 def run_experiment(config: ExperimentConfig) -> list[str]:
     """Run every (algorithm, sweep point, seed) and write the report files.
 
-    Returns the list of written paths: one trace CSV per run plus
-    ``summary.csv`` and ``aggregate.csv``.
+    Returns the list of written paths: each run's trace CSV (and checkpoint,
+    with ``save_beamformers``) in run order, then ``summary.csv`` and
+    ``aggregate.csv``.
     """
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -393,48 +399,14 @@ def run_experiment(config: ExperimentConfig) -> list[str]:
     except OSError as err:
         raise OSError(f"output directory {out_dir} is not writable: {err}")
 
-    rows = [_execute_run(key, config, out_dir) for key in _enumerate_runs(config)]
-
-    summary_path = out_dir / "summary.csv"
-    with open(summary_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in rows:
-            writer.writerow([fmt(row[col]) for col in SUMMARY_COLUMNS])
-
-    aggregate_path = out_dir / "aggregate.csv"
-    groups: dict[tuple, list[dict]] = {}
-    for row in rows:
-        group_key = (row["algorithm"], row["antennas"], row["power_dbm"], row["c"], row["M"])
-        groups.setdefault(group_key, []).append(row)
-    agg_columns = (
-        ["algorithm", "antennas", "power_dbm", "c", "M", "n_seeds"]
-        + [f"mean_{m}" for m in AGGREGATE_METRICS]
-        + [f"se_{m}" for m in AGGREGATE_METRICS]
-        + ["mean_wallclock_s"]
-    )
-    with open(aggregate_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(agg_columns)
-        for group_key in sorted(groups, key=lambda k: tuple(map(str, k))):
-            members = groups[group_key]
-            record = dict(zip(("algorithm", "antennas", "power_dbm", "c", "M"), group_key))
-            record["n_seeds"] = len(members)
-            for metric in AGGREGATE_METRICS:
-                vals = np.array([m[metric] for m in members], dtype=float)
-                record[f"mean_{metric}"] = float(vals.mean())
-                record[f"se_{metric}"] = (
-                    float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
-                )
-            record["mean_wallclock_s"] = float(
-                np.mean([m["wallclock_s"] for m in members])
-            )
-            writer.writerow([fmt(record[col]) for col in agg_columns])
-
-    written = [row["trace_path"] for row in rows]
-    for row in rows:
-        written.extend(row["extra_paths"])
-    return written + [str(summary_path), str(aggregate_path)]
+    runs = [_execute_run(key, config, out_dir) for key in _enumerate_runs(config)]
+    rows = [row for row, _ in runs]
+    written = [path for _, paths in runs for path in paths]
+    summary = [[row[col] for col in SUMMARY_COLUMNS] for row in rows]
+    return written + [
+        _write_csv(out_dir / "summary.csv", SUMMARY_COLUMNS, summary),
+        _write_csv(out_dir / "aggregate.csv", AGGREGATE_COLUMNS, _aggregate_rows(rows)),
+    ]
 
 
 def report_fairness(output_dir: str | Path) -> str:
@@ -455,28 +427,20 @@ def report_fairness(output_dir: str | Path) -> str:
     if not rows:
         raise FileNotFoundError(f"no aggregate rows found in {aggregate_path}")
     points: dict[str, set] = {}
+    cells: dict[tuple, dict] = {}  # the first row of each (algorithm, antennas)
     for r in rows:
         points.setdefault(r["algorithm"], set()).add((r["power_dbm"], r["c"], r["M"]))
+        cells.setdefault((r["algorithm"], int(r["antennas"])), r)
     for algorithm, seen in sorted(points.items()):
         if len(seen) > 1:
             listed = ", ".join(f"(power_dbm={float(p):g}, c={float(c):g}, M={m})" for p, c, m in sorted(seen))
             raise ValueError(f"{aggregate_path} holds {len(seen)} sweep points for {algorithm}: {listed}; "
                              "the fairness table takes one (power_dbm, c, M) point per algorithm")
-    antenna_counts = sorted({int(r["antennas"]) for r in rows})
-    algorithms = sorted(points)
-    fairness_path = out_dir / "fairness.csv"
-    with open(fairness_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm", "metric"] + [f"a{n}" for n in antenna_counts])
-        for algorithm in algorithms:
-            for metric in FAIRNESS_METRICS:
-                cells = []
-                for n_ant in antenna_counts:
-                    match = [
-                        r
-                        for r in rows
-                        if r["algorithm"] == algorithm and int(r["antennas"]) == n_ant
-                    ]
-                    cells.append(fmt(float(match[0][f"mean_{metric}"])) if match else "")
-                writer.writerow([algorithm, metric] + cells)
-    return str(fairness_path)
+    antenna_counts = sorted({n for _, n in cells})
+    table = [
+        [algorithm, metric]
+        + [float(cells[algorithm, n][f"mean_{metric}"]) if (algorithm, n) in cells else "" for n in antenna_counts]
+        for algorithm in sorted(points)
+        for metric in FAIRNESS_METRICS
+    ]
+    return _write_csv(out_dir / "fairness.csv", ["algorithm", "metric"] + [f"a{n}" for n in antenna_counts], table)

@@ -265,7 +265,10 @@ class _Run:
         the free columns G by G R^T, which leaves the transmit matrix
         F G^T, hence W, unchanged up to round-off. A user's power is then
         the squared norm of its free vector. The kept evaluation is redone
-        at the refactored iterate.
+        at the refactored iterate: ``_backtrack``'s trials at small s round
+        back to these factors, and the kept objective they are compared with
+        must be theirs bit for bit, not the pre-QR factors' (equal only to
+        round-off), or a max-min run at its fixpoint can stall.
         """
         q_f, r = np.linalg.qr(self.factors[1 - side].swapaxes(-1, -2))
         self.factors[1 - side] = q_f.swapaxes(-1, -2)

@@ -139,6 +139,13 @@ class TestRunExperiment:
         run_experiment(small_config(tmp_path / "out", output_dir=tmp_path / "out"))
         assert (tmp_path / "out" / "aggregate.csv").exists()
 
+    def test_empty_output_dir_rejected(self, tmp_path, monkeypatch):
+        # An empty name would write the run files into the working directory.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match=r"^key 'output_dir' must be a nonempty string, got ''$"):
+            run_experiment(small_config(tmp_path, output_dir=""))
+        assert list(tmp_path.iterdir()) == []
+
     def test_deterministic_numeric_columns(self, tmp_path):
         files_a = run_experiment(small_config(tmp_path / "a"))
         files_b = run_experiment(small_config(tmp_path / "b"))
@@ -368,6 +375,23 @@ class TestReportFairness:
         expected = "".join(line + "\r\n" for line in lines).encode()
         assert Path(report_fairness(out)).read_bytes() == expected
 
+    def test_missing_cell_is_empty(self, tmp_path):
+        # An algorithm aggregated at fewer antenna counts than another has an
+        # empty cell where it has no row; the others are 17-digit means.
+        (tmp_path / "aggregate.csv").write_text(
+            "algorithm,antennas,power_dbm,c,M,n_seeds,mean_min_max_ratio,mean_jain\n"
+            f"soft,16,24,0.1,1,2,{0.1!r},{0.3!r}\n"
+            f"gm,16,24,nan,1,2,{1 / 3!r},{0.7!r}\n"
+            f"gm,9,24,nan,1,2,{0.25!r},{2 / 3!r}\n"
+        )
+        assert read_csv(report_fairness(tmp_path)) == [
+            ["algorithm", "metric", "a9", "a16"],
+            ["gm", "min_max_ratio", "0.25", "0.33333333333333331"],
+            ["gm", "jain", "0.66666666666666663", "0.69999999999999996"],
+            ["soft", "min_max_ratio", "", "0.10000000000000001"],
+            ["soft", "jain", "", "0.29999999999999999"],
+        ]
+
     def test_several_sweep_points_rejected(self, tmp_path, capsys):
         config = small_config(
             tmp_path / "out", algorithms=["gm", "soft"], power_dbm=[20.0, 24.0],
@@ -549,6 +573,26 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: key 'azimuth_spread_deg' must be >= 0, got -5.0"]
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "argv, output_dir",
+        [(["sweep", "--config", "exp.json"], ""),
+         (["run", "--algorithm", "baseline", "--Q", "2", "--users", "2", "--out", ""], None),
+         (["sweep", "--config", "exp.json", "--out", ""], "elsewhere")],
+        ids=["json", "run_flag", "sweep_flag"],
+    )
+    def test_empty_output_dir_is_one_key_line(self, tmp_path, capsys, monkeypatch, argv, output_dir):
+        # An empty directory, in the config or as --out, is rejected before
+        # any file is written, never read as the working directory, out/ or
+        # the config's own directory.
+        monkeypatch.chdir(tmp_path)
+        doc = {"scenario": {"Q": 2, "users": 2}, "algorithms": ["baseline"]}
+        if output_dir is not None:
+            doc["output_dir"] = output_dir
+        (tmp_path / "exp.json").write_text(json.dumps(doc))
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: key 'output_dir' must be a nonempty string, got ''"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json"]
 
     def test_axis_values_sharing_a_file_label_rejected(self, tmp_path, capsys):
         # Trace and checkpoint names print power_dbm and c through one label;
